@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt soak gw-soak bench replay-check hotclosure hotclosure-check checkptr
+.PHONY: all build test race vet fmt soak gw-soak bench bench-test replay-check hotclosure hotclosure-check
 
 all: build vet test
 
@@ -32,13 +32,6 @@ hotclosure:
 hotclosure-check:
 	$(GO) run ./cmd/hepcclvet -funcs | sed 's/^\([^:]*\):[0-9]*:/\1:/' | diff -u analysis/hotclosure.txt -
 
-# Pointer-safety instrumentation over the packages that carry unsafe word
-# views (adapt's fused integrate/batch paths) and the durability layer that
-# replays their bytes. checkptr=2 also flags pointers derived outside their
-# allocation; -race's default instrumentation is level 1.
-checkptr:
-	$(GO) test -gcflags=all=-d=checkptr=2 -count=1 ./internal/adapt ./internal/wal
-
 fmt:
 	gofmt -l -w .
 
@@ -55,9 +48,14 @@ gw-soak:
 
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkServeEvent' -benchtime 100x -benchmem .
-	$(GO) test -run '^$$' -bench 'BenchmarkServeBatch/' -benchtime 2s -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkServeWire/' -benchtime 2s -benchmem ./internal/adapt
 	$(GO) test -run '^$$' -bench BenchmarkIngestPath -benchtime 200000x -benchmem ./internal/server
 	$(GO) test -run '^$$' -bench 'BenchmarkLabel' -benchtime 100x -benchmem ./internal/tileccl
+
+# The benchmark harness is a module of its own (bench/go.mod), so the root
+# `go test ./...` does not descend into it.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # Replay determinism: record a run into a WAL, replay it twice, and require
 # byte-identical (event, label-count, checksum) response streams plus the

@@ -599,46 +599,6 @@ func BenchmarkServeEventFrame(b *testing.B) {
 	}
 }
 
-// BenchmarkServeBatch measures the batched serving entry point the ingest
-// workers use, at the CTA geometry and occupancy. The batched sub-benchmark
-// is the CI-gated latency/alloc number; single serves the same events one
-// ServeEvent call at a time — the batched-vs-single A/B recorded in BENCH_8.
-func BenchmarkServeBatch(b *testing.B) {
-	const batch = 32
-	p, packets := serveWorkload(b, 43, 43, 0.02, adapt.ServeRun)
-	events := make([][]adapt.Packet, batch)
-	for i := range events {
-		events[i] = packets
-	}
-	recs := make([]adapt.EventRecord, batch)
-	errs := make([]error, batch)
-	if n := p.ServeBatch(events, recs, errs); n != batch {
-		b.Fatalf("warmup served %d/%d", n, batch)
-	}
-	b.Run("batched", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if n := p.ServeBatch(events, recs, errs); n != batch {
-				b.Fatalf("served %d/%d", n, batch)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/event")
-	})
-	b.Run("single", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, ev := range events {
-				if err := p.ServeEvent(ev, &recs[0]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/event")
-	})
-}
-
 // BenchmarkDeadtime measures the E14 trigger simulation itself.
 func BenchmarkDeadtime(b *testing.B) {
 	p, err := adapt.New(adapt.DefaultCTA())

@@ -47,28 +47,18 @@ func GenerateEvent(pe []grid.Value, asics int, event uint32, timestamp uint64,
 			Timestamp:         timestamp,
 			SamplesPerChannel: uint8(dig.Samples),
 		}
-		// One contiguous channel-major backing array per packet (the same
-		// layout Unmarshal produces); DigitizeInto clamps samples to be
-		// non-negative. A digitizer with no MaxADC saturation could in
-		// principle exceed the 16-bit wire range — such packets are not
-		// marshalable anyway, but keep the block invariant honest by
-		// dropping the block (the serving path then takes its generic loop).
+		// One contiguous channel-major backing array per packet, the layout
+		// Unmarshal produces.
 		n := dig.Samples
-		pkt.block = make([]int32, ChannelsPerASIC*n)
+		samples := make([]int32, ChannelsPerASIC*n)
 		for ch := 0; ch < ChannelsPerASIC; ch++ {
 			flat := a*ChannelsPerASIC + ch
 			var count float64
 			if flat < len(pe) {
 				count = float64(pe[flat])
 			}
-			pkt.Samples[ch] = pkt.block[ch*n : (ch+1)*n : (ch+1)*n]
+			pkt.Samples[ch] = samples[ch*n : (ch+1)*n : (ch+1)*n]
 			dig.DigitizeInto(pkt.Samples[ch], count, t0, rng)
-		}
-		for _, v := range pkt.block {
-			if v > 0xFFFF {
-				pkt.block = nil
-				break
-			}
 		}
 	}
 	return packets, nil

@@ -46,15 +46,10 @@ type Header struct {
 // SamplesPerChannel ADC samples for each channel.
 type Packet struct {
 	Header
-	// block, when non-nil, is the contiguous channel-major backing array of
-	// Samples (len 16×SamplesPerChannel, Samples[ch] aliases
-	// block[ch·n:(ch+1)·n]) and every sample in it is within the 16-bit
-	// wire range [0, 0xFFFF]. The serving path's word-at-a-time integration
-	// and its packet-level dark screen rely on both properties. Unmarshal
-	// and GenerateEvent maintain the invariant; code that reassigns a
-	// Samples[ch] slice header (rather than mutating samples in place) must
-	// leave block nil. It sits before Samples so the serving loop's hot
-	// fields (header + block) share the packet's first cache line.
+	// block is Unmarshal's decode target: the contiguous channel-major
+	// backing array of Samples (len 16×SamplesPerChannel, Samples[ch] aliases
+	// block[ch·n:(ch+1)·n]), kept so a reused Packet decodes without
+	// reallocating or re-carving its sixteen slice headers.
 	block []int32
 	// Samples is indexed [channel][sample]; every channel has
 	// SamplesPerChannel samples.

@@ -30,7 +30,7 @@ type Config struct {
 	// Detection selects and configures the island-detection back end
 	// (the TWO_DIMENSION switch).
 	Detection design.TopConfig
-	// Serve selects ServeEvent's 2D labeling backend. The zero value is the
+	// Serve selects the 2D labeling backend of serving. The zero value is the
 	// bit-packed run-based engine family with the automatic size cutover:
 	// frames above TiledCutoverPixels label on the tile-parallel engine,
 	// smaller ones on single-core runccl. ServePixel keeps the per-pixel
@@ -51,7 +51,7 @@ type Config struct {
 // is large enough that tile fan-out repays the merge overhead.
 const TiledCutoverPixels = 1 << 14
 
-// ServeBackend selects the island-labeling engine behind ServeEvent's 2D
+// ServeBackend selects the island-labeling engine behind serving's 2D
 // path. Both produce the identical island partition, statistics, and compact
 // raster numbering; they differ only in cost scaling.
 type ServeBackend int
@@ -160,34 +160,12 @@ type Pipeline struct {
 	tileEngine *tileccl.Engine // 2D tile-parallel backend; nil otherwise
 	seen       []uint64        // checkEvent duplicate-ASIC bitmap, one bit per ASIC
 
-	// Serving-path precomputation. cutoff is the ADC-domain zero-suppression
-	// threshold: with rounded division by gain g, pe > T ⇔ net ≥ (T+1)·g −
-	// g/2, so suppressed channels never pay the photon-count division.
-	// limits[fl] = cutoff + pedestals[fl] folds the pedestal subtraction into
-	// the same compare; Calibrate rebuilds it. litWord/litMask map a flat
-	// pixel index to its word and bit in the run engine's bitmap layout,
-	// replacing a per-lit-pixel division.
-	// minLim[asic] is the minimum of limits over the ASIC's 16 channels:
-	// a packet whose total sample sum stays below it cannot contain a lit
-	// channel (samples are non-negative), so the integration loop clears
-	// whole dark packets with one screened compare.
-	// litRow/litCol are the inverse maps (flat pixel -> row, column), built
-	// for the single-core run backend so the batched fused decode can stream
-	// runs without materializing a bitmap.
-	// limits32 is the limits table clamped into uint32 for the 4-sample
-	// fused batch decode: a 4-sample raw integral is at most 4×0xFFFF, so a
-	// non-positive limit clamps to 0 (always lit), anything above the
-	// reachable range clamps to 1<<20 (never lit), and the lit compare
-	// becomes the sign bit of a 32-bit subtraction — four channels' dark
-	// checks AND into one predicated branch.
-	cutoff   int64
-	limits   []int64
-	limits32 []uint32
-	minLim   []int64
-	litWord  []int32
-	litMask  []uint64
-	litRow   []int32
-	litCol   []int32
+	// cutoff is the ADC-domain zero-suppression threshold: with rounded
+	// division by gain g, pe > T ⇔ net ≥ (T+1)·g − g/2, so suppressed
+	// channels never pay the photon-count division. sup folds the pedestals
+	// into it per channel; Calibrate replaces it.
+	cutoff int64
+	sup    *Suppressor
 	// pcM/pcMax implement PhotonCount's divide-by-gain as an exact magic
 	// multiply for numerators in [0, pcMax): with M = ⌊2^47/g⌋+1 = (2^47+e)/g
 	// (0 < e ≤ g), ⌊n·M/2^47⌋ = ⌊n/g + n·e/(g·2^47)⌋ equals ⌊n/g⌋ whenever
@@ -245,9 +223,7 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	p := &Pipeline{cfg: cfg, merger: merger, pedestals: peds}
 	p.cutoff = (int64(cfg.ThresholdPE)+1)*cfg.GainADC - cfg.GainADC/2
-	p.limits = make([]int64, channels)
-	p.minLim = make([]int64, cfg.ASICs)
-	p.refreshLimits()
+	p.sup = newSuppressor(cfg.ASICs, cfg.SamplesPerChannel, p.cutoff, peds)
 	if cfg.GainADC < 1<<23 {
 		p.pcM = uint64(1)<<47/uint64(cfg.GainADC) + 1
 		p.pcMax = uint64(1) << 23
@@ -262,42 +238,17 @@ func New(cfg Config) (*Pipeline, error) {
 		}
 		rows, cols := cfg.Detection.TwoD.Rows, cfg.Detection.TwoD.Cols
 		px := rows * cols
-		var wpr int
 		if cfg.Serve == ServeTiled || (cfg.Serve == ServeRun && px > TiledCutoverPixels) {
 			p.tileEngine, err = tileccl.New(tileccl.Config{
 				Rows: rows, Cols: cols,
 				Connectivity: conn,
 				Workers:      cfg.TileWorkers,
 			})
-			if err != nil {
-				return nil, fmt.Errorf("adapt: %w", err)
-			}
-			wpr = p.tileEngine.WordsPerRow()
 		} else {
 			p.runEngine, err = runccl.NewEngine(rows, cols, conn)
-			if err != nil {
-				return nil, fmt.Errorf("adapt: %w", err)
-			}
-			wpr = p.runEngine.WordsPerRow()
 		}
-		// Both engines share the bitmap layout, so one litWord/litMask table
-		// serves either.
-		p.litWord = make([]int32, px)
-		p.litMask = make([]uint64, px)
-		for fl := 0; fl < px; fl++ {
-			r, c := fl/cols, fl%cols
-			p.litWord[fl] = int32(r*wpr + c>>6)
-			p.litMask[fl] = 1 << uint(c&63)
-		}
-		if p.runEngine != nil {
-			// The batched fused decode is a single-core run backend path;
-			// the tiled engine (megapixel frames) never consults these.
-			p.litRow = make([]int32, px)
-			p.litCol = make([]int32, px)
-			for fl := 0; fl < px; fl++ {
-				p.litRow[fl] = int32(fl / cols)
-				p.litCol[fl] = int32(fl % cols)
-			}
+		if err != nil {
+			return nil, fmt.Errorf("adapt: %w", err)
 		}
 	}
 	p.seen = make([]uint64, (cfg.ASICs+63)/64)
@@ -312,7 +263,7 @@ func (p *Pipeline) Close() {
 	}
 }
 
-// ServeEngine describes the labeling backend ServeEvent resolved to — the
+// ServeEngine describes the labeling backend serving resolved to — the
 // /stats gauge surface. tileWorkers is 0 unless the tiled engine is active.
 func (p *Pipeline) ServeEngine() (backend string, tileWorkers int) {
 	switch {
@@ -327,38 +278,10 @@ func (p *Pipeline) ServeEngine() (backend string, tileWorkers int) {
 	}
 }
 
-// refreshLimits rebuilds the per-channel ADC suppression limits and the
-// per-ASIC dark-screen minimums from the current pedestals.
-func (p *Pipeline) refreshLimits() {
-	for i, ped := range p.pedestals {
-		p.limits[i] = p.cutoff + ped
-	}
-	for a := range p.minLim {
-		m := p.limits[a*ChannelsPerASIC]
-		for _, l := range p.limits[a*ChannelsPerASIC+1 : (a+1)*ChannelsPerASIC] {
-			if l < m {
-				m = l
-			}
-		}
-		p.minLim[a] = m
-	}
-	if p.cfg.SamplesPerChannel == 4 {
-		//hepccl:amortized
-		if p.limits32 == nil {
-			p.limits32 = make([]uint32, len(p.limits))
-		}
-		for i, l := range p.limits {
-			switch {
-			case l <= 0:
-				p.limits32[i] = 0
-			case l > 4*0xFFFF:
-				p.limits32[i] = 1 << 20
-			default:
-				p.limits32[i] = uint32(l)
-			}
-		}
-	}
-}
+// Suppressor returns the pipeline's current zero-suppression table for
+// stream readers to share. Take it after calibration: Calibrate installs a
+// new one and leaves earlier ones untouched.
+func (p *Pipeline) Suppressor() *Suppressor { return p.sup }
 
 // Config returns the pipeline's configuration.
 func (p *Pipeline) Config() Config { return p.cfg }
@@ -389,7 +312,7 @@ func (p *Pipeline) Calibrate(events [][]Packet) error {
 	for i := range sums {
 		p.pedestals[i] = sums[i] / int64(len(events))
 	}
-	p.refreshLimits()
+	p.sup = newSuppressor(p.cfg.ASICs, p.cfg.SamplesPerChannel, p.cutoff, p.pedestals)
 	return nil
 }
 
@@ -398,41 +321,16 @@ func (p *Pipeline) Pedestal(channel int) int64 { return p.pedestals[channel] }
 
 // checkEvent validates event packet structure: one packet per ASIC, matching
 // event ids and sample counts.
-//
-//hepccl:hotpath
 func (p *Pipeline) checkEvent(packets []Packet) error {
-	//hepccl:coldpath
 	if len(packets) != p.cfg.ASICs {
 		return fmt.Errorf("event has %d packets, want %d", len(packets), p.cfg.ASICs)
 	}
-	// seen is a persistent one-bit-per-ASIC table (only ⌈ASICs/64⌉ words to
-	// clear — cheaper than a fixed 256-byte array for small configs, and the
-	// Flags-extended index space makes a fixed array impossible anyway).
-	seen := p.seen
-	for i := range seen {
-		seen[i] = 0
+	for i := range p.seen {
+		p.seen[i] = 0
 	}
-	event := packets[0].Event
 	for i := range packets {
-		pkt := &packets[i]
-		asic := pkt.ASICIndex()
-		//hepccl:coldpath
-		if asic >= p.cfg.ASICs {
-			return fmt.Errorf("packet from unknown ASIC %d", asic)
-		}
-		//hepccl:coldpath
-		if seen[asic>>6]&(1<<uint(asic&63)) != 0 {
-			return fmt.Errorf("duplicate packet from ASIC %d", asic)
-		}
-		seen[asic>>6] |= 1 << uint(asic&63)
-		//hepccl:coldpath
-		if pkt.Event != event {
-			return fmt.Errorf("event id mismatch: ASIC %d has %d, want %d", pkt.ASIC, pkt.Event, event)
-		}
-		//hepccl:coldpath
-		if int(pkt.SamplesPerChannel) != p.cfg.SamplesPerChannel {
-			return fmt.Errorf("ASIC %d has %d samples/channel, want %d",
-				pkt.ASIC, pkt.SamplesPerChannel, p.cfg.SamplesPerChannel)
+		if err := p.sup.checkPacket(p.seen, packets[0].Event, &packets[i]); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/wustl-adapt/hepccl/internal/ccl"
 	"github.com/wustl-adapt/hepccl/internal/grid"
@@ -11,23 +12,28 @@ import (
 // Serving fast path. ProcessEvent runs the cycle-level HLS co-simulation of
 // the island-detection design — the right tool for reproducing the paper's
 // tables, and ~5x too slow for a network server that must sustain the §5.5
-// event rates in software. ServeEvent produces the same kind of downlink
-// record through the functional route: identical per-channel stage math
-// (integrate → pedestal subtract → photon count → zero-suppress → merge),
-// then island labeling producing the same partition as the CCL design (with
-// the corrected resolver) and integer Q16.16 centroids, with all scratch
-// storage reused across events.
+// event rates in software. Serving produces the same kind of downlink record
+// through the functional route: identical per-channel stage math (integrate →
+// pedestal subtract → photon count → zero-suppress → merge), then island
+// labeling producing the same partition as the CCL design (with the corrected
+// resolver) and integer Q16.16 centroids, with all scratch storage reused
+// across events.
 //
-// Two labeling backends implement the 2D path (Config.Serve):
+// There is one seam: the lit list (LitEvent) — the channels that survive
+// zero-suppression, in raster order, with their raw integrals. Two producers
+// make lit lists: the stream reader's wire scan (StreamReader.ReadSuppressed,
+// the daemon's path) and integrateEvent over decoded packets (the reference,
+// behind ServeEvent/ServeBatch). Four sinks consume them, chosen by the
+// pipeline's configuration:
 //
-//   - ServeRun (default): zero-suppression packs a lit bitmap ([]uint64,
-//     one bit per pixel) alongside the merged values, and the run-based
-//     engine of internal/runccl labels runs of lit pixels extracted
-//     word-at-a-time — cost scales with island content (~1–5% occupancy for
-//     CTA-like workloads), not array area, and no labels image is ever
-//     materialized.
-//   - ServePixel: the raster-scan per-pixel union-find, kept as the
-//     reference for differential testing (FuzzRunCCLvsPixel).
+//   - sinkRuns (2D, the default below TiledCutoverPixels): lit pixels fold
+//     directly into maximal horizontal runs in a runccl.Batch — no merged
+//     image, no bitmap — and one resolve sweep labels a whole batch.
+//   - sinkBitmap (2D above the cutover, or ServeTiled): lit pixels set bits
+//     in the tile-parallel engine's packed bitmap beside their values.
+//   - sinkImage (ServePixel): lit pixels fill the merged image for the
+//     raster-scan per-pixel union-find, the differential-testing oracle.
+//   - sink1D: consecutive lit channels are the 1D islands.
 //
 // Differences from ProcessEvent + RecordOf, by design:
 //
@@ -38,15 +44,15 @@ import (
 //   - no synthesis report, waveform trace, or intermediate label state is
 //     produced.
 
-// serveScratch is per-pipeline reusable storage for ServeEvent. A Pipeline
-// is not safe for concurrent use; servers give each worker its own.
+// serveScratch is per-pipeline reusable serving storage. A Pipeline is not
+// safe for concurrent use; servers give each worker its own.
 type serveScratch struct {
-	merged  []grid.Value
-	bitmap  []uint64        // lit-pixel bitmap for the run backend
-	lit     []litRef        // above-threshold channels found during integration
-	islands []runccl.Island // run backend island accumulator
-	batch   *runccl.Batch   // batch-resident run arena behind ServeBatch
-	evIdx   []int32         // ServeBatch: input event -> batch event index, -1 on error
+	batch   *runccl.Batch   // run sink: batch-resident run arena
+	islands []runccl.Island // run and bitmap sinks: island accumulator
+	bitmap  []uint64        // bitmap sink: lit-pixel bitmap
+	merged  []grid.Value    // bitmap and image sinks: photo-electron image
+	lit     []Lit           // ServeEvent/ServeBatch: integrateEvent's arena
+	events  []LitEvent      // ServeBatch: one lit event per input event
 	labels  []int32         // pixel path: per-pixel provisional label
 	uf      ccl.DenseUF     // pixel path: union-find over provisional labels
 	remap   []int32         // pixel path: provisional root -> compact island
@@ -56,127 +62,266 @@ type serveScratch struct {
 	cols    []int64
 }
 
-// litRef records one above-threshold channel found during integration. The
-// rare lit-channel work (photon-count division, merged store, bitmap bit) is
-// deferred to a pass over this list so the per-channel hot loop carries only
-// a sum and one compare.
-type litRef struct {
-	fl  int32
-	raw int64
-}
-
-// ServeEvent processes one assembled event into rec, reusing rec's island
-// storage and the pipeline's internal scratch. It is the hot path of
-// internal/server.
+// ServeLitBatch serves a batch of zero-suppressed events into recs, reusing
+// each record's island storage and the pipeline's scratch. It is the serving
+// entry point of internal/server: workers drain their rings into it. On the
+// run sink the batch is served batch-resident — the runs of every event land
+// in one flat arena, merged with the row above as they arrive, a single
+// path-halving sweep resolves the whole batch's forest, and per-island
+// statistics scatter into the records at batch end; the other sinks serve per
+// event. Lit lists must be in ascending channel order with every channel
+// below the pipeline's channel count, which both producers guarantee. Events
+// marked Bad carry no lit channels and yield an empty record the caller
+// discards.
 //
 //hepccl:hotpath
-func (p *Pipeline) ServeEvent(packets []Packet, rec *EventRecord) error {
-	if err := p.checkEvent(packets); err != nil {
-		//hepccl:coldpath
-		return fmt.Errorf("adapt: %w", err)
+func (p *Pipeline) ServeLitBatch(events []LitEvent, recs []EventRecord) {
+	//hepccl:coldpath
+	if len(recs) != len(events) {
+		panic("adapt: ServeLitBatch requires len(events) == len(recs)")
 	}
-	sc := &p.serve
-	//hepccl:amortized
-	if sc.merged == nil {
-		sc.merged = make([]grid.Value, p.Channels())
-		sc.lit = make([]litRef, 0, 256)
-	}
-	merged := sc.merged
-	det := p.cfg.Detection
-	// The run-based family (single-core runccl or the tile-parallel engine —
-	// both consume the identical bitmap layout) versus the per-pixel path.
-	bitmapLen := 0
-	if p.runEngine != nil {
-		bitmapLen = p.runEngine.BitmapLen()
-	} else if p.tileEngine != nil {
-		bitmapLen = p.tileEngine.BitmapLen()
-	}
-	var bitmap []uint64
-	px := 0
-	if bitmapLen > 0 {
-		//hepccl:amortized
-		if sc.bitmap == nil {
-			sc.bitmap = make([]uint64, bitmapLen)
+	if p.runEngine == nil {
+		for i := range events {
+			p.ServeLit(events[i], &recs[i])
 		}
-		bitmap = sc.bitmap
-		for i := range bitmap {
-			bitmap[i] = 0
-		}
-		px = det.TwoD.Rows * det.TwoD.Cols
-	} else {
-		// The backends that scan every pixel need dark channels to read
-		// zero. The run backend consults only lit bitmap positions, so it
-		// skips this clear: stale dark values are never read.
-		for i := range merged {
-			merged[i] = 0
-		}
+		return
 	}
-	// Integration + zero-suppression. limits[fl] = cutoff + pedestal folds
-	// the pedestal subtraction and the ADC-domain threshold (pe > T ⇔ net ≥
-	// (T+1)·g − g/2) into a single compare against the raw integral, so the
-	// vast dark majority costs one sum and one branch per channel.
-	lit := integrateEvent(packets, p.limits, p.minLim, sc.lit[:0])
-	sc.lit = lit
-	gain := p.cfg.GainADC
-	half := gain / 2
-	// Lit entries carry flat indexes < Channels (integrateEvent's
-	// contract), which bounds the pedestal and merged-image loads.
-	//hepccl:checked
-	for _, le := range lit {
-		fl := int(le.fl)
-		// PhotonCount(net, gain) = (net + gain/2) / gain, with the division
-		// done as the pipeline's precomputed magic multiply when the
-		// numerator is in range (it always is for wire-representable
-		// samples); the fallback keeps crafted events bit-exact.
-		num := le.raw - p.pedestals[fl] + half
-		if uint64(num) < p.pcMax {
-			merged[fl] = grid.Value(uint64(num) * p.pcM >> 47)
-		} else {
-			merged[fl] = PhotonCount(le.raw-p.pedestals[fl], gain)
-		}
+	b := p.runBatch()
+	for i := range events {
+		p.sinkRuns(b, events[i].Lit)
 	}
-	if bitmap != nil {
-		// The word/mask tables hold an entry per pixel and fl < px is
-		// checked inline; the bitmap holds a word per litWord value by the
-		// geometry precomputation.
-		//hepccl:checked
-		for _, le := range lit {
-			if fl := int(le.fl); fl < px {
-				bitmap[p.litWord[fl]] |= p.litMask[fl]
-			}
-		}
+	b.Resolve()
+	for i := range events {
+		recs[i].Event = events[i].Event
+		p.emitRuns(b, i, &recs[i])
 	}
-	rec.Event = packets[0].Event
-	rec.Islands = rec.Islands[:0]
-
-	if !det.TwoDimension {
-		return p.serve1D(merged, rec)
-	}
-	if bitmap != nil {
-		return p.serveRun2D(bitmap, merged[:px], rec)
-	}
-	return p.serve2D(merged, rec)
 }
 
-// serveRun2D labels the packed lit bitmap with whichever run-based engine
-// the pipeline resolved to — single-core runccl or the tile-parallel pool —
-// and copies its island summaries into the downlink record. Both engines
-// produce bit-identical output, itself bit-identical to serve2D: same
-// integer moments, same Q16.16 rounding, same compact raster numbering.
-func (p *Pipeline) serveRun2D(bitmap []uint64, values []grid.Value, rec *EventRecord) error {
-	sc := &p.serve
-	if p.tileEngine != nil {
-		sc.islands = p.tileEngine.Label(bitmap, values, sc.islands[:0])
-	} else {
-		sc.islands = p.runEngine.Label(bitmap, values, sc.islands[:0])
+// ServeLit serves one zero-suppressed event: ServeLitBatch of one.
+//
+//hepccl:hotpath
+func (p *Pipeline) ServeLit(ev LitEvent, rec *EventRecord) {
+	rec.Event = ev.Event
+	switch {
+	case !p.cfg.Detection.TwoDimension:
+		p.sink1D(ev.Lit, rec)
+	case p.runEngine != nil:
+		b := p.runBatch()
+		p.sinkRuns(b, ev.Lit)
+		b.Resolve()
+		p.emitRuns(b, 0, rec)
+	case p.tileEngine != nil:
+		p.sinkBitmap(ev.Lit, rec)
+	default:
+		//hepccl:coldpath
+		p.sinkImage(ev.Lit, rec) // the oracle: never a production backend
 	}
+}
+
+// photons is the photon count of a lit channel: PhotonCount(raw − pedestal,
+// gain) = (net + gain/2) / gain, with the division done as the pipeline's
+// precomputed magic multiply when the numerator is in range (it always is
+// for a modest integral); the fallback keeps saturated channels bit-exact.
+// The suppression compare already proved the channel lit (raw ≥ limit ⇔
+// pe > threshold), so no zero-suppress re-check follows.
+//
+//hepccl:hotpath
+func (p *Pipeline) photons(l Lit) grid.Value {
+	// Lit channels index below the channel count — the lit-list contract.
+	//hepccl:checked
+	ped := p.pedestals[l.Channel()]
+	num := l.Raw() - ped + p.cfg.GainADC/2
+	if uint64(num) < p.pcMax {
+		return grid.Value(uint64(num) * p.pcM >> 47)
+	}
+	return PhotonCount(l.Raw()-ped, p.cfg.GainADC)
+}
+
+// runBatch returns the run sink's arena, reset for a new batch.
+//
+//hepccl:hotpath
+func (p *Pipeline) runBatch() *runccl.Batch {
+	//hepccl:amortized
+	if p.serve.batch == nil {
+		p.serve.batch = p.runEngine.NewBatch()
+	}
+	p.serve.batch.Reset()
+	return p.serve.batch
+}
+
+// sinkRuns streams one event's lit pixels — ascending flat order is raster
+// order — into maximal horizontal runs of a new batch event, folding each
+// run's charge sum and column moment as it goes. A lit pixel extends the open
+// run exactly when it is the next flat index on the same row; any gap or row
+// change seals the run. Row and column come from one division per row
+// change, not per pixel.
+//
+//hepccl:hotpath
+func (p *Pipeline) sinkRuns(b *runccl.Batch, lit []Lit) {
+	b.BeginEvent()
+	cols := p.cfg.Detection.TwoD.Cols
+	px := p.cfg.Detection.TwoD.Rows * cols
+	var row, rowStart, rowEnd int
+	var start, end int32
+	var sum, colm int64
+	prev := -2
+	for _, l := range lit {
+		fl := l.Channel()
+		if fl >= px {
+			break // padded channels beyond the pixel array: never downlinked
+		}
+		// The inlined pedestal load is bounded by the lit-list contract.
+		//hepccl:checked
+		v := int64(p.photons(l))
+		if fl == prev+1 && fl < rowEnd {
+			end++
+			sum += v
+			colm += int64(fl-rowStart) * v
+		} else {
+			if prev >= 0 {
+				b.AddRun(int32(row), start, end, sum, colm)
+			}
+			if fl >= rowEnd {
+				row = fl / cols
+				rowStart = row * cols
+				rowEnd = rowStart + cols
+			}
+			col := fl - rowStart
+			start, end = int32(col), int32(col)+1
+			sum = v
+			colm = int64(col) * v
+		}
+		prev = fl
+	}
+	if prev >= 0 {
+		b.AddRun(int32(row), start, end, sum, colm)
+	}
+	b.EndEvent()
+}
+
+// emitRuns scatters batch event ev's resolved runs into rec's islands.
+//
+//hepccl:hotpath
+func (p *Pipeline) emitRuns(b *runccl.Batch, ev int, rec *EventRecord) {
+	sc := &p.serve
+	// The inlined Islands prologue reslices its scratch to the event's run
+	// count, which its amortized grow keeps within capacity.
+	//hepccl:checked
+	sc.islands = b.Islands(ev, sc.islands[:0])
 	emitIslands(sc.islands, rec)
-	return nil
+}
+
+// sinkBitmap packs one event's lit pixels into the tile-parallel engine's
+// bitmap beside their photon counts and labels the frame. The engine reads
+// values only at lit positions, so the image is never cleared.
+//
+//hepccl:hotpath
+func (p *Pipeline) sinkBitmap(lit []Lit, rec *EventRecord) {
+	sc := &p.serve
+	e := p.tileEngine
+	cols := p.cfg.Detection.TwoD.Cols
+	px := p.cfg.Detection.TwoD.Rows * cols
+	//hepccl:amortized
+	if sc.bitmap == nil {
+		sc.bitmap = make([]uint64, e.BitmapLen())
+		sc.merged = make([]grid.Value, px)
+	}
+	bitmap, merged := sc.bitmap, sc.merged
+	for i := range bitmap {
+		bitmap[i] = 0
+	}
+	wpr := e.WordsPerRow()
+	var rowStart, rowEnd, rowWord int
+	// fl < px bounds the image store, and the bitmap holds wpr words for
+	// each of the px/cols rows — geometry the prover cannot follow through
+	// the division.
+	//hepccl:checked
+	for _, l := range lit {
+		fl := l.Channel()
+		if fl >= px {
+			break
+		}
+		merged[fl] = p.photons(l)
+		if fl >= rowEnd {
+			row := fl / cols
+			rowStart = row * cols
+			rowEnd = rowStart + cols
+			rowWord = row * wpr
+		}
+		c := fl - rowStart
+		bitmap[rowWord+c>>6] |= 1 << uint(c&63)
+	}
+	sc.islands = e.Label(bitmap, merged, sc.islands[:0])
+	emitIslands(sc.islands, rec)
+}
+
+// sinkImage fills the merged photo-electron image from one event's lit
+// pixels and labels it with the per-pixel oracle.
+func (p *Pipeline) sinkImage(lit []Lit, rec *EventRecord) {
+	sc := &p.serve
+	det := p.cfg.Detection.TwoD
+	px := det.Rows * det.Cols
+	if sc.merged == nil {
+		sc.merged = make([]grid.Value, px)
+	}
+	merged := sc.merged
+	for i := range merged {
+		merged[i] = 0
+	}
+	for _, l := range lit {
+		if fl := l.Channel(); fl < px {
+			merged[fl] = p.photons(l)
+		}
+	}
+	rec.Islands = rec.Islands[:0]
+	p.serve2D(merged, rec)
+}
+
+// sink1D emits runs of consecutive lit channels — the functional equivalent
+// of the 1D island detection + centroiding design.
+//
+//hepccl:hotpath
+func (p *Pipeline) sink1D(lit []Lit, rec *EventRecord) {
+	rec.Islands = rec.Islands[:0]
+	var start int
+	var sum, weighted int64
+	prev := -2
+	for _, l := range lit {
+		fl := l.Channel()
+		if fl != prev+1 {
+			if prev >= 0 {
+				appendIsland1D(rec, start, prev, sum, weighted)
+			}
+			start, sum, weighted = fl, 0, 0
+		}
+		// The inlined pedestal load is bounded by the lit-list contract.
+		//hepccl:checked
+		v := int64(p.photons(l))
+		sum += v
+		weighted += int64(fl) * v
+		prev = fl
+	}
+	if prev >= 0 {
+		appendIsland1D(rec, start, prev, sum, weighted)
+	}
+}
+
+// appendIsland1D appends the 1D island spanning channels [first, last].
+//
+//hepccl:hotpath
+func appendIsland1D(rec *EventRecord, first, last int, sum, weighted int64) {
+	//hepccl:amortized
+	rec.Islands = append(rec.Islands, IslandRecord{
+		Label:  int32(len(rec.Islands) + 1),
+		Pixels: uint32(last - first + 1),
+		Sum:    sum,
+		RowQ16: 0,
+		ColQ16: q16Ratio(weighted, sum),
+	})
 }
 
 // emitIslands copies run-engine island summaries into the downlink record,
-// assigning compact 1..K labels in slice order — shared by the per-event run
-// backends and the batched scatter.
+// assigning compact 1..K labels in slice order.
 //
 //hepccl:hotpath
 func emitIslands(islands []runccl.Island, rec *EventRecord) {
@@ -197,6 +342,64 @@ func emitIslands(islands []runccl.Island, rec *EventRecord) {
 		}
 	}
 	rec.Islands = out
+}
+
+// integrateEvent is the reference producer of lit lists: integration +
+// zero-suppression over an event's decoded packets, appended to lit in
+// ascending channel order whatever order the packets came in. The packets
+// must have passed checkEvent.
+func (p *Pipeline) integrateEvent(packets []Packet, lit []Lit) []Lit {
+	lo := len(lit)
+	for i := range packets {
+		lit = p.sup.integratePacket(&packets[i], lit)
+	}
+	slices.Sort(lit[lo:])
+	return lit
+}
+
+// ServeEvent serves one assembled, decoded event: checkEvent, the reference
+// integration, then the same sinks the daemon's wire path feeds. It is the
+// []Packet reference the differential fuzzers and the co-simulation compare
+// against; internal/server serves from lit lists and never calls it.
+func (p *Pipeline) ServeEvent(packets []Packet, rec *EventRecord) error {
+	if err := p.checkEvent(packets); err != nil {
+		return fmt.Errorf("adapt: %w", err)
+	}
+	sc := &p.serve
+	sc.lit = p.integrateEvent(packets, sc.lit[:0])
+	p.ServeLit(LitEvent{Event: packets[0].Event, Lit: sc.lit}, rec)
+	return nil
+}
+
+// ServeBatch is ServeEvent over a batch, served through ServeLitBatch so the
+// run sink stays batch-resident. events, recs, and errs must have equal
+// length. Per-event failures are recorded in errs[i] (nil on success) and do
+// not stop the batch. It returns the number of events served successfully.
+func (p *Pipeline) ServeBatch(events [][]Packet, recs []EventRecord, errs []error) int {
+	if len(recs) != len(events) || len(errs) != len(events) {
+		panic("adapt: ServeBatch requires len(events) == len(recs) == len(errs)")
+	}
+	sc := &p.serve
+	lit, evs := sc.lit[:0], sc.events[:0]
+	ok := 0
+	for i, packets := range events {
+		var ev LitEvent
+		if err := p.checkEvent(packets); err != nil {
+			errs[i] = fmt.Errorf("adapt: %w", err)
+		} else {
+			errs[i] = nil
+			ok++
+			lo := len(lit)
+			lit = p.integrateEvent(packets, lit)
+			// A later append may move lit to a larger array; this slice then
+			// keeps the old one, whose filled prefix is never written again.
+			ev = LitEvent{Event: packets[0].Event, Lit: lit[lo:]}
+		}
+		evs = append(evs, ev)
+	}
+	sc.lit, sc.events = lit, evs
+	p.ServeLitBatch(evs, recs)
+	return ok
 }
 
 // serve2D labels the flat merged image with an inline raster-scan union-find
@@ -313,35 +516,6 @@ func (p *Pipeline) serve2D(merged []grid.Value, rec *EventRecord) error {
 			Sum:    sums[l],
 			RowQ16: q16Ratio(rows[l], sums[l]),
 			ColQ16: q16Ratio(cols[l], sums[l]),
-		})
-	}
-	return nil
-}
-
-// serve1D emits runs of consecutive lit channels — the functional equivalent
-// of the 1D island detection + centroiding design.
-func (p *Pipeline) serve1D(merged []grid.Value, rec *EventRecord) error {
-	// The outer range keeps start provably in bounds; end tracks how far the
-	// last run was consumed, so interior positions skip without re-reading.
-	end := 0
-	for start, v0 := range merged {
-		if start < end || v0 == 0 {
-			continue
-		}
-		end = start
-		var sum, weighted int64
-		for end < len(merged) && merged[end] != 0 {
-			v := int64(merged[end])
-			sum += v
-			weighted += int64(end) * v
-			end++
-		}
-		rec.Islands = append(rec.Islands, IslandRecord{
-			Label:  int32(len(rec.Islands) + 1),
-			Pixels: uint32(end - start),
-			Sum:    sum,
-			RowQ16: 0,
-			ColQ16: q16Ratio(weighted, sum),
 		})
 	}
 	return nil

@@ -76,32 +76,3 @@ func TestServeBatchBadEvent(t *testing.T) {
 		t.Fatalf("batch error %q, single-path error %v", errs[1], err)
 	}
 }
-
-// BenchmarkServeBatchShowers serves batches of distinct CTA shower events —
-// unlike the repo-level BenchmarkServeBatch (one 2%-occupancy frame repeated,
-// hot in cache), every event here is different, so the decode walks a cold
-// ~30 KB packet block per event. This is the memory-bound upper envelope of
-// per-event cost; the gated 2% number is the compute envelope.
-func BenchmarkServeBatchShowers(b *testing.B) {
-	cfg := DefaultCTA()
-	cfg.SamplesPerChannel = 4
-	const serveBatchN = 64
-	events := ctaEvents(b, cfg, serveBatchN, 7)
-	recs := make([]EventRecord, serveBatchN)
-	errs := make([]error, serveBatchN)
-	p, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if got := p.ServeBatch(events, recs, errs); got != serveBatchN {
-		b.Fatalf("warmup served %d of %d", got, serveBatchN)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := p.ServeBatch(events, recs, errs); got != serveBatchN {
-			b.Fatalf("served %d of %d", got, serveBatchN)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*serveBatchN), "ns/event")
-}

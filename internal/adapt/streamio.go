@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 )
 
 // Packet stream I/O: the serialized form in which digitizer packets travel
@@ -64,20 +65,23 @@ func (sw *StreamWriter) WriteEvent(packets []Packet) error {
 // so network servers can tell a closed connection from a failed one.
 type StreamReader struct {
 	r *bufio.Reader
-	// held retains a valid packet that interrupted an event assembly (it
-	// belongs to a later event); the next assembly starts from it instead of
-	// re-reading the wire, so one lost packet costs exactly one event.
-	held    Packet
-	hasHeld bool
-	// skim is SkimEvent's scratch packet: condemned frames park their headers
-	// in it, and an interrupting packet is fully decoded into it before being
-	// swapped into held.
-	skim Packet
+	// scratch is the reader's one decoded packet: SkimEvent parks condemned
+	// frames' headers in it and ReadSuppressed decodes reference-route frames
+	// into it.
+	scratch Packet
+	// lit is ReadSuppressed's compaction target, one slot more than an event
+	// has channels; seen is its reference route's duplicate-ASIC bitmap.
+	lit  []Lit
+	seen []uint64
 	// SkippedBytes counts bytes discarded while searching for a valid
 	// packet (link noise, corrupted frames).
 	SkippedBytes int
 	// BadPackets counts frames that had a magic word but failed validation.
 	BadPackets int
+	// ReferenceEvents counts events ReadSuppressed assembled with at least
+	// one frame off the wire scan (out of ASIC order, a sample count that is
+	// not a multiple of four): how often the cold route fires.
+	ReferenceEvents int
 	// BadPacketBudget, when positive, bounds how many corrupted frames one
 	// ReadPacket call will hunt past before returning ErrResyncStorm. Zero
 	// hunts until a valid packet or end of stream. The error is recoverable
@@ -88,13 +92,9 @@ type StreamReader struct {
 	// wire bytes of its accepted frames in capture, so a recorder can append
 	// exactly what was admitted without a second decode pass. Skipped garbage
 	// and corrupted frames are never captured, and skimmed (condemned) events
-	// are not captured either. heldRaw shadows held: when an interrupting
-	// packet is retained for the next assembly, its wire bytes move from
-	// capture to heldRaw so the next capture can replay them.
-	capturing    bool
-	capture      []byte
-	heldRaw      []byte
-	lastFrameLen int
+	// are not captured either.
+	capturing bool
+	capture   []byte
 }
 
 // streamBufSize is the read window. It must exceed the largest possible
@@ -110,32 +110,21 @@ func NewStreamReader(r io.Reader) *StreamReader {
 // reader to r, retaining the internal buffer.
 func (sr *StreamReader) Reset(r io.Reader) {
 	sr.r.Reset(r)
-	sr.hasHeld = false
 	sr.SkippedBytes = 0
 	sr.BadPackets = 0
+	sr.ReferenceEvents = 0
 	sr.capture = sr.capture[:0]
-	sr.heldRaw = sr.heldRaw[:0]
-	sr.lastFrameLen = 0
 }
 
 // SetCapture toggles raw-frame capture. While on, every successful
-// ReadEventInto leaves the event's exact wire bytes in Captured.
+// ReadEventInto or ReadSuppressed leaves the event's exact wire bytes in
+// Captured.
 func (sr *StreamReader) SetCapture(on bool) { sr.capturing = on }
 
 // Captured returns the raw wire bytes of the frames accepted by the last
 // successful event assembly, in stream order. The slice is reused by the next
 // assembly; copy it to retain it.
 func (sr *StreamReader) Captured() []byte { return sr.capture }
-
-// stashHeldRaw moves the interrupting frame's wire bytes (the last frame
-// appended to capture) into heldRaw, mirroring the held-packet swap.
-//
-//hepccl:coldpath
-func (sr *StreamReader) stashHeldRaw() {
-	n := len(sr.capture) - sr.lastFrameLen
-	sr.heldRaw = append(sr.heldRaw[:0], sr.capture[n:]...)
-	sr.capture = sr.capture[:n]
-}
 
 // wrapErr passes io.EOF through untouched and wraps everything else.
 //
@@ -242,12 +231,13 @@ func (sr *StreamReader) ReadPacketInto(p *Packet) error {
 	return sr.readPacketInto(p, false, false, 0)
 }
 
-// readPacketInto implements ReadPacketInto. With skim set, a framed packet
-// whose event id equals event (or any framed packet, when haveEvent is false)
-// is consumed on its header alone — no checksum, no decode — because the
-// caller is skimming a condemned event. A frame with a different id is
-// verified and decoded in full, because it interrupts the skim and will be
-// retained for the next real assembly.
+// readPacketInto implements ReadPacketInto. With haveEvent set the caller is
+// assembling event: a valid frame carrying a different id interrupts the
+// assembly — it is decoded into p (so the caller can name it) but left
+// unconsumed in the window, errInterrupted is returned, and the next assembly
+// starts from it. With skim also set, a framed packet of the event (or any
+// framed packet, when haveEvent is false) is consumed on its header alone —
+// no checksum, no decode — because the caller is skimming a condemned event.
 //
 //hepccl:hotpath
 func (sr *StreamReader) readPacketInto(p *Packet, skim, haveEvent bool, event uint32) error {
@@ -359,15 +349,39 @@ func (sr *StreamReader) readPacketInto(p *Packet, skim, haveEvent bool, event ui
 			}
 			continue
 		}
+		if haveEvent && p.Event != event {
+			return errInterrupted
+		}
 		if sr.capturing {
 			// The window slice dies at Discard, so the copy happens here.
 			//hepccl:amortized
 			sr.capture = append(sr.capture, frame...)
-			sr.lastFrameLen = total
 		}
 		sr.r.Discard(total)
 		return nil
 	}
+}
+
+// errInterrupted is readPacketInto's report that the next valid frame belongs
+// to a different event than the one being assembled; assemblyErr turns it into
+// the ErrIncompleteEvent callers see.
+var errInterrupted = errors.New("adapt: assembly interrupted")
+
+// assemblyErr wraps what stopped an assembly after got of asics packets into
+// ErrIncompleteEvent. by is the interrupting frame's event id.
+//
+//hepccl:coldpath
+func assemblyErr(err error, got, asics int, event, by uint32) error {
+	switch {
+	case errors.Is(err, errInterrupted):
+		return fmt.Errorf("%w: event %d interrupted by packet from event %d",
+			ErrIncompleteEvent, event, by)
+	case err == io.EOF:
+		return fmt.Errorf("%w: got %d of %d packets for event %d",
+			ErrIncompleteEvent, got, asics, event)
+	}
+	return fmt.Errorf("%w: after %d of %d packets for event %d: %w",
+		ErrIncompleteEvent, got, asics, event, err)
 }
 
 // ErrIncompleteEvent reports that an event could not be assembled because
@@ -380,7 +394,7 @@ var ErrIncompleteEvent = errors.New("adapt: incomplete event")
 var ErrResyncStorm = errors.New("adapt: resync storm")
 
 // SkimEvent consumes the next event's packets with the same framing, resync,
-// and held-packet behaviour as ReadEventInto, but touches nothing beyond each
+// and interruption behaviour as ReadEventInto, but touches nothing beyond each
 // frame's header: no checksum verification and no sample decode. It exists
 // for the saturated-ingest case where the caller has already decided the
 // event will be dropped (derandomizer full under drop policy) — the hardware
@@ -388,9 +402,8 @@ var ErrResyncStorm = errors.New("adapt: resync storm")
 // refuses. Payload corruption inside a skimmed event therefore goes uncounted
 // (the event is a loss either way), while header corruption that misframes
 // the stream is still recovered by the magic-hunt resync and bounded to one
-// event. A packet from a different event interrupts the skim; it is verified,
-// fully decoded, and retained for the next assembly. Returns the skimmed
-// event id.
+// event. A valid packet from a different event interrupts the skim and stays
+// in the window for the next assembly. Returns the skimmed event id.
 //
 //hepccl:hotpath
 func (sr *StreamReader) SkimEvent(asics int) (uint32, error) {
@@ -399,13 +412,10 @@ func (sr *StreamReader) SkimEvent(asics int) (uint32, error) {
 		return 0, fmt.Errorf("adapt: SkimEvent needs asics >= 1")
 	}
 	sr.capture = sr.capture[:0]
-	if sr.hasHeld {
-		sr.skim, sr.held = sr.held, sr.skim
-		sr.hasHeld = false
-	} else if err := sr.readPacketInto(&sr.skim, true, false, 0); err != nil {
+	if err := sr.readPacketInto(&sr.scratch, true, false, 0); err != nil {
 		return 0, err
 	}
-	event := sr.skim.Event
+	event := sr.scratch.Event
 	for i := 1; i < asics; {
 		// Fast path: an in-sync stream has the event's remaining frames
 		// back-to-back in the read window. Walk as many contiguous, fully
@@ -440,29 +450,8 @@ func (sr *StreamReader) SkimEvent(asics int) (uint32, error) {
 				continue
 			}
 		}
-		if err := sr.readPacketInto(&sr.skim, true, true, event); err != nil {
-			//hepccl:coldpath
-			if err == io.EOF {
-				return event, fmt.Errorf("%w: got %d of %d packets for event %d",
-					ErrIncompleteEvent, i, asics, event)
-			}
-			//hepccl:coldpath
-			return event, fmt.Errorf("%w: after %d of %d packets for event %d: %w",
-				ErrIncompleteEvent, i, asics, event, err)
-		}
-		if sr.skim.Event != event {
-			// Keep the interrupting packet (swap storage, don't copy) so the
-			// next assembly resumes from it. Its wire bytes were captured by
-			// the full decode; move them alongside.
-			sr.held, sr.skim = sr.skim, sr.held
-			sr.hasHeld = true
-			if sr.capturing {
-				//hepccl:coldpath
-				sr.stashHeldRaw()
-			}
-			//hepccl:coldpath
-			return event, fmt.Errorf("%w: event %d interrupted by packet from event %d",
-				ErrIncompleteEvent, event, sr.held.Event)
+		if err := sr.readPacketInto(&sr.scratch, true, true, event); err != nil {
+			return event, assemblyErr(err, i, asics, event, sr.scratch.Event)
 		}
 		i++
 	}
@@ -480,11 +469,11 @@ func (sr *StreamReader) ReadEvent(asics int) ([]Packet, error) {
 // sample arrays of the packets it holds) are recycled when capacity allows.
 //
 // When assembly is interrupted by a valid packet carrying a different event
-// id, ErrIncompleteEvent is returned and that packet is retained: the next
-// call starts the new assembly from it. This bounds the damage of a lost or
-// corrupted packet to exactly one event — without retention the interrupting
-// packet would be consumed and every subsequent event would lose its first
-// packet in turn, an unbounded resync cascade.
+// id, ErrIncompleteEvent is returned and that packet stays in the read window:
+// the next call starts the new assembly from it. This bounds the damage of a
+// lost or corrupted packet to exactly one event — were the interrupting packet
+// consumed, every subsequent event would lose its first packet in turn, an
+// unbounded resync cascade.
 //
 //hepccl:hotpath
 func (sr *StreamReader) ReadEventInto(dst []Packet, asics int) ([]Packet, error) {
@@ -498,42 +487,122 @@ func (sr *StreamReader) ReadEventInto(dst []Packet, asics int) ([]Packet, error)
 	}
 	dst = dst[:asics]
 	sr.capture = sr.capture[:0]
-	if sr.hasHeld {
-		dst[0], sr.held = sr.held, dst[0]
-		sr.hasHeld = false
-		if sr.capturing {
-			// Replay the retained packet's wire bytes into this capture.
-			//hepccl:amortized
-			sr.capture = append(sr.capture, sr.heldRaw...)
-			sr.lastFrameLen = len(sr.heldRaw)
-		}
-	} else if err := sr.ReadPacketInto(&dst[0]); err != nil {
+	if err := sr.ReadPacketInto(&dst[0]); err != nil {
 		return nil, err
 	}
+	event := dst[0].Event
 	for i := 1; i < asics; i++ {
-		if err := sr.ReadPacketInto(&dst[i]); err != nil {
-			//hepccl:coldpath
-			if err == io.EOF {
-				return nil, fmt.Errorf("%w: got %d of %d packets for event %d",
-					ErrIncompleteEvent, i, asics, dst[0].Event)
-			}
-			//hepccl:coldpath
-			return nil, fmt.Errorf("%w: after %d of %d packets for event %d: %w",
-				ErrIncompleteEvent, i, asics, dst[0].Event, err)
-		}
-		if dst[i].Event != dst[0].Event {
-			// Keep the interrupting packet (swap storage, don't copy) so the
-			// next assembly resumes from it.
-			sr.held, dst[i] = dst[i], sr.held
-			sr.hasHeld = true
-			if sr.capturing {
-				//hepccl:coldpath
-				sr.stashHeldRaw()
-			}
-			//hepccl:coldpath
-			return nil, fmt.Errorf("%w: event %d interrupted by packet from event %d",
-				ErrIncompleteEvent, dst[0].Event, sr.held.Event)
+		if err := sr.readPacketInto(&dst[i], false, true, event); err != nil {
+			return nil, assemblyErr(err, i, asics, event, dst[i].Event)
 		}
 	}
 	return dst, nil
+}
+
+// ReadSuppressed assembles the next event as ReadEventInto does — same
+// framing, resync, interruption and capture behaviour, same counters — but
+// zero-suppresses it on the way in: the result is the event's lit list, not
+// its packets. Frames that continue the event verbatim are consumed by the
+// Suppressor's wire scan straight from the read window, as many per Peek as
+// the window holds, so a megapixel event streams through the 64 KiB window.
+// Whatever the scan does not take — a window refill, garbage, a corrupted or
+// interrupting frame — goes one frame through the general packet read, and a
+// valid frame of this event that is off the scan's pattern (out of ASIC
+// order, duplicate or unknown ASIC, a sample count that is not a multiple of
+// four) is integrated from its decoded packet by the reference step, the
+// event's verdict on it landing in LitEvent.Bad exactly as ServeEvent would
+// have ruled. The returned lit list aliases the reader's scratch and is
+// valid until the next call.
+//
+//hepccl:hotpath
+func (sr *StreamReader) ReadSuppressed(s *Suppressor) (LitEvent, error) {
+	//hepccl:amortized
+	if len(sr.lit) != len(s.limits)+1 {
+		sr.lit = make([]Lit, len(s.limits)+1)
+		sr.seen = make([]uint64, (s.asics+63)/64)
+	}
+	out := sr.lit
+	sr.capture = sr.capture[:0]
+	var event uint32
+	var bad error
+	i, n := 0, 0
+	// verbatim holds while every frame so far sat at its ASIC position with
+	// the configured sample count — what the scan requires of the next one.
+	verbatim := s.lim32 != nil
+	if !verbatim {
+		sr.seedSeen(0)
+	}
+	for i < s.asics {
+		if nb := sr.r.Buffered(); verbatim && nb >= headerBytes {
+			win, _ := sr.r.Peek(nb)
+			if i == 0 {
+				// Buffered() ≥ headerBytes bytes were just peeked.
+				//hepccl:checked
+				event = binary.BigEndian.Uint32(win[4:])
+			}
+			off, ni, nn := s.scan(win, i, event, out, n)
+			if off > 0 {
+				if sr.capturing {
+					// scan returns at most len(win).
+					//hepccl:checked
+					sr.capture = append(sr.capture, win[:off]...) //hepccl:amortized
+				}
+				sr.r.Discard(off)
+				i, n = ni, nn
+				continue
+			}
+		}
+		pkt := &sr.scratch
+		if err := sr.readPacketInto(pkt, false, i > 0, event); err != nil {
+			if i == 0 {
+				return LitEvent{}, err
+			}
+			return LitEvent{}, assemblyErr(err, i, s.asics, event, pkt.Event)
+		}
+		if i == 0 {
+			event = pkt.Event
+		}
+		//hepccl:coldpath
+		if verbatim && (pkt.ASICIndex() != i || int(pkt.SamplesPerChannel) != s.spc) {
+			verbatim = false
+			sr.seedSeen(i)
+		}
+		if !verbatim && bad == nil {
+			// The reference route's validation is checkEvent's, packet by
+			// packet; the first verdict stands.
+			//hepccl:coldpath
+			bad = s.checkPacket(sr.seen, event, pkt)
+		}
+		if bad == nil {
+			// n counts lit channels of distinct valid ASICs, so the append
+			// stays inside the scratch.
+			//hepccl:checked
+			n = len(s.integratePacket(pkt, out[:n]))
+		}
+		i++
+	}
+	ev := LitEvent{Event: event, Lit: out[:n]}
+	if !verbatim {
+		//hepccl:coldpath
+		sr.ReferenceEvents++
+		if bad != nil {
+			ev.Lit, ev.Bad = nil, fmt.Errorf("adapt: %w", bad)
+		} else {
+			slices.Sort(ev.Lit)
+		}
+	}
+	return ev, nil
+}
+
+// seedSeen resets the duplicate-ASIC bitmap to the verbatim prefix [0, n):
+// the frames the scan accepted before the event left its pattern.
+//
+//hepccl:coldpath
+func (sr *StreamReader) seedSeen(n int) {
+	for k := range sr.seen {
+		sr.seen[k] = 0
+	}
+	for a := 0; a < n; a++ {
+		sr.seen[a>>6] |= 1 << uint(a&63)
+	}
 }

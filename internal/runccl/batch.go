@@ -6,7 +6,7 @@ import (
 	"github.com/wustl-adapt/hepccl/internal/grid"
 )
 
-// Batch is the batch-resident labeling state behind adapt.ServeBatch: one
+// Batch is the batch-resident labeling state behind adapt.ServeLitBatch: one
 // flat arena of runs spanning every event of a serving batch, following Chen
 // et al.'s GPU-optimized union-find (arXiv:1708.08180) in treating label
 // resolution as a data-parallel reduction over flat arrays rather than a
@@ -86,7 +86,7 @@ func (b *Batch) Reset() {
 }
 
 // BeginEvent opens a new event: subsequent AddRun calls belong to it until
-// EndEvent or AbortEvent.
+// EndEvent.
 //
 //hepccl:hotpath
 func (b *Batch) BeginEvent() {
@@ -105,19 +105,6 @@ func (b *Batch) BeginEvent() {
 func (b *Batch) EndEvent() int {
 	b.evOff = append(b.evOff, int32(len(b.parent)))
 	return len(b.evOff) - 2
-}
-
-// AbortEvent discards every run the open event appended, leaving the batch
-// exactly as it was at the matching BeginEvent. The serving front end uses it
-// to fall back to the reference decode route mid-event.
-func (b *Batch) AbortEvent() {
-	lo := b.evOff[len(b.evOff)-1]
-	b.rStart = b.rStart[:lo]
-	b.rEnd = b.rEnd[:lo]
-	b.rRow = b.rRow[:lo]
-	b.rSum = b.rSum[:lo]
-	b.rColM = b.rColM[:lo]
-	b.parent = b.parent[:lo]
 }
 
 // Events returns the number of sealed events in the batch.
@@ -309,11 +296,11 @@ func (b *Batch) Islands(ev int, dst []Island) []Island {
 }
 
 // ExtractEvent feeds the open event from a packed lit bitmap and its values
-// image — the reference producer the serving front end falls back to when an
-// event's packets are not in canonical order (the fused decode cannot stream
-// runs directly then). It is the word-at-a-time extraction of Engine.extract,
-// folding each run's value sum and column moment inline so the downstream
-// batch machinery sees exactly what the fast path would have produced.
+// image — the producer for callers that hold an image rather than a lit list
+// (tests, kernel benchmarks). It is the word-at-a-time extraction of
+// Engine.extract, folding each run's value sum and column moment inline so
+// the downstream batch machinery sees exactly what the serving front end's
+// run sink would have produced.
 func (b *Batch) ExtractEvent(bitmap []uint64, values []grid.Value) {
 	wpr := (b.cols + 63) / 64
 	// The packed-frame contract sizes bitmap to rows·wpr words and values to

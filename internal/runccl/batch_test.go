@@ -63,51 +63,6 @@ func TestBatchMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestBatchAbortEvent verifies AbortEvent rewinds the arena exactly to the
-// matching BeginEvent — the preceding events' runs and the events appended
-// after the abort are unaffected.
-func TestBatchAbortEvent(t *testing.T) {
-	rng := detector.NewRNG(5)
-	e, err := NewEngine(9, 40, grid.EightWay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := e.NewBatch()
-	b.Reset()
-	f0 := randomFrame(rng, 9, 40, 0.2)
-	batchFeed(e, b, f0)
-	runsAfterF0 := b.Runs()
-
-	// Open an event, pollute it, and abort.
-	b.BeginEvent()
-	b.AddRun(0, 3, 9, 42, 100)
-	b.AddRun(1, 2, 5, 7, 9)
-	b.AbortEvent()
-	if b.Runs() != runsAfterF0 {
-		t.Fatalf("abort left %d runs, want %d", b.Runs(), runsAfterF0)
-	}
-	if b.Events() != 1 {
-		t.Fatalf("abort left %d sealed events, want 1", b.Events())
-	}
-
-	// The same slot can be reused for a replacement event.
-	f1 := randomFrame(rng, 9, 40, 0.3)
-	batchFeed(e, b, f1)
-	b.Resolve()
-	for i, f := range [][]grid.Value{f0, f1} {
-		got := b.Islands(i, nil)
-		want := e.Label(e.Pack(f, nil), f, nil)
-		if len(got) != len(want) {
-			t.Fatalf("event %d after abort: %d islands, want %d", i, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("event %d island %d after abort: got %+v, want %+v", i, j, got[j], want[j])
-			}
-		}
-	}
-}
-
 // TestBatchEmptyEvents covers all-dark events: they occupy a slot, produce no
 // islands, and do not perturb their neighbours.
 func TestBatchEmptyEvents(t *testing.T) {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"io"
 	"testing"
 
 	"github.com/wustl-adapt/hepccl/internal/adapt"
@@ -26,9 +25,10 @@ func (l *loopStream) Read(p []byte) (int, error) {
 }
 
 // BenchmarkIngestPath measures the full software spine between the socket and
-// the response bytes: stream decode (resync scan + frame parse), queue
-// handoff, batched serving, and response serialization into a pooled write
-// buffer. It is single-goroutine on purpose — the point is the per-event CPU
+// the response bytes, on the daemon's path: the suppressing stream read
+// (frame walk, checksum, zero-suppression), the lit-list copy into the pooled
+// event, queue handoff, batched serving, and response serialization into a
+// pooled write buffer. It is single-goroutine on purpose — the point is the per-event CPU
 // and allocation cost of the path, not scheduler throughput — and the CI
 // bench smoke gates on allocs/op == 0 in steady state. The record variant
 // runs the same spine with frame capture and WAL appends enabled, gating that
@@ -55,6 +55,7 @@ func benchIngestPath(b *testing.B, record bool) {
 			stream = append(stream, frame...)
 		}
 	}
+	sup := p.Suppressor()
 	sr := adapt.NewStreamReader(&loopStream{data: stream})
 	var wlog *wal.Writer
 	if record {
@@ -71,9 +72,8 @@ func benchIngestPath(b *testing.B, record bool) {
 	queue := newRing[*event](64)
 	out := newRing[[]byte](responseRingDepth)
 	evs := make([]*event, batch)
-	pkts := make([][]adapt.Packet, 0, batch)
+	lits := make([]adapt.LitEvent, 0, batch)
 	recs := make([]adapt.EventRecord, batch)
-	errs := make([]error, batch)
 
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -81,13 +81,14 @@ func benchIngestPath(b *testing.B, record bool) {
 		// Ingest leg: decode and push one batch through the ingest ring.
 		for i := 0; i < batch; i++ {
 			ev := getEvent()
-			packets, err := sr.ReadEventInto(ev.packets, cfg.ASICs)
-			if err != nil && err != io.EOF {
-				b.Fatal(err)
+			le, err := sr.ReadSuppressed(sup)
+			if err != nil || le.Bad != nil {
+				b.Fatal(err, le.Bad)
 			}
-			ev.packets = packets
+			ev.Event = le.Event
+			ev.Lit = append(ev.Lit[:0], le.Lit...)
 			if wlog != nil {
-				if err := wlog.Append(packets[0].Event, sr.Captured()); err != nil {
+				if err := wlog.Append(ev.Event, sr.Captured()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -99,16 +100,13 @@ func benchIngestPath(b *testing.B, record bool) {
 		if got := queue.popBatch(evs); got != batch {
 			b.Fatalf("drained %d of %d", got, batch)
 		}
-		pkts = pkts[:0]
+		lits = lits[:0]
 		for _, e := range evs {
-			pkts = append(pkts, e.packets)
+			lits = append(lits, e.LitEvent)
 		}
-		p.ServeBatch(pkts, recs[:batch], errs[:batch])
+		p.ServeLitBatch(lits, recs[:batch])
 		buf := bufPool.Get().([]byte)[:0]
 		for i, e := range evs {
-			if errs[i] != nil {
-				b.Fatal(errs[i])
-			}
 			buf = recs[i].AppendTo(buf)
 			putEvent(e)
 		}

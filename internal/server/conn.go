@@ -62,7 +62,7 @@ func (c *conn) readLoop() {
 	}
 	sr := adapt.NewStreamReader(tr)
 	// With recording on, the stream reader accumulates each accepted event's
-	// raw wire bytes alongside the decode — no second pass over the stream.
+	// raw wire bytes alongside the scan — no second pass over the stream.
 	wlog := s.wal
 	if wlog != nil {
 		sr.SetCapture(true)
@@ -73,7 +73,7 @@ func (c *conn) readLoop() {
 		// evaluate even when the link never yields a valid packet.
 		sr.BadPacketBudget = s.cfg.BreakerBadPackets
 	}
-	var lastSkipped, lastBad int
+	var lastSkipped, lastBad, lastRef int
 
 	// syncStream publishes the stream reader's resync counters and returns
 	// the new bad packets since the previous call (the breaker's input).
@@ -88,6 +88,10 @@ func (c *conn) readLoop() {
 			c.stats.BadPackets.Add(uint64(d))
 			s.stats.BadPackets.Add(uint64(d))
 			lastBad = sr.BadPackets
+		}
+		if r := sr.ReferenceEvents - lastRef; r > 0 {
+			s.stats.ReferenceRouteEvents.Add(uint64(r))
+			lastRef = sr.ReferenceEvents
 		}
 		return d
 	}
@@ -104,14 +108,27 @@ func (c *conn) readLoop() {
 		// saturated host this is the difference between the readers burning
 		// the core verifying events the queue will refuse and that CPU going
 		// to the worker that could drain the queue.
+		//
+		// Otherwise the event is zero-suppressed as it is read: the reader's
+		// one pass over the wire bytes verifies every frame and leaves the
+		// lit list, which is all the worker needs. Only the cycle-accurate
+		// mode still decodes packets.
 		skimmed := false
-		var packets []adapt.Packet
 		var err error
-		if s.cfg.Policy == PolicyDrop && c.w.fill.Load() >= int64(s.cfg.QueueDepth) {
+		switch {
+		case s.cfg.Policy == PolicyDrop && c.w.fill.Load() >= int64(s.cfg.QueueDepth):
 			skimmed = true
 			_, err = sr.SkimEvent(asics)
-		} else {
-			packets, err = sr.ReadEventInto(ev.packets, asics)
+		case s.cfg.FullPipeline:
+			if ev.packets, err = sr.ReadEventInto(ev.packets, asics); err == nil {
+				ev.Event = ev.packets[0].Event
+			}
+		default:
+			var le adapt.LitEvent
+			if le, err = sr.ReadSuppressed(s.sup); err == nil {
+				ev.Event, ev.Bad = le.Event, le.Bad
+				ev.Lit = append(ev.Lit[:0], le.Lit...)
+			}
 		}
 		if bad := syncStream(); bad > 0 && brk.add(time.Now(), bad) {
 			// Resync storm: this link is producing mostly garbage. Cut it
@@ -157,7 +174,6 @@ func (c *conn) readLoop() {
 			c.stats.Dropped.Add(1)
 			s.stats.Dropped.Add(1)
 		case err == nil:
-			ev.packets = packets
 			ev.c = c
 			ev.enqueued = time.Now()
 			c.stats.EventsIn.Add(1)
@@ -167,7 +183,7 @@ func (c *conn) readLoop() {
 				// the log missed. A failed append sticky-fails the writer and
 				// shows up in /healthz; ingest itself keeps flowing.
 				//hepccl:amortized
-				wlog.Append(packets[0].Event, sr.Captured())
+				wlog.Append(ev.Event, sr.Captured())
 			}
 			c.inflight.Add(1)
 			if s.enqueue(ev) {

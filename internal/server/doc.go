@@ -8,14 +8,18 @@
 //
 //	conn 1 ──reader──[SPSC ring]──┐
 //	conn 2 ──reader──[SPSC ring]──┼─ lane 1: worker (Pipeline) ─ batched drain
-//	                              │     │ ServeBatch → coalesced response
+//	                              │     │ ServeLitBatch → coalesced response
 //	conn 3 ──reader──[SPSC ring]──┐     ▼ write per conn
 //	conn N ──reader──[SPSC ring]──┼─ lane W: worker (Pipeline)
 //
 // Each connection carries a stream of ALPHA packets; a per-connection reader
 // assembles them into events (resynchronizing in place inside the read
-// window across corrupted frames) and pushes them onto its own single-
-// producer/single-consumer ring. Connections are assigned to worker lanes at
+// window across corrupted frames), zero-suppressing as it goes — one pass
+// over the wire bytes verifies every frame and leaves the event's lit
+// channels (adapt.StreamReader.ReadSuppressed) — and pushes that lit list
+// onto its own single-producer/single-consumer ring. Decoded samples are
+// never buffered; only FullPipeline mode, whose cycle-accurate ProcessEvent
+// needs them, still queues packets. Connections are assigned to worker lanes at
 // accept time (least-loaded), so every ring has exactly one producer (the
 // conn's reader) and one consumer (the lane's worker) — event handoff on the
 // hot path is two atomic position updates, no locks and no channel ops.
@@ -38,11 +42,12 @@
 // An idle worker parks on a wake channel after publishing a parked flag and
 // re-checking its rings (producers that observe the flag nudge the channel),
 // so a quiet server spins nothing. When running unpaced, the worker drains
-// its rings in batches, serves the batch through adapt.Pipeline.ServeBatch,
-// and coalesces the batch's serialized adapt.EventRecord responses into one
-// pooled write per originating connection. The whole path — frame decode,
-// ring handoff, serving, response write — runs at zero heap allocations per
-// event in steady state (gated in CI via BenchmarkIngestPath).
+// its rings in batches, serves the batch through
+// adapt.Pipeline.ServeLitBatch, and coalesces the batch's serialized
+// adapt.EventRecord responses into one pooled write per originating
+// connection. The whole path — frame scan, ring handoff, serving, response
+// write — runs at zero heap allocations per event in steady state (gated in
+// CI via BenchmarkIngestPath).
 //
 // The server supports graceful drain on shutdown (stop ingress, process
 // everything queued, flush responses), and exposes global and per-connection

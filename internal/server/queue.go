@@ -34,9 +34,14 @@ func (p OverflowPolicy) String() string {
 }
 
 // event is one assembled trigger travelling from a connection reader to a
-// worker. Events and their packet storage are pooled.
+// worker: zero-suppressed at the reader, so what rides the ring is the lit
+// list (this event's own right-sized copy), not decoded samples. Events and
+// their storage are pooled.
 type event struct {
-	c        *conn
+	c *conn
+	adapt.LitEvent
+	// packets is set in FullPipeline mode only: the cycle-accurate
+	// ProcessEvent is the one consumer that needs decoded samples.
 	packets  []adapt.Packet
 	enqueued time.Time
 }
@@ -44,7 +49,7 @@ type event struct {
 var eventPool = sync.Pool{New: func() any { return new(event) }}
 
 func getEvent() *event  { return eventPool.Get().(*event) }
-func putEvent(e *event) { e.c = nil; eventPool.Put(e) }
+func putEvent(e *event) { e.c, e.Bad = nil, nil; eventPool.Put(e) }
 
 // worker is one serving lane: a pipeline goroutine draining the ingest rings
 // of the connections assigned to it. The derandomizer-depth bound lives in

@@ -46,7 +46,7 @@ type Config struct {
 	// pipeline at startup. Nil keeps nominal pedestals.
 	Calibration [][]adapt.Packet
 	// FullPipeline routes events through the cycle-accurate ProcessEvent
-	// instead of the functional ServeEvent fast path.
+	// instead of the functional lit-list serving path.
 	FullPipeline bool
 	// PaceHardware throttles each worker to the modeled FPGA event interval,
 	// making measured loss-vs-depth comparable to experiments deadtime (E14).
@@ -172,6 +172,11 @@ type Server struct {
 	// wal, when non-nil, receives the raw bytes of every admitted event.
 	wal *wal.Writer
 
+	// sup is the calibrated zero-suppression table every connection reader
+	// shares read-only. All worker pipelines are built and calibrated alike,
+	// so the first one's table is every worker's.
+	sup *adapt.Suppressor
+
 	health healthWindow
 	rates  rateWindow
 
@@ -214,9 +219,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	// Gauge surface for /stats: every worker pipeline is built from the same
 	// config, so the first one's resolved backend describes them all.
-	if len(pipes) > 0 {
-		s.serveBackend, s.tileWorkers = pipes[0].ServeEngine()
-	}
+	s.serveBackend, s.tileWorkers = pipes[0].ServeEngine()
+	s.sup = pipes[0].Suppressor()
 	if det := cfg.Pipeline.Detection; det.TwoDimension {
 		s.pixels = det.TwoD.Rows * det.TwoD.Cols
 	} else {

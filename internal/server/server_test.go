@@ -436,7 +436,12 @@ func TestStatsEndpoint(t *testing.T) {
 	s, addr := startServer(t, Config{
 		Pipeline: cfg, QueueDepth: 8, Policy: PolicyBlock, StatsAddr: "127.0.0.1:0",
 	})
-	events := makeEvents(t, cfg, 5, 21)
+	events := makeEvents(t, cfg, 6, 21)
+	// Event 4 arrives with two frames swapped — valid, but off the wire
+	// scan, so the reader's reference route assembles it. Event 5 repeats
+	// an ASIC: it assembles, is counted in, and is a bad event at the worker.
+	events[4][0], events[4][1] = events[4][1], events[4][0]
+	events[5][1] = events[5][0]
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -464,8 +469,13 @@ func TestStatsEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.EventsIn != 5 || snap.EventsOut != 5 {
-		t.Fatalf("endpoint reports in=%d out=%d, want 5", snap.EventsIn, snap.EventsOut)
+	if snap.EventsIn != 6 || snap.EventsOut != 5 || snap.BadEvents != 1 {
+		t.Fatalf("endpoint reports in=%d out=%d bad=%d, want 6/5/1", snap.EventsIn, snap.EventsOut, snap.BadEvents)
+	}
+	// The raw cumulative counters behind the gauges.
+	if snap.ReferenceRouteEvents != 2 || snap.LitChannels == 0 || snap.ServeNs == 0 {
+		t.Fatalf("endpoint reports reference_route_events=%d lit_channels=%d serve_ns=%d, want 2, >0, >0",
+			snap.ReferenceRouteEvents, snap.LitChannels, snap.ServeNs)
 	}
 	if snap.Workers != 1 || snap.QueueDepth != 8 {
 		t.Fatalf("endpoint reports workers=%d depth=%d", snap.Workers, snap.QueueDepth)

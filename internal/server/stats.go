@@ -101,8 +101,14 @@ type Stats struct {
 	ConnsActive atomic.Int64
 	QueueHWM    atomic.Int64  // high-water mark across all shards
 	ServeNs     atomic.Uint64 // cumulative pipeline service time, nanoseconds
-	latency     latencyHist
-	start       time.Time
+	// LitChannels counts the lit channels of every event handed to the
+	// pipeline; over EventsOut × Pixels it is the served lit fraction.
+	LitChannels atomic.Uint64
+	// ReferenceRouteEvents counts events a reader assembled with at least
+	// one frame off the wire scan (adapt.StreamReader.ReferenceEvents).
+	ReferenceRouteEvents atomic.Uint64
+	latency              latencyHist
+	start                time.Time
 }
 
 func (st *Stats) observeQueueDepth(depth int) {
@@ -355,6 +361,11 @@ type Snapshot struct {
 	LossFraction  float64     `json:"loss_fraction"`
 	EventsPerSec  float64     `json:"events_per_sec"` // EWMA served throughput
 	NsPerEvent    float64     `json:"ns_per_event"`   // EWMA pipeline time per event
+	// The raw cumulative counters behind the gauges, so a scraper can take
+	// its own deltas instead of inverting the EWMA.
+	ServeNs              uint64 `json:"serve_ns"`
+	LitChannels          uint64 `json:"lit_channels"`
+	ReferenceRouteEvents uint64 `json:"reference_route_events"`
 	CounterSnapshot
 	Latency LatencySnapshot `json:"latency"`
 	// WAL is the recording log's state, present only when recording.
@@ -379,6 +390,10 @@ func (s *Server) StatsSnapshot() Snapshot {
 		TileWorkers:     s.tileWorkers,
 		QueueHWM:        st.QueueHWM.Load(),
 		CounterSnapshot: st.counters.snapshot(),
+
+		ServeNs:              st.ServeNs.Load(),
+		LitChannels:          st.LitChannels.Load(),
+		ReferenceRouteEvents: st.ReferenceRouteEvents.Load(),
 	}
 	snap.EventsPerSec, snap.NsPerEvent = s.rates.update(st)
 	if s.wal != nil {

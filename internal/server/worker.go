@@ -8,10 +8,10 @@ import (
 )
 
 // serveBatchMax bounds how many queued events one worker drains into a single
-// adapt.ServeBatch call. Large enough to amortize the per-wakeup costs (ring
-// scans, clock reads, scheduler churn) across a backlog — and, with the
-// batch-resident ServeBatch, to amortize its whole-batch resolution sweep —
-// small enough that a burst cannot hold response flushing hostage for long.
+// adapt.ServeLitBatch call. Large enough to amortize the per-wakeup costs
+// (ring scans, clock reads, scheduler churn) and the run sink's whole-batch
+// resolution sweep across a backlog, small enough that a burst cannot hold
+// response flushing hostage for long.
 const serveBatchMax = 64
 
 // lingerMin is the batch size below which the worker yields once and re-polls
@@ -27,11 +27,12 @@ const lingerMin = 8
 //
 // In the unpaced functional mode (the serving configuration), the worker
 // drains whatever backlog its lanes hold — up to serveBatchMax events — into
-// one ServeBatch call and coalesces the batch's responses into one pooled
-// write buffer per connection, so a busy lane pays for clock reads, ring
-// traffic, and writer wakeups once per batch instead of once per event.
-// Paced and full-pipeline modes keep the one-event-at-a-time loop: pacing
-// needs a service slot per event, and ProcessEvent has no batch entry point.
+// one ServeLitBatch call and coalesces the batch's responses into one pooled
+// write buffer per connection, so a busy lane pays for clock reads, counter
+// updates, ring traffic, and writer wakeups once per batch instead of once
+// per event. Paced and full-pipeline modes keep the one-event-at-a-time loop:
+// pacing needs a service slot per event, and ProcessEvent has no batch entry
+// point.
 //
 // Parking: when every ring is empty the worker announces parked, re-drains
 // (closing the race against a producer that pushed before the announcement),
@@ -45,47 +46,57 @@ func (s *Server) run(w *worker, p *adapt.Pipeline) {
 		return
 	}
 	batch := make([]*event, serveBatchMax)
-	pkts := make([][]adapt.Packet, 0, serveBatchMax)
+	lits := make([]adapt.LitEvent, 0, serveBatchMax)
 	recs := make([]adapt.EventRecord, serveBatchMax)
-	errs := make([]error, serveBatchMax)
 
 	serve := func(evs []*event) {
-		pkts = pkts[:0]
+		lits = lits[:0]
+		var lit uint64
 		for _, ev := range evs {
-			pkts = append(pkts, ev.packets)
+			lits = append(lits, ev.LitEvent)
+			lit += uint64(len(ev.Lit))
 		}
 		served := time.Now()
-		p.ServeBatch(pkts, recs[:len(evs)], errs[:len(evs)])
-		s.stats.ServeNs.Add(uint64(time.Since(served).Nanoseconds()))
+		p.ServeLitBatch(lits, recs[:len(evs)])
+		// One clock read ends the service interval and stamps every
+		// event's handoff.
+		now := time.Now()
+		s.stats.ServeNs.Add(uint64(now.Sub(served)))
+		s.stats.LitChannels.Add(lit)
 		// Responses coalesce per connection: drain pops each ring's backlog
 		// contiguously, so same-conn events form runs and each run becomes a
-		// single pooled buffer — one ring push and one writer wakeup.
+		// single pooled buffer — one ring push, one writer wakeup, one update
+		// of each counter.
 		for i := 0; i < len(evs); {
 			c := evs[i].c
 			j := i
 			var buf []byte
+			var bad uint64
 			for ; j < len(evs) && evs[j].c == c; j++ {
-				if errs[j] != nil {
-					c.stats.BadEvents.Add(1)
-					s.stats.BadEvents.Add(1)
+				if evs[j].Bad != nil {
+					bad++
 					continue
 				}
 				if buf == nil {
 					buf = bufPool.Get().([]byte)[:0]
 				}
 				buf = recs[j].AppendTo(buf)
-				c.stats.EventsOut.Add(1)
-				s.stats.EventsOut.Add(1)
+			}
+			if bad > 0 {
+				c.stats.BadEvents.Add(bad)
+				s.stats.BadEvents.Add(bad)
 			}
 			if buf != nil {
+				out := uint64(j-i) - bad
+				c.stats.EventsOut.Add(out)
+				s.stats.EventsOut.Add(out)
 				c.pushResponse(buf)
 			}
 			// The response is in the ring before inflight.Done, so the
 			// writer's final drain (armed by inflight.Wait) cannot miss it.
-			for k := i; k < j; k++ {
-				ev := evs[k]
-				s.stats.latency.observe(time.Since(ev.enqueued))
-				ev.c.inflight.Done()
+			for _, ev := range evs[i:j] {
+				s.stats.latency.observe(now.Sub(ev.enqueued))
+				c.inflight.Done()
 				putEvent(ev)
 			}
 			i = j
@@ -170,8 +181,8 @@ func (s *Server) runSerial(w *worker, p *adapt.Pipeline) {
 			if res, err = p.ProcessEvent(ev.packets); err == nil {
 				rec = adapt.RecordOf(res)
 			}
-		} else {
-			err = p.ServeEvent(ev.packets, &rec)
+		} else if err = ev.Bad; err == nil {
+			p.ServeLit(ev.LitEvent, &rec)
 		}
 		s.stats.ServeNs.Add(uint64(time.Since(served).Nanoseconds()))
 		s.finishEvent(ev, &rec, err)
