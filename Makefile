@@ -49,6 +49,7 @@ gw-soak:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkServeEvent' -benchtime 100x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkServeWire/' -benchtime 2s -benchmem ./internal/adapt
+	$(GO) test -run '^$$' -bench 'BenchmarkScan/' -benchtime 1s -benchmem ./internal/adapt
 	$(GO) test -run '^$$' -bench BenchmarkIngestPath -benchtime 200000x -benchmem ./internal/server
 	$(GO) test -run '^$$' -bench 'BenchmarkLabel' -benchtime 100x -benchmem ./internal/tileccl
 

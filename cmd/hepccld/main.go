@@ -325,11 +325,11 @@ func buildConfig(o daemonOpts) (server.Config, error) {
 	if o.calibration > 0 {
 		dig := detector.DefaultDigitizer()
 		dig.Samples = pcfg.SamplesPerChannel
-		cal, err := adapt.GeneratePedestalEvents(o.calibration, pcfg.ASICs, dig, detector.NewRNG(o.seed))
+		ped, err := adapt.MeasurePedestals(o.calibration, pcfg.ASICs, dig, detector.NewRNG(o.seed))
 		if err != nil {
 			return server.Config{}, err
 		}
-		cfg.Calibration = cal
+		cfg.Pedestals = ped
 	}
 	return cfg, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/wustl-adapt/hepccl/internal/adapt"
 	"github.com/wustl-adapt/hepccl/internal/server"
 )
 
@@ -27,13 +28,8 @@ func TestBuildConfigCTA(t *testing.T) {
 	if cfg.Policy != server.PolicyDrop || !cfg.PaceHardware || cfg.FullPipeline {
 		t.Fatalf("policy=%v paceHW=%v full=%v", cfg.Policy, cfg.PaceHardware, cfg.FullPipeline)
 	}
-	if len(cfg.Calibration) != 10 {
-		t.Fatalf("calibration events = %d, want 10", len(cfg.Calibration))
-	}
-	for i, packets := range cfg.Calibration {
-		if len(packets) != cfg.Pipeline.ASICs {
-			t.Fatalf("calibration event %d has %d packets, want %d", i, len(packets), cfg.Pipeline.ASICs)
-		}
+	if want := cfg.Pipeline.ASICs * adapt.ChannelsPerASIC; len(cfg.Pedestals) != want {
+		t.Fatalf("calibration measured %d pedestals, want %d", len(cfg.Pedestals), want)
 	}
 	// The resolved config must actually construct a server.
 	srv, err := server.New(cfg)
@@ -56,8 +52,8 @@ func TestBuildConfigADAPTKeepsSamples(t *testing.T) {
 	if cfg.Policy != server.PolicyBlock || !cfg.FullPipeline {
 		t.Fatalf("policy=%v full=%v, want block + full", cfg.Policy, cfg.FullPipeline)
 	}
-	if cfg.Calibration != nil {
-		t.Fatalf("calibration=0 must produce no events, got %d", len(cfg.Calibration))
+	if cfg.Pedestals != nil {
+		t.Fatalf("calibration=0 must keep nominal pedestals, got %d measured", len(cfg.Pedestals))
 	}
 }
 

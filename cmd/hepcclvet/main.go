@@ -63,7 +63,7 @@ func main() {
 	if *listFuncs {
 		marks := hepcclmark.Collect(prog)
 		hot := hepcclmark.ComputeHotSet(prog, marks)
-		for _, hf := range hot.Sorted() {
+		for _, hf := range hot.Ledger() {
 			pos := prog.Fset.Position(hf.Decl.Pos())
 			fmt.Printf("%s:%d: %s.%s\n", rel(root, pos.Filename), pos.Line, hf.Pkg.Path, hf.Describe())
 		}

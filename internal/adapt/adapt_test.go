@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -342,6 +343,19 @@ func TestCalibration(t *testing.T) {
 		if got < want-2 || got > want+2 {
 			t.Fatalf("channel %d pedestal = %d, want ≈%d", ch, got, want)
 		}
+	}
+	// The daemon's pass, which never holds the events, must land on the very
+	// table Calibrate derives from them: the benchmark's oracle calibrates
+	// one way, hepccld the other, from the same seed.
+	measured, err := MeasurePedestals(50, cfg.ASICs, dig, detector.NewRNG(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(measured, p.pedestals) {
+		t.Fatalf("MeasurePedestals = %v\nCalibrate gave    %v", measured, p.pedestals)
+	}
+	if err := p.SetPedestals(measured[1:]); err == nil {
+		t.Error("a pedestal table of the wrong length must error")
 	}
 	// After calibration a modest signal is recovered despite the offset.
 	truth := make([]grid.Value, p.Channels())

@@ -68,11 +68,57 @@ func GenerateEvent(pe []grid.Value, asics int, event uint32, timestamp uint64,
 func GeneratePedestalEvents(n, asics int, dig detector.DigitizerConfig, rng *detector.RNG) ([][]Packet, error) {
 	events := make([][]Packet, n)
 	for i := range events {
-		ev, err := GenerateEvent(nil, asics, uint32(i), uint64(i)*1000, dig, rng)
+		ev, err := pedestalEvent(i, asics, dig, rng)
 		if err != nil {
 			return nil, err
 		}
 		events[i] = ev
 	}
 	return events, nil
+}
+
+func pedestalEvent(i, asics int, dig detector.DigitizerConfig, rng *detector.RNG) ([]Packet, error) {
+	return GenerateEvent(nil, asics, uint32(i), uint64(i)*1000, dig, rng)
+}
+
+// MeasurePedestals is the calibration pass over n light-free events without
+// holding them: each event is generated, added into a per-channel running sum
+// and dropped, so the cost in memory is one event however many are averaged
+// (a 512×512 frame is 16,384 packets). The events are GeneratePedestalEvents'
+// — same draws from rng in the same order — and the result is the table
+// Calibrate derives from them, ready for Pipeline.SetPedestals.
+func MeasurePedestals(n, asics int, dig detector.DigitizerConfig, rng *detector.RNG) ([]int64, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("adapt: calibration needs at least one event")
+	}
+	var sums []int64
+	for i := 0; i < n; i++ {
+		ev, err := pedestalEvent(i, asics, dig, rng)
+		if err != nil {
+			return nil, err
+		}
+		if sums == nil {
+			sums = make([]int64, len(ev)*ChannelsPerASIC)
+		}
+		addIntegrals(sums, ev)
+	}
+	return meanOf(sums, n), nil
+}
+
+// addIntegrals adds each packet's channel integrals into the flat per-channel
+// sums; the packets' ASIC indices must lie inside sums.
+func addIntegrals(sums []int64, packets []Packet) {
+	for i := range packets {
+		base := packets[i].ASICIndex() * ChannelsPerASIC
+		for ch, v := range packets[i].Integrals() {
+			sums[base+ch] += v
+		}
+	}
+}
+
+func meanOf(sums []int64, n int) []int64 {
+	for i := range sums {
+		sums[i] /= int64(n)
+	}
+	return sums
 }

@@ -301,17 +301,19 @@ func (p *Pipeline) Calibrate(events [][]Packet) error {
 		if err := p.checkEvent(packets); err != nil {
 			return fmt.Errorf("adapt: calibration: %w", err)
 		}
-		for _, pkt := range packets {
-			ints := pkt.Integrals()
-			base := pkt.ASICIndex() * ChannelsPerASIC
-			for ch, v := range ints {
-				sums[base+ch] += v
-			}
-		}
+		addIntegrals(sums, packets)
 	}
-	for i := range sums {
-		p.pedestals[i] = sums[i] / int64(len(events))
+	return p.SetPedestals(meanOf(sums, len(events)))
+}
+
+// SetPedestals installs measured per-channel pedestal integrals — what
+// Calibrate computes, or MeasurePedestals without the events — replacing the
+// nominal baseline. The table is copied.
+func (p *Pipeline) SetPedestals(pedestals []int64) error {
+	if len(pedestals) != len(p.pedestals) {
+		return fmt.Errorf("adapt: %d pedestals for %d channels", len(pedestals), len(p.pedestals))
 	}
+	copy(p.pedestals, pedestals)
 	p.sup = newSuppressor(p.cfg.ASICs, p.cfg.SamplesPerChannel, p.cutoff, p.pedestals)
 	return nil
 }

@@ -3,6 +3,7 @@ package adapt
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Zero-suppression at ingest. The paper's pipeline suppresses before anything
@@ -74,6 +75,27 @@ func newSuppressor(asics, spc int, cutoff int64, pedestals []int64) *Suppressor 
 	return s
 }
 
+// frameSampleBytes is the sample block of a one-word frame: ChannelsPerASIC
+// channels of four 16-bit samples.
+const frameSampleBytes = 2 * ChannelsPerASIC * 4
+
+// useAVX2 selects the frame kernel under scan's one-word route. It is set
+// once, here, from what the CPU and OS report — there is no flag, environment
+// variable or build tag to choose it — and only the differential tests ever
+// flip it, to run the portable loop on a host that has the kernel.
+var useAVX2 = detectAVX2()
+
+// ScanKernel names the implementation the suppress pass runs on this host:
+// "avx2" when the frame kernel was selected, "portable" for the Go loops.
+func ScanKernel() string { return kernelName(useAVX2) }
+
+func kernelName(avx2 bool) string {
+	if avx2 {
+		return "avx2"
+	}
+	return "portable"
+}
+
 // scan is the suppress pass: it walks whole frames at the front of win that
 // continue the event in progress verbatim — frame i carries ASIC i, the
 // event's id and the configured sample count, and its checksum holds — and
@@ -90,18 +112,34 @@ func newSuppressor(asics, spc int, cutoff int64, pedestals []int64) *Suppressor 
 // by the compare's sign bit, so a dense event costs what a dark one does. out
 // must hold one slot beyond the event's channel count for the final store.
 //
+// Where useAVX2 holds, the one-word route (four samples per channel, the
+// daemon's default) hands each frame's sample block to frameSumsAVX2 and
+// stores only the channels whose bit is clear in the dark mask it returns;
+// header compare, checksum fold and rewind are the same code either way, and
+// the Go loops are both the fallback and the reference the kernel is tested
+// against.
+//
 //hepccl:hotpath
 func (s *Suppressor) scan(win []byte, i int, event uint32, out []Lit, n int) (int, int, int) {
 	const lanes = 0x0000FFFF0000FFFF
 	words := s.spc / 4 // 8-byte words per channel
 	total := headerBytes + 2*ChannelsPerASIC*s.spc + 2
 	off := 0
+	kernel := useAVX2 && words == 1
+	var raw [ChannelsPerASIC]uint32 // the kernel's integrals, one frame at a time
 	if words < 1 || total < headerBytes+2 {
 		// Unreachable (lim32 exists only for a positive multiple of four);
 		// stated so the frame offsets below are provably in range.
 		return 0, i, n
 	}
-	for i < s.asics && len(win) >= total {
+	// lims walks the limit table a frame at a time from ASIC i on, shrinking
+	// with the window, so each frame's sixteen limits are carved in range by
+	// construction of the loop condition.
+	var lims []uint32
+	if i < s.asics {
+		lims = s.lim32[i*ChannelsPerASIC:]
+	}
+	for i < s.asics && len(win) >= total && len(lims) >= ChannelsPerASIC {
 		// Magic, ASIC position and event id are the frame's first eight
 		// bytes: one compare checks all three.
 		w0 := binary.BigEndian.Uint64(win)
@@ -112,16 +150,28 @@ func (s *Suppressor) scan(win []byte, i int, event uint32, out []Lit, n int) (in
 		// src runs through the trailing checksum; the channel loops below
 		// stop with the limit slice, leaving exactly those two bytes.
 		src := win[headerBytes:total]
-		// lim32 holds asics·ChannelsPerASIC entries and i < asics — a
-		// construction contract outside compiler range proofs.
-		//hepccl:checked
-		lim := s.lim32[i*ChannelsPerASIC:][:ChannelsPerASIC]
+		lim := lims[:ChannelsPerASIC]
 		fl := uint64(i*ChannelsPerASIC) << 32
 		n0 := n
 		// tot accumulates every sample of the frame, two 16-bit samples per
 		// 32-bit half (at most 2·0xFFFF per word over 16·63 words: no carry).
 		var tot uint64
-		if words == 1 {
+		if kernel {
+			if len(src) < frameSampleBytes {
+				break // unreachable: four samples per channel make src 130 bytes
+			}
+			dark, sum := frameSumsAVX2((*[frameSampleBytes]byte)(src), (*[ChannelsPerASIC]uint32)(lim), &raw)
+			tot = uint64(sum)
+			for lit := ^dark & (1<<ChannelsPerASIC - 1); lit != 0; lit &= lit - 1 {
+				c := bits.TrailingZeros32(lit) & (ChannelsPerASIC - 1)
+				// n never exceeds the channels scanned so far and out
+				// holds one slot more than the event has channels.
+				//hepccl:checked
+				out[n] = Lit(fl | uint64(c)<<32 | uint64(raw[c]))
+				n++
+			}
+			src = src[frameSampleBytes:]
+		} else if words == 1 {
 			// One word is one channel. Four channels per step: their dark
 			// checks AND into one predictable branch that skips the stores
 			// where nothing is lit — the common case on sparse events.
@@ -209,7 +259,7 @@ func (s *Suppressor) scan(win []byte, i int, event uint32, out []Lit, n int) (in
 			n = n0
 			break
 		}
-		win = win[total:]
+		win, lims = win[total:], lims[ChannelsPerASIC:]
 		off += total
 		i++
 	}

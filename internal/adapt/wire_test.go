@@ -213,25 +213,27 @@ func TestReadSuppressedCleanStream(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			const n = 5
-			rng := detector.NewRNG(11)
-			events := litFrames(t, tc.cfg, n, 40, 0.03, rng)
-			got, sr := compareWirePaths(t, tc.cfg, joinFrames(events...))
-			if len(got) != n {
-				t.Fatalf("assembled %d events, want %d", len(got), n)
-			}
-			for i, o := range got {
-				if o.class != "ok" {
-					t.Fatalf("event %d: %s", i, o.class)
+			eachKernel(t, func(t *testing.T) {
+				const n = 5
+				rng := detector.NewRNG(11)
+				events := litFrames(t, tc.cfg, n, 40, 0.03, rng)
+				got, sr := compareWirePaths(t, tc.cfg, joinFrames(events...))
+				if len(got) != n {
+					t.Fatalf("assembled %d events, want %d", len(got), n)
 				}
-			}
-			want := 0
-			if tc.reference {
-				want = n
-			}
-			if sr.ReferenceEvents != want {
-				t.Fatalf("ReferenceEvents = %d, want %d", sr.ReferenceEvents, want)
-			}
+				for i, o := range got {
+					if o.class != "ok" {
+						t.Fatalf("event %d: %s", i, o.class)
+					}
+				}
+				want := 0
+				if tc.reference {
+					want = n
+				}
+				if sr.ReferenceEvents != want {
+					t.Fatalf("ReferenceEvents = %d, want %d", sr.ReferenceEvents, want)
+				}
+			})
 		})
 	}
 }
@@ -240,7 +242,9 @@ func TestReadSuppressedCleanStream(t *testing.T) {
 // channels already written — and then fails its checksum must leave nothing
 // behind: the event assembles from the clean retransmission with exactly the
 // clean event's record, and the frame costs one BadPackets.
-func TestReadSuppressedChecksumRewind(t *testing.T) {
+func TestReadSuppressedChecksumRewind(t *testing.T) { eachKernel(t, testReadSuppressedChecksumRewind) }
+
+func testReadSuppressedChecksumRewind(t *testing.T) {
 	cfg := frameConfig(12, 16, 0, 4, false)
 	rng := detector.NewRNG(5)
 	ev := litFrames(t, cfg, 1, 9, 0.5, rng)[0] // dense: every frame has lit channels
@@ -285,7 +289,9 @@ func TestReadSuppressedChecksumRewind(t *testing.T) {
 // multi-byte corruptions (including sample-preserving byte shuffles the
 // additive checksum cannot see), scan takes the frame exactly when Unmarshal
 // does, for the one-word and the multi-word scan.
-func TestScanVerdictMatchesUnmarshal(t *testing.T) {
+func TestScanVerdictMatchesUnmarshal(t *testing.T) { eachKernel(t, testScanVerdictMatchesUnmarshal) }
+
+func testScanVerdictMatchesUnmarshal(t *testing.T) {
 	for _, spc := range []int{4, 12} {
 		cfg := frameConfig(4, 4, 0, spc, false)
 		p, err := New(cfg)
@@ -338,7 +344,9 @@ func TestScanVerdictMatchesUnmarshal(t *testing.T) {
 // TestReadSuppressedInterruption: a valid frame of the next event interrupts
 // the assembly and stays in the window — the next call re-reads it intact,
 // so the next event's record and capture are complete.
-func TestReadSuppressedInterruption(t *testing.T) {
+func TestReadSuppressedInterruption(t *testing.T) { eachKernel(t, testReadSuppressedInterruption) }
+
+func testReadSuppressedInterruption(t *testing.T) {
 	cfg := frameConfig(12, 16, 0, 4, false)
 	rng := detector.NewRNG(6)
 	evs := litFrames(t, cfg, 2, 1, 0.2, rng)
@@ -355,7 +363,9 @@ func TestReadSuppressedInterruption(t *testing.T) {
 // TestCaptureParityDirtyStreams: Captured() of the suppressed-wire path is
 // ReadEventInto's byte for byte on resynced streams (garbage, a corrupted
 // frame, both mid-event) and across an event the reference route assembles.
-func TestCaptureParityDirtyStreams(t *testing.T) {
+func TestCaptureParityDirtyStreams(t *testing.T) { eachKernel(t, testCaptureParityDirtyStreams) }
+
+func testCaptureParityDirtyStreams(t *testing.T) {
 	cfg := frameConfig(12, 16, 0, 4, false)
 	rng := detector.NewRNG(7)
 	evs := litFrames(t, cfg, 3, 1, 0.1, rng)
@@ -389,7 +399,8 @@ func TestCaptureParityDirtyStreams(t *testing.T) {
 // occupancy, three events are marshaled and their frame stream is then
 // mangled by a fuzzer-written script — frames swapped, duplicated, dropped,
 // re-stamped with another event's id, bits flipped, garbage inserted, the
-// stream truncated — and compareWirePaths must hold on the result.
+// stream truncated — and compareWirePaths must hold on the result, under each
+// scan kernel the host can run.
 func FuzzWireVsPacket(f *testing.F) {
 	f.Add(uint64(1), uint8(1), uint8(4), false, []byte{})
 	f.Add(uint64(2), uint8(0), uint8(16), false, []byte{0, 1, 2})
@@ -451,7 +462,12 @@ func FuzzWireVsPacket(f *testing.F) {
 		if truncate >= 0 && truncate < len(stream) {
 			stream = stream[:truncate]
 		}
+		withKernel(t, false)
 		compareWirePaths(t, cfg, stream)
+		if hostAVX2 {
+			withKernel(t, true)
+			compareWirePaths(t, cfg, stream)
+		}
 	})
 }
 
@@ -467,16 +483,7 @@ func BenchmarkServeWire(b *testing.B) {
 	const distinct, ahead, batch = 512, 256, 64
 	cfg := DefaultCTA()
 	cfg.SamplesPerChannel = 4
-	var image []byte
-	for _, packets := range ctaEvents(b, cfg, distinct, 7) {
-		for i := range packets {
-			frame, err := packets[i].Marshal()
-			if err != nil {
-				b.Fatal(err)
-			}
-			image = append(image, frame...)
-		}
-	}
+	image := ctaWireImage(b, cfg, distinct, 7)
 	p, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -534,6 +541,22 @@ func BenchmarkServeWire(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64((b.N+ahead-1)/ahead*ahead), "ns/event")
 	})
+}
+
+// ctaWireImage is the marshaled frame stream of n distinct CTA shower events.
+func ctaWireImage(t testing.TB, cfg Config, n int, seed uint64) []byte {
+	t.Helper()
+	var image []byte
+	for _, packets := range ctaEvents(t, cfg, n, seed) {
+		for i := range packets {
+			frame, err := packets[i].Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			image = append(image, frame...)
+		}
+	}
+	return image
 }
 
 // loopReader replays one wire image forever.

@@ -188,6 +188,14 @@ type HotFunc struct {
 // flags those constructs at the call site instead.
 type HotSet struct {
 	Funcs map[*types.Func]*HotFunc
+	// Asm holds the body-less declarations the closure calls — assembly
+	// kernels. They are leaves the AST analyzers cannot enter, kept apart so
+	// every walk over Funcs still finds a body; Ledger lists them, so the
+	// hot-closure ledger records that the hot path runs code outside the
+	// rules' reach. (What the compiler can still say about one — a pointer
+	// argument escaping because the declaration lacks //go:noescape — lands
+	// on the calling hot function through the escape cross-check.)
+	Asm map[*types.Func]*HotFunc
 }
 
 // funcIndex maps every declared function (by origin object, so generic
@@ -205,7 +213,7 @@ func ComputeHotSet(prog *load.Program, marks *Marks) *HotSet {
 		for _, file := range pkg.Files {
 			for _, d := range file.Decls {
 				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
+				if !ok {
 					continue
 				}
 				if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
@@ -215,10 +223,10 @@ func ComputeHotSet(prog *load.Program, marks *Marks) *HotSet {
 		}
 	}
 
-	hs := &HotSet{Funcs: map[*types.Func]*HotFunc{}}
+	hs := &HotSet{Funcs: map[*types.Func]*HotFunc{}, Asm: map[*types.Func]*HotFunc{}}
 	var queue []*types.Func
 	for obj, site := range decls {
-		if marks.FuncMarked(site.decl, Hotpath) {
+		if site.decl.Body != nil && marks.FuncMarked(site.decl, Hotpath) {
 			hs.Funcs[obj] = &HotFunc{Obj: obj, Decl: site.decl, Pkg: site.pkg, File: site.file, Direct: true}
 			queue = append(queue, obj)
 		}
@@ -248,13 +256,18 @@ func ComputeHotSet(prog *load.Program, marks *Marks) *HotSet {
 			}
 			callee = callee.Origin()
 			cs, ok := decls[callee]
-			if !ok || hs.Funcs[callee] != nil {
+			if !ok || hs.Funcs[callee] != nil || hs.Asm[callee] != nil {
 				return true // external, undeclared, or already visited
 			}
 			if marks.FuncMarked(cs.decl, Coldpath) {
 				return true
 			}
-			hs.Funcs[callee] = &HotFunc{Obj: callee, Decl: cs.decl, Pkg: cs.pkg, File: cs.file, Via: caller}
+			hf := &HotFunc{Obj: callee, Decl: cs.decl, Pkg: cs.pkg, File: cs.file, Via: caller}
+			if cs.decl.Body == nil {
+				hs.Asm[callee] = hf
+				return true
+			}
+			hs.Funcs[callee] = hf
 			queue = append(queue, callee)
 			return true
 		})
@@ -282,11 +295,20 @@ func Callee(info *types.Info, ce *ast.CallExpr) *types.Func {
 	return f
 }
 
-// Sorted returns the hot functions in source order.
-func (hs *HotSet) Sorted() []*HotFunc {
-	out := make([]*HotFunc, 0, len(hs.Funcs))
-	for _, hf := range hs.Funcs {
-		out = append(out, hf)
+// Sorted returns the hot functions the analyzers walk — every one has a
+// body — in source order.
+func (hs *HotSet) Sorted() []*HotFunc { return sortedFuncs(hs.Funcs) }
+
+// Ledger returns the whole closure in source order: Sorted plus the assembly
+// leaves. It is what `hepcclvet -funcs` prints and the drift gate reviews.
+func (hs *HotSet) Ledger() []*HotFunc { return sortedFuncs(hs.Funcs, hs.Asm) }
+
+func sortedFuncs(sets ...map[*types.Func]*HotFunc) []*HotFunc {
+	var out []*HotFunc
+	for _, set := range sets {
+		for _, hf := range set {
+			out = append(out, hf)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if a, b := out[i].Pkg.Path, out[j].Pkg.Path; a != b {
@@ -300,8 +322,11 @@ func (hs *HotSet) Sorted() []*HotFunc {
 // Describe names a hot function for diagnostics, including how it entered
 // the closure when it is not itself annotated.
 func (hf *HotFunc) Describe() string {
-	if hf.Direct {
+	switch {
+	case hf.Direct:
 		return hf.Obj.Name()
+	case hf.Decl.Body == nil:
+		return hf.Obj.Name() + " (assembly, hot via " + hf.Via.Name() + ")"
 	}
 	return hf.Obj.Name() + " (hot via " + hf.Via.Name() + ")"
 }

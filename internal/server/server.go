@@ -42,9 +42,10 @@ type Config struct {
 	// PaceHardware's modeled FPGA interval), used to study scale-out with
 	// capacity-bound backends. Forces the serial serve loop.
 	PaceRate float64
-	// Calibration holds pedestal-only events used to calibrate each worker
-	// pipeline at startup. Nil keeps nominal pedestals.
-	Calibration [][]adapt.Packet
+	// Pedestals holds the measured per-channel pedestal integrals
+	// (adapt.MeasurePedestals) installed in each worker pipeline at startup.
+	// Nil keeps nominal pedestals.
+	Pedestals []int64
 	// FullPipeline routes events through the cycle-accurate ProcessEvent
 	// instead of the functional lit-list serving path.
 	FullPipeline bool
@@ -210,8 +211,8 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: worker %d: %w", i, err)
 		}
-		if len(cfg.Calibration) > 0 {
-			if err := p.Calibrate(cfg.Calibration); err != nil {
+		if cfg.Pedestals != nil {
+			if err := p.SetPedestals(cfg.Pedestals); err != nil {
 				return nil, fmt.Errorf("server: worker %d: %w", i, err)
 			}
 		}
@@ -330,8 +331,8 @@ func (s *Server) serveListeners(lns []net.Listener) error {
 	stopLog := s.startPeriodicLog()
 	defer stopLog()
 	if l := s.cfg.Logger; l != nil {
-		l.Printf("hepccld: serving on %s (%d acceptor shards, %d workers, queue depth %d, policy %s)",
-			lns[0].Addr(), len(lns), s.cfg.Workers, s.cfg.QueueDepth, s.cfg.Policy)
+		l.Printf("hepccld: serving on %s (%d acceptor shards, %d workers, queue depth %d, policy %s, scan kernel %s)",
+			lns[0].Addr(), len(lns), s.cfg.Workers, s.cfg.QueueDepth, s.cfg.Policy, adapt.ScanKernel())
 	}
 	if len(lns) == 1 {
 		return s.acceptLoop(lns[0], 0)

@@ -480,6 +480,9 @@ func TestStatsEndpoint(t *testing.T) {
 	if snap.Workers != 1 || snap.QueueDepth != 8 {
 		t.Fatalf("endpoint reports workers=%d depth=%d", snap.Workers, snap.QueueDepth)
 	}
+	if k := snap.ScanKernel; k != adapt.ScanKernel() || (k != "avx2" && k != "portable") {
+		t.Fatalf("endpoint reports scan_kernel=%q, the reader runs %q", k, adapt.ScanKernel())
+	}
 	hz, err := http.Get(base + "/healthz")
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/wustl-adapt/hepccl/internal/adapt"
 	"github.com/wustl-adapt/hepccl/internal/wal"
 )
 
@@ -356,6 +357,7 @@ type Snapshot struct {
 	Pixels        int         `json:"pixels"`        // served frame size (channels for 1D)
 	ServeBackend  string      `json:"serve_backend"` // resolved labeling backend: run, tiled, pixel, 1d
 	TileWorkers   int         `json:"tile_workers"`  // tile-pool concurrency; 0 unless tiled
+	ScanKernel    string      `json:"scan_kernel"`   // suppress-pass implementation on this host: avx2, portable
 	QueueLens     []int       `json:"queue_lens"`
 	QueueHWM      int64       `json:"queue_hwm"`
 	LossFraction  float64     `json:"loss_fraction"`
@@ -388,6 +390,7 @@ func (s *Server) StatsSnapshot() Snapshot {
 		Pixels:          s.pixels,
 		ServeBackend:    s.serveBackend,
 		TileWorkers:     s.tileWorkers,
+		ScanKernel:      adapt.ScanKernel(),
 		QueueHWM:        st.QueueHWM.Load(),
 		CounterSnapshot: st.counters.snapshot(),
 
