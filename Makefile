@@ -11,6 +11,7 @@ test:
 	$(GO) test ./...
 
 # The concurrent pieces under the race detector (-short trims the soak).
+# internal/tileccl is bench-only since PR 16 (only bench/ imports it) and leaves with the benchmark half.
 race:
 	$(GO) test -race -short ./internal/server ./internal/gateway ./internal/adapt ./internal/runccl ./internal/wal ./internal/tileccl ./cmd/hepccld ./cmd/loadgen
 
@@ -51,6 +52,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkServeWire/' -benchtime 2s -benchmem ./internal/adapt
 	$(GO) test -run '^$$' -bench 'BenchmarkScan/' -benchtime 1s -benchmem ./internal/adapt
 	$(GO) test -run '^$$' -bench BenchmarkIngestPath -benchtime 200000x -benchmem ./internal/server
+# internal/tileccl is bench-only since PR 16 (only bench/ imports it) and leaves with the benchmark half.
 	$(GO) test -run '^$$' -bench 'BenchmarkLabel' -benchtime 100x -benchmem ./internal/tileccl
 
 # The benchmark harness is a module of its own (bench/go.mod), so the root

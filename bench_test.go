@@ -570,32 +570,28 @@ func BenchmarkServeEvent(b *testing.B) {
 	}
 }
 
-// BenchmarkServeEventFrame sweeps the full serving path at large-frame
-// geometries, A/B-ing the forced single-core run backend against the
-// tile-parallel engine (BENCH_7). End-to-end cost includes the O(channels)
-// integration sweep, so the labeling delta is diluted relative to the
-// engine-only sweep in internal/tileccl.
+// BenchmarkServeEventFrame runs the full serving path at frame geometries far
+// past any paper camera, on the one run backend every 2D frame serves on. The
+// "/run" leg name puts it under the same CI 0-allocs gate as
+// BenchmarkServeEvent's. End-to-end cost includes the O(channels) integration
+// sweep, of which labeling is a small share.
 func BenchmarkServeEventFrame(b *testing.B) {
 	for _, size := range []int{256, 512} {
-		for _, bk := range []adapt.ServeBackend{adapt.ServeRunSingle, adapt.ServeTiled} {
-			size, bk := size, bk
-			b.Run(fmt.Sprintf("%dx%d/occ=2%%/%s", size, size, bk), func(b *testing.B) {
-				p, packets := serveWorkload(b, size, size, 0.02, bk)
-				defer p.Close()
-				var rec adapt.EventRecord
+		b.Run(fmt.Sprintf("%dx%d/occ=2%%/%s", size, size, adapt.ServeRun), func(b *testing.B) {
+			p, packets := serveWorkload(b, size, size, 0.02, adapt.ServeRun)
+			var rec adapt.EventRecord
+			if err := p.ServeEvent(packets, &rec); err != nil {
+				b.Fatal(err) // warmup: reach the zero-alloc steady state
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if err := p.ServeEvent(packets, &rec); err != nil {
-					b.Fatal(err) // warmup: reach the zero-alloc steady state
+					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := p.ServeEvent(packets, &rec); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(len(rec.Islands)), "islands")
-			})
-		}
+			}
+			b.ReportMetric(float64(len(rec.Islands)), "islands")
+		})
 	}
 }
 

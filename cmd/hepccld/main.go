@@ -8,8 +8,7 @@
 //
 //	hepccld -config cta -samples 4 -workers 2 -queue 64        # CTA 43x43
 //	hepccld -config adapt -listen :9310 -stats :9311 -pace-hw  # 1D flight
-//	hepccld -config 512x512 -tile-workers 4                    # megapixel, tiled CCL
-//	hepccld -config 512x512 -serve single                      # force one-core A/B
+//	hepccld -config 512x512                                    # megapixel frames
 //	hepccld -record /data/wal -policy block                    # durable ingest
 //	hepccld -replay /data/wal -replay-rate 2 -policy block     # re-serve at 2x
 //
@@ -56,8 +55,6 @@ func run(args []string, out io.Writer) error {
 		pprofOn     = fs.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the -stats address")
 		configName  = fs.String("config", "cta", "pipeline configuration: adapt (1D), cta (2D 43x43), or RxC (2D frame geometry, e.g. 512x512)")
 		samples     = fs.Int("samples", 4, "waveform samples per channel on the wire (0 keeps the config default)")
-		serveName   = fs.String("serve", "auto", "2D labeling backend: auto (size cutover), single (run-based, one core), tiled (tile-parallel pool), pixel (reference)")
-		tileWorkers = fs.Int("tile-workers", 0, "tile-parallel labeling pool size (0 = GOMAXPROCS, capped)")
 		workers     = fs.Int("workers", 1, "pipeline worker pool size")
 		queue       = fs.Int("queue", 64, "per-worker derandomizer queue depth (events)")
 		policyName  = fs.String("policy", "drop", "queue overflow policy: drop (derandomizer) or block (backpressure)")
@@ -98,8 +95,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	cfg, err := buildConfig(daemonOpts{
-		config: *configName, samples: *samples, serve: *serveName, tileWorkers: *tileWorkers,
-		workers: *workers, queue: *queue,
+		config: *configName, samples: *samples, workers: *workers, queue: *queue,
 		policy: *policyName, shards: *shards, paceHW: *paceHW, paceRate: *paceRate, full: *full,
 		calibration: *calibration, seed: *seed,
 		idleTimeout: *idleTimeout, assemblyTimeout: *assemblyTimeout,
@@ -188,8 +184,6 @@ func runReplay(srv *server.Server, addr, dir string, rate float64, logger *log.L
 type daemonOpts struct {
 	config      string
 	samples     int
-	serve       string
-	tileWorkers int
 	workers     int
 	queue       int
 	policy      string
@@ -251,22 +245,6 @@ func buildConfig(o daemonOpts) (server.Config, error) {
 	if o.samples > 0 {
 		pcfg.SamplesPerChannel = o.samples
 	}
-	switch o.serve {
-	case "", "auto":
-		pcfg.Serve = adapt.ServeRun
-	case "pixel":
-		pcfg.Serve = adapt.ServePixel
-	case "single":
-		pcfg.Serve = adapt.ServeRunSingle
-	case "tiled":
-		pcfg.Serve = adapt.ServeTiled
-	default:
-		return server.Config{}, fmt.Errorf("unknown -serve %q (want auto, single, tiled, or pixel)", o.serve)
-	}
-	if o.tileWorkers < 0 {
-		return server.Config{}, fmt.Errorf("-tile-workers = %d must be >= 0", o.tileWorkers)
-	}
-	pcfg.TileWorkers = o.tileWorkers
 	var policy server.OverflowPolicy
 	switch o.policy {
 	case "drop":

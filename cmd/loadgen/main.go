@@ -335,17 +335,22 @@ func digitizeTemplates(cfg adapt.Config, n int, seed uint64) ([]template, int, e
 	return templs, wire, nil
 }
 
+// showerModelMaxPixels is the largest frame that gets the single-shower
+// traffic model: one 128×128 camera. It decides what loadgen sends, not how
+// the daemon serves it.
+const showerModelMaxPixels = 128 * 128
+
 // makeTruth builds one event's true photo-electron image. Camera-scale 2D
-// frames get the CTA shower model; megapixel frames (past the tiled-labeling
-// cutover) get a field of random blobs at ~2% occupancy, the workload the
-// tile-parallel engine is sized for — one shower in a megapixel frame would
-// light a few hundred pixels and measure nothing but dark-channel overhead.
+// frames get the CTA shower model; frames past showerModelMaxPixels get a
+// field of random blobs at ~2% occupancy — one shower in a megapixel frame
+// would light a few hundred pixels and measure nothing but dark-channel
+// overhead.
 func makeTruth(cfg adapt.Config, rng *detector.RNG) []grid.Value {
 	channels := cfg.ASICs * adapt.ChannelsPerASIC
 	if cfg.Detection.TwoDimension {
 		rows, cols := cfg.Detection.TwoD.Rows, cfg.Detection.TwoD.Cols
 		var img *grid.Grid
-		if rows*cols > adapt.TiledCutoverPixels {
+		if rows*cols > showerModelMaxPixels {
 			img = detector.RandomIslands(rows, cols, rows*cols/400, 1.5, rng)
 		} else {
 			cam := detector.CameraConfig{Rows: rows, Cols: cols, NSBMeanPE: 0.1}

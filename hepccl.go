@@ -208,14 +208,9 @@ func ADAPTConfig() PipelineConfig { return adapt.DefaultADAPT() }
 func CTAConfig() PipelineConfig { return adapt.DefaultCTA() }
 
 // FrameConfig returns a 2D configuration for an arbitrary rows×cols frame
-// geometry. Frames larger than TiledCutoverPixels serve through the
-// tile-parallel labeling engine; smaller frames keep the single-core
-// run-based path. Set PipelineConfig.Serve / TileWorkers to override.
+// geometry. Every frame size serves through the same run-based labeler as
+// the 43×43 camera.
 func FrameConfig(rows, cols int) PipelineConfig { return adapt.DefaultFrame(rows, cols) }
-
-// TiledCutoverPixels is the frame size above which the default serving
-// configuration labels with the tile-parallel engine.
-const TiledCutoverPixels = adapt.TiledCutoverPixels
 
 // Workload generation and centroiding.
 type (

@@ -8,7 +8,6 @@ import (
 	"github.com/wustl-adapt/hepccl/internal/design"
 	"github.com/wustl-adapt/hepccl/internal/grid"
 	"github.com/wustl-adapt/hepccl/internal/runccl"
-	"github.com/wustl-adapt/hepccl/internal/tileccl"
 )
 
 // Config parameterizes one build of the FPGA pipeline — the values the real
@@ -30,26 +29,11 @@ type Config struct {
 	// Detection selects and configures the island-detection back end
 	// (the TWO_DIMENSION switch).
 	Detection design.TopConfig
-	// Serve selects the 2D labeling backend of serving. The zero value is the
-	// bit-packed run-based engine family with the automatic size cutover:
-	// frames above TiledCutoverPixels label on the tile-parallel engine,
-	// smaller ones on single-core runccl. ServePixel keeps the per-pixel
-	// reference; ServeRunSingle and ServeTiled pin one run-based engine for
-	// A/B measurement.
+	// Serve selects the 2D labeling backend of serving. The zero value,
+	// ServeRun, is what the daemon serves with at every frame size;
+	// ServePixel is the per-pixel oracle tests and bench/ build explicitly.
 	Serve ServeBackend
-	// TileWorkers caps the tile-parallel engine's labeling concurrency
-	// (including the calling worker); 0 uses the engine default,
-	// min(GOMAXPROCS, 8). Ignored unless the tiled backend is selected.
-	TileWorkers int
 }
-
-// TiledCutoverPixels is the frame size above which the default run-based
-// backend switches from single-core runccl to the tile-parallel engine. One
-// 128×128 frame (16384 px) sits exactly at the threshold and stays
-// single-core; everything the paper studies (≤64×64) is far below it, so the
-// cutover cannot touch the 43×43 serving hot path. Above it, per-event work
-// is large enough that tile fan-out repays the merge overhead.
-const TiledCutoverPixels = 1 << 14
 
 // ServeBackend selects the island-labeling engine behind serving's 2D
 // path. Both produce the identical island partition, statistics, and compact
@@ -57,19 +41,13 @@ const TiledCutoverPixels = 1 << 14
 type ServeBackend int
 
 const (
-	// ServeRun (the default) is the bit-packed run-based engine family
-	// (internal/runccl, internal/tileccl): labeling cost scales with lit
-	// content, not array area, and frames above TiledCutoverPixels fan tiles
-	// out across the tile-parallel worker pool.
+	// ServeRun (the default) is the run-based labeler (runccl.Batch): runs
+	// are built straight from the lit list, so labeling cost scales with lit
+	// content, not array area, at any frame size.
 	ServeRun ServeBackend = iota
 	// ServePixel is the raster-scan per-pixel union-find, kept as the
 	// reference implementation for differential testing.
 	ServePixel
-	// ServeRunSingle pins single-core runccl regardless of frame size — the
-	// baseline side of the tiled-vs-single A/B.
-	ServeRunSingle
-	// ServeTiled pins the tile-parallel engine regardless of frame size.
-	ServeTiled
 )
 
 // String implements fmt.Stringer.
@@ -79,10 +57,6 @@ func (b ServeBackend) String() string {
 		return "pixel"
 	case ServeRun:
 		return "run"
-	case ServeRunSingle:
-		return "run-single"
-	case ServeTiled:
-		return "tiled"
 	default:
 		return fmt.Sprintf("ServeBackend(%d)", int(b))
 	}
@@ -106,8 +80,7 @@ func DefaultADAPT() Config {
 // the pixel-telescope / imaging workload class beyond the paper's cameras.
 // Channel math is the same as DefaultCTA (⌈px/16⌉ 16-channel ASICs,
 // zero-padded); the readout window is short (4 samples) because at megapixel
-// scale the wire cost per event is dominated by channel count, and backend
-// selection follows Config.Serve's automatic size cutover.
+// scale the wire cost per event is dominated by channel count.
 func DefaultFrame(rows, cols int) Config {
 	px := rows * cols
 	return Config{
@@ -152,13 +125,12 @@ func DefaultCTA() Config {
 // and scratch state and is not safe for concurrent use; concurrent servers
 // run one Pipeline per worker (see internal/server).
 type Pipeline struct {
-	cfg        Config
-	merger     *Merger
-	pedestals  []int64 // per flat channel, integral units
-	serve      serveScratch
-	runEngine  *runccl.Engine  // 2D single-core run-based backend; nil otherwise
-	tileEngine *tileccl.Engine // 2D tile-parallel backend; nil otherwise
-	seen       []uint64        // checkEvent duplicate-ASIC bitmap, one bit per ASIC
+	cfg       Config
+	merger    *Merger
+	pedestals []int64 // per flat channel, integral units
+	serve     serveScratch
+	runEngine *runccl.Engine // 2D run-based backend; nil for 1D and ServePixel
+	seen      []uint64       // checkEvent duplicate-ASIC bitmap, one bit per ASIC
 
 	// cutoff is the ADC-domain zero-suppression threshold: with rounded
 	// division by gain g, pe > T ⇔ net ≥ (T+1)·g − g/2, so suppressed
@@ -177,9 +149,7 @@ type Pipeline struct {
 	pcMax uint64
 }
 
-// New validates the configuration and builds the pipeline. Pipelines whose
-// backend selection resolves to the tile-parallel engine own a worker pool;
-// call Close when discarding one (Close is a no-op otherwise).
+// New validates the configuration and builds the pipeline.
 func New(cfg Config) (*Pipeline, error) {
 	if cfg.ASICs < 1 {
 		return nil, fmt.Errorf("adapt: need at least one ASIC")
@@ -188,12 +158,9 @@ func New(cfg Config) (*Pipeline, error) {
 		return nil, fmt.Errorf("adapt: %d ASICs exceed the %d the wire index addresses", cfg.ASICs, MaxASICs)
 	}
 	switch cfg.Serve {
-	case ServeRun, ServePixel, ServeRunSingle, ServeTiled:
+	case ServeRun, ServePixel:
 	default:
 		return nil, fmt.Errorf("adapt: unknown serve backend %d", int(cfg.Serve))
-	}
-	if cfg.TileWorkers < 0 {
-		return nil, fmt.Errorf("adapt: negative tile worker count %d", cfg.TileWorkers)
 	}
 	if cfg.SamplesPerChannel < 1 || cfg.SamplesPerChannel > 255 {
 		return nil, fmt.Errorf("adapt: samples per channel %d outside 1..255", cfg.SamplesPerChannel)
@@ -236,17 +203,7 @@ func New(cfg Config) (*Pipeline, error) {
 		if !conn.Valid() {
 			conn = grid.FourWay // matches the pixel path's "not 8-way ⇒ 4-way"
 		}
-		rows, cols := cfg.Detection.TwoD.Rows, cfg.Detection.TwoD.Cols
-		px := rows * cols
-		if cfg.Serve == ServeTiled || (cfg.Serve == ServeRun && px > TiledCutoverPixels) {
-			p.tileEngine, err = tileccl.New(tileccl.Config{
-				Rows: rows, Cols: cols,
-				Connectivity: conn,
-				Workers:      cfg.TileWorkers,
-			})
-		} else {
-			p.runEngine, err = runccl.NewEngine(rows, cols, conn)
-		}
+		p.runEngine, err = runccl.NewEngine(cfg.Detection.TwoD.Rows, cfg.Detection.TwoD.Cols, conn)
 		if err != nil {
 			return nil, fmt.Errorf("adapt: %w", err)
 		}
@@ -255,27 +212,18 @@ func New(cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
-// Close releases the pipeline's tile-parallel worker pool, if any. The
-// pipeline must not process further events after Close.
-func (p *Pipeline) Close() {
-	if p.tileEngine != nil {
-		p.tileEngine.Close()
-	}
-}
+// Close does nothing: a pipeline owns no goroutines or handles. It is kept
+// only because bench/ (which a non-benchmark PR may not edit) still calls it;
+// it leaves with those calls.
+func (p *Pipeline) Close() {}
 
-// ServeEngine describes the labeling backend serving resolved to — the
-// /stats gauge surface. tileWorkers is 0 unless the tiled engine is active.
-func (p *Pipeline) ServeEngine() (backend string, tileWorkers int) {
-	switch {
-	case !p.cfg.Detection.TwoDimension:
-		return "1d", 0
-	case p.tileEngine != nil:
-		return ServeTiled.String(), p.tileEngine.Workers()
-	case p.runEngine != nil:
-		return ServeRun.String(), 0
-	default:
-		return ServePixel.String(), 0
+// ServeEngine names the labeling backend serving resolved to — "run",
+// "pixel" or "1d" — for the /stats serve_backend field.
+func (p *Pipeline) ServeEngine() string {
+	if !p.cfg.Detection.TwoDimension {
+		return "1d"
 	}
+	return p.cfg.Serve.String()
 }
 
 // Suppressor returns the pipeline's current zero-suppression table for

@@ -23,14 +23,12 @@ import (
 // zero-suppression, in raster order, with their raw integrals. Two producers
 // make lit lists: the stream reader's wire scan (StreamReader.ReadSuppressed,
 // the daemon's path) and integrateEvent over decoded packets (the reference,
-// behind ServeEvent/ServeBatch). Four sinks consume them, chosen by the
+// behind ServeEvent/ServeBatch). Three sinks consume them, chosen by the
 // pipeline's configuration:
 //
-//   - sinkRuns (2D, the default below TiledCutoverPixels): lit pixels fold
-//     directly into maximal horizontal runs in a runccl.Batch — no merged
-//     image, no bitmap — and one resolve sweep labels a whole batch.
-//   - sinkBitmap (2D above the cutover, or ServeTiled): lit pixels set bits
-//     in the tile-parallel engine's packed bitmap beside their values.
+//   - sinkRuns (2D, every frame size): lit pixels fold directly into maximal
+//     horizontal runs in a runccl.Batch — no merged image, no bitmap — and
+//     one resolve sweep labels a whole batch.
 //   - sinkImage (ServePixel): lit pixels fill the merged image for the
 //     raster-scan per-pixel union-find, the differential-testing oracle.
 //   - sink1D: consecutive lit channels are the 1D islands.
@@ -48,9 +46,8 @@ import (
 // safe for concurrent use; servers give each worker its own.
 type serveScratch struct {
 	batch   *runccl.Batch   // run sink: batch-resident run arena
-	islands []runccl.Island // run and bitmap sinks: island accumulator
-	bitmap  []uint64        // bitmap sink: lit-pixel bitmap
-	merged  []grid.Value    // bitmap and image sinks: photo-electron image
+	islands []runccl.Island // run sink: island accumulator
+	merged  []grid.Value    // image sink: photo-electron image
 	lit     []Lit           // ServeEvent/ServeBatch: integrateEvent's arena
 	events  []LitEvent      // ServeBatch: one lit event per input event
 	labels  []int32         // pixel path: per-pixel provisional label
@@ -68,7 +65,11 @@ type serveScratch struct {
 // run sink the batch is served batch-resident — the runs of every event land
 // in one flat arena, merged with the row above as they arrive, a single
 // path-halving sweep resolves the whole batch's forest, and per-island
-// statistics scatter into the records at batch end; the other sinks serve per
+// statistics scatter into the records at batch end. The arena is bounded by
+// content, not by the caller's batch size: once it holds runBudget runs the
+// events so far are resolved and emitted and the rest are served as a batch
+// of their own (every level of that recursion has consumed runBudget runs,
+// so it is as shallow as the batch is sparse). The other sinks serve per
 // event. Lit lists must be in ascending channel order with every channel
 // below the pipeline's channel count, which both producers guarantee. Events
 // marked Bad carry no lit channels and yield an empty record the caller
@@ -87,15 +88,30 @@ func (p *Pipeline) ServeLitBatch(events []LitEvent, recs []EventRecord) {
 		return
 	}
 	b := p.runBatch()
+	chunk := events
 	for i := range events {
-		p.sinkRuns(b, events[i].Lit)
+		if p.sinkRuns(b, events[i].Lit) >= runBudget {
+			chunk = events[:i+1]
+			break
+		}
 	}
 	b.Resolve()
-	for i := range events {
-		recs[i].Event = events[i].Event
-		p.emitRuns(b, i, &recs[i])
+	out := recs[:len(chunk)]
+	for i := range chunk {
+		out[i].Event = chunk[i].Event
+		p.emitRuns(b, i, &out[i])
+	}
+	if n := len(chunk); n < len(events) {
+		p.ServeLitBatch(events[n:], recs[n:]) // the rest start a fresh arena
 	}
 }
+
+// runBudget is the run count at which ServeLitBatch stops filling the batch
+// arena and resolves what it holds: 1<<15 runs × 36 B ≈ 1.1 MiB, so a batch
+// of megapixel frames cannot grow the arena by frames × runs per frame. Every
+// batch of paper-geometry events stays one chunk (64 dense 43×43 events are
+// ≈25 k runs).
+const runBudget = 1 << 15
 
 // ServeLit serves one zero-suppressed event: ServeLitBatch of one.
 //
@@ -110,8 +126,6 @@ func (p *Pipeline) ServeLit(ev LitEvent, rec *EventRecord) {
 		p.sinkRuns(b, ev.Lit)
 		b.Resolve()
 		p.emitRuns(b, 0, rec)
-	case p.tileEngine != nil:
-		p.sinkBitmap(ev.Lit, rec)
 	default:
 		//hepccl:coldpath
 		p.sinkImage(ev.Lit, rec) // the oracle: never a production backend
@@ -154,10 +168,10 @@ func (p *Pipeline) runBatch() *runccl.Batch {
 // run's charge sum and column moment as it goes. A lit pixel extends the open
 // run exactly when it is the next flat index on the same row; any gap or row
 // change seals the run. Row and column come from one division per row
-// change, not per pixel.
+// change, not per pixel. It returns the arena's run count so far.
 //
 //hepccl:hotpath
-func (p *Pipeline) sinkRuns(b *runccl.Batch, lit []Lit) {
+func (p *Pipeline) sinkRuns(b *runccl.Batch, lit []Lit) int {
 	b.BeginEvent()
 	cols := p.cfg.Detection.TwoD.Cols
 	px := p.cfg.Detection.TwoD.Rows * cols
@@ -196,7 +210,7 @@ func (p *Pipeline) sinkRuns(b *runccl.Batch, lit []Lit) {
 	if prev >= 0 {
 		b.AddRun(int32(row), start, end, sum, colm)
 	}
-	b.EndEvent()
+	return b.EndEvent()
 }
 
 // emitRuns scatters batch event ev's resolved runs into rec's islands.
@@ -208,50 +222,6 @@ func (p *Pipeline) emitRuns(b *runccl.Batch, ev int, rec *EventRecord) {
 	// count, which its amortized grow keeps within capacity.
 	//hepccl:checked
 	sc.islands = b.Islands(ev, sc.islands[:0])
-	emitIslands(sc.islands, rec)
-}
-
-// sinkBitmap packs one event's lit pixels into the tile-parallel engine's
-// bitmap beside their photon counts and labels the frame. The engine reads
-// values only at lit positions, so the image is never cleared.
-//
-//hepccl:hotpath
-func (p *Pipeline) sinkBitmap(lit []Lit, rec *EventRecord) {
-	sc := &p.serve
-	e := p.tileEngine
-	cols := p.cfg.Detection.TwoD.Cols
-	px := p.cfg.Detection.TwoD.Rows * cols
-	//hepccl:amortized
-	if sc.bitmap == nil {
-		sc.bitmap = make([]uint64, e.BitmapLen())
-		sc.merged = make([]grid.Value, px)
-	}
-	bitmap, merged := sc.bitmap, sc.merged
-	for i := range bitmap {
-		bitmap[i] = 0
-	}
-	wpr := e.WordsPerRow()
-	var rowStart, rowEnd, rowWord int
-	// fl < px bounds the image store, and the bitmap holds wpr words for
-	// each of the px/cols rows — geometry the prover cannot follow through
-	// the division.
-	//hepccl:checked
-	for _, l := range lit {
-		fl := l.Channel()
-		if fl >= px {
-			break
-		}
-		merged[fl] = p.photons(l)
-		if fl >= rowEnd {
-			row := fl / cols
-			rowStart = row * cols
-			rowEnd = rowStart + cols
-			rowWord = row * wpr
-		}
-		c := fl - rowStart
-		bitmap[rowWord+c>>6] |= 1 << uint(c&63)
-	}
-	sc.islands = e.Label(bitmap, merged, sc.islands[:0])
 	emitIslands(sc.islands, rec)
 }
 

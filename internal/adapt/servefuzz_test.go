@@ -160,20 +160,26 @@ func FuzzRunCCLvsPixel(f *testing.F) {
 // ServeBatch and compared byte-for-byte (marshalled record bytes) against
 // ServeEvent on the run backend and against the per-pixel reference backend,
 // event by event. Fuzzer-chosen bits also shuffle some events' packet order —
-// a valid but non-canonical stream that forces ServeBatch off the fused
-// decode onto the reference route mid-batch — and may truncate the first
-// event, checking error parity between the batched and single paths.
+// valid, and sorted back into raster order by the reference integration —
+// and may truncate the first event, checking error parity between the batched
+// and single paths. rows = cols = 255 selects a 129×128 frame, larger than
+// any paper geometry: eight striped events there are 66 k runs, so the batch
+// crosses ServeLitBatch's run budget twice.
 func FuzzBatchVsSingle(f *testing.F) {
 	f.Add(uint64(1), uint8(43), uint8(43), false, uint8(4), uint8(3), uint8(0), []byte{0, 5, 5, 0, 9})
 	f.Add(uint64(2), uint8(8), uint8(10), true, uint8(4), uint8(5), uint8(2), []byte{3, 3, 3, 3})
 	f.Add(uint64(3), uint8(5), uint8(70), false, uint8(6), uint8(2), uint8(5), []byte{40, 0, 40})
 	f.Add(uint64(4), uint8(16), uint8(16), true, uint8(4), uint8(7), uint8(255), []byte{7})
 	f.Add(uint64(5), uint8(32), uint8(32), false, uint8(4), uint8(64), uint8(128), []byte{1, 2})
+	f.Add(uint64(6), uint8(255), uint8(255), false, uint8(3), uint8(7), uint8(0), []byte{40, 0})
 	f.Fuzz(func(t *testing.T, seed uint64, rowsB, colsB uint8, eight bool, spcB, nEvB, shufMask uint8, pe []byte) {
 		rows := 1 + int(rowsB%48)
 		cols := 1 + int(colsB%70)
+		if rowsB == 255 && colsB == 255 {
+			rows, cols = 129, 128
+		}
 		px := rows * cols
-		spc := 1 + int(spcB%8) // 4 exercises the fused SWAR decode, the rest the generic loop
+		spc := 1 + int(spcB%8)
 		nEv := 1 + int(nEvB%8)
 		conn := grid.FourWay
 		if eight {
@@ -226,8 +232,8 @@ func FuzzBatchVsSingle(f *testing.F) {
 				t.Fatal(err)
 			}
 			if shufMask>>(e%8)&1 == 1 && len(packets) > 1 {
-				// Break canonical order: still a complete, valid event, but the
-				// fused decode must reject it and the reference route serve it.
+				// Break canonical order: still a complete, valid event, whose lit
+				// list the reference integration must sort back into raster order.
 				packets[0], packets[len(packets)-1] = packets[len(packets)-1], packets[0]
 			}
 			events[e] = packets

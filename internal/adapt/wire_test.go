@@ -91,7 +91,6 @@ func compareWirePaths(t testing.TB, cfg Config, stream []byte) ([]wireOutcome, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pWire.Close()
 	cfg.Serve = ServePixel
 	pRef, err := New(cfg)
 	if err != nil {
@@ -196,8 +195,10 @@ func joinFrames(events ...[][]byte) []byte {
 // TestReadSuppressedCleanStream: on clean streams the suppressed-wire path
 // serves every event exactly as the packet reference does, on each scan
 // shape — one word per channel, several, and the reference route for a
-// sample count that is not a multiple of four — for 2D, tiled and 1D sinks,
-// and counts reference-route events only where that route runs.
+// sample count that is not a multiple of four — for the 2D and 1D sinks and
+// a frame larger than any paper geometry (its case name dates from the tiled
+// route that used to serve it), and counts reference-route events only where
+// that route runs.
 func TestReadSuppressedCleanStream(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -394,7 +395,7 @@ func testCaptureParityDirtyStreams(t *testing.T) {
 
 // FuzzWireVsPacket is the differential check behind serving from the wire:
 // for a fuzzer-chosen geometry (1D, the 43×43 camera, small odd frames, a
-// frame above the tiled cutover), sample count 1…17 (so the one-word scan,
+// frame larger than any paper geometry), sample count 1…17 (so the one-word scan,
 // the multi-word scan and the reference route all run), connectivity and
 // occupancy, three events are marshaled and their frame stream is then
 // mangled by a fuzzer-written script — frames swapped, duplicated, dropped,
@@ -422,7 +423,7 @@ func FuzzWireVsPacket(f *testing.F) {
 		case 2:
 			cfg = frameConfig(1+rng.Intn(12), 1+rng.Intn(70), 0, spc, eight)
 		default:
-			cfg = frameConfig(129, 128, 0, spc, eight) // above TiledCutoverPixels
+			cfg = frameConfig(129, 128, 0, spc, eight) // larger than any paper geometry
 		}
 		occ := []float64{0, 0.02, 0.3}[rng.Intn(3)]
 		events := litFrames(t, cfg, 3, 100, occ, rng)

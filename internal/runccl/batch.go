@@ -99,12 +99,13 @@ func (b *Batch) BeginEvent() {
 	b.curRow = -2
 }
 
-// EndEvent seals the open event and returns its index within the batch.
+// EndEvent seals the open event and returns the batch's run count so far —
+// what a caller bounding the arena compares against its budget.
 //
 //hepccl:hotpath
 func (b *Batch) EndEvent() int {
 	b.evOff = append(b.evOff, int32(len(b.parent)))
-	return len(b.evOff) - 2
+	return len(b.parent)
 }
 
 // Events returns the number of sealed events in the batch.

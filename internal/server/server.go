@@ -182,10 +182,9 @@ type Server struct {
 	rates  rateWindow
 
 	// Static gauge values surfaced on /stats: the per-worker pipelines'
-	// resolved labeling backend, its tile-pool concurrency (0 unless tiled),
-	// and the served frame size in pixels (channels for 1D configs).
+	// resolved labeling backend and the served frame size in pixels
+	// (channels for 1D configs).
 	serveBackend string
-	tileWorkers  int
 	pixels       int
 }
 
@@ -220,7 +219,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	// Gauge surface for /stats: every worker pipeline is built from the same
 	// config, so the first one's resolved backend describes them all.
-	s.serveBackend, s.tileWorkers = pipes[0].ServeEngine()
+	s.serveBackend = pipes[0].ServeEngine()
 	s.sup = pipes[0].Suppressor()
 	if det := cfg.Pipeline.Detection; det.TwoDimension {
 		s.pixels = det.TwoD.Rows * det.TwoD.Cols
@@ -331,8 +330,8 @@ func (s *Server) serveListeners(lns []net.Listener) error {
 	stopLog := s.startPeriodicLog()
 	defer stopLog()
 	if l := s.cfg.Logger; l != nil {
-		l.Printf("hepccld: serving on %s (%d acceptor shards, %d workers, queue depth %d, policy %s, scan kernel %s)",
-			lns[0].Addr(), len(lns), s.cfg.Workers, s.cfg.QueueDepth, s.cfg.Policy, adapt.ScanKernel())
+		l.Printf("hepccld: serving on %s (%d acceptor shards, %d workers, queue depth %d, policy %s, backend %s, scan kernel %s)",
+			lns[0].Addr(), len(lns), s.cfg.Workers, s.cfg.QueueDepth, s.cfg.Policy, s.serveBackend, adapt.ScanKernel())
 	}
 	if len(lns) == 1 {
 		return s.acceptLoop(lns[0], 0)

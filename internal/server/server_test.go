@@ -452,21 +452,9 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatalf("got %d records, want 5", got)
 	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for s.StatsAddr() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("stats endpoint never came up")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	base := "http://" + s.StatsAddr().String()
-	resp, err := http.Get(base + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	base, body := getStats(t, s)
 	var snap Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatal(err)
 	}
 	if snap.EventsIn != 6 || snap.EventsOut != 5 || snap.BadEvents != 1 {
@@ -483,6 +471,9 @@ func TestStatsEndpoint(t *testing.T) {
 	if k := snap.ScanKernel; k != adapt.ScanKernel() || (k != "avx2" && k != "portable") {
 		t.Fatalf("endpoint reports scan_kernel=%q, the reader runs %q", k, adapt.ScanKernel())
 	}
+	if snap.ServeBackend != "1d" {
+		t.Fatalf("endpoint reports serve_backend=%q for a 1D pipeline, want 1d", snap.ServeBackend)
+	}
 	hz, err := http.Get(base + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -491,6 +482,46 @@ func TestStatsEndpoint(t *testing.T) {
 	if hz.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d", hz.StatusCode)
 	}
+
+	// A frame larger than any paper geometry serves on the same run backend
+	// as the 43x43 camera, and the tile pool's field is gone from /stats.
+	t.Run("frame160", func(t *testing.T) {
+		s, _ := startServer(t, Config{Pipeline: adapt.DefaultFrame(160, 160), StatsAddr: "127.0.0.1:0"})
+		_, body := getStats(t, s)
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(body, &fields); err != nil {
+			t.Fatal(err)
+		}
+		if got := string(fields["serve_backend"]); got != `"run"` {
+			t.Fatalf("160x160 daemon reports serve_backend=%s, want \"run\"", got)
+		}
+		if _, ok := fields["tile_workers"]; ok {
+			t.Fatal("/stats still carries tile_workers")
+		}
+	})
+}
+
+// getStats waits for the stats endpoint and returns its base URL and one
+// /stats body.
+func getStats(t *testing.T, s *Server) (base string, body []byte) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.StatsAddr() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("stats endpoint never came up")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	base = "http://" + s.StatsAddr().String()
+	resp, err := http.Get(base + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if body, err = io.ReadAll(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return base, body
 }
 
 func TestConfigValidation(t *testing.T) {

@@ -355,8 +355,7 @@ type Snapshot struct {
 	Workers       int         `json:"workers"`
 	QueueDepth    int         `json:"queue_depth"`
 	Pixels        int         `json:"pixels"`        // served frame size (channels for 1D)
-	ServeBackend  string      `json:"serve_backend"` // resolved labeling backend: run, tiled, pixel, 1d
-	TileWorkers   int         `json:"tile_workers"`  // tile-pool concurrency; 0 unless tiled
+	ServeBackend  string      `json:"serve_backend"` // resolved labeling backend: run, pixel, 1d
 	ScanKernel    string      `json:"scan_kernel"`   // suppress-pass implementation on this host: avx2, portable
 	QueueLens     []int       `json:"queue_lens"`
 	QueueHWM      int64       `json:"queue_hwm"`
@@ -389,7 +388,6 @@ func (s *Server) StatsSnapshot() Snapshot {
 		QueueDepth:      s.cfg.QueueDepth,
 		Pixels:          s.pixels,
 		ServeBackend:    s.serveBackend,
-		TileWorkers:     s.tileWorkers,
 		ScanKernel:      adapt.ScanKernel(),
 		QueueHWM:        st.QueueHWM.Load(),
 		CounterSnapshot: st.counters.snapshot(),

@@ -40,7 +40,6 @@ const lingerMin = 8
 // they observe parked, so the steady-state hot path is ring-only.
 func (s *Server) run(w *worker, p *adapt.Pipeline) {
 	defer s.workersWG.Done()
-	defer p.Close() // release the tile-parallel labeling pool, if any
 	if s.cfg.PaceHardware || s.cfg.FullPipeline || s.cfg.PaceRate > 0 {
 		s.runSerial(w, p)
 		return
