@@ -49,7 +49,7 @@ gw-soak:
 
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkServeEvent' -benchtime 100x -benchmem .
-	$(GO) test -run '^$$' -bench 'BenchmarkServeWire/' -benchtime 2s -benchmem ./internal/adapt
+	$(GO) test -run '^$$' -bench 'BenchmarkServe(Wire|Dense)$$' -benchtime 2s -benchmem ./internal/adapt
 	$(GO) test -run '^$$' -bench 'BenchmarkScan/' -benchtime 1s -benchmem ./internal/adapt
 	$(GO) test -run '^$$' -bench BenchmarkIngestPath -benchtime 200000x -benchmem ./internal/server
 # internal/tileccl is bench-only since PR 16 (only bench/ imports it) and leaves with the benchmark half.

@@ -129,8 +129,8 @@ type Pipeline struct {
 	merger    *Merger
 	pedestals []int64 // per flat channel, integral units
 	serve     serveScratch
-	runEngine *runccl.Engine // 2D run-based backend; nil for 1D and ServePixel
-	seen      []uint64       // checkEvent duplicate-ASIC bitmap, one bit per ASIC
+	runBatch  *runccl.Batch // 2D run labeler, one event's arena; nil for 1D and ServePixel
+	seen      []uint64      // checkEvent duplicate-ASIC bitmap, one bit per ASIC
 
 	// cutoff is the ADC-domain zero-suppression threshold: with rounded
 	// division by gain g, pe > T ⇔ net ≥ (T+1)·g − g/2, so suppressed
@@ -203,10 +203,11 @@ func New(cfg Config) (*Pipeline, error) {
 		if !conn.Valid() {
 			conn = grid.FourWay // matches the pixel path's "not 8-way ⇒ 4-way"
 		}
-		p.runEngine, err = runccl.NewEngine(cfg.Detection.TwoD.Rows, cfg.Detection.TwoD.Cols, conn)
+		eng, err := runccl.NewEngine(cfg.Detection.TwoD.Rows, cfg.Detection.TwoD.Cols, conn)
 		if err != nil {
 			return nil, fmt.Errorf("adapt: %w", err)
 		}
+		p.runBatch = eng.NewBatch()
 	}
 	p.seen = make([]uint64, (cfg.ASICs+63)/64)
 	return p, nil

@@ -6,7 +6,6 @@ import (
 
 	"github.com/wustl-adapt/hepccl/internal/ccl"
 	"github.com/wustl-adapt/hepccl/internal/grid"
-	"github.com/wustl-adapt/hepccl/internal/runccl"
 )
 
 // Serving fast path. ProcessEvent runs the cycle-level HLS co-simulation of
@@ -27,8 +26,8 @@ import (
 // pipeline's configuration:
 //
 //   - sinkRuns (2D, every frame size): lit pixels fold directly into maximal
-//     horizontal runs in a runccl.Batch — no merged image, no bitmap — and
-//     one resolve sweep labels a whole batch.
+//     horizontal runs in a runccl.Batch — no merged image, no bitmap — which
+//     labels them as they arrive.
 //   - sinkImage (ServePixel): lit pixels fill the merged image for the
 //     raster-scan per-pixel union-find, the differential-testing oracle.
 //   - sink1D: consecutive lit channels are the 1D islands.
@@ -45,35 +44,25 @@ import (
 // serveScratch is per-pipeline reusable serving storage. A Pipeline is not
 // safe for concurrent use; servers give each worker its own.
 type serveScratch struct {
-	batch   *runccl.Batch   // run sink: batch-resident run arena
-	islands []runccl.Island // run sink: island accumulator
-	merged  []grid.Value    // image sink: photo-electron image
-	lit     []Lit           // ServeEvent/ServeBatch: integrateEvent's arena
-	events  []LitEvent      // ServeBatch: one lit event per input event
-	labels  []int32         // pixel path: per-pixel provisional label
-	uf      ccl.DenseUF     // pixel path: union-find over provisional labels
-	remap   []int32         // pixel path: provisional root -> compact island
-	pixels  []uint32
-	sums    []int64
-	rows    []int64
-	cols    []int64
+	merged []grid.Value // image sink: photo-electron image
+	lit    []Lit        // ServeEvent/ServeBatch: integrateEvent's arena
+	events []LitEvent   // ServeBatch: one lit event per input event
+	labels []int32      // pixel path: per-pixel provisional label
+	uf     ccl.DenseUF  // pixel path: union-find over provisional labels
+	remap  []int32      // pixel path: provisional root -> compact island
+	pixels []uint32
+	sums   []int64
+	rows   []int64
+	cols   []int64
 }
 
 // ServeLitBatch serves a batch of zero-suppressed events into recs, reusing
-// each record's island storage and the pipeline's scratch. It is the serving
-// entry point of internal/server: workers drain their rings into it. On the
-// run sink the batch is served batch-resident — the runs of every event land
-// in one flat arena, merged with the row above as they arrive, a single
-// path-halving sweep resolves the whole batch's forest, and per-island
-// statistics scatter into the records at batch end. The arena is bounded by
-// content, not by the caller's batch size: once it holds runBudget runs the
-// events so far are resolved and emitted and the rest are served as a batch
-// of their own (every level of that recursion has consumed runBudget runs,
-// so it is as shallow as the batch is sparse). The other sinks serve per
-// event. Lit lists must be in ascending channel order with every channel
-// below the pipeline's channel count, which both producers guarantee. Events
-// marked Bad carry no lit channels and yield an empty record the caller
-// discards.
+// each record's island storage and the pipeline's scratch: ServeLit per
+// event. It is the serving entry point of internal/server: workers drain
+// their rings into it. Lit lists must be in ascending channel order with
+// every channel below the pipeline's channel count, which both producers
+// guarantee. Events marked Bad carry no lit channels and yield an empty
+// record the caller discards.
 //
 //hepccl:hotpath
 func (p *Pipeline) ServeLitBatch(events []LitEvent, recs []EventRecord) {
@@ -81,39 +70,16 @@ func (p *Pipeline) ServeLitBatch(events []LitEvent, recs []EventRecord) {
 	if len(recs) != len(events) {
 		panic("adapt: ServeLitBatch requires len(events) == len(recs)")
 	}
-	if p.runEngine == nil {
-		for i := range events {
-			p.ServeLit(events[i], &recs[i])
-		}
-		return
-	}
-	b := p.runBatch()
-	chunk := events
 	for i := range events {
-		if p.sinkRuns(b, events[i].Lit) >= runBudget {
-			chunk = events[:i+1]
-			break
-		}
-	}
-	b.Resolve()
-	out := recs[:len(chunk)]
-	for i := range chunk {
-		out[i].Event = chunk[i].Event
-		p.emitRuns(b, i, &out[i])
-	}
-	if n := len(chunk); n < len(events) {
-		p.ServeLitBatch(events[n:], recs[n:]) // the rest start a fresh arena
+		p.ServeLit(events[i], &recs[i])
 	}
 }
 
-// runBudget is the run count at which ServeLitBatch stops filling the batch
-// arena and resolves what it holds: 1<<15 runs × 36 B ≈ 1.1 MiB, so a batch
-// of megapixel frames cannot grow the arena by frames × runs per frame. Every
-// batch of paper-geometry events stays one chunk (64 dense 43×43 events are
-// ≈25 k runs).
-const runBudget = 1 << 15
-
-// ServeLit serves one zero-suppressed event: ServeLitBatch of one.
+// ServeLit serves one zero-suppressed event. On the run sink the event's
+// runs land in one small arena that labels them as they arrive — each run
+// linked to the row above, island totals folded into the surviving root at
+// the link — so the record's islands are the arena's roots, emitted in one
+// sweep; the arena is reused by the next event.
 //
 //hepccl:hotpath
 func (p *Pipeline) ServeLit(ev LitEvent, rec *EventRecord) {
@@ -121,11 +87,9 @@ func (p *Pipeline) ServeLit(ev LitEvent, rec *EventRecord) {
 	switch {
 	case !p.cfg.Detection.TwoDimension:
 		p.sink1D(ev.Lit, rec)
-	case p.runEngine != nil:
-		b := p.runBatch()
-		p.sinkRuns(b, ev.Lit)
-		b.Resolve()
-		p.emitRuns(b, 0, rec)
+	case p.runBatch != nil:
+		p.sinkRuns(ev.Lit)
+		rec.Islands = p.runBatch.Islands(0, rec.Islands[:0])
 	default:
 		//hepccl:coldpath
 		p.sinkImage(ev.Lit, rec) // the oracle: never a production backend
@@ -151,27 +115,17 @@ func (p *Pipeline) photons(l Lit) grid.Value {
 	return PhotonCount(l.Raw()-ped, p.cfg.GainADC)
 }
 
-// runBatch returns the run sink's arena, reset for a new batch.
-//
-//hepccl:hotpath
-func (p *Pipeline) runBatch() *runccl.Batch {
-	//hepccl:amortized
-	if p.serve.batch == nil {
-		p.serve.batch = p.runEngine.NewBatch()
-	}
-	p.serve.batch.Reset()
-	return p.serve.batch
-}
-
 // sinkRuns streams one event's lit pixels — ascending flat order is raster
-// order — into maximal horizontal runs of a new batch event, folding each
-// run's charge sum and column moment as it goes. A lit pixel extends the open
-// run exactly when it is the next flat index on the same row; any gap or row
-// change seals the run. Row and column come from one division per row
-// change, not per pixel. It returns the arena's run count so far.
+// order — into maximal horizontal runs, the one event of the emptied run
+// arena, folding each run's charge sum and column moment as it goes. A lit
+// pixel extends the open run exactly when it is the next flat index on the
+// same row; any gap or row change seals the run. Row and column come from one
+// division per row change, not per pixel.
 //
 //hepccl:hotpath
-func (p *Pipeline) sinkRuns(b *runccl.Batch, lit []Lit) int {
+func (p *Pipeline) sinkRuns(lit []Lit) {
+	b := p.runBatch
+	b.Reset()
 	b.BeginEvent()
 	cols := p.cfg.Detection.TwoD.Cols
 	px := p.cfg.Detection.TwoD.Rows * cols
@@ -210,19 +164,7 @@ func (p *Pipeline) sinkRuns(b *runccl.Batch, lit []Lit) int {
 	if prev >= 0 {
 		b.AddRun(int32(row), start, end, sum, colm)
 	}
-	return b.EndEvent()
-}
-
-// emitRuns scatters batch event ev's resolved runs into rec's islands.
-//
-//hepccl:hotpath
-func (p *Pipeline) emitRuns(b *runccl.Batch, ev int, rec *EventRecord) {
-	sc := &p.serve
-	// The inlined Islands prologue reslices its scratch to the event's run
-	// count, which its amortized grow keeps within capacity.
-	//hepccl:checked
-	sc.islands = b.Islands(ev, sc.islands[:0])
-	emitIslands(sc.islands, rec)
+	b.EndEvent()
 }
 
 // sinkImage fills the merged photo-electron image from one event's lit
@@ -290,30 +232,6 @@ func appendIsland1D(rec *EventRecord, first, last int, sum, weighted int64) {
 	})
 }
 
-// emitIslands copies run-engine island summaries into the downlink record,
-// assigning compact 1..K labels in slice order.
-//
-//hepccl:hotpath
-func emitIslands(islands []runccl.Island, rec *EventRecord) {
-	n := len(islands)
-	//hepccl:amortized
-	if cap(rec.Islands) < n {
-		rec.Islands = make([]IslandRecord, 0, n+n/2+8)
-	}
-	out := rec.Islands[:n]
-	for i := range islands {
-		is := &islands[i]
-		out[i] = IslandRecord{
-			Label:  int32(i + 1),
-			Pixels: is.Pixels,
-			Sum:    is.Sum,
-			RowQ16: is.RowQ16,
-			ColQ16: is.ColQ16,
-		}
-	}
-	rec.Islands = out
-}
-
 // integrateEvent is the reference producer of lit lists: integration +
 // zero-suppression over an event's decoded packets, appended to lit in
 // ascending channel order whatever order the packets came in. The packets
@@ -341,10 +259,10 @@ func (p *Pipeline) ServeEvent(packets []Packet, rec *EventRecord) error {
 	return nil
 }
 
-// ServeBatch is ServeEvent over a batch, served through ServeLitBatch so the
-// run sink stays batch-resident. events, recs, and errs must have equal
-// length. Per-event failures are recorded in errs[i] (nil on success) and do
-// not stop the batch. It returns the number of events served successfully.
+// ServeBatch is ServeEvent over a batch, served through ServeLitBatch.
+// events, recs, and errs must have equal length. Per-event failures are
+// recorded in errs[i] (nil on success) and do not stop the batch. It returns
+// the number of events served successfully.
 func (p *Pipeline) ServeBatch(events [][]Packet, recs []EventRecord, errs []error) int {
 	if len(recs) != len(events) || len(errs) != len(events) {
 		panic("adapt: ServeBatch requires len(events) == len(recs) == len(errs)")

@@ -3,6 +3,8 @@ package adapt
 import (
 	"bytes"
 	"testing"
+
+	"github.com/wustl-adapt/hepccl/internal/detector"
 )
 
 // TestServeBatchMatchesServeEvent is the deterministic tier-1 version of
@@ -75,4 +77,53 @@ func TestServeBatchBadEvent(t *testing.T) {
 	if err := ps.ServeEvent(events[1], &rec); err == nil || err.Error() != errs[1].Error() {
 		t.Fatalf("batch error %q, single-path error %v", errs[1], err)
 	}
+}
+
+// BenchmarkServeDense is the dense serving path in isolation: 512 distinct
+// 43×43 events at 30 % occupancy, 5–24 p.e. per lit pixel (the
+// cta-dense-sat frame: a few hundred runs and islands per event), served 64
+// per ServeLitBatch and encoded with AppendTo as a lane worker does. CI
+// requires 0 allocs/op.
+func BenchmarkServeDense(b *testing.B) {
+	const distinct, batch = 512, 64
+	cfg := DefaultCTA()
+	cfg.SamplesPerChannel = 4
+	p, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := detector.NewRNG(23)
+	px := cfg.Detection.TwoD.Rows * cfg.Detection.TwoD.Cols
+	events := make([]LitEvent, distinct)
+	lit := 0
+	for e := range events {
+		events[e].Event = uint32(e)
+		for fl := 0; fl < px; fl++ {
+			if rng.Float64() < 0.30 {
+				pe := int64(5 + rng.Intn(20))
+				raw := cfg.PedestalPerSample*int64(cfg.SamplesPerChannel) + pe*cfg.GainADC
+				events[e].Lit = append(events[e].Lit, mkLit(fl, raw))
+			}
+		}
+		lit += len(events[e].Lit)
+	}
+	recs := make([]EventRecord, batch)
+	var buf []byte
+	islands := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n += distinct {
+		islands = 0
+		for lo := 0; lo < distinct; lo += batch {
+			p.ServeLitBatch(events[lo:lo+batch], recs)
+			buf = buf[:0]
+			for i := range recs {
+				buf = recs[i].AppendTo(buf)
+				islands += len(recs[i].Islands)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64((b.N+distinct-1)/distinct*distinct), "ns/event")
+	b.ReportMetric(float64(lit)/distinct, "lit/event")
+	b.ReportMetric(float64(islands)/distinct, "islands/event")
 }

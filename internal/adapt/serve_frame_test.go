@@ -74,14 +74,13 @@ func TestServeEventFrameMatchesPixel(t *testing.T) {
 	}
 }
 
-// TestServeLitBatchArenaBudget drives ServeLitBatch across its run budget.
-// Nine 128×128 checkerboards are 8,192 one-pixel runs each, so the arena
-// reaches runBudget exactly at the end of the fourth and eighth events and
-// the batch is resolved as 4 + 4 + the rest; a sparse frame, an empty event
-// and a Bad event follow in the last chunk. Every record must be
-// byte-identical to serving that event alone and to the per-pixel oracle,
-// with no allocation once the arenas are warm.
-func TestServeLitBatchArenaBudget(t *testing.T) {
+// TestServeLitBatchMegapixel drives ServeLitBatch with events far larger
+// than the arena ever is on a paper geometry: nine 128×128 checkerboards of
+// 8,192 one-pixel runs (and islands) each, then a sparse frame, an empty
+// event and a Bad event. Every record must be byte-identical to serving that
+// event alone and to the per-pixel oracle, with no allocation once the arena
+// is warm.
+func TestServeLitBatchMegapixel(t *testing.T) {
 	const side = 128
 	cfg := DefaultFrame(side, side)
 	run, pixel := framePipelines(t, cfg)
@@ -101,9 +100,6 @@ func TestServeLitBatchArenaBudget(t *testing.T) {
 				lit = append(lit, mkLit(fl, raw(3+(fl+e)%29)))
 			}
 		}
-		if len(lit) != runBudget/4 {
-			t.Fatalf("checkerboard has %d lit pixels, want %d", len(lit), runBudget/4)
-		}
 		events = append(events, LitEvent{Event: uint32(e), Lit: lit})
 	}
 	// Three runs, two islands: (0,5)-(0,6) joins (1,6) below it.
@@ -116,10 +112,6 @@ func TestServeLitBatchArenaBudget(t *testing.T) {
 
 	recs := make([]EventRecord, len(events))
 	run.ServeLitBatch(events, recs)
-	if b := run.serve.batch; b.Events() != 4 || b.Runs() != runBudget/4+3 {
-		t.Fatalf("last chunk holds %d events, %d runs; want 4 events (one checkerboard, sparse, empty, bad), %d runs",
-			b.Events(), b.Runs(), runBudget/4+3)
-	}
 	var recS, recP EventRecord
 	for i, ev := range events {
 		got := recs[i].AppendTo(nil)
@@ -132,8 +124,8 @@ func TestServeLitBatchArenaBudget(t *testing.T) {
 			t.Fatalf("event %d: batched record differs from the per-pixel oracle", i)
 		}
 	}
-	if n := len(recs[0].Islands); n != runBudget/4 {
-		t.Fatalf("checkerboard served %d islands, want %d", n, runBudget/4)
+	if n := len(recs[0].Islands); n != side*side/2 {
+		t.Fatalf("checkerboard served %d islands, want %d", n, side*side/2)
 	}
 	if len(recs[9].Islands) != 2 || len(recs[10].Islands) != 0 || len(recs[11].Islands) != 0 {
 		t.Fatalf("sparse/empty/bad served %d/%d/%d islands, want 2/0/0",

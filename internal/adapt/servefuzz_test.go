@@ -77,7 +77,7 @@ func FuzzRunCCLvsPixel(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pRun.runEngine == nil || pPix.runEngine != nil {
+		if pRun.runBatch == nil || pPix.runBatch != nil {
 			t.Fatal("backend selection did not take effect")
 		}
 		var recRun, recPix EventRecord
@@ -154,8 +154,8 @@ func FuzzRunCCLvsPixel(f *testing.F) {
 	})
 }
 
-// FuzzBatchVsSingle is the differential check behind the batch-resident
-// serving path: a fuzzer-chosen batch of events — geometry, connectivity,
+// FuzzBatchVsSingle is the differential check behind batched serving: a
+// fuzzer-chosen batch of events — geometry, connectivity,
 // sample depth, batch size, and payload all fuzzed — is served through
 // ServeBatch and compared byte-for-byte (marshalled record bytes) against
 // ServeEvent on the run backend and against the per-pixel reference backend,
@@ -163,8 +163,8 @@ func FuzzRunCCLvsPixel(f *testing.F) {
 // valid, and sorted back into raster order by the reference integration —
 // and may truncate the first event, checking error parity between the batched
 // and single paths. rows = cols = 255 selects a 129×128 frame, larger than
-// any paper geometry: eight striped events there are 66 k runs, so the batch
-// crosses ServeLitBatch's run budget twice.
+// any paper geometry: eight striped events there are 66 k runs through one
+// reused arena.
 func FuzzBatchVsSingle(f *testing.F) {
 	f.Add(uint64(1), uint8(43), uint8(43), false, uint8(4), uint8(3), uint8(0), []byte{0, 5, 5, 0, 9})
 	f.Add(uint64(2), uint8(8), uint8(10), true, uint8(4), uint8(5), uint8(2), []byte{3, 3, 3, 3})

@@ -4,30 +4,17 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"github.com/wustl-adapt/hepccl/internal/runccl"
 )
 
 // Transmit stage: event results are packed into compact records for the
 // downlink (Fig 3's final "Transmit" box). Position centroids use Q16.16
 // fixed point, since the FPGA has no floating-point downlink format.
 
-// IslandRecord is one island's downlink summary.
-type IslandRecord struct {
-	// Label is the island id within the event.
-	Label int32
-	// Pixels is the island's pixel count. 32 bits: megapixel frame
-	// geometries can concentrate more than 65535 pixels in one island.
-	Pixels uint32
-	// Sum is the total integrated value.
-	Sum int64
-	// RowQ16, ColQ16 are the centroid coordinates in Q16.16 fixed point.
-	RowQ16, ColQ16 int32
-}
-
-// Row returns the centroid row as a float.
-func (r IslandRecord) Row() float64 { return float64(r.RowQ16) / 65536 }
-
-// Col returns the centroid column as a float.
-func (r IslandRecord) Col() float64 { return float64(r.ColQ16) / 65536 }
+// IslandRecord is one island's downlink summary: the run labeler's island
+// type, so the run sink labels straight into the record.
+type IslandRecord = runccl.Island
 
 // ToQ16 converts a coordinate to Q16.16, saturating at the format bounds.
 func ToQ16(v float64) int32 {

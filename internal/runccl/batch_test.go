@@ -1,10 +1,12 @@
 package runccl
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/wustl-adapt/hepccl/internal/detector"
 	"github.com/wustl-adapt/hepccl/internal/grid"
+	"github.com/wustl-adapt/hepccl/internal/labeling"
 )
 
 // randomFrame builds a random sparse values image for the given geometry.
@@ -27,6 +29,19 @@ func batchFeed(e *Engine, b *Batch, values []grid.Value) {
 	b.EndEvent()
 }
 
+// sameIslands requires got to equal want position by position, whole structs.
+func sameIslands(t *testing.T, ctx string, got, want []Island) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d islands, want %d", ctx, len(got), len(want))
+	}
+	for j := range got {
+		if got[j] != want[j] {
+			t.Fatalf("%s island %d: got %+v, want %+v", ctx, j+1, got[j], want[j])
+		}
+	}
+}
+
 // TestBatchMatchesEngine drives several events through one batch and checks
 // each event's islands are bit-identical to Engine.Label on the same frame.
 func TestBatchMatchesEngine(t *testing.T) {
@@ -47,18 +62,9 @@ func TestBatchMatchesEngine(t *testing.T) {
 		if b.Events() != nEv {
 			t.Fatalf("%s: %d events, want %d", conn, b.Events(), nEv)
 		}
-		b.Resolve()
 		for i := range frames {
-			got := b.Islands(i, nil)
-			want := e.Label(e.Pack(frames[i], nil), frames[i], nil)
-			if len(got) != len(want) {
-				t.Fatalf("%s event %d: %d islands, want %d", conn, i, len(got), len(want))
-			}
-			for j := range got {
-				if got[j] != want[j] {
-					t.Fatalf("%s event %d island %d: got %+v, want %+v", conn, i, j, got[j], want[j])
-				}
-			}
+			sameIslands(t, fmt.Sprintf("%s event %d", conn, i),
+				b.Islands(i, nil), e.Label(e.Pack(frames[i], nil), frames[i], nil))
 		}
 	}
 }
@@ -78,18 +84,13 @@ func TestBatchEmptyEvents(t *testing.T) {
 	batchFeed(e, b, dark)
 	batchFeed(e, b, lit)
 	batchFeed(e, b, dark)
-	b.Resolve()
 	if got := b.Islands(0, nil); len(got) != 0 {
 		t.Fatalf("dark event 0 produced %d islands", len(got))
 	}
 	if got := b.Islands(2, nil); len(got) != 0 {
 		t.Fatalf("dark event 2 produced %d islands", len(got))
 	}
-	want := e.Label(e.Pack(lit, nil), lit, nil)
-	got := b.Islands(1, nil)
-	if len(got) != len(want) {
-		t.Fatalf("lit event: %d islands, want %d", len(got), len(want))
-	}
+	sameIslands(t, "lit event", b.Islands(1, nil), e.Label(e.Pack(lit, nil), lit, nil))
 }
 
 // TestBatchEventIsolation plants a frame whose islands touch the first and
@@ -111,22 +112,16 @@ func TestBatchEventIsolation(t *testing.T) {
 	batchFeed(e, b, v)
 	batchFeed(e, b, v)
 	batchFeed(e, b, v)
-	b.Resolve()
 	want := e.Label(e.Pack(v, nil), v, nil)
 	for i := 0; i < 3; i++ {
-		got := b.Islands(i, nil)
-		if len(got) != len(want) {
-			t.Fatalf("event %d: %d islands, want %d (cross-event leak?)", i, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("event %d island %d: got %+v, want %+v", i, j, got[j], want[j])
-			}
-		}
+		sameIslands(t, fmt.Sprintf("event %d (cross-event leak?)", i), b.Islands(i, nil), want)
 	}
 }
 
-// TestBatchReuse checks a Batch object is fully recycled by Reset.
+// TestBatchReuse checks a Batch object is fully recycled by Reset: five
+// random frames through one Batch each match Engine.Label, and a sparse frame
+// served after a saturated one — every slot of the arena left holding large
+// totals and links — matches a Batch that never saw it.
 func TestBatchReuse(t *testing.T) {
 	rng := detector.NewRNG(17)
 	e, err := NewEngine(16, 64, grid.FourWay)
@@ -138,15 +133,176 @@ func TestBatchReuse(t *testing.T) {
 		b.Reset()
 		f := randomFrame(rng, 16, 64, 0.25)
 		batchFeed(e, b, f)
-		b.Resolve()
-		got := b.Islands(0, nil)
-		want := e.Label(e.Pack(f, nil), f, nil)
-		if len(got) != len(want) {
-			t.Fatalf("round %d: %d islands, want %d", round, len(got), len(want))
+		sameIslands(t, fmt.Sprintf("round %d", round), b.Islands(0, nil), e.Label(e.Pack(f, nil), f, nil))
+	}
+	full := make([]grid.Value, 16*64)
+	for i := range full {
+		if i/64%2 == 0 || i%64%3 == 0 { // one island: full rows joined by columns
+			full[i] = 1 << 20
 		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("round %d island %d: got %+v, want %+v", round, j, got[j], want[j])
+	}
+	b.Reset()
+	batchFeed(e, b, full)
+	if got := b.Islands(0, nil); len(got) != 1 {
+		t.Fatalf("saturated frame: %d islands, want 1", len(got))
+	}
+	sparse := randomFrame(rng, 16, 64, 0.1)
+	b.Reset()
+	if b.Events() != 0 || b.Runs() != 0 {
+		t.Fatalf("Reset left %d events, %d runs", b.Events(), b.Runs())
+	}
+	batchFeed(e, b, sparse)
+	fresh := e.NewBatch()
+	batchFeed(e, fresh, sparse)
+	sameIslands(t, "after saturated frame", b.Islands(0, nil), fresh.Islands(0, nil))
+}
+
+// shapeFrames are the adversarial run sequences of TestBatchUnionInvariants:
+// each has a run that joins two roots which already carry several runs.
+var shapeFrames = []string{
+	// comb: teeth grow down as separate roots, the spine joins them all.
+	`
+	 #.#.#.#.#
+	 #.#.#.#.#
+	 #.#.#.#.#
+	 #########
+	`,
+	// U and W: arms of several runs each meet at the bottom.
+	`
+	 #.....#
+	 #.....#
+	 #.....#
+	 #######
+	`,
+	`
+	 #...#...#
+	 #...#...#
+	 ##.###.##
+	 .###.###.
+	`,
+	// spiral: one island whose root changes as the outer arm closes.
+	`
+	 .........
+	 .#######.
+	 .#.....#.
+	 .#.###.#.
+	 .#.#...#.
+	 .#.#####.
+	 .#.......
+	 .########
+	`,
+	// diagonals: joined 8-way only, through first and last columns.
+	`
+	 #.......#
+	 .#.....#.
+	 ..#...#..
+	 ...#.#...
+	 ....#....
+	 ...#.#...
+	 ..#...#..
+	 .#.....#.
+	 #.......#
+	`,
+	// a row gap: nothing below row 1 may link to anything above it.
+	`
+	 ##.###.##
+	 #.......#
+	 .........
+	 #.......#
+	 ##.###.##
+	`,
+	// first and last column only.
+	`
+	 #.......#
+	 #.......#
+	 ........#
+	 #.......#
+	`,
+}
+
+// TestBatchUnionInvariants feeds adversarial and random frames one run at a
+// time and checks, after every AddRun, what fold-at-union rests on: the
+// forest is min-root (parent[x] ≤ x, so a root is its set's first run), and
+// the totals held at roots are exactly the totals of all runs added so far.
+// At the end of each event Islands must equal the flood-fill islands in
+// raster order of first pixel.
+func TestBatchUnionInvariants(t *testing.T) {
+	var frames []*grid.Grid
+	for _, art := range shapeFrames {
+		frames = append(frames, grid.MustParse(art))
+	}
+	rng := detector.NewRNG(29)
+	for i := 0; i < 40; i++ {
+		rows, cols := 1+rng.Intn(12), 1+rng.Intn(70)
+		g := grid.New(rows, cols)
+		copy(g.Flat(), randomFrame(rng, rows, cols, 0.1+0.1*float64(i%8)))
+		frames = append(frames, g)
+	}
+	for _, conn := range []grid.Connectivity{grid.FourWay, grid.EightWay} {
+		for fi, g := range frames {
+			// Values vary by position so a misplaced fold shows in the sums.
+			for i, v := range g.Flat() {
+				if v != 0 {
+					g.Flat()[i] = grid.Value(1 + (i*7)%40)
+				}
+			}
+			e, err := NewEngine(g.Rows(), g.Cols(), conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := e.NewBatch()
+			// A first event ahead of the one under test: indexes are not
+			// event-local, and no union may reach back into it.
+			batchFeed(e, b, g.Flat())
+			first := b.Runs()
+			b.BeginEvent()
+			var all arenaRun // totals over every run added to this event
+			for r := 0; r < g.Rows(); r++ {
+				for c := 0; c < g.Cols(); c++ {
+					if g.At(r, c) == 0 || (c > 0 && g.At(r, c-1) != 0) {
+						continue
+					}
+					end := c
+					var sum, colm int64
+					for ; end < g.Cols() && g.At(r, end) != 0; end++ {
+						sum += int64(g.At(r, end))
+						colm += int64(end) * int64(g.At(r, end))
+					}
+					b.AddRun(int32(r), int32(c), int32(end), sum, colm)
+					all.pix += uint32(end - c)
+					all.sum += sum
+					all.rowM += int64(r) * sum
+					all.colM += colm
+
+					var roots arenaRun
+					for x := first; x < len(b.runs); x++ {
+						run := &b.runs[x]
+						if int(run.parent) > x || int(run.parent) < first {
+							t.Fatalf("%s frame %d after run (%d,%d): parent[%d] = %d\n%s",
+								conn, fi, r, c, x, run.parent, g)
+						}
+						if int(run.parent) == x {
+							roots.pix += run.pix
+							roots.sum += run.sum
+							roots.rowM += run.rowM
+							roots.colM += run.colM
+						}
+					}
+					if roots != all {
+						t.Fatalf("%s frame %d after run (%d,%d): roots hold %+v, runs total %+v\n%s",
+							conn, fi, r, c, roots, all, g)
+					}
+				}
+			}
+			b.EndEvent()
+			labels, err := labeling.FloodFill{}.Label(g, conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := islandsOf(g, labels, len(labels.Distinct()))
+			for ev := 0; ev < 2; ev++ {
+				sameIslands(t, fmt.Sprintf("%s frame %d event %d vs flood fill\n%s", conn, fi, ev, g),
+					b.Islands(ev, nil), want)
 			}
 		}
 	}

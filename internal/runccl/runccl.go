@@ -31,16 +31,27 @@ import (
 	"github.com/wustl-adapt/hepccl/internal/grid"
 )
 
-// Island is one connected component's downlink summary: pixel count, charge
-// sum, and centroid in Q16.16 fixed point — exactly the statistics the
-// serving record carries, computed with the same integer math as the
-// per-pixel path so results are bit-identical.
+// Island is one connected component's downlink summary — the island entry
+// of the serving record (adapt.IslandRecord is this type), computed with the
+// same integer math as the per-pixel path so results are bit-identical.
 type Island struct {
+	// Label is the island id within the event: 1..K in raster order of
+	// first pixel from the labelers of this package.
+	Label int32
+	// Pixels is the island's pixel count. 32 bits: megapixel frame
+	// geometries can concentrate more than 65535 pixels in one island.
 	Pixels uint32
-	Sum    int64
-	RowQ16 int32
-	ColQ16 int32
+	// Sum is the total integrated value.
+	Sum int64
+	// RowQ16, ColQ16 are the centroid coordinates in Q16.16 fixed point.
+	RowQ16, ColQ16 int32
 }
+
+// Row returns the centroid row as a float.
+func (r Island) Row() float64 { return float64(r.RowQ16) / 65536 }
+
+// Col returns the centroid column as a float.
+func (r Island) Col() float64 { return float64(r.ColQ16) / 65536 }
 
 // run is one maximal horizontal segment of lit pixels. Row is implicit in
 // the engine's per-row index ranges; end is exclusive.
@@ -320,7 +331,7 @@ func (e *Engine) accumulate(values []grid.Value, dst []Island) []Island {
 				k++
 				cl = k
 				remap[root] = cl
-				out[cl-1] = Island{}
+				out[cl-1] = Island{Label: cl}
 				rowM[cl] = 0
 				colM[cl] = 0
 			}

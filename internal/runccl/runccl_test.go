@@ -12,19 +12,24 @@ import (
 // refIslands computes the expected Island list via the reference 1.5-pass
 // labeler with compact raster numbering, accumulating the identical integer
 // moments the engine uses. Because both number islands 1..K in raster order
-// of first appearance, the comparison is positional, not just multiset.
+// of first appearance, the comparison is positional and on whole structs.
 func refIslands(t testing.TB, g *grid.Grid, conn grid.Connectivity) []Island {
 	t.Helper()
 	res, err := ccl.Label(g, ccl.Options{Connectivity: conn, CompactLabels: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	islands := make([]Island, res.Islands)
-	rowM := make([]int64, res.Islands+1)
-	colM := make([]int64, res.Islands+1)
+	return islandsOf(g, res.Labels, res.Islands)
+}
+
+// islandsOf accumulates the Island list of a labels image numbered 1..k.
+func islandsOf(g *grid.Grid, labels *grid.Labels, k int) []Island {
+	islands := make([]Island, k)
+	rowM := make([]int64, k+1)
+	colM := make([]int64, k+1)
 	for r := 0; r < g.Rows(); r++ {
 		for c := 0; c < g.Cols(); c++ {
-			l := res.Labels.At(r, c)
+			l := labels.At(r, c)
 			if l == 0 {
 				continue
 			}
@@ -36,9 +41,11 @@ func refIslands(t testing.TB, g *grid.Grid, conn grid.Connectivity) []Island {
 			colM[l] += int64(c) * v
 		}
 	}
-	for l := 1; l <= res.Islands; l++ {
-		islands[l-1].RowQ16 = q16Ratio(rowM[l], islands[l-1].Sum)
-		islands[l-1].ColQ16 = q16Ratio(colM[l], islands[l-1].Sum)
+	for l := 1; l <= k; l++ {
+		is := &islands[l-1]
+		is.Label = int32(l)
+		is.RowQ16 = q16Ratio(rowM[l], is.Sum)
+		is.ColQ16 = q16Ratio(colM[l], is.Sum)
 	}
 	return islands
 }

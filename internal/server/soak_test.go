@@ -4,11 +4,14 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -40,6 +43,37 @@ func countRecords(nc net.Conn) (int, error) {
 		}
 		n++
 	}
+}
+
+// soakDump renders what a failed soak ledger needs beside it: the full /stats
+// document, every connection's final counters, and their sum — so a global
+// counter that disagrees with the per-connection total is visible at once.
+func soakDump(snap Snapshot, conns map[*conn]struct{}) string {
+	doc, err := json.MarshalIndent(snap, "", "  ")
+	if err != nil {
+		doc = []byte(err.Error())
+	}
+	per := make([]ConnSnapshot, 0, len(conns))
+	for c := range conns {
+		per = append(per, ConnSnapshot{ID: c.id, Remote: c.remote, CounterSnapshot: c.stats.snapshot()})
+	}
+	sort.Slice(per, func(i, j int) bool { return per[i].ID < per[j].ID })
+	var b strings.Builder
+	fmt.Fprintf(&b, "/stats: %s\nper connection (%d tracked of %d accepted):\n", doc, len(per), snap.ConnsTotal)
+	var sum CounterSnapshot
+	for _, c := range per {
+		fmt.Fprintf(&b, "  conn %d %s: %+v\n", c.ID, c.Remote, c.CounterSnapshot)
+		sum.EventsIn += c.EventsIn
+		sum.EventsOut += c.EventsOut
+		sum.Dropped += c.Dropped
+		sum.BadEvents += c.BadEvents
+		sum.IncompleteEvents += c.IncompleteEvents
+		sum.BadPackets += c.BadPackets
+		sum.SkippedBytes += c.SkippedBytes
+	}
+	fmt.Fprintf(&b, "  sum over connections: in=%d out=%d dropped=%d bad_ev=%d incomplete=%d bad_pkts=%d skipped=%dB",
+		sum.EventsIn, sum.EventsOut, sum.Dropped, sum.BadEvents, sum.IncompleteEvents, sum.BadPackets, sum.SkippedBytes)
+	return b.String()
 }
 
 // TestChaosSoak drives Poisson-paced traffic through frame-level fault
@@ -170,6 +204,20 @@ func TestChaosSoak(t *testing.T) {
 	}
 	nc := dial()
 
+	// tracked holds every server-side connection the soak opened, so a
+	// failing ledger can print each one's final counters: /stats lists only
+	// live connections, and by the end there are none. The client talks on
+	// one connection at a time, so sweeping the table just before each
+	// disconnect sees them all.
+	tracked := map[*conn]struct{}{}
+	track := func() {
+		s.mu.Lock()
+		for c := range s.conns {
+			tracked[c] = struct{}{}
+		}
+		s.mu.Unlock()
+	}
+
 	// reframe points the wire frames at event id ev.
 	reframe := func(ev uint32) {
 		for _, f := range frames {
@@ -201,6 +249,7 @@ func TestChaosSoak(t *testing.T) {
 					t.Fatalf("event %d packet %d: %v", ev, i, err)
 				}
 			}
+			track()
 			if tc, ok := nc.(*net.TCPConn); ok {
 				tc.CloseWrite() // clean FIN: buffered packets still arrive
 			} else {
@@ -229,6 +278,7 @@ func TestChaosSoak(t *testing.T) {
 		}
 	}
 	elapsed := time.Since(start)
+	track()
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.CloseWrite()
 	} else {
@@ -275,28 +325,41 @@ func TestChaosSoak(t *testing.T) {
 	// by both sides of the overlap.
 	clean := uint64(offered - corrupted - partials)
 	if snap.EventsIn < clean {
-		t.Fatalf("EventsIn = %d, want >= %d (offered %d - corrupted %d - partials %d)",
-			snap.EventsIn, clean, offered, corrupted, partials)
+		t.Fatalf("EventsIn = %d, want >= %d (offered %d - corrupted %d - partials %d)\n%s",
+			snap.EventsIn, clean, offered, corrupted, partials, soakDump(snap, tracked))
 	}
 	skimmedFlips := snap.EventsIn - clean
 	if skimmedFlips > 0 {
 		t.Logf("skimmed flips: %d corrupted events condemned before checksum", skimmedFlips)
 	}
-	if skimmedFlips > snap.Dropped || skimmedFlips > uint64(corrupted) {
-		t.Errorf("EventsIn = %d exceeds %d by %d, more than dropped %d / corrupted %d",
-			snap.EventsIn, clean, skimmedFlips, snap.Dropped, corrupted)
+	// Each ledger check is named, so a failure says which identity broke and
+	// by how much in which direction.
+	var tripped []string
+	ledger := func(name string, ok bool, format string, args ...any) {
+		if !ok {
+			tripped = append(tripped, name)
+			t.Errorf("ledger check %q: "+format, append([]any{name}, args...)...)
+		}
 	}
-	if want := uint64(corrupted+partials) - skimmedFlips; snap.IncompleteEvents != want {
-		t.Errorf("IncompleteEvents = %d, want %d (corrupted %d + partials %d - skimmed %d)",
-			snap.IncompleteEvents, want, corrupted, partials, skimmedFlips)
-	}
-	if got := snap.EventsOut + snap.Dropped + snap.BadEvents; got != snap.EventsIn {
-		t.Errorf("served %d + dropped %d + bad %d = %d, want EventsIn %d",
-			snap.EventsOut, snap.Dropped, snap.BadEvents, got, snap.EventsIn)
-	}
+	ledger("skimmed-bound", skimmedFlips <= snap.Dropped && skimmedFlips <= uint64(corrupted),
+		"EventsIn = %d exceeds %d by %d, more than dropped %d / corrupted %d",
+		snap.EventsIn, clean, skimmedFlips, snap.Dropped, corrupted)
+	wantIncomplete := uint64(corrupted+partials) - skimmedFlips
+	ledger("incomplete", snap.IncompleteEvents == wantIncomplete,
+		"IncompleteEvents = %d, want %d (corrupted %d + partials %d - skimmed %d): off by %+d",
+		snap.IncompleteEvents, wantIncomplete, corrupted, partials, skimmedFlips,
+		int64(snap.IncompleteEvents)-int64(wantIncomplete))
+	assembled := snap.EventsOut + snap.Dropped + snap.BadEvents
+	ledger("assembled", assembled == snap.EventsIn,
+		"served %d + dropped %d + bad %d = %d, want EventsIn %d",
+		snap.EventsOut, snap.Dropped, snap.BadEvents, assembled, snap.EventsIn)
 	// The headline identity: every offered event is accounted for.
-	if got := snap.EventsOut + snap.Dropped + snap.BadEvents + snap.IncompleteEvents; got != uint64(offered) {
-		t.Errorf("served+dropped+bad+incomplete = %d, want offered %d", got, offered)
+	ledger("offered", assembled+snap.IncompleteEvents == uint64(offered),
+		"served+dropped+bad+incomplete = %d, want offered %d: off by %+d",
+		assembled+snap.IncompleteEvents, offered,
+		int64(assembled+snap.IncompleteEvents)-int64(offered))
+	if len(tripped) > 0 {
+		t.Errorf("ledger checks tripped: %v\n%s", tripped, soakDump(snap, tracked))
 	}
 	if snap.ReadErrors != 0 {
 		t.Errorf("ReadErrors = %d, want 0 (all disconnects were clean FINs)", snap.ReadErrors)

@@ -834,6 +834,7 @@ func (e *Engine) merge(dst []runccl.Island) []runccl.Island {
 	for i := range ord {
 		x := ord[i].node
 		out[i] = runccl.Island{
+			Label:  int32(i + 1),
 			Pixels: gPixels[x],
 			Sum:    gSums[x],
 			RowQ16: q16Ratio(gRowM[x], gSums[x]),
