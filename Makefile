@@ -36,7 +36,8 @@ hotclosure-check:
 fmt:
 	gofmt -l -w .
 
-# Full-length chaos soak under -race, as the nightly CI job runs it.
+# Full-length chaos soak under -race, as the nightly CI job runs it: both
+# rows, queue depth 256 and the skim-audit row at depth 2.
 soak:
 	$(GO) test -race -run 'TestChaosSoak$$' -count=1 -v ./internal/server
 

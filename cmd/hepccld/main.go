@@ -61,7 +61,6 @@ func run(args []string, out io.Writer) error {
 		shards      = fs.Int("acceptor-shards", 1, "accept-loop count; >1 uses SO_REUSEPORT listeners with lane-per-core worker placement")
 		paceHW      = fs.Bool("pace-hw", false, "throttle workers to the modeled FPGA event interval (E14 comparison)")
 		paceRate    = fs.Float64("pace-rate", 0, "throttle each worker to this many events/s (fixed-capacity backend model; 0 disables)")
-		full        = fs.Bool("full", false, "use the cycle-accurate ProcessEvent path instead of the serving fast path")
 		calibration = fs.Int("calibration", 20, "pedestal calibration events per worker at startup")
 		seed        = fs.Uint64("seed", 1, "calibration workload seed")
 		logEvery    = fs.Duration("log-interval", 5*time.Second, "periodic stats log interval (0 disables)")
@@ -96,7 +95,7 @@ func run(args []string, out io.Writer) error {
 	}
 	cfg, err := buildConfig(daemonOpts{
 		config: *configName, samples: *samples, workers: *workers, queue: *queue,
-		policy: *policyName, shards: *shards, paceHW: *paceHW, paceRate: *paceRate, full: *full,
+		policy: *policyName, shards: *shards, paceHW: *paceHW, paceRate: *paceRate,
 		calibration: *calibration, seed: *seed,
 		idleTimeout: *idleTimeout, assemblyTimeout: *assemblyTimeout,
 		breakerBadPackets: *breakerBad, breakerWindow: *breakerWindow,
@@ -190,7 +189,6 @@ type daemonOpts struct {
 	shards      int
 	paceHW      bool
 	paceRate    float64
-	full        bool
 	calibration int
 	seed        uint64
 
@@ -269,6 +267,9 @@ func buildConfig(o daemonOpts) (server.Config, error) {
 	if o.paceRate < 0 {
 		return server.Config{}, fmt.Errorf("-pace-rate = %g must be >= 0", o.paceRate)
 	}
+	if o.paceHW && o.paceRate > 0 {
+		return server.Config{}, fmt.Errorf("-pace-hw and -pace-rate both set a worker's service interval; give one")
+	}
 	if o.replayRate < 0 {
 		return server.Config{}, fmt.Errorf("-replay-rate = %g must be >= 0", o.replayRate)
 	}
@@ -286,7 +287,6 @@ func buildConfig(o daemonOpts) (server.Config, error) {
 		AcceptorShards: o.shards,
 		PaceHardware:   o.paceHW,
 		PaceRate:       o.paceRate,
-		FullPipeline:   o.full,
 
 		IdleTimeout:        o.idleTimeout,
 		AssemblyTimeout:    o.assemblyTimeout,

@@ -25,8 +25,8 @@ func TestBuildConfigCTA(t *testing.T) {
 	if cfg.Workers != 2 || cfg.QueueDepth != 32 {
 		t.Fatalf("workers=%d queue=%d, want 2, 32", cfg.Workers, cfg.QueueDepth)
 	}
-	if cfg.Policy != server.PolicyDrop || !cfg.PaceHardware || cfg.FullPipeline {
-		t.Fatalf("policy=%v paceHW=%v full=%v", cfg.Policy, cfg.PaceHardware, cfg.FullPipeline)
+	if cfg.Policy != server.PolicyDrop || !cfg.PaceHardware {
+		t.Fatalf("policy=%v paceHW=%v", cfg.Policy, cfg.PaceHardware)
 	}
 	if want := cfg.Pipeline.ASICs * adapt.ChannelsPerASIC; len(cfg.Pedestals) != want {
 		t.Fatalf("calibration measured %d pedestals, want %d", len(cfg.Pedestals), want)
@@ -41,7 +41,7 @@ func TestBuildConfigCTA(t *testing.T) {
 
 func TestBuildConfigADAPTKeepsSamples(t *testing.T) {
 	cfg, err := buildConfig(daemonOpts{
-		config: "adapt", workers: 1, queue: 8, policy: "block", full: true, seed: 1,
+		config: "adapt", workers: 1, queue: 8, policy: "block", seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,8 +49,8 @@ func TestBuildConfigADAPTKeepsSamples(t *testing.T) {
 	if cfg.Pipeline.SamplesPerChannel != 16 {
 		t.Fatalf("samples=0 must keep the config default 16, got %d", cfg.Pipeline.SamplesPerChannel)
 	}
-	if cfg.Policy != server.PolicyBlock || !cfg.FullPipeline {
-		t.Fatalf("policy=%v full=%v, want block + full", cfg.Policy, cfg.FullPipeline)
+	if cfg.Policy != server.PolicyBlock {
+		t.Fatalf("policy=%v, want block", cfg.Policy)
 	}
 	if cfg.Pedestals != nil {
 		t.Fatalf("calibration=0 must keep nominal pedestals, got %d measured", len(cfg.Pedestals))
@@ -103,6 +103,10 @@ func TestBuildConfigErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "-overload-loss") {
 		t.Fatalf("out-of-range threshold: got %v", err)
 	}
+	if _, err := buildConfig(daemonOpts{config: "cta", workers: 1, queue: 8, policy: "drop", paceHW: true, paceRate: 1000}); err == nil ||
+		!strings.Contains(err.Error(), "-pace-rate") {
+		t.Fatalf("two service intervals: got %v", err)
+	}
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
@@ -111,6 +115,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-bogus"}, io.Discard); err == nil {
 		t.Fatal("unknown flag must fail")
+	}
+	if err := run([]string{"-full"}, io.Discard); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-full left with the cycle-accurate serving mode (cmd/adaptpipe runs it): got %v", err)
 	}
 	if err := run([]string{"-degraded-loss", "2"}, io.Discard); err == nil {
 		t.Fatal("out-of-range health threshold must fail before listening")

@@ -3,8 +3,11 @@ package adapt
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
+
+	"github.com/wustl-adapt/hepccl/internal/detector"
 )
 
 // TestFramePatcherMatchesFullRecompute pins the incremental checksum update
@@ -109,62 +112,63 @@ func TestSkimEvent(t *testing.T) {
 	}
 }
 
-// TestSkimEventCorruption pins the skim path's corruption semantics: skimmed
-// frames are framed on their header alone, so payload corruption inside a
-// condemned event goes unnoticed (the event is a loss either way), while
-// header corruption that misframes the stream is recovered by the resync hunt
-// with damage bounded to that one event.
+// TestSkimEventCorruption pins the skim path's corruption semantics. A
+// condemned event's first frame is verified, and a later frame is taken on
+// its header alone only when the header repeats the first frame's event id
+// and sample count. So a payload flip in a later frame goes unnoticed (the
+// event is a loss either way), while a flip anywhere in the first frame, or in
+// a later frame's id or length byte — the fields that would misframe or
+// misattribute the stream — is a counted bad packet and exactly one incomplete
+// event, with the next event intact.
 func TestSkimEventCorruption(t *testing.T) {
-	build := func(t *testing.T) ([]byte, int) {
-		var buf bytes.Buffer
-		sw := NewStreamWriter(&buf)
-		for id := uint32(1); id <= 3; id++ {
-			if err := sw.WriteEvent(makePackets(t, 2, id)); err != nil {
-				t.Fatal(err)
-			}
+	var clean bytes.Buffer
+	sw := NewStreamWriter(&clean)
+	for id := uint32(1); id <= 3; id++ {
+		if err := sw.WriteEvent(makePackets(t, 2, id)); err != nil {
+			t.Fatal(err)
 		}
-		frame := buf.Len() / 6 // six equal frames
-		return buf.Bytes(), frame
 	}
-
-	t.Run("payload", func(t *testing.T) {
-		data, frame := build(t)
-		data[2*frame+headerBytes+4] ^= 0x40 // sample byte of event 2's first frame
-		sr := NewStreamReader(bytes.NewReader(data))
-		for want := uint32(1); want <= 3; want++ {
-			id, err := sr.SkimEvent(2)
-			if err != nil || id != want {
-				t.Fatalf("skim: id=%d err=%v, want %d", id, err, want)
+	frame := clean.Len() / 6 // six equal frames
+	for _, tc := range []struct {
+		name   string
+		at     int // byte to flip; event 2's frames start at 2*frame and 3*frame
+		caught bool
+	}{
+		{"payload", 3*frame + headerBytes + 4, false},
+		{"timestamp", 3*frame + 10, false},
+		{"header", 2*frame + headerBytes - 1, true}, // first frame's length byte
+		{"first frame payload", 2*frame + headerBytes + 4, true},
+		{"first frame event id", 2*frame + 6, true},
+		{"later frame event id", 3*frame + 6, true},
+		{"later frame length", 3*frame + headerBytes - 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := append([]byte(nil), clean.Bytes()...)
+			data[tc.at] ^= 0x01
+			sr := NewStreamReader(bytes.NewReader(data))
+			if id, err := sr.SkimEvent(2); err != nil || id != 1 {
+				t.Fatalf("skim event 1: id=%d err=%v", id, err)
 			}
-		}
-		if sr.BadPackets != 0 || sr.SkippedBytes != 0 {
-			t.Fatalf("BadPackets=%d SkippedBytes=%d, want 0/0: skim must not inspect payloads",
-				sr.BadPackets, sr.SkippedBytes)
-		}
-	})
-
-	t.Run("header", func(t *testing.T) {
-		data, frame := build(t)
-		data[2*frame+headerBytes-1]++ // length byte of event 2's first frame: misframes the stream
-		sr := NewStreamReader(bytes.NewReader(data))
-		if id, err := sr.SkimEvent(2); err != nil || id != 1 {
-			t.Fatalf("skim event 1: id=%d err=%v", id, err)
-		}
-		// The misframed skim of event 2 overshoots into its second frame; the
-		// resync hunt must land on event 3, whose packets interrupt (and end)
-		// the assembly. Either classification of the loss is acceptable — what
-		// matters is that event 3 survives intact.
-		if _, err := sr.SkimEvent(2); err == nil {
-			t.Fatal("skim of misframed event 2 succeeded, want an error")
-		}
-		got, err := sr.ReadEvent(2)
-		if err != nil {
-			t.Fatalf("read event 3 after misframed skim: %v", err)
-		}
-		if got[0].Event != 3 {
-			t.Fatalf("recovered event %d, want 3", got[0].Event)
-		}
-	})
+			id, err := sr.SkimEvent(2)
+			if !tc.caught {
+				if err != nil || id != 2 || sr.BadPackets != 0 || sr.SkippedBytes != 0 {
+					t.Fatalf("skim event 2: id=%d err=%v BadPackets=%d SkippedBytes=%d, want a clean skim: later frames are framed, not inspected",
+						id, err, sr.BadPackets, sr.SkippedBytes)
+				}
+			} else if !errors.Is(err, ErrIncompleteEvent) || id != 2 || sr.BadPackets != 1 {
+				t.Fatalf("skim event 2: id=%d err=%v BadPackets=%d, want event 2 incomplete with one bad packet",
+					id, err, sr.BadPackets)
+			}
+			// Whatever happened to event 2, event 3 survives intact.
+			got, err := sr.ReadEvent(2)
+			if err != nil || got[0].Event != 3 {
+				t.Fatalf("read event 3 after the skim: %v", err)
+			}
+			if _, err := sr.SkimEvent(2); err != io.EOF {
+				t.Fatalf("skim at end of stream: err=%v, want io.EOF", err)
+			}
+		})
+	}
 }
 
 // TestUnmarshalDetectsEverySingleBitFlip exercises the fused verify+decode
@@ -190,5 +194,113 @@ func TestUnmarshalDetectsEverySingleBitFlip(t *testing.T) {
 	}
 	if _, err := p.Unmarshal(mut); err != nil {
 		t.Fatalf("restored frame rejected: %v", err)
+	}
+}
+
+// TestSkimLedgerSingleFault is the accounting identity the daemon's ledger
+// rests on, checked exhaustively: whatever single fault lands in one event of
+// a stream — any frame cut to any length, any bit flipped — reading the stream
+// to its end counts every wire event exactly once (assembled or incomplete),
+// never assembles an id twice, and loses at most the one event. The verified
+// route is the reference and always loses exactly one; the skim must balance
+// the same books while checking only what framing needs.
+func TestSkimLedgerSingleFault(t *testing.T) {
+	const (
+		asics  = 4
+		events = 40
+		victim = 10
+	)
+	dig := detector.DefaultDigitizer()
+	dig.NoiseRMS = 0
+	dig.Samples = 4
+	var clean bytes.Buffer
+	sw := NewStreamWriter(&clean)
+	for id := uint32(0); id < events; id++ {
+		packets, err := GenerateEvent(nil, asics, id, uint64(id)*100, dig, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.WriteEvent(packets); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frame := clean.Len() / (events * asics)
+	at := victim * asics * frame // the victim event's first byte
+
+	routes := []struct {
+		name string
+		read func(sr *StreamReader, dst []Packet) (uint32, error)
+		// exact: every fault is detected, so exactly one event is lost.
+		exact bool
+	}{
+		{"verified", func(sr *StreamReader, dst []Packet) (uint32, error) {
+			dst, err := sr.ReadEventInto(dst, asics)
+			if err != nil {
+				return 0, err
+			}
+			return dst[0].Event, nil
+		}, true},
+		{"skim", func(sr *StreamReader, _ []Packet) (uint32, error) {
+			return sr.SkimEvent(asics)
+		}, false},
+	}
+	for _, rt := range routes {
+		t.Run(rt.name, func(t *testing.T) {
+			sr := NewStreamReader(nil)
+			dst := make([]Packet, asics)
+			var seen [events]int
+			// audit reads stream to its end and checks the ledger.
+			audit := func(fault string, stream []byte, detected bool) {
+				sr.Reset(bytes.NewReader(stream))
+				seen = [events]int{}
+				assembled, incomplete := 0, 0
+				for {
+					id, err := rt.read(sr, dst)
+					if err == io.EOF {
+						break
+					}
+					switch {
+					case err == nil && id < events:
+						seen[id]++
+						assembled++
+					case errors.Is(err, ErrIncompleteEvent):
+						incomplete++
+					default:
+						t.Fatalf("%s: id=%d err=%v", fault, id, err)
+					}
+				}
+				if assembled+incomplete != events {
+					t.Errorf("%s: assembled %d + incomplete %d = %d, want %d wire events (off by %+d)",
+						fault, assembled, incomplete, assembled+incomplete, events, assembled+incomplete-events)
+				}
+				if incomplete > 1 || (detected && incomplete != 1) {
+					t.Errorf("%s: %d events incomplete, want one lost", fault, incomplete)
+				}
+				for id, n := range seen {
+					if n > 1 {
+						t.Errorf("%s: event %d assembled %d times", fault, id, n)
+					}
+				}
+			}
+			// Every truncation: frame k of the victim cut to its first n bytes.
+			cut := make([]byte, 0, clean.Len())
+			for k := 0; k < asics; k++ {
+				for n := 1; n < frame; n++ {
+					start := at + k*frame
+					cut = append(cut[:0], clean.Bytes()[:start+n]...)
+					cut = append(cut, clean.Bytes()[start+frame:]...)
+					audit(fmt.Sprintf("frame %d cut to %d bytes", k, n), cut, true)
+				}
+			}
+			// Every single-bit flip inside the victim.
+			flip := append([]byte(nil), clean.Bytes()...)
+			for i := at; i < at+asics*frame; i++ {
+				for b := 0; b < 8; b++ {
+					flip[i] ^= 1 << b
+					audit(fmt.Sprintf("bit %d of byte %d flipped", b, i-at), flip, rt.exact)
+					flip[i] ^= 1 << b
+				}
+			}
+		})
 	}
 }

@@ -65,9 +65,9 @@ func (sw *StreamWriter) WriteEvent(packets []Packet) error {
 // so network servers can tell a closed connection from a failed one.
 type StreamReader struct {
 	r *bufio.Reader
-	// scratch is the reader's one decoded packet: SkimEvent parks condemned
-	// frames' headers in it and ReadSuppressed decodes reference-route frames
-	// into it.
+	// scratch is the reader's one decoded packet: SkimEvent verifies a
+	// condemned event's first frame into it and ReadSuppressed decodes
+	// reference-route frames into it.
 	scratch Packet
 	// lit is ReadSuppressed's compaction target, one slot more than an event
 	// has channels; seen is its reference route's duplicate-ASIC bitmap.
@@ -228,19 +228,24 @@ func (sr *StreamReader) ReadPacket() (*Packet, error) {
 // samples alias p's previous backing arrays; callers that retain packets
 // across calls must use distinct Packet values.
 func (sr *StreamReader) ReadPacketInto(p *Packet) error {
-	return sr.readPacketInto(p, false, false, 0)
+	return sr.readPacketInto(p, false, 0, noSkim)
 }
+
+// noSkim is readPacketInto's skimSpc for callers that verify every frame: no
+// samples byte equals it.
+const noSkim = -1
 
 // readPacketInto implements ReadPacketInto. With haveEvent set the caller is
 // assembling event: a valid frame carrying a different id interrupts the
 // assembly — it is decoded into p (so the caller can name it) but left
 // unconsumed in the window, errInterrupted is returned, and the next assembly
-// starts from it. With skim also set, a framed packet of the event (or any
-// framed packet, when haveEvent is false) is consumed on its header alone —
-// no checksum, no decode — because the caller is skimming a condemned event.
+// starts from it. A caller skimming a condemned event passes skimSpc, the
+// sample count of that event's verified first frame: a frame whose header
+// carries the event's id and that sample count is consumed on the header
+// alone — no checksum, no decode, p untouched.
 //
 //hepccl:hotpath
-func (sr *StreamReader) readPacketInto(p *Packet, skim, haveEvent bool, event uint32) error {
+func (sr *StreamReader) readPacketInto(p *Packet, haveEvent bool, event uint32, skimSpc int) error {
 	bad := 0
 	for {
 		// Fast path: an in-sync stream has the next frame's magic already at
@@ -314,27 +319,18 @@ func (sr *StreamReader) readPacketInto(p *Packet, skim, haveEvent bool, event ui
 			sr.r.Discard(len(frame))
 			return io.EOF
 		}
-		if skim {
-			// Peek succeeded, so len(frame) == total ≥ headerBytes.
-			//hepccl:checked
-			if ev := binary.BigEndian.Uint32(frame[4:]); !haveEvent || ev == event {
-				// Condemned frame: framing only — no checksum, no decode.
-				// The event is dropped either way, so payload corruption is
-				// indistinguishable from a clean drop; a corrupted header
-				// that misframes the stream is recovered by the magic hunt
-				// on the next call, bounded to one event by the assembly's
-				// event-id check.
-				p.Magic = PacketMagic
-				p.ASIC = frame[2]
-				p.Flags = frame[3]
-				p.Event = ev
-				// Same Peek contract as the event-id load above.
-				//hepccl:checked
-				p.Timestamp = binary.BigEndian.Uint64(frame[8:])
-				p.SamplesPerChannel = samples
-				sr.r.Discard(total)
-				return nil
-			}
+		// Peek succeeded, so len(frame) == total ≥ headerBytes.
+		//hepccl:checked
+		if int(samples) == skimSpc && binary.BigEndian.Uint32(frame[4:]) == event {
+			// Condemned frame: framing only — no checksum, no decode. The
+			// event is dropped either way, so payload corruption is
+			// indistinguishable from a clean drop. The two header fields the
+			// framing rests on are checked against the event's verified first
+			// frame: the id ties the frame to this event, and the sample
+			// count makes total the length that frame proved. A frame that
+			// fails either is suspect and takes the checksum below.
+			sr.r.Discard(total)
+			return nil
 		}
 		if _, uerr := p.Unmarshal(frame); uerr != nil {
 			// Corrupted frame: count it, resume the hunt right after the
@@ -394,16 +390,20 @@ var ErrIncompleteEvent = errors.New("adapt: incomplete event")
 var ErrResyncStorm = errors.New("adapt: resync storm")
 
 // SkimEvent consumes the next event's packets with the same framing, resync,
-// and interruption behaviour as ReadEventInto, but touches nothing beyond each
-// frame's header: no checksum verification and no sample decode. It exists
+// and interruption behaviour as ReadEventInto, but verifies only the event's
+// first frame: every later frame is taken on its header alone — no checksum,
+// no sample decode — provided the header carries the first frame's event id
+// and sample count, the two fields that say whose frame it is and how long.
+// A frame that fails either test is read like any suspect frame. It exists
 // for the saturated-ingest case where the caller has already decided the
 // event will be dropped (derandomizer full under drop policy) — the hardware
 // analogue is a full derandomizer FIFO, which never inspects the trigger it
-// refuses. Payload corruption inside a skimmed event therefore goes uncounted
-// (the event is a loss either way), while header corruption that misframes
-// the stream is still recovered by the magic-hunt resync and bounded to one
-// event. A valid packet from a different event interrupts the skim and stays
-// in the window for the next assembly. Returns the skimmed event id.
+// refuses. Payload corruption in a skimmed frame therefore goes uncounted
+// (the event is a loss either way), while corruption that would misframe the
+// stream is caught by the checks above and recovered by the magic-hunt
+// resync, so every wire event is still counted exactly once. A valid packet
+// from a different event interrupts the skim and stays in the window for the
+// next assembly. Returns the skimmed event id.
 //
 //hepccl:hotpath
 func (sr *StreamReader) SkimEvent(asics int) (uint32, error) {
@@ -412,33 +412,32 @@ func (sr *StreamReader) SkimEvent(asics int) (uint32, error) {
 		return 0, fmt.Errorf("adapt: SkimEvent needs asics >= 1")
 	}
 	sr.capture = sr.capture[:0]
-	if err := sr.readPacketInto(&sr.scratch, true, false, 0); err != nil {
+	if err := sr.readPacketInto(&sr.scratch, false, 0, noSkim); err != nil {
 		return 0, err
 	}
-	event := sr.scratch.Event
+	sr.capture = sr.capture[:0] // a skim leaves nothing for the recorder
+	event, samples := sr.scratch.Event, sr.scratch.SamplesPerChannel
+	total := headerBytes + 2*ChannelsPerASIC*int(samples) + 2
 	for i := 1; i < asics; {
 		// Fast path: an in-sync stream has the event's remaining frames
 		// back-to-back in the read window. Walk as many contiguous, fully
 		// buffered frames of this event as the window holds and consume them
 		// with one Discard, instead of paying two Peeks and a Discard per
-		// frame. Any anomaly — short window, bad magic, other event — leaves
-		// the stream untouched past the clean prefix and falls back to the
-		// general path, which owns resync, EOF, and interruption handling.
-		if n := sr.r.Buffered(); n >= headerBytes {
+		// frame. Any anomaly — short window, bad magic, other event, other
+		// length — leaves the stream untouched past the clean prefix and
+		// falls back to the general path, which owns resync, EOF, and
+		// interruption handling.
+		if n := sr.r.Buffered(); n >= total {
 			win, _ := sr.r.Peek(n)
 			// The walk shrinks the window head instead of indexing at a
 			// running offset: every load is at a constant index under the
-			// len(win) >= headerBytes guard, so the compiler drops all
-			// checks the offset form would retain.
+			// len(win) >= total guard, so the compiler drops all checks the
+			// offset form would retain.
 			off := 0
-			for i < asics && len(win) >= headerBytes {
+			for i < asics && len(win) >= total {
 				h := win
-				if h[0] != magicHi || h[1] != magicLo ||
+				if h[0] != magicHi || h[1] != magicLo || h[headerBytes-1] != samples ||
 					binary.BigEndian.Uint32(h[4:]) != event {
-					break
-				}
-				total := headerBytes + 2*ChannelsPerASIC*int(h[headerBytes-1]) + 2
-				if len(win) < total {
 					break
 				}
 				win = win[total:]
@@ -450,7 +449,7 @@ func (sr *StreamReader) SkimEvent(asics int) (uint32, error) {
 				continue
 			}
 		}
-		if err := sr.readPacketInto(&sr.scratch, true, true, event); err != nil {
+		if err := sr.readPacketInto(&sr.scratch, true, event, int(samples)); err != nil {
 			return event, assemblyErr(err, i, asics, event, sr.scratch.Event)
 		}
 		i++
@@ -492,7 +491,7 @@ func (sr *StreamReader) ReadEventInto(dst []Packet, asics int) ([]Packet, error)
 	}
 	event := dst[0].Event
 	for i := 1; i < asics; i++ {
-		if err := sr.readPacketInto(&dst[i], false, true, event); err != nil {
+		if err := sr.readPacketInto(&dst[i], true, event, noSkim); err != nil {
 			return nil, assemblyErr(err, i, asics, event, dst[i].Event)
 		}
 	}
@@ -553,7 +552,7 @@ func (sr *StreamReader) ReadSuppressed(s *Suppressor) (LitEvent, error) {
 			}
 		}
 		pkt := &sr.scratch
-		if err := sr.readPacketInto(pkt, false, i > 0, event); err != nil {
+		if err := sr.readPacketInto(pkt, i > 0, event, noSkim); err != nil {
 			if i == 0 {
 				return LitEvent{}, err
 			}

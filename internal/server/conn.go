@@ -53,7 +53,6 @@ var bufPool = sync.Pool{New: func() any { return make([]byte, 0, 256) }}
 func (c *conn) readLoop() {
 	defer c.s.readersWG.Done()
 	s := c.s
-	asics := s.cfg.Pipeline.ASICs
 	tr := &timeoutReader{
 		nc:       c.nc,
 		idle:     s.cfg.IdleTimeout,
@@ -101,34 +100,25 @@ func (c *conn) readLoop() {
 	for {
 		tr.MarkBoundary()
 		// When the lane is already at derandomizer depth under drop policy,
-		// the incoming event is condemned before it is read: skim it —
-		// header-only framing with the same resync and held-packet behaviour,
-		// but no checksum and no sample decode, matching a hardware
-		// derandomizer that never inspects the trigger it refuses. On a
-		// saturated host this is the difference between the readers burning
-		// the core verifying events the queue will refuse and that CPU going
-		// to the worker that could drain the queue.
+		// the incoming event is condemned before it is read: skim it — the
+		// same resync and interruption behaviour, but past its first frame
+		// header-only framing with no checksum and no sample decode,
+		// matching a hardware derandomizer that never inspects the trigger
+		// it refuses. On a saturated host this is the difference between the
+		// readers burning the core verifying events the queue will refuse and
+		// that CPU going to the worker that could drain the queue.
 		//
 		// Otherwise the event is zero-suppressed as it is read: the reader's
 		// one pass over the wire bytes verifies every frame and leaves the
-		// lit list, which is all the worker needs. Only the cycle-accurate
-		// mode still decodes packets.
-		skimmed := false
+		// lit list, which is all the worker needs.
+		skimmed := s.cfg.Policy == PolicyDrop && c.w.fill.Load() >= int64(s.cfg.QueueDepth)
+		var le adapt.LitEvent
 		var err error
-		switch {
-		case s.cfg.Policy == PolicyDrop && c.w.fill.Load() >= int64(s.cfg.QueueDepth):
-			skimmed = true
-			_, err = sr.SkimEvent(asics)
-		case s.cfg.FullPipeline:
-			if ev.packets, err = sr.ReadEventInto(ev.packets, asics); err == nil {
-				ev.Event = ev.packets[0].Event
-			}
-		default:
-			var le adapt.LitEvent
-			if le, err = sr.ReadSuppressed(s.sup); err == nil {
-				ev.Event, ev.Bad = le.Event, le.Bad
-				ev.Lit = append(ev.Lit[:0], le.Lit...)
-			}
+		if skimmed {
+			_, err = sr.SkimEvent(s.cfg.Pipeline.ASICs)
+		} else if le, err = sr.ReadSuppressed(s.sup); err == nil {
+			ev.Event, ev.Bad = le.Event, le.Bad
+			ev.Lit = append(ev.Lit[:0], le.Lit...)
 		}
 		if bad := syncStream(); bad > 0 && brk.add(time.Now(), bad) {
 			// Resync storm: this link is producing mostly garbage. Cut it

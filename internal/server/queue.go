@@ -40,9 +40,6 @@ func (p OverflowPolicy) String() string {
 type event struct {
 	c *conn
 	adapt.LitEvent
-	// packets is set in FullPipeline mode only: the cycle-accurate
-	// ProcessEvent is the one consumer that needs decoded samples.
-	packets  []adapt.Packet
 	enqueued time.Time
 }
 
@@ -68,6 +65,13 @@ type worker struct {
 	mu    sync.Mutex
 	conns []*conn // connections assigned to this lane (accept adds, drain prunes)
 	next  int     // round-robin drain offset across conns
+
+	// The worker goroutine's own: ServeLitBatch's input and output, one slot
+	// per drained event, and the pacer (interval 0 = unpaced; see awaitSlot).
+	lits      []adapt.LitEvent
+	recs      []adapt.EventRecord
+	interval  time.Duration
+	due, idle time.Time
 }
 
 func newWorker() *worker {
@@ -151,44 +155,6 @@ func (w *worker) drain(dst []*event) []*event {
 	w.next = next + 1
 	w.prune()
 	return dst
-}
-
-// popOne takes a single event for the paced/full-pipeline serial modes.
-// Worker-side only.
-//
-//hepccl:hotpath
-func (w *worker) popOne() (*event, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	conns := w.conns
-	// Same two-chunk round-robin as drain; base recovers the absolute
-	// connection index for the resume cursor.
-	next := w.next
-	head := conns[:0]
-	tail := conns
-	base := 0
-	if next > 0 && next < len(conns) {
-		head = conns[:next]
-		tail = conns[next:]
-		base = next
-	}
-	for k, c := range tail {
-		if ev, ok := c.in.pop(); ok {
-			w.next = base + k + 1
-			w.fill.Add(-1)
-			return ev, true
-		}
-	}
-	for k, c := range head {
-		if ev, ok := c.in.pop(); ok {
-			w.next = k + 1
-			w.fill.Add(-1)
-			return ev, true
-		}
-	}
-	w.next = base
-	w.prune()
-	return nil, false
 }
 
 // prune drops connections that can never produce again: reader exited and

@@ -40,15 +40,13 @@ type Config struct {
 	// PaceRate, when positive, throttles each worker to this many events per
 	// second — a fixed-capacity backend model (the generalization of
 	// PaceHardware's modeled FPGA interval), used to study scale-out with
-	// capacity-bound backends. Forces the serial serve loop.
+	// capacity-bound backends. A paced worker drains one event per service
+	// slot. It overrides PaceHardware (hepccld refuses the pair).
 	PaceRate float64
 	// Pedestals holds the measured per-channel pedestal integrals
 	// (adapt.MeasurePedestals) installed in each worker pipeline at startup.
 	// Nil keeps nominal pedestals.
 	Pedestals []int64
-	// FullPipeline routes events through the cycle-accurate ProcessEvent
-	// instead of the functional lit-list serving path.
-	FullPipeline bool
 	// PaceHardware throttles each worker to the modeled FPGA event interval,
 	// making measured loss-vs-depth comparable to experiments deadtime (E14).
 	PaceHardware bool

@@ -163,11 +163,17 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 }
 
+// pacings are the two ways the one worker loop runs: whole-backlog drains, and
+// one event per service slot (fast enough not to slow the suite).
+var pacings = []struct {
+	name string
+	rate float64
+}{{"unpaced", 0}, {"paced", 50_000}}
+
 // TestServerRecordsMatchPipeline verifies the served records equal what a
-// local pipeline produces for the same packets.
+// local pipeline produces for the same packets, paced or not.
 func TestServerRecordsMatchPipeline(t *testing.T) {
 	cfg := testConfig()
-	_, addr := startServer(t, Config{Pipeline: cfg, QueueDepth: 8, Policy: PolicyBlock})
 	events := makeEvents(t, cfg, 10, 7)
 
 	p, err := adapt.New(cfg)
@@ -184,25 +190,34 @@ func TestServerRecordsMatchPipeline(t *testing.T) {
 		want[rec.Event] = rec
 	}
 
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	go sendEvents(t, nc, events)
-	for _, got := range readAllRecords(t, nc) {
-		w, ok := want[got.Event]
-		if !ok {
-			t.Fatalf("unexpected event %d", got.Event)
-		}
-		if len(got.Islands) != len(w.Islands) {
-			t.Fatalf("event %d: %d islands, want %d", got.Event, len(got.Islands), len(w.Islands))
-		}
-		for i := range got.Islands {
-			if got.Islands[i] != w.Islands[i] {
-				t.Fatalf("event %d island %d: %+v, want %+v", got.Event, i, got.Islands[i], w.Islands[i])
+	for _, pace := range pacings {
+		t.Run(pace.name, func(t *testing.T) {
+			_, addr := startServer(t, Config{Pipeline: cfg, QueueDepth: 8, Policy: PolicyBlock, PaceRate: pace.rate})
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			defer nc.Close()
+			go sendEvents(t, nc, events)
+			got := readAllRecords(t, nc)
+			if len(got) != len(want) {
+				t.Fatalf("got %d records, want %d", len(got), len(want))
+			}
+			for _, got := range got {
+				w, ok := want[got.Event]
+				if !ok {
+					t.Fatalf("unexpected event %d", got.Event)
+				}
+				if len(got.Islands) != len(w.Islands) {
+					t.Fatalf("event %d: %d islands, want %d", got.Event, len(got.Islands), len(w.Islands))
+				}
+				for i := range got.Islands {
+					if got.Islands[i] != w.Islands[i] {
+						t.Fatalf("event %d island %d: %+v, want %+v", got.Event, i, got.Islands[i], w.Islands[i])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -365,12 +380,19 @@ func TestServeAfterShutdown(t *testing.T) {
 }
 
 // TestServerBadInput feeds garbage, a corrupted frame, an interleaved event,
-// and then a valid event; the valid event must still be served and the
-// failure counters must reflect each fault.
+// a valid event, and then an event that repeats an ASIC; the valid event must
+// still be served and the failure counters must reflect each fault — on whole
+// drains and on the paced one-event drain alike.
 func TestServerBadInput(t *testing.T) {
+	for _, pace := range pacings {
+		t.Run(pace.name, func(t *testing.T) { serverBadInput(t, pace.rate) })
+	}
+}
+
+func serverBadInput(t *testing.T, paceRate float64) {
 	cfg := testConfig()
-	s, addr := startServer(t, Config{Pipeline: cfg, QueueDepth: 8, Policy: PolicyBlock})
-	events := makeEvents(t, cfg, 2, 11)
+	s, addr := startServer(t, Config{Pipeline: cfg, QueueDepth: 8, Policy: PolicyBlock, PaceRate: paceRate})
+	events := makeEvents(t, cfg, 3, 11)
 
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -409,6 +431,12 @@ func TestServerBadInput(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A repeated ASIC: the event assembles, is counted in, and is a bad event
+	// at the worker — no record.
+	events[2][1] = events[2][0]
+	if err := sw.WriteEvent(events[2]); err != nil {
+		t.Fatal(err)
+	}
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.CloseWrite()
 	}
@@ -426,8 +454,8 @@ func TestServerBadInput(t *testing.T) {
 	if snap.IncompleteEvents == 0 {
 		t.Fatal("interleaved event not counted")
 	}
-	if snap.BadEvents != 0 {
-		t.Fatalf("BadEvents = %d, want 0 (retained packet must not duplicate)", snap.BadEvents)
+	if snap.BadEvents != 1 {
+		t.Fatalf("BadEvents = %d, want 1 (the repeated ASIC; the retained packet must not duplicate)", snap.BadEvents)
 	}
 }
 

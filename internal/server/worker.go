@@ -9,9 +9,9 @@ import (
 
 // serveBatchMax bounds how many queued events one worker drains into a single
 // adapt.ServeLitBatch call. Large enough to amortize the per-wakeup costs
-// (ring scans, clock reads, scheduler churn) and the run sink's whole-batch
-// resolution sweep across a backlog, small enough that a burst cannot hold
-// response flushing hostage for long.
+// (ring scans, clock reads, counter updates, scheduler churn) across a
+// backlog, small enough that a burst cannot hold response flushing hostage
+// for long.
 const serveBatchMax = 64
 
 // lingerMin is the batch size below which the worker yields once and re-polls
@@ -22,17 +22,15 @@ const serveBatchMax = 64
 // is delayed by at most one scheduler pass, never parked (TestTrickleFlushesPromptly).
 const lingerMin = 8
 
-// run is one worker's serving loop, draining the ingest rings of its assigned
-// connections until ingress closes and the rings are empty (graceful drain).
-//
-// In the unpaced functional mode (the serving configuration), the worker
-// drains whatever backlog its lanes hold — up to serveBatchMax events — into
-// one ServeLitBatch call and coalesces the batch's responses into one pooled
-// write buffer per connection, so a busy lane pays for clock reads, counter
-// updates, ring traffic, and writer wakeups once per batch instead of once
-// per event. Paced and full-pipeline modes keep the one-event-at-a-time loop:
-// pacing needs a service slot per event, and ProcessEvent has no batch entry
-// point.
+// run is a worker's serving loop — the only one — draining the ingest rings
+// of its assigned connections until ingress closes and the rings are empty
+// (graceful drain). Each drain, up to the drain cap, goes through serve as one
+// batch. Pacing is a parameter of this loop, not a second loop: a service
+// interval (Config.PaceRate, else Config.PaceHardware's modeled FPGA event
+// interval) makes the drain cap 1 and has serve wait out the event's slot
+// first, so a paced worker takes one event off its lane per slot — a
+// fixed-rate derandomizer consumer — and frees that event's admission slot
+// before the wait, when a hardware FIFO's read pointer would move.
 //
 // Parking: when every ring is empty the worker announces parked, re-drains
 // (closing the race against a producer that pushed before the announcement),
@@ -40,197 +38,141 @@ const lingerMin = 8
 // they observe parked, so the steady-state hot path is ring-only.
 func (s *Server) run(w *worker, p *adapt.Pipeline) {
 	defer s.workersWG.Done()
-	if s.cfg.PaceHardware || s.cfg.FullPipeline || s.cfg.PaceRate > 0 {
-		s.runSerial(w, p)
-		return
-	}
-	batch := make([]*event, serveBatchMax)
-	lits := make([]adapt.LitEvent, 0, serveBatchMax)
-	recs := make([]adapt.EventRecord, serveBatchMax)
-
-	serve := func(evs []*event) {
-		lits = lits[:0]
-		var lit uint64
-		for _, ev := range evs {
-			lits = append(lits, ev.LitEvent)
-			lit += uint64(len(ev.Lit))
-		}
-		served := time.Now()
-		p.ServeLitBatch(lits, recs[:len(evs)])
-		// One clock read ends the service interval and stamps every
-		// event's handoff.
-		now := time.Now()
-		s.stats.ServeNs.Add(uint64(now.Sub(served)))
-		s.stats.LitChannels.Add(lit)
-		// Responses coalesce per connection: drain pops each ring's backlog
-		// contiguously, so same-conn events form runs and each run becomes a
-		// single pooled buffer — one ring push, one writer wakeup, one update
-		// of each counter.
-		for i := 0; i < len(evs); {
-			c := evs[i].c
-			j := i
-			var buf []byte
-			var bad uint64
-			for ; j < len(evs) && evs[j].c == c; j++ {
-				if evs[j].Bad != nil {
-					bad++
-					continue
-				}
-				if buf == nil {
-					buf = bufPool.Get().([]byte)[:0]
-				}
-				buf = recs[j].AppendTo(buf)
-			}
-			if bad > 0 {
-				c.stats.BadEvents.Add(bad)
-				s.stats.BadEvents.Add(bad)
-			}
-			if buf != nil {
-				out := uint64(j-i) - bad
-				c.stats.EventsOut.Add(out)
-				s.stats.EventsOut.Add(out)
-				c.pushResponse(buf)
-			}
-			// The response is in the ring before inflight.Done, so the
-			// writer's final drain (armed by inflight.Wait) cannot miss it.
-			for _, ev := range evs[i:j] {
-				s.stats.latency.observe(now.Sub(ev.enqueued))
-				c.inflight.Done()
-				putEvent(ev)
-			}
-			i = j
-		}
-	}
-
-	for {
-		evs := w.drain(batch[:0])
-		if len(evs) > 0 {
-			if len(evs) < lingerMin {
-				// Bounded linger: one yield, one re-poll, then serve
-				// whatever is there. drain appends, so the already-drained
-				// events keep their positions (and their latency clocks).
-				runtime.Gosched()
-				evs = w.drain(evs)
-			}
-			serve(evs)
-			continue
-		}
-		w.parked.Store(true)
-		if evs = w.drain(batch[:0]); len(evs) > 0 {
-			w.parked.Store(false)
-			serve(evs)
-			continue
-		}
-		select {
-		case <-w.wake:
-			w.parked.Store(false)
-		case <-s.ingressDone:
-			w.parked.Store(false)
-			// Ingress is closed: every reader has exited, so the rings are
-			// frozen. Serve the remainder and retire.
-			for {
-				if evs = w.drain(batch[:0]); len(evs) == 0 {
-					return
-				}
-				serve(evs)
-			}
-		}
-	}
-}
-
-// runSerial is the paced / full-pipeline loop: one event per service slot.
-func (s *Server) runSerial(w *worker, p *adapt.Pipeline) {
-	var rec adapt.EventRecord
-	var interval time.Duration
-	if s.cfg.PaceRate > 0 {
+	limit := serveBatchMax
+	switch {
+	case s.cfg.PaceRate > 0:
 		// Explicit fixed-capacity backend model: one event per 1/PaceRate,
 		// regardless of what the modeled FPGA would sustain.
-		interval = time.Duration(float64(time.Second) / s.cfg.PaceRate)
-	} else if s.cfg.PaceHardware {
+		w.interval = time.Duration(float64(time.Second) / s.cfg.PaceRate)
+	case s.cfg.PaceHardware:
 		// Serve no faster than the modeled FPGA pipeline: one event per
 		// EventIntervalCycles at the design clock. This makes the server's
 		// loss-vs-depth behaviour directly comparable to E14.
-		interval = time.Duration(float64(time.Second) / p.EventsPerSecond())
+		w.interval = time.Duration(float64(time.Second) / p.EventsPerSecond())
 	}
-	// Absolute service schedule: each event's service slot is one interval
-	// after the previous one. Short sleeps overshoot badly, so the worker
-	// sleeps only when the schedule runs ahead by more than sleepSlack and
-	// then serves the queued backlog back-to-back — exactly how a fixed-rate
-	// derandomizer drains. Slots are banked only while events keep arriving:
-	// a pop that found the lane idle restarts the schedule from now.
-	const sleepSlack = 200 * time.Microsecond
-	var due time.Time
-	idle := time.Now()
-
-	serve := func(ev *event) {
-		if interval > 0 {
-			now := time.Now()
-			if now.Sub(idle) > 20*time.Microsecond {
-				due = now // lane was empty; unused slots are not banked
-			}
-			if wait := due.Sub(now); wait > sleepSlack {
-				time.Sleep(wait)
-			}
-			due = due.Add(interval)
-		}
-		var err error
-		served := time.Now()
-		if s.cfg.FullPipeline {
-			var res *adapt.EventResult
-			if res, err = p.ProcessEvent(ev.packets); err == nil {
-				rec = adapt.RecordOf(res)
-			}
-		} else if err = ev.Bad; err == nil {
-			p.ServeLit(ev.LitEvent, &rec)
-		}
-		s.stats.ServeNs.Add(uint64(time.Since(served).Nanoseconds()))
-		s.finishEvent(ev, &rec, err)
-		idle = time.Now()
+	if w.interval > 0 {
+		limit = 1
 	}
+	batch := make([]*event, limit)
+	w.lits = make([]adapt.LitEvent, limit)
+	w.recs = make([]adapt.EventRecord, limit)
 
+	closed := false // ingress is over and the rings are frozen
 	for {
-		if ev, ok := w.popOne(); ok {
-			serve(ev)
-			continue
-		}
-		w.parked.Store(true)
-		if ev, ok := w.popOne(); ok {
-			w.parked.Store(false)
-			serve(ev)
-			continue
-		}
-		select {
-		case <-w.wake:
-			w.parked.Store(false)
-		case <-s.ingressDone:
-			w.parked.Store(false)
-			for {
-				ev, ok := w.popOne()
-				if !ok {
-					return
-				}
-				serve(ev)
+		evs := w.drain(batch[:0])
+		if len(evs) == 0 {
+			if closed {
+				return
 			}
+			w.parked.Store(true)
+			if evs = w.drain(batch[:0]); len(evs) == 0 {
+				select {
+				case <-w.wake:
+				case <-s.ingressDone:
+					// Every reader has exited: serve what the rings still
+					// hold and retire on the first empty drain.
+					closed = true
+				}
+			}
+			w.parked.Store(false)
+			if len(evs) == 0 {
+				continue
+			}
+		} else if len(evs) < lingerMin && len(evs) < cap(evs) {
+			// Bounded linger: one yield, one re-poll, then serve whatever is
+			// there. drain appends, so the already-drained events keep their
+			// positions (and their latency clocks).
+			runtime.Gosched()
+			evs = w.drain(evs)
 		}
+		s.serve(w, p, evs)
 	}
 }
 
-// finishEvent records the outcome of one serially served event: response
-// handoff and counters on success, error counters otherwise, then latency
-// accounting and event-storage recycling.
+// serve is the per-drain body: one ServeLitBatch over evs (at least one
+// event, at most the drain cap) and the responses coalesced into one pooled
+// write buffer per connection, so a busy lane pays for clock reads, counter
+// updates, ring traffic, and writer wakeups once per batch instead of once
+// per event.
 //
 //hepccl:hotpath
-func (s *Server) finishEvent(ev *event, rec *adapt.EventRecord, err error) {
-	if err != nil {
-		ev.c.stats.BadEvents.Add(1)
-		s.stats.BadEvents.Add(1)
-	} else {
-		buf := bufPool.Get().([]byte)
-		ev.c.pushResponse(rec.AppendTo(buf[:0]))
-		ev.c.stats.EventsOut.Add(1)
-		s.stats.EventsOut.Add(1)
+func (s *Server) serve(w *worker, p *adapt.Pipeline, evs []*event) {
+	if w.interval > 0 {
+		w.awaitSlot()
 	}
-	s.stats.latency.observe(time.Since(ev.enqueued))
-	ev.c.inflight.Done()
-	putEvent(ev)
+	lits, recs := w.lits[:len(evs)], w.recs[:len(evs)]
+	var lit uint64
+	for i, ev := range evs {
+		lit += uint64(len(ev.Lit))
+		lits[i] = ev.LitEvent
+	}
+	served := time.Now()
+	p.ServeLitBatch(lits, recs)
+	// One clock read ends the service interval (which excludes the slot
+	// wait) and stamps every event's handoff.
+	now := time.Now()
+	s.stats.ServeNs.Add(uint64(now.Sub(served)))
+	s.stats.LitChannels.Add(lit)
+	// drain pops each ring's backlog contiguously, so same-conn events form
+	// runs and each run becomes a single pooled buffer — one ring push, one
+	// writer wakeup, one update of each counter.
+	var buf []byte
+	var out, bad uint64
+	for i, ev := range evs {
+		if ev.Bad != nil {
+			bad++
+		} else {
+			if buf == nil {
+				buf = bufPool.Get().([]byte)[:0]
+			}
+			buf = recs[i].AppendTo(buf)
+			out++
+		}
+		if i+1 < len(evs) && evs[i+1].c == ev.c {
+			continue // the connection's run goes on
+		}
+		c := ev.c
+		c.stats.EventsOut.Add(out) // zero for a run of bad events
+		s.stats.EventsOut.Add(out)
+		if bad > 0 {
+			c.stats.BadEvents.Add(bad)
+			s.stats.BadEvents.Add(bad)
+		}
+		if buf != nil {
+			c.pushResponse(buf)
+		}
+		// The response is in the ring before the run's events are resolved,
+		// so the writer's final drain (armed by inflight.Wait) cannot miss it.
+		c.inflight.Add(-int(out + bad))
+		buf, out, bad = nil, 0, 0
+	}
+	for _, ev := range evs {
+		s.stats.latency.observe(now.Sub(ev.enqueued))
+		putEvent(ev)
+	}
+	if w.interval > 0 {
+		w.idle = time.Now()
+	}
+}
+
+// awaitSlot holds a paced worker to its absolute service schedule: each
+// event's slot is one interval after the previous one. Short sleeps overshoot
+// badly, so the worker sleeps only when the schedule runs ahead by more than
+// sleepSlack and then serves the queued backlog back-to-back — exactly how a
+// fixed-rate derandomizer drains. Slots are banked only while events keep
+// arriving: a drain that found the lane idle (the previous serve ended more
+// than idleRestart ago) restarts the schedule from now.
+func (w *worker) awaitSlot() {
+	const (
+		sleepSlack  = 200 * time.Microsecond
+		idleRestart = 20 * time.Microsecond
+	)
+	now := time.Now()
+	if now.Sub(w.idle) > idleRestart {
+		w.due = now
+	}
+	if wait := w.due.Sub(now); wait > sleepSlack {
+		time.Sleep(wait)
+	}
+	w.due = w.due.Add(w.interval)
 }
