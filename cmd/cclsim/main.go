@@ -42,7 +42,7 @@ func run(args []string, out io.Writer) error {
 		count     = fs.Int("count", 4, "island count for -gen islands")
 		occupancy = fs.Float64("occupancy", 0.3, "lit fraction for -gen occupancy")
 		connFlag  = fs.Int("conn", 4, "connectivity: 4 or 8")
-		algo      = fs.String("algo", "ccl-fixed", "algorithm: ccl-fixed|ccl-paper|floodfill|two-pass|single-pass|fast-two-pass")
+		algo      = fs.String("algo", "ccl-fixed", "algorithm: "+algoNames())
 		showMT    = fs.Bool("show-merge-table", false, "print the resolved merge table (ccl-* algorithms)")
 		showIsl   = fs.Bool("islands", true, "print extracted islands with centroids")
 	)
@@ -115,6 +115,16 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// algoNames lists every -algo value: the two ccl modes, then each baseline
+// labeler by name.
+func algoNames() string {
+	names := []string{"ccl-fixed", "ccl-paper"}
+	for _, l := range labeling.All() {
+		names = append(names, l.Name())
+	}
+	return strings.Join(names, "|")
 }
 
 func loadImage(inFile, gen string, rows, cols int, seed uint64, count int, occ float64) (*grid.Grid, error) {

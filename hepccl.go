@@ -115,7 +115,7 @@ type Labeler = labeling.Labeler
 
 // Labelers returns the reference algorithms: flood fill (golden model),
 // Rosenfeld–Pfaltz two-pass, Bailey–Johnston single-pass, He-style fast
-// two-pass.
+// two-pass, run-based, and Chang–Chen–Lu contour tracing.
 func Labelers() []Labeler { return labeling.All() }
 
 // HLS design simulations (§5).

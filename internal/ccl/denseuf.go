@@ -1,8 +1,8 @@
 package ccl
 
 // DenseUF is an allocation-free union-find over the dense index range
-// 0..Len()-1, shared by the serving-path labelers (the per-pixel scan in
-// internal/adapt and the run-based engine in internal/runccl). It uses
+// 0..Len()-1, used by the per-pixel oracle scan in internal/adapt (serve2D,
+// behind sinkImage) and by internal/tileccl's per-tile and seam merges. It uses
 // union-by-minimum-root — the smaller root always wins, matching CCL's
 // minimum-label merge semantics — and path halving, which together maintain
 // the invariant parent[x] <= x, so Flatten can resolve every element with a
@@ -66,8 +66,8 @@ func (u *DenseUF) Find(x int32) int32 {
 // The link is predicated rather than branched: min and max of the two roots
 // are computed with a sign-mask blend and the parent store is unconditional
 // (self-assignment when the roots already coincide), so the merge inner loops
-// built on it — runccl's batched run merge, tileccl's seam sweeps — carry no
-// data-dependent branch beyond the find itself.
+// built on it — tileccl's run and seam sweeps — carry no data-dependent
+// branch beyond the find itself.
 //
 //hepccl:hotpath
 func (u *DenseUF) Union(a, b int32) int32 {

@@ -7,7 +7,7 @@ import (
 	"github.com/wustl-adapt/hepccl/internal/grid"
 	"github.com/wustl-adapt/hepccl/internal/hls/resource"
 	"github.com/wustl-adapt/hepccl/internal/hls/sched"
-	"github.com/wustl-adapt/hepccl/internal/unionfind"
+	"github.com/wustl-adapt/hepccl/internal/labeling"
 )
 
 // This file implements the §6 future-work design variants the paper names:
@@ -237,8 +237,9 @@ func VariantResources(cfg VariantConfig) resource.Usage {
 }
 
 // RunVariant executes a variant functionally and returns labels plus its
-// modeled synthesis report. The single-pass variant uses the flat
-// representative table (correct on all inputs); the 1.5-pass and two-pass
+// modeled synthesis report. The single-pass variant runs the flat
+// representative-table scan labeling.FlatTable (correct on all inputs) and
+// reports its provisional labels as Groups; the 1.5-pass and two-pass
 // variants use the published merge-table update and therefore share its §6
 // corner case.
 func RunVariant(g *grid.Grid, cfg VariantConfig) (*Output, error) {
@@ -267,7 +268,7 @@ func RunVariant(g *grid.Grid, cfg VariantConfig) (*Output, error) {
 		}
 		labels, groups = res.Labels, res.Groups
 	case PassSingle:
-		labels, groups, err = singlePassLabel(g, cfg.Connectivity)
+		labels, groups, err = labeling.FlatTable(g, cfg.Connectivity)
 		if err != nil {
 			return nil, err
 		}
@@ -299,59 +300,4 @@ func RunVariant(g *grid.Grid, cfg VariantConfig) (*Output, error) {
 		Groups:  groups,
 		Islands: labels.Count(),
 	}, nil
-}
-
-// singlePassLabel is the Bailey–Johnston-style on-the-fly labeling over the
-// flat representative table: neighbor labels are resolved through the table
-// during the scan, merges relabel the absorbed class immediately, and the
-// output stage is a single table read per pixel.
-func singlePassLabel(g *grid.Grid, conn grid.Connectivity) (*grid.Labels, int, error) {
-	rows, cols := g.Rows(), g.Cols()
-	out := grid.NewLabels(rows, cols)
-	flat := unionfind.NewFlat((rows*cols + 1) / 2)
-	offsets := conn.ScanNeighbors()
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if !g.Lit(r, c) {
-				continue
-			}
-			minL := grid.Label(0)
-			for _, o := range offsets {
-				nr, nc := r+o.DR, c+o.DC
-				if nr < 0 || nc < 0 || nc >= cols {
-					continue
-				}
-				if l := out.At(nr, nc); l != 0 {
-					rep := flat.Find(l)
-					if minL == 0 || rep < minL {
-						minL = rep
-					}
-				}
-			}
-			if minL == 0 {
-				l, err := flat.MakeSet()
-				if err != nil {
-					return nil, 0, fmt.Errorf("design: single-pass: %w", err)
-				}
-				out.Set(r, c, l)
-				continue
-			}
-			out.Set(r, c, minL)
-			for _, o := range offsets {
-				nr, nc := r+o.DR, c+o.DC
-				if nr < 0 || nc < 0 || nc >= cols {
-					continue
-				}
-				if l := out.At(nr, nc); l != 0 {
-					flat.Union(l, minL)
-				}
-			}
-		}
-	}
-	for i, n := 0, rows*cols; i < n; i++ {
-		if l := out.AtFlat(i); l != 0 {
-			out.SetFlat(i, flat.Find(l))
-		}
-	}
-	return out, flat.Len(), nil
 }

@@ -8,12 +8,13 @@
 //     provisional labels + equivalences in pass one, full relabeling scan in
 //     pass two.
 //   - SinglePass: Bailey–Johnston style single-pass labeling [2] that
-//     resolves equivalences on the fly with a flat representative table and
-//     relabels the current row buffer, so labels are final as the scan exits
-//     each row.
+//     resolves equivalences on the fly with a flat representative table, so
+//     in hardware labels are final as the scan exits each row.
 //   - FastTwoPass: He et al. style two-pass labeling [14] using the flat
 //     representative-label table (package unionfind) so that the second pass
-//     is a single table read per pixel.
+//     is a single table read per pixel. In software SinglePass and
+//     FastTwoPass are the one scan FlatTable, which design's single-pass
+//     variant also runs.
 //   - RunBased: run-length-encoded labeling (the run-based family of He et
 //     al.'s review [15]) — runs, not pixels, carry labels.
 //   - ContourTracing: Chang–Chen–Lu contour tracing (the contour family of
@@ -156,7 +157,7 @@ func (TwoPass) Label(g *grid.Grid, conn grid.Connectivity) (*grid.Labels, error)
 
 // FastTwoPass is He et al. [14]: same scan as TwoPass but equivalences live
 // in the flat representative-label table, so the second pass is one table
-// read per pixel with no pointer chasing.
+// read per pixel with no pointer chasing (FlatTable).
 type FastTwoPass struct{}
 
 // Name implements Labeler.
@@ -164,70 +165,20 @@ func (FastTwoPass) Name() string { return "fast-two-pass" }
 
 // Label implements Labeler.
 func (FastTwoPass) Label(g *grid.Grid, conn grid.Connectivity) (*grid.Labels, error) {
-	if !conn.Valid() {
-		return nil, fmt.Errorf("labeling: invalid connectivity %d", int(conn))
-	}
-	rows, cols := g.Rows(), g.Cols()
-	out := grid.NewLabels(rows, cols)
-	flat := unionfind.NewFlat((rows*cols + 1) / 2)
-	offsets := conn.ScanNeighbors()
-
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if !g.Lit(r, c) {
-				continue
-			}
-			minL := grid.Label(0)
-			for _, o := range offsets {
-				nr, nc := r+o.DR, c+o.DC
-				if nr < 0 || nc < 0 || nc >= cols {
-					continue
-				}
-				if l := out.At(nr, nc); l != 0 {
-					rep := flat.Find(l)
-					if minL == 0 || rep < minL {
-						minL = rep
-					}
-				}
-			}
-			if minL == 0 {
-				l, err := flat.MakeSet()
-				if err != nil {
-					return nil, fmt.Errorf("labeling: fast-two-pass: %w", err)
-				}
-				out.Set(r, c, l)
-				continue
-			}
-			out.Set(r, c, minL)
-			for _, o := range offsets {
-				nr, nc := r+o.DR, c+o.DC
-				if nr < 0 || nc < 0 || nc >= cols {
-					continue
-				}
-				if l := out.At(nr, nc); l != 0 {
-					flat.Union(l, minL)
-				}
-			}
-		}
-	}
-
-	// Second pass: single table read per pixel (the flat table is always
-	// fully resolved).
-	for i, n := 0, rows*cols; i < n; i++ {
-		if l := out.AtFlat(i); l != 0 {
-			out.SetFlat(i, flat.Find(l))
-		}
-	}
-	return out, nil
+	out, _, err := FlatTable(g, conn)
+	return out, err
 }
 
 // SinglePass is Bailey–Johnston style [2]: equivalences are resolved during
 // the scan against a flat table, and labels written to the output are always
-// the current representative, so no relabeling pass is needed. The control
-// complexity this adds (every neighbor read must be resolved through the
-// table, and merges retroactively redefine earlier labels' meaning) is the
-// reason the paper calls it "challenging to manage in a pipelined FPGA
-// implementation" and adopts 1.5-pass instead.
+// the current representative, so no relabeling pass is needed. In software
+// it is the same scan as FastTwoPass (FlatTable); the distinction the paper
+// draws is hardware, where the final table read is fused into each row's
+// output streaming instead of being a second loop. The control complexity
+// this adds (every neighbor read must be resolved through the table, and
+// merges retroactively redefine earlier labels' meaning) is the reason the
+// paper calls it "challenging to manage in a pipelined FPGA implementation"
+// and adopts 1.5-pass instead.
 type SinglePass struct{}
 
 // Name implements Labeler.
@@ -235,8 +186,21 @@ func (SinglePass) Name() string { return "single-pass" }
 
 // Label implements Labeler.
 func (SinglePass) Label(g *grid.Grid, conn grid.Connectivity) (*grid.Labels, error) {
+	out, _, err := FlatTable(g, conn)
+	return out, err
+}
+
+// FlatTable is the flat representative-label table scan [14]: each lit
+// pixel takes the smallest representative among its already-scanned
+// neighbors (resolved through the table as they are read) or a new label,
+// merges relabel the absorbed class in the table at once, and a final table
+// read per pixel replaces every provisional label by its representative — a
+// per-pixel read, not a raster re-scan with neighbor logic. The table keeps
+// every class fully resolved at all times, so the result is correct on every
+// input. It returns the labels and the number of provisional labels issued.
+func FlatTable(g *grid.Grid, conn grid.Connectivity) (*grid.Labels, int, error) {
 	if !conn.Valid() {
-		return nil, fmt.Errorf("labeling: invalid connectivity %d", int(conn))
+		return nil, 0, fmt.Errorf("labeling: invalid connectivity %d", int(conn))
 	}
 	rows, cols := g.Rows(), g.Cols()
 	out := grid.NewLabels(rows, cols)
@@ -264,7 +228,7 @@ func (SinglePass) Label(g *grid.Grid, conn grid.Connectivity) (*grid.Labels, err
 			if minL == 0 {
 				l, err := flat.MakeSet()
 				if err != nil {
-					return nil, fmt.Errorf("labeling: single-pass: %w", err)
+					return nil, 0, fmt.Errorf("labeling: flat-table: %w", err)
 				}
 				out.Set(r, c, l)
 				continue
@@ -282,14 +246,10 @@ func (SinglePass) Label(g *grid.Grid, conn grid.Connectivity) (*grid.Labels, err
 		}
 	}
 
-	// On-the-fly resolution leaves stale labels only where a merge happened
-	// after the pixel was written; finalize by reading the flat table, which
-	// in hardware is fused into the output streaming of each row. This is a
-	// per-pixel table read, not a raster re-scan with neighbor logic.
 	for i, n := 0, rows*cols; i < n; i++ {
 		if l := out.AtFlat(i); l != 0 {
 			out.SetFlat(i, flat.Find(l))
 		}
 	}
-	return out, nil
+	return out, flat.Len(), nil
 }

@@ -29,6 +29,15 @@ func batchFeed(e *Engine, b *Batch, values []grid.Value) {
 	b.EndEvent()
 }
 
+// wantIslands is the independent reference for one values image: refIslands
+// (ccl.Label plus integer moments) on a grid built from the same values.
+func wantIslands(t *testing.T, rows, cols int, conn grid.Connectivity, values []grid.Value) []Island {
+	t.Helper()
+	g := grid.New(rows, cols)
+	copy(g.Flat(), values)
+	return refIslands(t, g, conn)
+}
+
 // sameIslands requires got to equal want position by position, whole structs.
 func sameIslands(t *testing.T, ctx string, got, want []Island) {
 	t.Helper()
@@ -43,11 +52,13 @@ func sameIslands(t *testing.T, ctx string, got, want []Island) {
 }
 
 // TestBatchMatchesEngine drives several events through one batch and checks
-// each event's islands are bit-identical to Engine.Label on the same frame.
+// each event's islands are bit-identical to ccl.Label's on the same frame.
+// Rows span three bitmap words, so runs cross word boundaries.
 func TestBatchMatchesEngine(t *testing.T) {
+	const rows, cols = 17, 129
 	for _, conn := range []grid.Connectivity{grid.FourWay, grid.EightWay} {
 		rng := detector.NewRNG(11)
-		e, err := NewEngine(17, 29, conn)
+		e, err := NewEngine(rows, cols, conn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +67,7 @@ func TestBatchMatchesEngine(t *testing.T) {
 		frames := make([][]grid.Value, nEv)
 		b.Reset()
 		for i := range frames {
-			frames[i] = randomFrame(rng, 17, 29, float64(i)*0.08)
+			frames[i] = randomFrame(rng, rows, cols, float64(i)*0.08)
 			batchFeed(e, b, frames[i])
 		}
 		if b.Events() != nEv {
@@ -64,7 +75,7 @@ func TestBatchMatchesEngine(t *testing.T) {
 		}
 		for i := range frames {
 			sameIslands(t, fmt.Sprintf("%s event %d", conn, i),
-				b.Islands(i, nil), e.Label(e.Pack(frames[i], nil), frames[i], nil))
+				b.Islands(i, nil), wantIslands(t, rows, cols, conn, frames[i]))
 		}
 	}
 }
@@ -90,7 +101,7 @@ func TestBatchEmptyEvents(t *testing.T) {
 	if got := b.Islands(2, nil); len(got) != 0 {
 		t.Fatalf("dark event 2 produced %d islands", len(got))
 	}
-	sameIslands(t, "lit event", b.Islands(1, nil), e.Label(e.Pack(lit, nil), lit, nil))
+	sameIslands(t, "lit event", b.Islands(1, nil), wantIslands(t, 12, 12, grid.FourWay, lit))
 }
 
 // TestBatchEventIsolation plants a frame whose islands touch the first and
@@ -112,14 +123,14 @@ func TestBatchEventIsolation(t *testing.T) {
 	batchFeed(e, b, v)
 	batchFeed(e, b, v)
 	batchFeed(e, b, v)
-	want := e.Label(e.Pack(v, nil), v, nil)
+	want := wantIslands(t, 4, 8, grid.EightWay, v)
 	for i := 0; i < 3; i++ {
 		sameIslands(t, fmt.Sprintf("event %d (cross-event leak?)", i), b.Islands(i, nil), want)
 	}
 }
 
 // TestBatchReuse checks a Batch object is fully recycled by Reset: five
-// random frames through one Batch each match Engine.Label, and a sparse frame
+// random frames through one Batch each match ccl.Label, and a sparse frame
 // served after a saturated one — every slot of the arena left holding large
 // totals and links — matches a Batch that never saw it.
 func TestBatchReuse(t *testing.T) {
@@ -133,7 +144,7 @@ func TestBatchReuse(t *testing.T) {
 		b.Reset()
 		f := randomFrame(rng, 16, 64, 0.25)
 		batchFeed(e, b, f)
-		sameIslands(t, fmt.Sprintf("round %d", round), b.Islands(0, nil), e.Label(e.Pack(f, nil), f, nil))
+		sameIslands(t, fmt.Sprintf("round %d", round), b.Islands(0, nil), wantIslands(t, 16, 64, grid.FourWay, f))
 	}
 	full := make([]grid.Value, 16*64)
 	for i := range full {

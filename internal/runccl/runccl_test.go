@@ -112,7 +112,8 @@ func TestLabelHandPicked(t *testing.T) {
 }
 
 // TestLabelWordBoundaries exercises runs that touch, cross, and fill 64-bit
-// word boundaries, where the carry logic of the extractor lives.
+// word boundaries, where ExtractEvent carries a run from one word into the
+// next.
 func TestLabelWordBoundaries(t *testing.T) {
 	for _, cols := range []int{63, 64, 65, 127, 128, 130} {
 		g := grid.New(3, cols)

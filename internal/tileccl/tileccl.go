@@ -485,14 +485,14 @@ func (e *Engine) labelTile(w *worker, t *tile) {
 	w.runs = runs
 
 	// Local union-find over vertically adjacent runs (±1 column dilation for
-	// 8-way), the same two-pointer sweep as runccl.connect.
+	// 8-way): one two-pointer sweep per row pair over the sorted run lists.
 	w.uf.Reset(len(runs))
 	var dil int32
 	if e.eight {
 		dil = 1
 	}
-	// The same shifted-fence and row-local-view shapes as runccl.connect:
-	// per-row-pair checks on the fence loads buy check-free sweeps.
+	// Shifted views of the row fence and row-local run views: per-row-pair
+	// checks on the fence loads buy check-free sweeps.
 	if len(rowOff) >= 3 {
 		offA := rowOff[: len(rowOff)-2 : len(rowOff)-2]
 		offB := rowOff[1 : len(rowOff)-1 : len(rowOff)-1]
@@ -552,10 +552,9 @@ func (e *Engine) labelTile(w *worker, t *tile) {
 	values := e.values
 	cols := e.cols
 	k := int32(0)
-	// As in runccl.accumulate: the island-label indexes (root, cl) are
-	// loaded or counted values with root < nr and cl ≤ k ≤ nr; the provable
-	// checks — per-pixel value loads — are hoisted into per-row and per-run
-	// slice headers instead.
+	// The island-label indexes (root, cl) are loaded or counted values with
+	// root < nr and cl ≤ k ≤ nr; the provable checks — per-pixel value
+	// loads — are hoisted into per-row and per-run slice headers instead.
 	//hepccl:checked
 	for r := 0; r < h; r++ {
 		row := int(t.r0) + r
