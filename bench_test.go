@@ -246,21 +246,26 @@ func BenchmarkAblationMergeTableSizing(b *testing.B) {
 	}
 }
 
-// BenchmarkLabelers compares the software implementations of every CCL
-// algorithm in §3's related work plus this paper's 1.5-pass, on the LST-size
-// array (pure Go throughput, not hardware cycles).
+// BenchmarkLabelers compares the software labelers — the flood-fill golden
+// model, the flat-table scan behind E11's single-pass variant, and this
+// paper's 1.5-pass — on the LST-size array (pure Go throughput, not hardware
+// cycles).
 func BenchmarkLabelers(b *testing.B) {
 	g := workload(43, 43)
-	for _, lab := range labeling.All() {
-		lab := lab // explicit capture for the b.Run closure
-		b.Run(lab.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := lab.Label(g, grid.FourWay); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("floodfill", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := (labeling.FloodFill{}).Label(g, grid.FourWay); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
+	b.Run("flat-table", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := labeling.FlatTable(g, grid.FourWay); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("1.5-pass", func(b *testing.B) {
 		opt := ccl.Options{Connectivity: grid.FourWay}
 		for i := 0; i < b.N; i++ {
@@ -469,8 +474,6 @@ func BenchmarkStation(b *testing.B) {
 	b.ReportMetric(station.EventsPerSecond(), "hw-events/s")
 }
 
-// serveWorkload builds a rows×cols serving pipeline with the given labeling
-// backend and one pre-digitized noise-free event at ~occ lit occupancy.
 // serveTruth synthesizes shower-like image content at ~occ lit fraction:
 // compact blobs of deposited charge, which is what the camera actually
 // images (and what the run-based engine is shaped for) — Cherenkov showers
@@ -502,7 +505,9 @@ func serveTruth(rows, cols, channels int, occ float64, rng *detector.RNG) []grid
 	return truth
 }
 
-func serveWorkload(b *testing.B, rows, cols int, occ float64, backend adapt.ServeBackend) (*adapt.Pipeline, []adapt.Packet) {
+// serveWorkload builds a rows×cols serving pipeline and one pre-digitized
+// noise-free event at ~occ lit occupancy.
+func serveWorkload(b *testing.B, rows, cols int, occ float64) (*adapt.Pipeline, []adapt.Packet) {
 	b.Helper()
 	px := rows * cols
 	cfg := adapt.Config{
@@ -519,7 +524,6 @@ func serveWorkload(b *testing.B, rows, cols int, occ float64, backend adapt.Serv
 				Stage:        design.StagePipelined,
 			},
 		},
-		Serve: backend,
 	}
 	p, err := adapt.New(cfg)
 	if err != nil {
@@ -537,35 +541,30 @@ func serveWorkload(b *testing.B, rows, cols int, occ float64, backend adapt.Serv
 	return p, packets
 }
 
-// BenchmarkServeEvent sweeps the serving fast path across array sizes and
-// occupancies, comparing the run-based labeling engine (Config.Serve =
-// ServeRun, the default) against the per-pixel union-find reference
-// (ServePixel). The run/pixel ratio at CTA-like occupancy (43x43, 1–2%) is
-// the PR's headline number; run with -benchmem to confirm the 0 allocs/op
-// steady state.
+// BenchmarkServeEvent sweeps the serving fast path (the run-based labeling
+// engine, Config.Serve = ServeRun) across array sizes and occupancies; run
+// with -benchmem to confirm the 0 allocs/op steady state.
 func BenchmarkServeEvent(b *testing.B) {
 	sizes := [][2]int{{8, 10}, {16, 16}, {32, 32}, {43, 43}, {64, 64}}
 	occs := []float64{0.005, 0.02, 0.10, 0.50}
 	for _, sz := range sizes {
 		for _, occ := range occs {
-			for _, backend := range []adapt.ServeBackend{adapt.ServeRun, adapt.ServePixel} {
-				sz, occ, backend := sz, occ, backend // explicit capture
-				name := fmt.Sprintf("%dx%d/occ=%g%%/%s", sz[0], sz[1], occ*100, backend)
-				b.Run(name, func(b *testing.B) {
-					p, packets := serveWorkload(b, sz[0], sz[1], occ, backend)
-					var rec adapt.EventRecord
+			sz, occ := sz, occ // explicit capture
+			name := fmt.Sprintf("%dx%d/occ=%g%%/%s", sz[0], sz[1], occ*100, adapt.ServeRun)
+			b.Run(name, func(b *testing.B) {
+				p, packets := serveWorkload(b, sz[0], sz[1], occ)
+				var rec adapt.EventRecord
+				if err := p.ServeEvent(packets, &rec); err != nil {
+					b.Fatal(err) // warmup: reach the zero-alloc steady state
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
 					if err := p.ServeEvent(packets, &rec); err != nil {
-						b.Fatal(err) // warmup: reach the zero-alloc steady state
+						b.Fatal(err)
 					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if err := p.ServeEvent(packets, &rec); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -578,7 +577,7 @@ func BenchmarkServeEvent(b *testing.B) {
 func BenchmarkServeEventFrame(b *testing.B) {
 	for _, size := range []int{256, 512} {
 		b.Run(fmt.Sprintf("%dx%d/occ=2%%/%s", size, size, adapt.ServeRun), func(b *testing.B) {
-			p, packets := serveWorkload(b, size, size, 0.02, adapt.ServeRun)
+			p, packets := serveWorkload(b, size, size, 0.02)
 			var rec adapt.EventRecord
 			if err := p.ServeEvent(packets, &rec); err != nil {
 				b.Fatal(err) // warmup: reach the zero-alloc steady state

@@ -1,5 +1,6 @@
-// Command cclsim labels a pixel image with any of the repository's CCL
-// algorithms and prints the label map and extracted islands.
+// Command cclsim labels a pixel image with the paper's 1.5-pass CCL (either
+// merge-table update) or the flood-fill golden model and prints the label
+// map and extracted islands.
 //
 // Usage:
 //
@@ -42,7 +43,7 @@ func run(args []string, out io.Writer) error {
 		count     = fs.Int("count", 4, "island count for -gen islands")
 		occupancy = fs.Float64("occupancy", 0.3, "lit fraction for -gen occupancy")
 		connFlag  = fs.Int("conn", 4, "connectivity: 4 or 8")
-		algo      = fs.String("algo", "ccl-fixed", "algorithm: "+algoNames())
+		algo      = fs.String("algo", "ccl-fixed", "algorithm: ccl-fixed|ccl-paper|floodfill")
 		showMT    = fs.Bool("show-merge-table", false, "print the resolved merge table (ccl-* algorithms)")
 		showIsl   = fs.Bool("islands", true, "print extracted islands with centroids")
 	)
@@ -84,22 +85,14 @@ func run(args []string, out io.Writer) error {
 		if *showMT {
 			fmt.Fprintf(out, "merge table (resolved):\n%s\n", res.MergeTable)
 		}
-	default:
-		var lab labeling.Labeler
-		for _, l := range labeling.All() {
-			if l.Name() == *algo {
-				lab = l
-			}
-		}
-		if lab == nil {
-			return fmt.Errorf("unknown algorithm %q", *algo)
-		}
-		labels, err = lab.Label(g, conn)
+	case "floodfill":
+		labels, err = labeling.FloodFill{}.Label(g, conn)
 		if err != nil {
 			return err
 		}
-		labels.Compact()
-		fmt.Fprintf(out, "%s (%s): %d islands\n", lab.Name(), conn, labels.Count())
+		fmt.Fprintf(out, "floodfill (%s): %d islands\n", conn, labels.Count())
+	default:
+		return fmt.Errorf("unknown algorithm %q", *algo)
 	}
 
 	fmt.Fprintf(out, "\nlabels:\n%s\n", labels)
@@ -115,16 +108,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// algoNames lists every -algo value: the two ccl modes, then each baseline
-// labeler by name.
-func algoNames() string {
-	names := []string{"ccl-fixed", "ccl-paper"}
-	for _, l := range labeling.All() {
-		names = append(names, l.Name())
-	}
-	return strings.Join(names, "|")
 }
 
 func loadImage(inFile, gen string, rows, cols int, seed uint64, count int, occ float64) (*grid.Grid, error) {

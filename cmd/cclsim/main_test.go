@@ -40,7 +40,7 @@ func TestPaperModeCornerCase(t *testing.T) {
 }
 
 func TestBaselineAlgorithms(t *testing.T) {
-	for _, algo := range []string{"floodfill", "two-pass", "single-pass", "fast-two-pass", "run-based", "contour-tracing"} {
+	for _, algo := range []string{"ccl-fixed", "ccl-paper", "floodfill"} {
 		out := runOut(t, "-gen", "spiral", "-rows", "9", "-cols", "9", "-algo", algo)
 		if !strings.Contains(out, "1 islands") {
 			t.Errorf("%s on spiral: want one island:\n%s", algo, out)

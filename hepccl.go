@@ -7,7 +7,6 @@
 //   - pixel grids and label images (internal/grid);
 //   - the paper's 1.5-pass CCL algorithm with merge table, in both the
 //     published and the corrected update modes (internal/ccl);
-//   - baseline labelers from the literature (internal/labeling);
 //   - the HLS design simulations of the paper's four optimization stages
 //     with Vitis-style synthesis reports (internal/design);
 //   - the ADAPT front-end pipeline with the TWO_DIMENSION switch
@@ -34,7 +33,6 @@ import (
 	"github.com/wustl-adapt/hepccl/internal/detector"
 	"github.com/wustl-adapt/hepccl/internal/grid"
 	"github.com/wustl-adapt/hepccl/internal/hls/resource"
-	"github.com/wustl-adapt/hepccl/internal/labeling"
 	"github.com/wustl-adapt/hepccl/internal/server"
 )
 
@@ -109,14 +107,6 @@ func MergeTableSizePaper(rows, cols int) int { return ccl.SizeForPaper(rows, col
 func MergeTableSize(rows, cols int, conn Connectivity) int {
 	return ccl.SizeFor(rows, cols, conn)
 }
-
-// Baseline labelers (§3 related work).
-type Labeler = labeling.Labeler
-
-// Labelers returns the reference algorithms: flood fill (golden model),
-// Rosenfeld–Pfaltz two-pass, Bailey–Johnston single-pass, He-style fast
-// two-pass, run-based, and Chang–Chen–Lu contour tracing.
-func Labelers() []Labeler { return labeling.All() }
 
 // HLS design simulations (§5).
 type (

@@ -100,19 +100,6 @@ func TestPipelineFacade(t *testing.T) {
 	}
 }
 
-func TestLabelersFacade(t *testing.T) {
-	g := hepccl.MustParseGrid("#.#")
-	for _, lab := range hepccl.Labelers() {
-		l, err := lab.Label(g, hepccl.EightWay)
-		if err != nil {
-			t.Fatalf("%s: %v", lab.Name(), err)
-		}
-		if l.Count() != 2 {
-			t.Fatalf("%s: count = %d", lab.Name(), l.Count())
-		}
-	}
-}
-
 func TestMergeTableSizing(t *testing.T) {
 	if hepccl.MergeTableSizePaper(43, 43) != 484 {
 		t.Fatal("paper sizing wrong")

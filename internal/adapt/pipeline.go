@@ -31,7 +31,7 @@ type Config struct {
 	Detection design.TopConfig
 	// Serve selects the 2D labeling backend of serving. The zero value,
 	// ServeRun, is what the daemon serves with at every frame size;
-	// ServePixel is the per-pixel oracle tests and bench/ build explicitly.
+	// ServePixel is the flood-fill oracle tests and bench/ build explicitly.
 	Serve ServeBackend
 }
 
@@ -45,8 +45,8 @@ const (
 	// are built straight from the lit list, so labeling cost scales with lit
 	// content, not array area, at any frame size.
 	ServeRun ServeBackend = iota
-	// ServePixel is the raster-scan per-pixel union-find, kept as the
-	// reference implementation for differential testing.
+	// ServePixel labels the merged image with flood fill
+	// (labeling.FloodFill): the per-pixel oracle for differential testing.
 	ServePixel
 )
 
@@ -171,7 +171,7 @@ func New(cfg Config) (*Pipeline, error) {
 	channels := cfg.ASICs * ChannelsPerASIC
 	if cfg.Detection.TwoDimension {
 		px := cfg.Detection.TwoD.Rows * cfg.Detection.TwoD.Cols
-		if px < 1 {
+		if cfg.Detection.TwoD.Rows < 1 || cfg.Detection.TwoD.Cols < 1 {
 			return nil, fmt.Errorf("adapt: 2D mode needs positive array dims")
 		}
 		if px > channels {

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"slices"
 
-	"github.com/wustl-adapt/hepccl/internal/ccl"
 	"github.com/wustl-adapt/hepccl/internal/grid"
+	"github.com/wustl-adapt/hepccl/internal/labeling"
 )
 
 // Serving fast path. ProcessEvent runs the cycle-level HLS co-simulation of
@@ -28,8 +28,8 @@ import (
 //   - sinkRuns (2D, every frame size): lit pixels fold directly into maximal
 //     horizontal runs in a runccl.Batch — no merged image, no bitmap — which
 //     labels them as they arrive.
-//   - sinkImage (ServePixel): lit pixels fill the merged image for the
-//     raster-scan per-pixel union-find, the differential-testing oracle.
+//   - sinkImage (ServePixel): lit pixels fill the merged image, which flood
+//     fill labels — the differential-testing oracle.
 //   - sink1D: consecutive lit channels are the 1D islands.
 //
 // Differences from ProcessEvent + RecordOf, by design:
@@ -47,13 +47,6 @@ type serveScratch struct {
 	merged []grid.Value // image sink: photo-electron image
 	lit    []Lit        // ServeEvent/ServeBatch: integrateEvent's arena
 	events []LitEvent   // ServeBatch: one lit event per input event
-	labels []int32      // pixel path: per-pixel provisional label
-	uf     ccl.DenseUF  // pixel path: union-find over provisional labels
-	remap  []int32      // pixel path: provisional root -> compact island
-	pixels []uint32
-	sums   []int64
-	rows   []int64
-	cols   []int64
 }
 
 // ServeLitBatch serves a batch of zero-suppressed events into recs, reusing
@@ -168,7 +161,9 @@ func (p *Pipeline) sinkRuns(lit []Lit) {
 }
 
 // sinkImage fills the merged photo-electron image from one event's lit
-// pixels and labels it with the per-pixel oracle.
+// pixels, labels it with flood fill, and folds each island's pixel count, sum
+// and integer row/column moments into its record. Flood fill numbers islands
+// 1..K in raster order of their first pixel, the order records carry.
 func (p *Pipeline) sinkImage(lit []Lit, rec *EventRecord) {
 	sc := &p.serve
 	det := p.cfg.Detection.TwoD
@@ -185,8 +180,40 @@ func (p *Pipeline) sinkImage(lit []Lit, rec *EventRecord) {
 			merged[fl] = p.photons(l)
 		}
 	}
+	conn := grid.FourWay // anything but 8-way labels 4-way, as the run path does
+	if det.Connectivity == grid.EightWay {
+		conn = grid.EightWay
+	}
+	g, err := grid.FromFlat(det.Rows, det.Cols, merged)
+	if err != nil {
+		panic(err) // New proved the geometry positive
+	}
+	labels, err := labeling.FloodFill{}.Label(g, conn)
+	if err != nil {
+		panic(err) // conn is valid by construction
+	}
 	rec.Islands = rec.Islands[:0]
-	p.serve2D(merged, rec)
+	var rows, cols []int64 // moments, indexed like rec.Islands
+	for i, l := range labels.Flat() {
+		if l == 0 {
+			continue
+		}
+		if int(l) > len(rec.Islands) {
+			rec.Islands = append(rec.Islands, IslandRecord{Label: l})
+			rows, cols = append(rows, 0), append(cols, 0)
+		}
+		v := int64(merged[i])
+		isl := &rec.Islands[l-1]
+		isl.Pixels++
+		isl.Sum += v
+		rows[l-1] += int64(i/det.Cols) * v
+		cols[l-1] += int64(i%det.Cols) * v
+	}
+	for k := range rec.Islands {
+		isl := &rec.Islands[k]
+		isl.RowQ16 = q16Ratio(rows[k], isl.Sum)
+		isl.ColQ16 = q16Ratio(cols[k], isl.Sum)
+	}
 }
 
 // sink1D emits runs of consecutive lit channels — the functional equivalent
@@ -288,125 +315,6 @@ func (p *Pipeline) ServeBatch(events [][]Packet, recs []EventRecord, errs []erro
 	sc.lit, sc.events = lit, evs
 	p.ServeLitBatch(evs, recs)
 	return ok
-}
-
-// serve2D labels the flat merged image with an inline raster-scan union-find
-// — the same partition ccl.Label computes, specialized to the serving hot
-// path: no Grid/Labels wrappers, no merge-table model, all storage reused.
-// Islands are numbered 1..K in raster order of first appearance, matching
-// ccl.Options.CompactLabels.
-func (p *Pipeline) serve2D(merged []grid.Value, rec *EventRecord) error {
-	det := p.cfg.Detection.TwoD
-	nrows, ncols := det.Rows, det.Cols
-	px := nrows * ncols
-	eight := det.Connectivity == grid.EightWay
-	sc := &p.serve
-	//hepccl:amortized
-	if cap(sc.labels) < px {
-		sc.labels = make([]int32, px)
-	}
-	labels := sc.labels[:px]
-	uf := &sc.uf
-	uf.Reset(1) // provisional label 0 = background
-
-	// Raster indexes i = r·ncols + c and their up/left neighbor offsets all
-	// lie in [0, px) under the r/c guards — product arithmetic the prove
-	// pass does not model; the union-find label loads are loaded values.
-	//hepccl:checked
-	for r := 0; r < nrows; r++ {
-		rowBase := r * ncols
-		for c := 0; c < ncols; c++ {
-			i := rowBase + c
-			if merged[i] == 0 {
-				labels[i] = 0
-				continue
-			}
-			var n [4]int32 // left, up-left, up, up-right
-			if c > 0 {
-				n[0] = labels[i-1]
-			}
-			if r > 0 {
-				n[2] = labels[i-ncols]
-				if eight {
-					if c > 0 {
-						n[1] = labels[i-ncols-1]
-					}
-					if c < ncols-1 {
-						n[3] = labels[i-ncols+1]
-					}
-				}
-			}
-			l := int32(0)
-			for _, nb := range n {
-				if nb == 0 {
-					continue
-				}
-				if l == 0 {
-					l = uf.Find(nb)
-				} else {
-					l = uf.Union(l, nb)
-				}
-			}
-			if l == 0 {
-				l = uf.Add()
-			}
-			labels[i] = l
-		}
-	}
-
-	// Resolve every provisional label to its root, then accumulate island
-	// statistics in one sweep, assigning compact numbers at first appearance.
-	uf.Flatten()
-	np := uf.Len()
-	//hepccl:amortized
-	if cap(sc.remap) < np {
-		sc.remap = make([]int32, np)
-		sc.pixels = make([]uint32, np)
-		sc.sums = make([]int64, np)
-		sc.rows = make([]int64, np)
-		sc.cols = make([]int64, np)
-	}
-	remap := sc.remap[:np]
-	pixels, sums := sc.pixels[:np], sc.sums[:np]
-	rows, cols := sc.rows[:np], sc.cols[:np]
-	for l := 0; l < np; l++ {
-		remap[l] = 0
-		pixels[l], sums[l], rows[l], cols[l] = 0, 0, 0, 0
-	}
-	k := int32(0)
-	// Labels, roots, and compact numbers are loaded or counted values
-	// bounded by the union-find population np — outside range proofs.
-	//hepccl:checked
-	for i := 0; i < px; i++ {
-		l := labels[i]
-		if l == 0 {
-			continue
-		}
-		root := uf.Root(l)
-		cl := remap[root]
-		if cl == 0 {
-			k++
-			cl = k
-			remap[root] = cl
-		}
-		v := int64(merged[i])
-		pixels[cl]++
-		sums[cl] += v
-		rows[cl] += int64(i/ncols) * v
-		cols[cl] += int64(i%ncols) * v
-	}
-	// Compact labels 1..k stay within np by the remap construction.
-	//hepccl:checked
-	for l := int32(1); l <= k; l++ {
-		rec.Islands = append(rec.Islands, IslandRecord{
-			Label:  l,
-			Pixels: pixels[l],
-			Sum:    sums[l],
-			RowQ16: q16Ratio(rows[l], sums[l]),
-			ColQ16: q16Ratio(cols[l], sums[l]),
-		})
-	}
-	return nil
 }
 
 // q16Ratio returns round(num/den × 2^16) in Q16.16, the same rounding the

@@ -12,8 +12,8 @@ import (
 
 // FuzzRunCCLvsPixel is the differential check behind the run-based serving
 // backend: for a fuzzer-chosen geometry, connectivity, and photo-electron
-// image, the same digitized event is served through the run engine and the
-// per-pixel reference backend, and both are compared — field by field —
+// image, the same digitized event is served through the run arena and the
+// flood-fill oracle backend (ServePixel), and both are compared — field by field —
 // against an independently computed merged image labeled by the ccl package
 // (ModeFixed, compact labels). All three must agree on the partition, pixel
 // counts, sums, and Q16.16 centroids.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/wustl-adapt/hepccl/internal/grid"
-	"github.com/wustl-adapt/hepccl/internal/unionfind"
 )
 
 // Tiled (hierarchical) CCL — the §6 future-work direction "exploring
@@ -14,11 +13,11 @@ import (
 // independently with the 1.5-pass algorithm and a tile-local merge table
 // (whose capacity depends only on the tile size, not the image size —
 // bounding the BRAM the §5.5 scaling study shows growing with the array).
-// Tile components then receive globally unique ids, and a boundary pass
-// unions components that touch across tile edges (including corners for
-// 8-way). In hardware the tiles would be processed by replicated small
-// engines; here the tile loop is sequential but the data structures and
-// the work partition match.
+// Tile components then receive globally unique ids in one merge table, and a
+// boundary pass unions components that touch across tile edges (including
+// corners for 8-way). In hardware the tiles would be processed by replicated
+// small engines; here the tile loop is sequential but the data structures
+// and the work partition match.
 
 // TiledOptions configures hierarchical labeling.
 type TiledOptions struct {
@@ -73,11 +72,11 @@ func LabelTiled(g *grid.Grid, opt TiledOptions) (*TiledResult, error) {
 
 	// Phase 1: label each tile independently with globally offset ids.
 	// The per-tile component count is bounded by the 4-way worst case of
-	// the tile shape, so the forest capacity is exact.
+	// the tile shape, so the table capacity is exact.
 	tilesR := (rows + opt.TileRows - 1) / opt.TileRows
 	tilesC := (cols + opt.TileCols - 1) / opt.TileCols
 	perTileCap := SizeFor(opt.TileRows, opt.TileCols, grid.FourWay)
-	uf := unionfind.NewForest(perTileCap * tilesR * tilesC)
+	mt := NewMergeTable(perTileCap * tilesR * tilesC)
 
 	maxGroups := 0
 	for tr := 0; tr < tilesR; tr++ {
@@ -108,7 +107,7 @@ func LabelTiled(g *grid.Grid, opt TiledOptions) (*TiledResult, error) {
 					gl, ok := local[l]
 					if !ok {
 						var err error
-						gl, err = uf.MakeSet()
+						gl, err = mt.Alloc()
 						if err != nil {
 							return nil, fmt.Errorf("ccl: tile label pool: %w", err)
 						}
@@ -146,23 +145,21 @@ func LabelTiled(g *grid.Grid, opt TiledOptions) (*TiledResult, error) {
 				if b == 0 {
 					continue
 				}
-				if uf.Union(a, b) {
+				if ra, rb := mt.root(a), mt.root(b); ra != rb {
+					mt.Union(ra, rb)
 					unions++
 				}
 			}
 		}
 	}
 
-	// Phase 3: output through the forest.
-	seen := make(map[grid.Label]struct{})
+	// Phase 3: the §4.3 ascending resolve, then output through the table.
+	// Every allocated label carries pixels, so the roots are the islands.
+	mt.Resolve()
 	for i, n := 0, rows*cols; i < n; i++ {
-		if l := out.AtFlat(i); l != 0 {
-			root := uf.Find(l)
-			out.SetFlat(i, root)
-			seen[root] = struct{}{}
-		}
+		out.SetFlat(i, mt.Lookup(out.AtFlat(i)))
 	}
-	islands := len(seen)
+	islands := len(mt.Roots())
 	if opt.CompactLabels {
 		islands = out.Compact()
 	}

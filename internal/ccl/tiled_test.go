@@ -102,6 +102,78 @@ func TestTiledMetrics(t *testing.T) {
 	}
 }
 
+// TestTiledCountsPinned pins LabelTiled's three counts on the tiled fixtures,
+// so a change to how tile labels or seam unions are recorded fails here even
+// when the labels still match flood fill. BoundaryUnions counts unions whose
+// two roots differed: tile components minus islands.
+func TestTiledCountsPinned(t *testing.T) {
+	arts := []string{
+		"###\n###\n###",
+		"#.#.#\n#.#.#\n##.##\n..#..",
+		"#..#.\n#.##.\n###..",
+		"#######\n......#\n#####.#\n#...#.#\n#.#.#.#\n#.###.#\n#.....#\n#######",
+	}
+	full := grid.New(16, 16)
+	for i := range full.Flat() {
+		full.Flat()[i] = 1
+	}
+	ring := grid.New(13, 17)
+	for c := 0; c < 17; c++ {
+		ring.Set(12, c, 1)
+	}
+	for r := 0; r < 13; r++ {
+		ring.Set(r, 16, 1)
+	}
+	checker := grid.New(32, 32)
+	for r := 0; r < 32; r++ {
+		for c := 0; c < 32; c++ {
+			if (r+c)%2 == 0 {
+				checker.Set(r, c, 1)
+			}
+		}
+	}
+	dense := denseTestGrid(31, 29)
+	four, eight := grid.FourWay, grid.EightWay
+	cases := []struct {
+		name                      string
+		g                         *grid.Grid
+		conn                      grid.Connectivity
+		tileR, tileC              int
+		islands, unions, maxGroup int
+	}{
+		{"full3", grid.MustParse(arts[0]), four, 2, 3, 1, 1, 1},
+		{"full3", grid.MustParse(arts[0]), eight, 4, 4, 1, 0, 1},
+		{"w", grid.MustParse(arts[1]), four, 2, 3, 4, 2, 2},
+		{"w", grid.MustParse(arts[1]), four, 4, 4, 4, 1, 4},
+		{"w", grid.MustParse(arts[1]), eight, 2, 3, 1, 4, 2},
+		{"w", grid.MustParse(arts[1]), eight, 4, 4, 1, 1, 2},
+		{"cornercase", grid.MustParse(arts[2]), four, 2, 3, 1, 3, 2},
+		{"cornercase", grid.MustParse(arts[2]), four, 4, 4, 1, 0, 3},
+		{"cornercase", grid.MustParse(arts[2]), eight, 4, 4, 1, 0, 2},
+		{"spiral", grid.MustParse(arts[3]), four, 2, 3, 1, 12, 2},
+		{"spiral", grid.MustParse(arts[3]), eight, 4, 4, 1, 7, 3},
+		{"full16", full, four, 4, 4, 1, 15, 1},
+		{"ring", ring, four, 4, 4, 1, 7, 1},
+		{"ring", ring, eight, 4, 4, 1, 7, 1},
+		{"dense31x29", dense, four, 4, 6, 12, 66, 5},
+		{"dense31x29", dense, four, 8, 8, 12, 36, 12},
+		{"dense31x29", dense, eight, 4, 6, 12, 66, 4},
+		{"dense31x29", dense, eight, 8, 8, 12, 36, 7},
+		{"checker32", checker, four, 8, 8, 512, 0, 32},
+	}
+	for _, tc := range cases {
+		res, err := LabelTiled(tc.g, TiledOptions{Connectivity: tc.conn, TileRows: tc.tileR, TileCols: tc.tileC})
+		if err != nil {
+			t.Fatalf("%s %v %dx%d: %v", tc.name, tc.conn, tc.tileR, tc.tileC, err)
+		}
+		if res.Islands != tc.islands || res.BoundaryUnions != tc.unions || res.MaxTileGroups != tc.maxGroup {
+			t.Errorf("%s %v %dx%d: islands/unions/maxGroups = %d/%d/%d, want %d/%d/%d",
+				tc.name, tc.conn, tc.tileR, tc.tileC,
+				res.Islands, res.BoundaryUnions, res.MaxTileGroups, tc.islands, tc.unions, tc.maxGroup)
+		}
+	}
+}
+
 // The headline property the tiling buys: per-tile merge-table demand is
 // bounded by the TILE size regardless of image size.
 func TestTiledBoundsMergeTableGrowth(t *testing.T) {

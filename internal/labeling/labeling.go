@@ -1,58 +1,26 @@
-// Package labeling implements the reference and baseline CCL algorithms the
-// paper discusses in §3, behind a common interface, so the 1.5-pass design
-// can be validated and compared against the literature:
+// Package labeling holds the two software labelers outside the paper's
+// 1.5-pass model:
 //
 //   - FloodFill: breadth-first flood fill. The golden model — obviously
-//     correct, used as ground truth by every test.
-//   - TwoPass: the classic Rosenfeld–Pfaltz two-pass algorithm [19]:
-//     provisional labels + equivalences in pass one, full relabeling scan in
-//     pass two.
-//   - SinglePass: Bailey–Johnston style single-pass labeling [2] that
-//     resolves equivalences on the fly with a flat representative table, so
-//     in hardware labels are final as the scan exits each row.
-//   - FastTwoPass: He et al. style two-pass labeling [14] using the flat
-//     representative-label table (package unionfind) so that the second pass
-//     is a single table read per pixel. In software SinglePass and
-//     FastTwoPass are the one scan FlatTable, which design's single-pass
-//     variant also runs.
-//   - RunBased: run-length-encoded labeling (the run-based family of He et
-//     al.'s review [15]) — runs, not pixels, carry labels.
-//   - ContourTracing: Chang–Chen–Lu contour tracing (the contour family of
-//     [15]) — external/internal contours are walked once, interiors inherit
-//     from the left.
+//     correct, used as ground truth by every test and as the per-pixel
+//     serving oracle behind adapt.ServePixel.
+//   - FlatTable: He et al.'s flat representative-label table scan [14], the
+//     labeler behind design's single-pass variant (E11).
 package labeling
 
 import (
 	"fmt"
 
 	"github.com/wustl-adapt/hepccl/internal/grid"
-	"github.com/wustl-adapt/hepccl/internal/unionfind"
 )
 
-// Labeler is a connected-component labeling algorithm.
-type Labeler interface {
-	// Name identifies the algorithm in reports and benchmarks.
-	Name() string
-	// Label assigns a positive label to every lit pixel of g such that two
-	// lit pixels share a label iff they are connected under conn. Background
-	// pixels get 0.
-	Label(g *grid.Grid, conn grid.Connectivity) (*grid.Labels, error)
-}
-
-// All returns one instance of every baseline labeler, in citation order,
-// ending with the run-based and contour-tracing families from the He et al.
-// review.
-func All() []Labeler {
-	return []Labeler{FloodFill{}, TwoPass{}, SinglePass{}, FastTwoPass{}, RunBased{}, ContourTracing{}}
-}
-
-// FloodFill is the golden model: BFS from each unvisited lit pixel.
+// FloodFill is the golden model: BFS from each unvisited lit pixel. Labels
+// are 1..K in raster order of each component's first pixel.
 type FloodFill struct{}
 
-// Name implements Labeler.
-func (FloodFill) Name() string { return "floodfill" }
-
-// Label implements Labeler.
+// Label assigns a positive label to every lit pixel of g such that two lit
+// pixels share a label iff they are connected under conn. Background pixels
+// get 0.
 func (FloodFill) Label(g *grid.Grid, conn grid.Connectivity) (*grid.Labels, error) {
 	if !conn.Valid() {
 		return nil, fmt.Errorf("labeling: invalid connectivity %d", int(conn))
@@ -90,106 +58,6 @@ func (FloodFill) Label(g *grid.Grid, conn grid.Connectivity) (*grid.Labels, erro
 	return out, nil
 }
 
-// TwoPass is Rosenfeld–Pfaltz [19]: pass one assigns provisional labels and
-// records equivalences in a disjoint-set forest; pass two rescans the entire
-// label image replacing each label by its representative.
-type TwoPass struct{}
-
-// Name implements Labeler.
-func (TwoPass) Name() string { return "two-pass" }
-
-// Label implements Labeler.
-func (TwoPass) Label(g *grid.Grid, conn grid.Connectivity) (*grid.Labels, error) {
-	if !conn.Valid() {
-		return nil, fmt.Errorf("labeling: invalid connectivity %d", int(conn))
-	}
-	rows, cols := g.Rows(), g.Cols()
-	out := grid.NewLabels(rows, cols)
-	uf := unionfind.NewForest((rows*cols + 1) / 2)
-	offsets := conn.ScanNeighbors()
-
-	// Pass 1: provisional labels + equivalences.
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if !g.Lit(r, c) {
-				continue
-			}
-			minL := grid.Label(0)
-			for _, o := range offsets {
-				nr, nc := r+o.DR, c+o.DC
-				if nr < 0 || nc < 0 || nc >= cols {
-					continue
-				}
-				if l := out.At(nr, nc); l != 0 && (minL == 0 || l < minL) {
-					minL = l
-				}
-			}
-			if minL == 0 {
-				l, err := uf.MakeSet()
-				if err != nil {
-					return nil, fmt.Errorf("labeling: two-pass: %w", err)
-				}
-				out.Set(r, c, l)
-				continue
-			}
-			out.Set(r, c, minL)
-			for _, o := range offsets {
-				nr, nc := r+o.DR, c+o.DC
-				if nr < 0 || nc < 0 || nc >= cols {
-					continue
-				}
-				if l := out.At(nr, nc); l != 0 && l != minL {
-					uf.Union(l, minL)
-				}
-			}
-		}
-	}
-
-	// Pass 2: full relabeling scan — the redundant traversal the paper's
-	// 1.5-pass design avoids.
-	for i, n := 0, rows*cols; i < n; i++ {
-		if l := out.AtFlat(i); l != 0 {
-			out.SetFlat(i, uf.Find(l))
-		}
-	}
-	return out, nil
-}
-
-// FastTwoPass is He et al. [14]: same scan as TwoPass but equivalences live
-// in the flat representative-label table, so the second pass is one table
-// read per pixel with no pointer chasing (FlatTable).
-type FastTwoPass struct{}
-
-// Name implements Labeler.
-func (FastTwoPass) Name() string { return "fast-two-pass" }
-
-// Label implements Labeler.
-func (FastTwoPass) Label(g *grid.Grid, conn grid.Connectivity) (*grid.Labels, error) {
-	out, _, err := FlatTable(g, conn)
-	return out, err
-}
-
-// SinglePass is Bailey–Johnston style [2]: equivalences are resolved during
-// the scan against a flat table, and labels written to the output are always
-// the current representative, so no relabeling pass is needed. In software
-// it is the same scan as FastTwoPass (FlatTable); the distinction the paper
-// draws is hardware, where the final table read is fused into each row's
-// output streaming instead of being a second loop. The control complexity
-// this adds (every neighbor read must be resolved through the table, and
-// merges retroactively redefine earlier labels' meaning) is the reason the
-// paper calls it "challenging to manage in a pipelined FPGA implementation"
-// and adopts 1.5-pass instead.
-type SinglePass struct{}
-
-// Name implements Labeler.
-func (SinglePass) Name() string { return "single-pass" }
-
-// Label implements Labeler.
-func (SinglePass) Label(g *grid.Grid, conn grid.Connectivity) (*grid.Labels, error) {
-	out, _, err := FlatTable(g, conn)
-	return out, err
-}
-
 // FlatTable is the flat representative-label table scan [14]: each lit
 // pixel takes the smallest representative among its already-scanned
 // neighbors (resolved through the table as they are read) or a new label,
@@ -204,7 +72,7 @@ func FlatTable(g *grid.Grid, conn grid.Connectivity) (*grid.Labels, int, error) 
 	}
 	rows, cols := g.Rows(), g.Cols()
 	out := grid.NewLabels(rows, cols)
-	flat := unionfind.NewFlat((rows*cols + 1) / 2)
+	table := newFlat((rows*cols + 1) / 2)
 	offsets := conn.ScanNeighbors()
 
 	for r := 0; r < rows; r++ {
@@ -219,14 +87,14 @@ func FlatTable(g *grid.Grid, conn grid.Connectivity) (*grid.Labels, int, error) 
 					continue
 				}
 				if l := out.At(nr, nc); l != 0 {
-					rep := flat.Find(l)
+					rep := table.Find(l)
 					if minL == 0 || rep < minL {
 						minL = rep
 					}
 				}
 			}
 			if minL == 0 {
-				l, err := flat.MakeSet()
+				l, err := table.MakeSet()
 				if err != nil {
 					return nil, 0, fmt.Errorf("labeling: flat-table: %w", err)
 				}
@@ -240,7 +108,7 @@ func FlatTable(g *grid.Grid, conn grid.Connectivity) (*grid.Labels, int, error) 
 					continue
 				}
 				if l := out.At(nr, nc); l != 0 {
-					flat.Union(l, minL)
+					table.Union(l, minL)
 				}
 			}
 		}
@@ -248,8 +116,73 @@ func FlatTable(g *grid.Grid, conn grid.Connectivity) (*grid.Labels, int, error) 
 
 	for i, n := 0, rows*cols; i < n; i++ {
 		if l := out.AtFlat(i); l != 0 {
-			out.SetFlat(i, flat.Find(l))
+			out.SetFlat(i, table.Find(l))
 		}
 	}
-	return out, flat.Len(), nil
+	return out, table.Len(), nil
+}
+
+// flat is He et al.'s representative-label table. rl[x] is always the
+// current representative of x (no chasing needed); next/tail thread the
+// members of each equivalence list so Union can relabel the absorbed list in
+// one sweep.
+type flat struct {
+	rl   []grid.Label // representative label, always fully resolved
+	next []grid.Label // next member of the equivalence list, 0 = end
+	tail []grid.Label // last member of the list rooted at a representative
+	cnt  grid.Label
+}
+
+// newFlat returns a flat table with room for capacity labels.
+func newFlat(capacity int) *flat {
+	if capacity < 1 {
+		capacity = 1
+	}
+	return &flat{
+		rl:   make([]grid.Label, capacity+1),
+		next: make([]grid.Label, capacity+1),
+		tail: make([]grid.Label, capacity+1),
+	}
+}
+
+// MakeSet allocates the next label as a singleton equivalence list.
+func (t *flat) MakeSet() (grid.Label, error) {
+	if int(t.cnt)+1 >= len(t.rl) {
+		return 0, fmt.Errorf("flat table capacity %d exhausted", len(t.rl)-1)
+	}
+	t.cnt++
+	l := t.cnt
+	t.rl[l] = l
+	t.next[l] = 0
+	t.tail[l] = l
+	return l, nil
+}
+
+// Len returns the number of labels allocated.
+func (t *flat) Len() int { return int(t.cnt) }
+
+// Find returns the representative of x. It is a single array read — the
+// property that makes the structure attractive in hardware.
+func (t *flat) Find(x grid.Label) grid.Label { return t.rl[x] }
+
+// Union merges the equivalence classes of a and b. The class with the larger
+// representative is relabeled member-by-member to the smaller representative
+// and its list is appended, so every rl entry stays fully resolved.
+// It reports whether the two classes were previously distinct.
+func (t *flat) Union(a, b grid.Label) bool {
+	u, v := t.rl[a], t.rl[b]
+	if u == v {
+		return false
+	}
+	if u > v {
+		u, v = v, u
+	}
+	// Relabel every member of v's list to u.
+	for m := v; m != 0; m = t.next[m] {
+		t.rl[m] = u
+	}
+	// Append v's list after u's tail.
+	t.next[t.tail[u]] = v
+	t.tail[u] = t.tail[v]
+	return true
 }

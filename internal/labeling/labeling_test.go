@@ -7,6 +7,18 @@ import (
 	"github.com/wustl-adapt/hepccl/internal/grid"
 )
 
+// labelers are the package's two labelers under one signature, golden first.
+var labelers = []struct {
+	name  string
+	label func(*grid.Grid, grid.Connectivity) (*grid.Labels, error)
+}{
+	{"floodfill", FloodFill{}.Label},
+	{"flat-table", func(g *grid.Grid, conn grid.Connectivity) (*grid.Labels, error) {
+		l, _, err := FlatTable(g, conn)
+		return l, err
+	}},
+}
+
 var fixtures = []struct {
 	name  string
 	art   string
@@ -69,20 +81,20 @@ var fixtures = []struct {
 }
 
 func TestFixtureComponentCounts(t *testing.T) {
-	for _, lab := range All() {
+	for _, lab := range labelers {
 		for _, fx := range fixtures {
 			g := grid.MustParse(fx.art)
 			for _, tc := range []struct {
 				conn grid.Connectivity
 				want int
 			}{{grid.FourWay, fx.want4}, {grid.EightWay, fx.want8}} {
-				labels, err := lab.Label(g, tc.conn)
+				labels, err := lab.label(g, tc.conn)
 				if err != nil {
-					t.Fatalf("%s/%s/%v: %v", lab.Name(), fx.name, tc.conn, err)
+					t.Fatalf("%s/%s/%v: %v", lab.name, fx.name, tc.conn, err)
 				}
 				if got := labels.Count(); got != tc.want {
 					t.Errorf("%s/%s/%v: %d components, want %d\n%s\n%s",
-						lab.Name(), fx.name, tc.conn, got, tc.want, g, labels)
+						lab.name, fx.name, tc.conn, got, tc.want, g, labels)
 				}
 			}
 		}
@@ -98,15 +110,13 @@ func TestAllAgreeWithGoldenOnFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, lab := range All()[1:] {
-				got, err := lab.Label(g, conn)
-				if err != nil {
-					t.Fatalf("%s/%s/%v: %v", lab.Name(), fx.name, conn, err)
-				}
-				if !got.Isomorphic(want) {
-					t.Errorf("%s/%s/%v: not isomorphic to flood fill\ngot:\n%s\nwant:\n%s",
-						lab.Name(), fx.name, conn, got, want)
-				}
+			got, _, err := FlatTable(g, conn)
+			if err != nil {
+				t.Fatalf("flat-table/%s/%v: %v", fx.name, conn, err)
+			}
+			if !got.Isomorphic(want) {
+				t.Errorf("flat-table/%s/%v: not isomorphic to flood fill\ngot:\n%s\nwant:\n%s",
+					fx.name, conn, got, want)
 			}
 		}
 	}
@@ -114,34 +124,18 @@ func TestAllAgreeWithGoldenOnFixtures(t *testing.T) {
 
 func TestInvalidConnectivity(t *testing.T) {
 	g := grid.MustParse("#")
-	for _, lab := range All() {
-		if _, err := lab.Label(g, grid.Connectivity(5)); err == nil {
-			t.Errorf("%s: invalid connectivity must error", lab.Name())
+	for _, lab := range labelers {
+		if _, err := lab.label(g, grid.Connectivity(5)); err == nil {
+			t.Errorf("%s: invalid connectivity must error", lab.name)
 		}
-	}
-}
-
-func TestNames(t *testing.T) {
-	want := map[string]bool{
-		"floodfill": true, "two-pass": true, "single-pass": true,
-		"fast-two-pass": true, "run-based": true, "contour-tracing": true,
-	}
-	for _, lab := range All() {
-		if !want[lab.Name()] {
-			t.Errorf("unexpected labeler name %q", lab.Name())
-		}
-		delete(want, lab.Name())
-	}
-	if len(want) != 0 {
-		t.Errorf("missing labelers: %v", want)
 	}
 }
 
 func TestLabelsArePositiveAndCoverLitPixels(t *testing.T) {
 	g := grid.MustParse("##.#\n.#..\n#..#")
-	for _, lab := range All() {
+	for _, lab := range labelers {
 		for _, conn := range []grid.Connectivity{grid.FourWay, grid.EightWay} {
-			labels, err := lab.Label(g, conn)
+			labels, err := lab.label(g, conn)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,10 +143,10 @@ func TestLabelsArePositiveAndCoverLitPixels(t *testing.T) {
 				for c := 0; c < g.Cols(); c++ {
 					l := labels.At(r, c)
 					if g.Lit(r, c) && l <= 0 {
-						t.Fatalf("%s/%v: lit pixel (%d,%d) has label %d", lab.Name(), conn, r, c, l)
+						t.Fatalf("%s/%v: lit pixel (%d,%d) has label %d", lab.name, conn, r, c, l)
 					}
 					if !g.Lit(r, c) && l != 0 {
-						t.Fatalf("%s/%v: dark pixel (%d,%d) has label %d", lab.Name(), conn, r, c, l)
+						t.Fatalf("%s/%v: dark pixel (%d,%d) has label %d", lab.name, conn, r, c, l)
 					}
 				}
 			}
@@ -172,7 +166,7 @@ func randomGrid(cells []byte, rows, cols int, litPermille int) *grid.Grid {
 	return g
 }
 
-// Property: every algorithm is label-isomorphic to flood fill on random
+// Property: the flat table is label-isomorphic to flood fill on random
 // grids, across densities and both connectivities.
 func TestAgreementProperty(t *testing.T) {
 	golden := FloodFill{}
@@ -185,11 +179,9 @@ func TestAgreementProperty(t *testing.T) {
 				if err != nil {
 					return false
 				}
-				for _, lab := range All()[1:] {
-					got, err := lab.Label(g, conn)
-					if err != nil || !got.Isomorphic(want) {
-						return false
-					}
+				got, _, err := FlatTable(g, conn)
+				if err != nil || !got.Isomorphic(want) {
+					return false
 				}
 			}
 			return true

@@ -41,7 +41,6 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"github.com/wustl-adapt/hepccl/internal/ccl"
 	"github.com/wustl-adapt/hepccl/internal/grid"
 	"github.com/wustl-adapt/hepccl/internal/runccl"
 )
@@ -108,7 +107,7 @@ type tile struct {
 type worker struct {
 	runs   []run
 	rowOff []int32
-	uf     ccl.DenseUF
+	uf     denseUF
 	remap  []int32 // run root -> 1+local island id; cleared per tile
 	runIsl []int32 // run -> local island id
 }
@@ -153,7 +152,7 @@ type Engine struct {
 	// Merge-phase scratch. The g* reduction arenas are written by the pool
 	// during the scatter barrier (disjoint per-tile ranges) and owned by the
 	// caller goroutine otherwise.
-	guf          ccl.DenseUF
+	guf          denseUF
 	base         []int32
 	gPixels      []uint32
 	gSums        []int64
@@ -777,7 +776,7 @@ func (e *Engine) merge(dst []runccl.Island) []runccl.Island {
 		}
 	}
 
-	// Reduce accumulators onto roots. DenseUF's min-root unions guarantee
+	// Reduce accumulators onto roots. denseUF's min-root unions guarantee
 	// root < member, so one ascending fold after Flatten is complete.
 	guf.Flatten()
 	k := 0
