@@ -13,7 +13,7 @@ test:
 # The concurrent pieces under the race detector (-short trims the soak).
 # internal/tileccl is bench-only since PR 16 (only bench/ imports it) and leaves with the benchmark half.
 race:
-	$(GO) test -race -short ./internal/server ./internal/gateway ./internal/adapt ./internal/runccl ./internal/wal ./internal/tileccl ./cmd/hepccld ./cmd/loadgen
+	$(GO) test -race -short ./internal/server ./internal/gateway ./internal/adapt ./internal/runccl ./internal/wal ./internal/tileccl ./cmd/hepccld ./cmd/loadgen ./cmd/hepcclgw
 
 # go vet's standard suite + the module's analyzers (marklint, hotpathalloc,
 # atomicring, nofloat, errwrapcheck, barrierproto, acctproto) + the compiler
@@ -36,7 +36,7 @@ hotclosure-check:
 # Fail when the //hepccl:checked hatches (bounds checks argued in prose
 # rather than proven) outnumber the ceiling. Lower the ceiling when a hatch
 # becomes a proof; raise it only in the diff that adds one.
-HATCH_CEILING = 51
+HATCH_CEILING = 47
 hatch-check:
 	@n=$$(grep -rh --include='*.go' --exclude='*_test.go' --exclude-dir=analysis '//hepccl:checked' . | wc -l); \
 	echo "$$n //hepccl:checked hatches (ceiling $(HATCH_CEILING))"; \

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -35,13 +36,18 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stderr); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "hepcclgw:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, out io.Writer) error {
+// run serves the gateway until ctx ends (main's ctx ends on SIGINT or
+// SIGTERM), then drains it and returns.
+func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("hepcclgw", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
@@ -90,10 +96,13 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		return err
+	}
+	cfg.Logger.Printf("hepcclgw: relaying on %s to %d backends", ln.Addr(), len(cfg.Backends))
 	errc := make(chan error, 1)
-	go func() { errc <- gw.ListenAndServe(*listen) }()
+	go func() { errc <- gw.Serve(ln) }()
 	select {
 	case err := <-errc:
 		return err

@@ -22,8 +22,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -37,27 +39,47 @@ import (
 )
 
 func main() {
-	runVet := flag.Bool("vet", true, "also run go vet's standard analyzer set")
-	runEscapes := flag.Bool("escapes", true, "cross-check hot paths against go build -gcflags=-m escape output")
-	runBounds := flag.Bool("bounds", true, "cross-check hot loops against go build -d=ssa/check_bce output")
-	listFuncs := flag.Bool("funcs", false, "print the hot-path closure and exit")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: hepcclvet [flags] [packages]\n\nAnalyzers:\n")
-		for _, a := range analysis.All() {
-			fmt.Fprintf(flag.CommandLine.Output(), "  %-14s %s\n", a.Name, a.Doc)
-		}
-		fmt.Fprintf(flag.CommandLine.Output(), "\nFlags:\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-
-	root, err := moduleRoot()
+	wd, err := os.Getwd()
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	os.Exit(run(os.Args[1:], wd, os.Stdout, os.Stderr))
+}
+
+// run checks the module that contains dir and returns the exit status: 0 when
+// clean, 1 on any finding, 2 when the checks could not run.
+func run(args []string, dir string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hepcclvet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	runVet := fs.Bool("vet", true, "also run go vet's standard analyzer set")
+	runEscapes := fs.Bool("escapes", true, "cross-check hot paths against go build -gcflags=-m escape output")
+	runBounds := fs.Bool("bounds", true, "cross-check hot loops against go build -d=ssa/check_bce output")
+	listFuncs := fs.Bool("funcs", false, "print the hot-path closure and exit")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: hepcclvet [flags] [packages]\n\nAnalyzers:\n")
+		for _, a := range analysis.All() {
+			fmt.Fprintf(fs.Output(), "  %-14s %s\n", a.Name, a.Doc)
+		}
+		fmt.Fprintf(fs.Output(), "\nFlags:\n")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	root, err := moduleRoot(dir)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	prog, err := load.LoadModule(root)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	if *listFuncs {
@@ -65,56 +87,59 @@ func main() {
 		hot := hepcclmark.ComputeHotSet(prog, marks)
 		for _, hf := range hot.Ledger() {
 			pos := prog.Fset.Position(hf.Decl.Pos())
-			fmt.Printf("%s:%d: %s.%s\n", rel(root, pos.Filename), pos.Line, hf.Pkg.Path, hf.Describe())
+			fmt.Fprintf(stdout, "%s:%d: %s.%s\n", rel(root, pos.Filename), pos.Line, hf.Pkg.Path, hf.Describe())
 		}
-		return
+		return 0
 	}
 
 	diags, err := framework.Run(prog, analysis.All())
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	if *runEscapes {
 		out, err := escapecheck.Build(root)
 		if err != nil {
-			fatal(err)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 		diags = append(diags, escapecheck.Check(prog, root, out)...)
 	}
 	if *runBounds {
 		out, err := boundscheck.Build(root)
 		if err != nil {
-			fatal(err)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 		diags = append(diags, boundscheck.Check(prog, root, out)...)
 	}
 	for _, d := range diags {
-		fmt.Printf("%s:%d:%d: %s [%s]\n", rel(root, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
+		fmt.Fprintf(stdout, "%s:%d:%d: %s [%s]\n", rel(root, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
 	}
 
 	vetFailed := false
 	if *runVet {
-		patterns := flag.Args()
+		patterns := fs.Args()
 		if len(patterns) == 0 {
 			patterns = []string{"./..."}
 		}
 		cmd := exec.Command("go", append([]string{"vet"}, patterns...)...)
 		cmd.Dir = root
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
+		cmd.Stdout = stdout
+		cmd.Stderr = stderr
 		if err := cmd.Run(); err != nil {
 			vetFailed = true
 		}
 	}
 	if len(diags) > 0 || vetFailed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-// moduleRoot walks up from the working directory to the directory holding
-// go.mod.
-func moduleRoot() (string, error) {
-	dir, err := os.Getwd()
+// moduleRoot walks up from dir to the directory holding go.mod.
+func moduleRoot(dir string) (string, error) {
+	dir, err := filepath.Abs(dir)
 	if err != nil {
 		return "", err
 	}
@@ -135,9 +160,4 @@ func rel(root, path string) string {
 		return r
 	}
 	return path
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(2)
 }

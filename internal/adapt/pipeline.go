@@ -190,7 +190,9 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	p := &Pipeline{cfg: cfg, merger: merger, pedestals: peds}
 	p.cutoff = (int64(cfg.ThresholdPE)+1)*cfg.GainADC - cfg.GainADC/2
-	p.sup = newSuppressor(cfg.ASICs, cfg.SamplesPerChannel, p.cutoff, peds)
+	if p.sup, err = newSuppressor(cfg.ASICs, cfg.SamplesPerChannel, p.cutoff, peds); err != nil {
+		return nil, err
+	}
 	if cfg.GainADC < 1<<23 {
 		p.pcM = uint64(1)<<47/uint64(cfg.GainADC) + 1
 		p.pcMax = uint64(1) << 23
@@ -257,13 +259,19 @@ func (p *Pipeline) Calibrate(events [][]Packet) error {
 
 // SetPedestals installs measured per-channel pedestal integrals — what
 // Calibrate computes, or MeasurePedestals without the events — replacing the
-// nominal baseline. The table is copied.
+// nominal baseline. The table is copied. A table that puts any channel's
+// suppression limit (cutoff + pedestal) below −2^30 is refused and the
+// pipeline keeps its previous one.
 func (p *Pipeline) SetPedestals(pedestals []int64) error {
 	if len(pedestals) != len(p.pedestals) {
 		return fmt.Errorf("adapt: %d pedestals for %d channels", len(pedestals), len(p.pedestals))
 	}
+	sup, err := newSuppressor(p.cfg.ASICs, p.cfg.SamplesPerChannel, p.cutoff, pedestals)
+	if err != nil {
+		return err
+	}
 	copy(p.pedestals, pedestals)
-	p.sup = newSuppressor(p.cfg.ASICs, p.cfg.SamplesPerChannel, p.cutoff, p.pedestals)
+	p.sup = sup
 	return nil
 }
 

@@ -1,14 +1,18 @@
 package adapt
 
-// frameSumsAVX2 is the suppress pass's frame kernel (scan_amd64.s): for one
-// frame of the one-word route it writes the 16 raw channel integrals of src to
-// raw and returns the dark mask — bit c set when raw[c] < lim[c], the sign of
-// the 32-bit raw−lim the portable loop computes — and the frame's sample
-// total. The array-pointer types are the bounds proof: assembly checks
-// nothing, so the caller's conversions are what keep it inside the slices.
+// scanFramesAVX2 is the suppress pass's window kernel (scan_amd64.s) for the
+// one-word route. It walks whole frames at the front of win for as long as
+// win holds another one, lims holds its sixteen limits and out has sixteen
+// free slots after n — those loop conditions are its only bounds, assembly
+// checks nothing else. Per frame it compares header bytes 0–7, loaded
+// little-endian, with want (which grows by 1<<16, the next ASIC index, per
+// frame), checks the sample count is 4, sums the channels, folds and checks
+// the checksum, and only then appends the frame's lit channels to out[n:] as
+// fl | c<<32 | (raw−limit), fl growing by 16<<32 per frame. It returns the
+// frames it took and the advanced n; the frame it stopped at is untouched.
 //
 //go:noescape
-func frameSumsAVX2(src *[frameSampleBytes]byte, lim, raw *[ChannelsPerASIC]uint32) (dark, total uint32)
+func scanFramesAVX2(win []byte, lims []uint32, want, fl uint64, out []Lit, n int) (frames, nOut int)
 
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)

@@ -5,13 +5,13 @@ import "testing"
 // hostAVX2 is what init detected, read before any test flips the selector.
 var hostAVX2 = useAVX2
 
-// withKernel makes scan run the portable loops (false) or the AVX2 frame
+// withKernel makes scan run the portable loops (false) or the AVX2 window
 // kernel (true) for the rest of the calling test, which is skipped when the
 // host has no such kernel. The selector is a package variable, so a test that
 // uses this must not run in parallel with one that scans.
 func withKernel(t testing.TB, avx2 bool) {
 	if avx2 && !hostAVX2 {
-		t.Skip("no AVX2 frame kernel on this host (CPUID leaf 7 / XGETBV)")
+		t.Skip("no AVX2 window kernel on this host (CPUID leaf 7 / XGETBV)")
 	}
 	useAVX2 = avx2
 	t.Cleanup(func() { useAVX2 = hostAVX2 })

@@ -19,7 +19,8 @@ import (
 // across events.
 //
 // There is one seam: the lit list (LitEvent) — the channels that survive
-// zero-suppression, in raster order, with their raw integrals. Two producers
+// zero-suppression, in raster order, with their integrals' excess over the
+// suppression limit. Two producers
 // make lit lists: the stream reader's wire scan (StreamReader.ReadSuppressed,
 // the daemon's path) and integrateEvent over decoded packets (the reference,
 // behind ServeEvent/ServeBatch). Three sinks consume them, chosen by the
@@ -90,22 +91,22 @@ func (p *Pipeline) ServeLit(ev LitEvent, rec *EventRecord) {
 }
 
 // photons is the photon count of a lit channel: PhotonCount(raw − pedestal,
-// gain) = (net + gain/2) / gain, with the division done as the pipeline's
-// precomputed magic multiply when the numerator is in range (it always is
-// for a modest integral); the fallback keeps saturated channels bit-exact.
-// The suppression compare already proved the channel lit (raw ≥ limit ⇔
-// pe > threshold), so no zero-suppress re-check follows.
+// gain) = (net + gain/2) / gain, where net = raw − pedestal is exactly the
+// channel's excess over its limit plus the cutoff (limit = cutoff + pedestal),
+// so no pedestal is loaded. The division is the pipeline's precomputed magic
+// multiply when the numerator is in range (it always is for a modest
+// integral); the fallback keeps saturated channels bit-exact. The suppression
+// compare already proved the channel lit (raw ≥ limit ⇔ pe > threshold), so
+// no zero-suppress re-check follows.
 //
 //hepccl:hotpath
 func (p *Pipeline) photons(l Lit) grid.Value {
-	// Lit channels index below the channel count — the lit-list contract.
-	//hepccl:checked
-	ped := p.pedestals[l.Channel()]
-	num := l.Raw() - ped + p.cfg.GainADC/2
+	net := l.Excess() + p.cutoff
+	num := net + p.cfg.GainADC/2
 	if uint64(num) < p.pcMax {
 		return grid.Value(uint64(num) * p.pcM >> 47)
 	}
-	return PhotonCount(l.Raw()-ped, p.cfg.GainADC)
+	return PhotonCount(net, p.cfg.GainADC)
 }
 
 // sinkRuns streams one event's lit pixels — ascending flat order is raster
@@ -131,8 +132,6 @@ func (p *Pipeline) sinkRuns(lit []Lit) {
 		if fl >= px {
 			break // padded channels beyond the pixel array: never downlinked
 		}
-		// The inlined pedestal load is bounded by the lit-list contract.
-		//hepccl:checked
 		v := int64(p.photons(l))
 		if fl == prev+1 && fl < rowEnd {
 			end++
@@ -233,8 +232,6 @@ func (p *Pipeline) sink1D(lit []Lit, rec *EventRecord) {
 			}
 			start, sum, weighted = fl, 0, 0
 		}
-		// The inlined pedestal load is bounded by the lit-list contract.
-		//hepccl:checked
 		v := int64(p.photons(l))
 		sum += v
 		weighted += int64(fl) * v

@@ -102,7 +102,7 @@ func BenchmarkServeDense(b *testing.B) {
 			if rng.Float64() < 0.30 {
 				pe := int64(5 + rng.Intn(20))
 				raw := cfg.PedestalPerSample*int64(cfg.SamplesPerChannel) + pe*cfg.GainADC
-				events[e].Lit = append(events[e].Lit, mkLit(fl, raw))
+				events[e].Lit = append(events[e].Lit, mkLit(fl, raw-p.sup.limits[fl]))
 			}
 		}
 		lit += len(events[e].Lit)

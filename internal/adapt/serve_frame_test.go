@@ -88,22 +88,24 @@ func TestServeLitBatchMegapixel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The nominal pedestal, and one photo-electron per GainADC above it.
-	raw := func(pe int) int64 {
-		return cfg.PedestalPerSample*int64(cfg.SamplesPerChannel) + int64(pe)*cfg.GainADC
+	// A lit entry of pe photo-electrons: one per GainADC above the nominal
+	// pedestal, carried as the integral's excess over the channel's limit.
+	lit := func(fl, pe int) Lit {
+		raw := cfg.PedestalPerSample*int64(cfg.SamplesPerChannel) + int64(pe)*cfg.GainADC
+		return mkLit(fl, raw-single.sup.limits[fl])
 	}
 	var events []LitEvent
 	for e := 0; e < 9; e++ {
-		var lit []Lit
+		var list []Lit
 		for fl := 0; fl < side*side; fl++ {
 			if (fl/side+fl%side+e)%2 == 0 {
-				lit = append(lit, mkLit(fl, raw(3+(fl+e)%29)))
+				list = append(list, lit(fl, 3+(fl+e)%29))
 			}
 		}
-		events = append(events, LitEvent{Event: uint32(e), Lit: lit})
+		events = append(events, LitEvent{Event: uint32(e), Lit: list})
 	}
 	// Three runs, two islands: (0,5)-(0,6) joins (1,6) below it.
-	sparse := []Lit{mkLit(5, raw(4)), mkLit(6, raw(9)), mkLit(side+6, raw(3)), mkLit(side*side-1, raw(30))}
+	sparse := []Lit{lit(5, 4), lit(6, 9), lit(side+6, 3), lit(side*side-1, 30)}
 	events = append(events,
 		LitEvent{Event: 9, Lit: sparse},
 		LitEvent{Event: 10},

@@ -15,19 +15,23 @@ import (
 // only on the reference route and in the cycle-accurate pipeline.
 
 // Lit is one above-threshold channel of a zero-suppressed event: the flat
-// channel index in the high 32 bits and the raw (pedestal-bearing) waveform
-// integral in the low 32. Packed so the wire scan's compaction is one store
-// and a lit list sorts as plain integers. Integrals of wire samples are below
-// 2^24 (255 samples of 16 bits), far inside the field.
+// channel index in the high 32 bits and, in the low 32, the excess of the raw
+// waveform integral over the channel's suppression limit (raw − limit ≥ 0,
+// which is what makes it lit). Packed so the wire scan's compaction is one
+// store and a lit list sorts as plain integers. Integrals of wire samples are
+// below 2^24 (255 samples of 16 bits) and limits are at least −2^30 (New
+// refuses lower ones), so the excess is below 2^31, inside the field.
+// Because limit = cutoff + pedestal, excess + cutoff is the pedestal-
+// subtracted integral: serving needs no pedestal table.
 type Lit uint64
 
-func mkLit(channel int, raw int64) Lit { return Lit(uint64(channel)<<32 | uint64(uint32(raw))) }
+func mkLit(channel int, excess int64) Lit { return Lit(uint64(channel)<<32 | uint64(uint32(excess))) }
 
 // Channel returns the flat channel index.
 func (l Lit) Channel() int { return int(l >> 32) }
 
-// Raw returns the channel's raw waveform integral.
-func (l Lit) Raw() int64 { return int64(uint32(l)) }
+// Excess returns the channel's raw integral minus its suppression limit.
+func (l Lit) Excess() int64 { return int64(uint32(l)) }
 
 // LitEvent is one zero-suppressed event: the trigger id and its lit channels
 // in ascending flat-channel order, which is raster order.
@@ -52,41 +56,45 @@ type Suppressor struct {
 	// ADC-domain threshold (pe > T ⇔ net ≥ (T+1)·g − g/2) into one compare
 	// against the raw integral.
 	limits []int64
-	// lim32 is limits clamped into [0, 1<<24] for the wire scan, present when
-	// the sample count is a multiple of four (a channel is then a whole
-	// number of 8-byte words). A wire integral is below 1<<24, so a
-	// non-positive limit clamps to 0 (always lit), one beyond reach to 1<<24
-	// (never lit), and the lit compare becomes the sign bit of a 32-bit
-	// subtraction.
+	// lim32 is limits clamped into [minLimit, 1<<24] for the wire scan,
+	// present when the sample count is a multiple of four (a channel is then
+	// a whole number of 8-byte words). A wire integral is below 1<<24, so a
+	// limit beyond reach clamps to 1<<24 (never lit), newSuppressor refuses
+	// any below minLimit, and the lit compare becomes the sign bit of a 32-bit
+	// subtraction whose value, for a lit channel, is the exact excess.
 	lim32 []uint32
 }
 
-func newSuppressor(asics, spc int, cutoff int64, pedestals []int64) *Suppressor {
+// minLimit is the lowest suppression limit a Suppressor accepts: the excess
+// of a wire integral (< 2^24) over it stays below 2^31, so it fits a Lit and
+// the 32-bit lit compare cannot wrap.
+const minLimit = -1 << 30
+
+func newSuppressor(asics, spc int, cutoff int64, pedestals []int64) (*Suppressor, error) {
 	s := &Suppressor{asics: asics, spc: spc, limits: make([]int64, len(pedestals))}
 	for i, ped := range pedestals {
-		s.limits[i] = cutoff + ped
+		if s.limits[i] = cutoff + ped; s.limits[i] < minLimit {
+			return nil, fmt.Errorf("adapt: channel %d: suppression limit %d (cutoff %d + pedestal %d) is below %d",
+				i, s.limits[i], cutoff, ped, minLimit)
+		}
 	}
 	if spc%4 == 0 {
 		s.lim32 = make([]uint32, len(pedestals))
 		for i, l := range s.limits {
-			s.lim32[i] = uint32(min(max(l, 0), 1<<24))
+			s.lim32[i] = uint32(min(l, 1<<24))
 		}
 	}
-	return s
+	return s, nil
 }
 
-// frameSampleBytes is the sample block of a one-word frame: ChannelsPerASIC
-// channels of four 16-bit samples.
-const frameSampleBytes = 2 * ChannelsPerASIC * 4
-
-// useAVX2 selects the frame kernel under scan's one-word route. It is set
+// useAVX2 selects the window kernel under scan's one-word route. It is set
 // once, here, from what the CPU and OS report — there is no flag, environment
 // variable or build tag to choose it — and only the differential tests ever
 // flip it, to run the portable loop on a host that has the kernel.
 var useAVX2 = detectAVX2()
 
 // ScanKernel names the implementation the suppress pass runs on this host:
-// "avx2" when the frame kernel was selected, "portable" for the Go loops.
+// "avx2" when the window kernel was selected, "portable" for the Go loops.
 func ScanKernel() string { return kernelName(useAVX2) }
 
 func kernelName(avx2 bool) string {
@@ -100,24 +108,26 @@ func kernelName(avx2 bool) string {
 // continue the event in progress verbatim — frame i carries ASIC i, the
 // event's id and the configured sample count, and its checksum holds — and
 // per frame, in one pass over the wire bytes, sums each channel's samples,
-// folds the checksum from those sums, and writes the channels that reach their limit to out[n:]
-// as (flat channel, raw integral) in raster order. i is the next ASIC
-// position, event the trigger id (of the window's first frame when i is 0).
-// It stops at the first frame it cannot take — window exhausted, any header
-// field off, checksum bad — leaving that frame for the caller's general path,
-// and returns the bytes walked with the advanced i and n. A frame whose
-// checksum fails contributes nothing: its lit entries are rewound.
+// folds the checksum from those sums, and writes the channels that reach their
+// limit to out[n:] as (flat channel, excess over the limit) in raster order.
+// i is the next ASIC position, event the trigger id (of the window's first
+// frame when i is 0). It stops at the first frame it cannot take — window
+// exhausted, any header field off, checksum bad — leaving that frame for the
+// caller's general path, and returns the bytes walked with the advanced i and
+// n. A frame whose checksum fails contributes nothing: its lit entries are
+// rewound.
 //
 // Compaction is branch-free: every channel is stored at out[n] and n advances
 // by the compare's sign bit, so a dense event costs what a dark one does. out
 // must hold one slot beyond the event's channel count for the final store.
 //
 // Where useAVX2 holds, the one-word route (four samples per channel, the
-// daemon's default) hands each frame's sample block to frameSumsAVX2 and
-// stores only the channels whose bit is clear in the dark mask it returns;
-// header compare, checksum fold and rewind are the same code either way, and
-// the Go loops are both the fallback and the reference the kernel is tested
-// against.
+// daemon's default) first hands the whole window to scanFramesAVX2, which
+// takes every frame the loop below would and appends lit channels only after
+// a frame's checksum holds; the loop then resumes at the frame the kernel
+// stopped at, which on a clean window is past the end of the window or the
+// event. The Go loops are both the fallback and the reference the kernel is
+// tested against.
 //
 //hepccl:hotpath
 func (s *Suppressor) scan(win []byte, i int, event uint32, out []Lit, n int) (int, int, int) {
@@ -125,8 +135,6 @@ func (s *Suppressor) scan(win []byte, i int, event uint32, out []Lit, n int) (in
 	words := s.spc / 4 // 8-byte words per channel
 	total := headerBytes + 2*ChannelsPerASIC*s.spc + 2
 	off := 0
-	kernel := useAVX2 && words == 1
-	var raw [ChannelsPerASIC]uint32 // the kernel's integrals, one frame at a time
 	if words < 1 || total < headerBytes+2 {
 		// Unreachable (lim32 exists only for a positive multiple of four);
 		// stated so the frame offsets below are provably in range.
@@ -138,6 +146,15 @@ func (s *Suppressor) scan(win []byte, i int, event uint32, out []Lit, n int) (in
 	var lims []uint32
 	if i < s.asics {
 		lims = s.lim32[i*ChannelsPerASIC:]
+	}
+	if useAVX2 && s.spc == 4 {
+		// Header bytes 0–7 little-endian: the magic's two bytes, the ASIC
+		// index (low byte first, so +1<<16 per frame carries into the high
+		// byte), the big-endian event id.
+		want := uint64(bits.ReverseBytes16(PacketMagic)) | uint64(i)<<16 | uint64(bits.ReverseBytes32(event))<<32
+		k, nn := scanFramesAVX2(win, lims, want, uint64(i*ChannelsPerASIC)<<32, out, n)
+		off, i, n = k*total, i+k, nn
+		win, lims = win[off:], lims[k*ChannelsPerASIC:]
 	}
 	for i < s.asics && len(win) >= total && len(lims) >= ChannelsPerASIC {
 		// Magic, ASIC position and event id are the frame's first eight
@@ -156,22 +173,7 @@ func (s *Suppressor) scan(win []byte, i int, event uint32, out []Lit, n int) (in
 		// tot accumulates every sample of the frame, two 16-bit samples per
 		// 32-bit half (at most 2·0xFFFF per word over 16·63 words: no carry).
 		var tot uint64
-		if kernel {
-			if len(src) < frameSampleBytes {
-				break // unreachable: four samples per channel make src 130 bytes
-			}
-			dark, sum := frameSumsAVX2((*[frameSampleBytes]byte)(src), (*[ChannelsPerASIC]uint32)(lim), &raw)
-			tot = uint64(sum)
-			for lit := ^dark & (1<<ChannelsPerASIC - 1); lit != 0; lit &= lit - 1 {
-				c := bits.TrailingZeros32(lit) & (ChannelsPerASIC - 1)
-				// n never exceeds the channels scanned so far and out
-				// holds one slot more than the event has channels.
-				//hepccl:checked
-				out[n] = Lit(fl | uint64(c)<<32 | uint64(raw[c]))
-				n++
-			}
-			src = src[frameSampleBytes:]
-		} else if words == 1 {
+		if words == 1 {
 			// One word is one channel. Four channels per step: their dark
 			// checks AND into one predictable branch that skips the stores
 			// where nothing is lit — the common case on sparse events.
@@ -197,16 +199,16 @@ func (s *Suppressor) scan(win []byte, i int, event uint32, out []Lit, n int) (in
 					// n never exceeds the channels scanned so far and out
 					// holds one slot more than the event has channels.
 					//hepccl:checked
-					out[n] = Lit(fl | uint64(r0))
+					out[n] = Lit(fl | uint64(d0))
 					n += int(^d0 >> 31)
 					//hepccl:checked
-					out[n] = Lit(fl + 1<<32 | uint64(r1))
+					out[n] = Lit(fl + 1<<32 | uint64(d1))
 					n += int(^d1 >> 31)
 					//hepccl:checked
-					out[n] = Lit(fl + 2<<32 | uint64(r2))
+					out[n] = Lit(fl + 2<<32 | uint64(d2))
 					n += int(^d2 >> 31)
 					//hepccl:checked
-					out[n] = Lit(fl + 3<<32 | uint64(r3))
+					out[n] = Lit(fl + 3<<32 | uint64(d3))
 					n += int(^d3 >> 31)
 				}
 				fl += 4 << 32
@@ -230,7 +232,7 @@ func (s *Suppressor) scan(win []byte, i int, event uint32, out []Lit, n int) (in
 				d := raw - lim[0]
 				// Same out sizing argument as the one-word route.
 				//hepccl:checked
-				out[n] = Lit(fl | uint64(raw))
+				out[n] = Lit(fl | uint64(d))
 				n += int(^d >> 31)
 				fl += 1 << 32
 				lim = lim[1:]
@@ -293,7 +295,8 @@ func (s *Suppressor) checkPacket(seen []uint64, event uint32, pkt *Packet) error
 
 // integratePacket is the reference integrate + zero-suppress step: it sums
 // each channel's decoded samples and appends the channels that reach their
-// limit to lit, in channel order. The packet must have passed checkPacket.
+// limit to lit, with their excess over it, in channel order. The packet must
+// have passed checkPacket.
 //
 //hepccl:coldpath
 func (s *Suppressor) integratePacket(pkt *Packet, lit []Lit) []Lit {
@@ -304,7 +307,7 @@ func (s *Suppressor) integratePacket(pkt *Packet, lit []Lit) []Lit {
 			raw += int64(v)
 		}
 		if raw >= lim {
-			lit = append(lit, mkLit(base+ch, raw))
+			lit = append(lit, mkLit(base+ch, raw-lim))
 		}
 	}
 	return lit
