@@ -36,7 +36,7 @@ hotclosure-check:
 # Fail when the //hepccl:checked hatches (bounds checks argued in prose
 # rather than proven) outnumber the ceiling. Lower the ceiling when a hatch
 # becomes a proof; raise it only in the diff that adds one.
-HATCH_CEILING = 47
+HATCH_CEILING = 44
 hatch-check:
 	@n=$$(grep -rh --include='*.go' --exclude='*_test.go' --exclude-dir=analysis '//hepccl:checked' . | wc -l); \
 	echo "$$n //hepccl:checked hatches (ceiling $(HATCH_CEILING))"; \

@@ -114,6 +114,31 @@ func FuzzStreamReaderResync(f *testing.F) {
 			}
 			dst = got
 		}
+
+		// Phase 3: the skim in capture mode (the gateway's and the WAL
+		// validator's framer) over the same bytes terminates too, and every
+		// event it frames starts with a verified frame of the id it reports.
+		sr = NewStreamReader(bytes.NewReader(data))
+		sr.SetCapture(true)
+		for iters = 0; ; iters++ {
+			if iters > maxIters {
+				t.Fatalf("skim made no progress on %d bytes", len(data))
+			}
+			id, err := sr.SkimEvent(3)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				if !errors.Is(err, ErrIncompleteEvent) {
+					t.Fatalf("unexpected skim error kind: %v", err)
+				}
+				continue
+			}
+			var first Packet
+			if _, err := first.Unmarshal(sr.Captured()); err != nil || first.Event != id {
+				t.Fatalf("skimmed event %d: captured span does not open with its verified frame (%v)", id, err)
+			}
+		}
 	})
 }
 

@@ -243,6 +243,18 @@ func TestSkimLedgerSingleFault(t *testing.T) {
 		{"skim", func(sr *StreamReader, _ []Packet) (uint32, error) {
 			return sr.SkimEvent(asics)
 		}, false},
+		// The gateway's framer: the skim in capture mode must also hand over
+		// every intact event's wire bytes verbatim.
+		{"skim captured", func(sr *StreamReader, _ []Packet) (uint32, error) {
+			sr.SetCapture(true)
+			id, err := sr.SkimEvent(asics)
+			if err == nil && id < events && id != victim {
+				if want := clean.Bytes()[int(id)*asics*frame:][:asics*frame]; !bytes.Equal(sr.Captured(), want) {
+					return id, fmt.Errorf("event %d: captured bytes differ from the wire", id)
+				}
+			}
+			return id, err
+		}, false},
 	}
 	for _, rt := range routes {
 		t.Run(rt.name, func(t *testing.T) {

@@ -65,9 +65,9 @@ func (sw *StreamWriter) WriteEvent(packets []Packet) error {
 // so network servers can tell a closed connection from a failed one.
 type StreamReader struct {
 	r *bufio.Reader
-	// scratch is the reader's one decoded packet: SkimEvent verifies a
-	// condemned event's first frame into it and ReadSuppressed decodes
-	// reference-route frames into it.
+	// scratch is the reader's one decoded packet: SkimEvent verifies an
+	// event's first frame into it and ReadSuppressed decodes reference-route
+	// frames into it.
 	scratch Packet
 	// lit is ReadSuppressed's compaction target, one slot more than an event
 	// has channels; seen is its reference route's duplicate-ASIC bitmap.
@@ -91,8 +91,7 @@ type StreamReader struct {
 	// capturing, when set, makes each event assembly also accumulate the raw
 	// wire bytes of its accepted frames in capture, so a recorder can append
 	// exactly what was admitted without a second decode pass. Skipped garbage
-	// and corrupted frames are never captured, and skimmed (condemned) events
-	// are not captured either.
+	// and corrupted frames are never captured.
 	capturing bool
 	capture   []byte
 }
@@ -117,14 +116,21 @@ func (sr *StreamReader) Reset(r io.Reader) {
 }
 
 // SetCapture toggles raw-frame capture. While on, every successful
-// ReadEventInto or ReadSuppressed leaves the event's exact wire bytes in
-// Captured.
+// ReadEventInto, ReadSuppressed or SkimEvent leaves the event's exact wire
+// bytes in Captured.
 func (sr *StreamReader) SetCapture(on bool) { sr.capturing = on }
 
 // Captured returns the raw wire bytes of the frames accepted by the last
 // successful event assembly, in stream order. The slice is reused by the next
 // assembly; copy it to retain it.
 func (sr *StreamReader) Captured() []byte { return sr.capture }
+
+// Buffered reports how many unconsumed bytes sit in the read window. A
+// forwarder uses it as its flush boundary: with less than a frame header
+// buffered, the next read blocks on the socket, so staged output goes first.
+//
+//hepccl:hotpath
+func (sr *StreamReader) Buffered() int { return sr.r.Buffered() }
 
 // wrapErr passes io.EOF through untouched and wraps everything else.
 //
@@ -239,10 +245,11 @@ const noSkim = -1
 // assembling event: a valid frame carrying a different id interrupts the
 // assembly — it is decoded into p (so the caller can name it) but left
 // unconsumed in the window, errInterrupted is returned, and the next assembly
-// starts from it. A caller skimming a condemned event passes skimSpc, the
-// sample count of that event's verified first frame: a frame whose header
-// carries the event's id and that sample count is consumed on the header
-// alone — no checksum, no decode, p untouched.
+// starts from it. A caller skimming an event passes skimSpc, the sample count
+// of that event's verified first frame: a frame whose header carries the
+// event's id and that sample count is consumed on the header alone — no
+// checksum, no decode, p untouched. Either way an accepted frame is captured
+// when capture is on.
 //
 //hepccl:hotpath
 func (sr *StreamReader) readPacketInto(p *Packet, haveEvent bool, event uint32, skimSpc int) error {
@@ -322,13 +329,16 @@ func (sr *StreamReader) readPacketInto(p *Packet, haveEvent bool, event uint32, 
 		// Peek succeeded, so len(frame) == total ≥ headerBytes.
 		//hepccl:checked
 		if int(samples) == skimSpc && binary.BigEndian.Uint32(frame[4:]) == event {
-			// Condemned frame: framing only — no checksum, no decode. The
-			// event is dropped either way, so payload corruption is
-			// indistinguishable from a clean drop. The two header fields the
-			// framing rests on are checked against the event's verified first
-			// frame: the id ties the frame to this event, and the sample
-			// count makes total the length that frame proved. A frame that
-			// fails either is suspect and takes the checksum below.
+			// Skimmed frame: framing only — no checksum, no decode. The two
+			// header fields the framing rests on are checked against the
+			// event's verified first frame: the id ties the frame to this
+			// event, and the sample count makes total the length that frame
+			// proved. A frame that fails either is suspect and takes the
+			// checksum below.
+			if sr.capturing {
+				//hepccl:amortized
+				sr.capture = append(sr.capture, frame...)
+			}
 			sr.r.Discard(total)
 			return nil
 		}
@@ -390,20 +400,23 @@ var ErrIncompleteEvent = errors.New("adapt: incomplete event")
 var ErrResyncStorm = errors.New("adapt: resync storm")
 
 // SkimEvent consumes the next event's packets with the same framing, resync,
-// and interruption behaviour as ReadEventInto, but verifies only the event's
-// first frame: every later frame is taken on its header alone — no checksum,
-// no sample decode — provided the header carries the first frame's event id
-// and sample count, the two fields that say whose frame it is and how long.
-// A frame that fails either test is read like any suspect frame. It exists
-// for the saturated-ingest case where the caller has already decided the
-// event will be dropped (derandomizer full under drop policy) — the hardware
-// analogue is a full derandomizer FIFO, which never inspects the trigger it
-// refuses. Payload corruption in a skimmed frame therefore goes uncounted
-// (the event is a loss either way), while corruption that would misframe the
-// stream is caught by the checks above and recovered by the magic-hunt
-// resync, so every wire event is still counted exactly once. A valid packet
-// from a different event interrupts the skim and stays in the window for the
-// next assembly. Returns the skimmed event id.
+// interruption and capture behaviour as ReadEventInto, but verifies only the
+// event's first frame: every later frame is taken on its header alone — no
+// checksum, no sample decode — provided the header carries the first frame's
+// event id and sample count, the two fields that say whose frame it is and
+// how long. A frame that fails either test is read like any suspect frame.
+// Payload corruption in a later frame therefore goes uncounted, while
+// corruption that would misframe the stream is caught by the checks above and
+// recovered by the magic-hunt resync, so every wire event is still counted
+// exactly once. A valid packet from a different event interrupts the skim and
+// stays in the window for the next assembly. Returns the skimmed event id.
+//
+// It serves two callers that need framing but not samples. The daemon skims
+// an event it has already condemned (derandomizer full under drop policy),
+// with capture off — the hardware analogue is a full derandomizer FIFO, which
+// never inspects the trigger it refuses. A forwarder or log validator skims
+// with capture on and takes the event's verbatim wire bytes from Captured,
+// leaving the payload check to whoever decodes it.
 //
 //hepccl:hotpath
 func (sr *StreamReader) SkimEvent(asics int) (uint32, error) {
@@ -415,7 +428,6 @@ func (sr *StreamReader) SkimEvent(asics int) (uint32, error) {
 	if err := sr.readPacketInto(&sr.scratch, false, 0, noSkim); err != nil {
 		return 0, err
 	}
-	sr.capture = sr.capture[:0] // a skim leaves nothing for the recorder
 	event, samples := sr.scratch.Event, sr.scratch.SamplesPerChannel
 	total := headerBytes + 2*ChannelsPerASIC*int(samples) + 2
 	for i := 1; i < asics; {
@@ -445,6 +457,12 @@ func (sr *StreamReader) SkimEvent(asics int) (uint32, error) {
 				i++
 			}
 			if off > 0 {
+				if sr.capturing {
+					// Re-peek the walked prefix rather than slice the window
+					// at a running offset the compiler cannot bound.
+					span, _ := sr.r.Peek(off)
+					sr.capture = append(sr.capture, span...) //hepccl:amortized
+				}
 				sr.r.Discard(off)
 				continue
 			}

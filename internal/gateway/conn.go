@@ -13,8 +13,10 @@ import (
 )
 
 // Per-client forwarding. One goroutine frames events off the client link
-// with adapt.RawEventReader and writes each event's raw bytes to the
-// upstream connection for its chosen backend; one relay goroutine per
+// with adapt.StreamReader.SkimEvent in capture mode — each event's first
+// frame checksummed, the rest framed on their headers — and writes each
+// event's captured wire bytes to the upstream connection for its chosen
+// backend, which verifies every frame when it serves; one relay goroutine per
 // upstream frames downlink records with adapt.RecordScanner and writes them
 // back to the client. Upstream connections are per (client, backend) and
 // lazily dialed, which gives per-source FIFO ordering for free: a client's
@@ -84,7 +86,7 @@ type upstream struct {
 type clientConn struct {
 	g  *Gateway
 	nc *net.TCPConn
-	rr *adapt.RawEventReader
+	sr *adapt.StreamReader
 
 	// wmu serializes relay goroutines writing downlink records.
 	wmu sync.Mutex
@@ -93,8 +95,6 @@ type clientConn struct {
 	ups     map[*Backend]*upstream
 	relayWG sync.WaitGroup
 	gen     uint64
-
-	eventBuf []byte
 }
 
 // handleConn owns one client connection for its lifetime.
@@ -110,11 +110,12 @@ func (g *Gateway) handleConn(nc net.Conn) {
 	c := &clientConn{
 		g:   g,
 		nc:  tc,
-		rr:  adapt.NewRawEventReader(tc),
+		sr:  adapt.NewStreamReader(tc),
 		bw:  bufio.NewWriterSize(tc, 64<<10),
 		ups: make(map[*Backend]*upstream, 4),
 		gen: g.gen.Load(),
 	}
+	c.sr.SetCapture(true)
 	c.run()
 }
 
@@ -127,8 +128,7 @@ func (c *clientConn) run() {
 			c.gen = gen
 			c.sweepUpstreams()
 		}
-		event, buf, err := c.rr.ReadEventInto(c.eventBuf, g.cfg.ASICs)
-		c.eventBuf = buf
+		event, err := c.sr.SkimEvent(g.cfg.ASICs)
 		if err != nil {
 			if errors.Is(err, adapt.ErrIncompleteEvent) {
 				// One broken event; the reader resynced. Count and continue.
@@ -148,11 +148,11 @@ func (c *clientConn) run() {
 		// no held entry yet, so no charge/settle pair exists to race with.
 		//hepccl:checked
 		g.stats.offered.Add(1)
-		c.forward(event, buf)
+		c.forward(event, c.sr.Captured())
 		// Flush boundary: when the read window holds no complete frame the
 		// next read blocks on the socket, so push staged work downstream
 		// first.
-		if c.rr.Buffered() < adapt.PacketHeaderBytes {
+		if c.sr.Buffered() < adapt.PacketHeaderBytes {
 			c.flushAll()
 		}
 	}

@@ -1,6 +1,6 @@
 // Package gateway implements hepcclgw's L4 event router: it speaks the ALPHA
-// packet protocol on the front, frames events without decoding them, and
-// consistent-hashes each event by event id across a fleet of hepccld
+// packet protocol on the front, frames events verifying only each event's
+// first frame, and consistent-hashes each event by event id across a fleet of hepccld
 // backends. Placement uses a stable vnode hash ring flattened into a slot
 // table, with bounded-load overflow to ring successors; backend health is
 // probed from each hepccld's three-state /healthz, spilling slots away from
@@ -41,7 +41,7 @@ type Config struct {
 	// Backends is the initial fleet.
 	Backends []BackendSpec
 	// ASICs is the number of frames composing one event on the wire (the
-	// fleet's pipeline geometry; the gateway frames but never decodes).
+	// fleet's pipeline geometry; the gateway frames events but never serves).
 	ASICs int
 
 	// Slots is the routing-table size (power of two). Default 512.

@@ -289,6 +289,46 @@ func TestGatewayEndToEnd(t *testing.T) {
 	}
 }
 
+// TestGatewayDropsCorruptFirstFrame: the forwarder checksums each event's
+// first frame, so an event whose first frame is corrupted on the client link
+// costs one client error at the gateway and is never offered to a backend,
+// while its neighbours relay untouched.
+func TestGatewayDropsCorruptFirstFrame(t *testing.T) {
+	g := startGateway(t, startBackend(t, server.PolicyBlock, ""))
+	events := makeEvents(t, 3, 0)
+	nc, err := net.Dial("tcp", g.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	rc := collectRecords(nc)
+	var stream []byte
+	for i, ev := range events {
+		for p := range ev {
+			f, err := ev[p].Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 1 && p == 0 {
+				f[len(f)/2] ^= 0x01
+			}
+			stream = append(stream, f...)
+		}
+	}
+	if _, err := nc.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	nc.(*net.TCPConn).CloseWrite()
+	n, ids := rc.wait(t)
+	snap := checkIdentity(t, g)
+	if n != 2 || ids[0] != 1 || ids[2] != 1 {
+		t.Fatalf("%d records %v, want events 0 and 2 answered once each", n, ids)
+	}
+	if snap.Offered != 2 || snap.ClientErrors != 1 || snap.Shed.Total() != 0 {
+		t.Fatalf("offered %d client errors %d shed %d, want 2/1/0", snap.Offered, snap.ClientErrors, snap.Shed.Total())
+	}
+}
+
 // TestGatewayDrainZeroLoss drains a backend in the middle of a stream and
 // hot re-adds it: every offered event must still be answered — drain means
 // finish-in-flight, not shed — and the re-added backend must take traffic

@@ -60,12 +60,7 @@ func (c *conn) readLoop() {
 		draining: s.isDraining,
 	}
 	sr := adapt.NewStreamReader(tr)
-	// With recording on, the stream reader accumulates each accepted event's
-	// raw wire bytes alongside the scan — no second pass over the stream.
 	wlog := s.wal
-	if wlog != nil {
-		sr.SetCapture(true)
-	}
 	brk := resyncBreaker{window: s.cfg.BreakerWindow, limit: s.cfg.BreakerBadPackets}
 	if s.cfg.BreakerBadPackets > 0 {
 		// Surface control (ErrResyncStorm) often enough for the breaker to
@@ -112,6 +107,10 @@ func (c *conn) readLoop() {
 		// one pass over the wire bytes verifies every frame and leaves the
 		// lit list, which is all the worker needs.
 		skimmed := s.cfg.Policy == PolicyDrop && c.w.fill.Load() >= int64(s.cfg.QueueDepth)
+		// With recording on, the stream reader accumulates each admitted
+		// event's raw wire bytes alongside the scan — no second pass over the
+		// stream. A condemned event is never logged, so it is not copied.
+		sr.SetCapture(wlog != nil && !skimmed)
 		var le adapt.LitEvent
 		var err error
 		if skimmed {

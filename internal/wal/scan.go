@@ -188,22 +188,21 @@ func repairSegment(path string) (repairResult, error) {
 	return res, nil
 }
 
-// PayloadValidator re-frames record payloads with the same adapt framing
-// layer the gateway uses (RawEventReader), verifying that a payload is
-// exactly `asics` well-framed ALPHA frames sharing one event id with no
-// leftover bytes. One validator amortizes the reader's 64 KiB window across
-// a whole segment scan.
+// PayloadValidator re-frames record payloads with the framing the gateway
+// uses (adapt.StreamReader.SkimEvent in capture mode), verifying that a
+// payload is exactly `asics` ALPHA frames sharing one event id and one sample
+// count, the first of them checksummed, with no leftover bytes. One validator
+// amortizes the reader's 64 KiB window across a whole segment scan.
 type PayloadValidator struct {
 	br *bytes.Reader
-	rr *adapt.RawEventReader
-	// scratch receives the re-framed bytes, recycled between calls.
-	scratch []byte
+	sr *adapt.StreamReader
 }
 
 // NewPayloadValidator returns a reusable validator.
 func NewPayloadValidator() *PayloadValidator {
 	v := &PayloadValidator{br: bytes.NewReader(nil)}
-	v.rr = adapt.NewRawEventReader(v.br)
+	v.sr = adapt.NewStreamReader(v.br)
+	v.sr.SetCapture(true)
 	return v
 }
 
@@ -212,15 +211,14 @@ func NewPayloadValidator() *PayloadValidator {
 // the event does not consume the payload exactly.
 func (v *PayloadValidator) Validate(payload []byte, asics int) (uint32, error) {
 	v.br.Reset(payload)
-	v.rr.Reset(v.br)
-	event, raw, err := v.rr.ReadEventInto(v.scratch, asics)
-	v.scratch = raw[:0]
+	v.sr.Reset(v.br)
+	event, err := v.sr.SkimEvent(asics)
 	if err != nil {
 		return 0, fmt.Errorf("wal: payload framing: %w", err)
 	}
-	if v.rr.SkippedBytes != 0 || len(raw) != len(payload) {
+	if framed := len(v.sr.Captured()); v.sr.SkippedBytes != 0 || framed != len(payload) {
 		return event, fmt.Errorf("wal: payload for event %d is not exactly %d frames (%d of %d bytes framed, %d skipped)",
-			event, asics, len(raw), len(payload), v.rr.SkippedBytes)
+			event, asics, framed, len(payload), v.sr.SkippedBytes)
 	}
 	return event, nil
 }

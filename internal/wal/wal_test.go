@@ -289,6 +289,20 @@ func TestPayloadValidator(t *testing.T) {
 	if _, err := v.Validate(append(append([]byte(nil), payload...), 0xA1), cfg.ASICs); err == nil {
 		t.Fatal("payload with trailing garbage validated")
 	}
+	// The first frame is checksummed, and every later frame must repeat its
+	// event id and sample count, so neither a payload flip there nor a
+	// re-stamped later frame validates.
+	frame := len(payload) / cfg.ASICs
+	for _, at := range []int{adapt.PacketHeaderBytes + 3, frame + 7} {
+		bad := append([]byte(nil), payload...)
+		bad[at] ^= 0x01
+		if _, err := v.Validate(bad, cfg.ASICs); err == nil {
+			t.Fatalf("payload with byte %d flipped validated", at)
+		}
+	}
+	if id, err := v.Validate(payload, cfg.ASICs); err != nil || id != 42 {
+		t.Fatalf("validator not reusable after a rejection: id=%d err=%v", id, err)
+	}
 }
 
 func TestScannerIgnoresForeignFiles(t *testing.T) {
