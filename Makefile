@@ -13,7 +13,7 @@ test:
 # The concurrent pieces under the race detector (-short trims the soak).
 # internal/tileccl is bench-only since PR 16 (only bench/ imports it) and leaves with the benchmark half.
 race:
-	$(GO) test -race -short ./internal/server ./internal/gateway ./internal/adapt ./internal/runccl ./internal/wal ./internal/tileccl ./cmd/hepccld ./cmd/loadgen ./cmd/hepcclgw
+	$(GO) test -race -short ./internal/server ./internal/gateway ./internal/adapt ./internal/runccl ./internal/wal ./internal/tileccl ./internal/uplink ./cmd/hepccld ./cmd/loadgen ./cmd/hepcclgw
 
 # go vet's standard suite + the module's analyzers (marklint, hotpathalloc,
 # atomicring, nofloat, errwrapcheck, barrierproto, acctproto) + the compiler

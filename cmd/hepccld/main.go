@@ -285,7 +285,6 @@ func buildConfig(o daemonOpts) (server.Config, error) {
 		QueueDepth:     o.queue,
 		Policy:         policy,
 		AcceptorShards: o.shards,
-		PaceHardware:   o.paceHW,
 		PaceRate:       o.paceRate,
 
 		IdleTimeout:        o.idleTimeout,
@@ -299,6 +298,16 @@ func buildConfig(o daemonOpts) (server.Config, error) {
 		RecordDir:          o.recordDir,
 		RecordSegmentBytes: int64(o.recordSegMB) << 20,
 		RecordRetain:       o.recordRetain,
+	}
+	if o.paceHW {
+		// Serve no faster than the modeled FPGA pipeline: one event per
+		// EventIntervalCycles at the design clock, so the daemon's
+		// loss-vs-depth behaviour is directly comparable to E14.
+		p, err := adapt.New(pcfg)
+		if err != nil {
+			return server.Config{}, err
+		}
+		cfg.PaceRate = p.EventsPerSecond()
 	}
 	if o.calibration > 0 {
 		dig := detector.DefaultDigitizer()

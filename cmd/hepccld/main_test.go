@@ -25,8 +25,13 @@ func TestBuildConfigCTA(t *testing.T) {
 	if cfg.Workers != 2 || cfg.QueueDepth != 32 {
 		t.Fatalf("workers=%d queue=%d, want 2, 32", cfg.Workers, cfg.QueueDepth)
 	}
-	if cfg.Policy != server.PolicyDrop || !cfg.PaceHardware {
-		t.Fatalf("policy=%v paceHW=%v", cfg.Policy, cfg.PaceHardware)
+	p, err := adapt.New(cfg.Pipeline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Policy != server.PolicyDrop || cfg.PaceRate != p.EventsPerSecond() || cfg.PaceRate <= 0 {
+		t.Fatalf("policy=%v paceRate=%g, want drop at the modeled %g ev/s",
+			cfg.Policy, cfg.PaceRate, p.EventsPerSecond())
 	}
 	if want := cfg.Pipeline.ASICs * adapt.ChannelsPerASIC; len(cfg.Pedestals) != want {
 		t.Fatalf("calibration measured %d pedestals, want %d", len(cfg.Pedestals), want)

@@ -15,17 +15,19 @@
 // loss fraction vs -queue depth can be compared against that simulation.
 //
 // With -rate 0 the generator runs in saturation mode: each connection writes
-// events back-to-back with per-event ids and send timestamps, and the reader
-// matches downlink records to sends, reporting the maximum sustained served
-// rate plus end-to-end p50/p99 latency as measured by the client.
+// events back-to-back and the served rate is the daemon's maximum sustained
+// rate. Every mode sends through internal/uplink with a per-connection event
+// id patched into each event, so the reader matches downlink records to
+// their sends and every run reports client-measured p50/p99 latency.
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"sort"
@@ -37,6 +39,7 @@ import (
 	"github.com/wustl-adapt/hepccl/internal/chaos"
 	"github.com/wustl-adapt/hepccl/internal/detector"
 	"github.com/wustl-adapt/hepccl/internal/grid"
+	"github.com/wustl-adapt/hepccl/internal/uplink"
 )
 
 func main() {
@@ -44,28 +47,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
-}
-
-type connResult struct {
-	sent     int
-	received int
-	islands  int
-	err      error
-
-	// target indexes the -addr entry this connection drove; connects counts
-	// successful dials (the chaos path reconnects, so it can exceed 1).
-	target   int
-	connects int
-
-	// lats holds one client-measured end-to-end latency (send → record
-	// received) per matched event, populated only in saturation mode.
-	lats []time.Duration
-
-	// Fault accounting, populated on the chaos path.
-	corrupted   int // events with at least one injected frame fault
-	partials    int // events cut mid-assembly by a deliberate or real disconnect
-	reconnects  int // connections re-established after a cut
-	dialRetries int // extra dial attempts absorbed by backoff
 }
 
 func run(args []string, out io.Writer) error {
@@ -106,6 +87,9 @@ func run(args []string, out io.Writer) error {
 	if *dialTries < 1 {
 		return fmt.Errorf("-dial-retries must be >= 1, got %d", *dialTries)
 	}
+	if *templates < 1 {
+		return fmt.Errorf("-templates must be >= 1, got %d", *templates)
+	}
 	if *faultSeed == 0 {
 		*faultSeed = *seed + 0xC4A05
 	}
@@ -129,95 +113,107 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "loadgen: %d events to %s over %d conns, target %s (%s), %d B/event\n",
-		*events, strings.Join(targets, ","), *conns, rateName(*rate), arrivalName(*poisson), wireBytes)
+	frameLen := wireBytes / cfg.ASICs
+	fmt.Fprintf(out, "loadgen: %d events to %s over %d conns, target %s, %d B/event\n",
+		*events, strings.Join(targets, ","), *conns, targetName(*rate, *poisson), wireBytes)
 	if useChaos {
 		fmt.Fprintf(out, "chaos:   corrupt %.3g%%/frame, disconnect %.3g%%/event, fault seed %d\n",
 			100**corrupt, 100**disconnect, *faultSeed)
 	}
 
-	results := make([]connResult, *conns)
+	// Each connection patches event ids into its own copy of the template
+	// streams; the first takes the digitized originals, so the copies are all
+	// made before any connection starts. A copy per template, not per write
+	// slot, bounds client memory at conns × templates events, and a write
+	// batch holds each template at most once.
+	streams := make([][][]byte, *conns)
+	for id := range streams {
+		streams[id] = make([][]byte, len(templs))
+		for t, tp := range templs {
+			streams[id][t] = tp.stream
+			if id > 0 {
+				streams[id][t] = bytes.Clone(tp.stream)
+			}
+		}
+	}
+	results := make([]uplink.Result, *conns)
+	errs := make([]error, *conns)
 	var wg sync.WaitGroup
 	start := time.Now()
-	var sendDur, recvDur time.Duration
-	var durMu sync.Mutex
-	for i := 0; i < *conns; i++ {
+	for id := 0; id < *conns; id++ {
 		share := *events / *conns
-		if i < *events%*conns {
+		if id < *events%*conns {
 			share++
 		}
-		wg.Add(1)
-		go func(id, share int) {
-			defer wg.Done()
-			target := targets[id%len(targets)]
-			perConn := *rate / float64(*conns)
+		src := &connSource{
+			templs: templs, streams: streams[id], frameLen: frameLen, share: share,
+			perConn: *rate / float64(*conns), poisson: *poisson,
 			// Stagger the connections across the pacing window so their
 			// bursts interleave instead of hitting the daemon in lockstep.
-			phase := time.Duration(id) * *burst / time.Duration(*conns)
-			var res connResult
-			var sd, rd time.Duration
-			if useChaos {
-				res, sd, rd = driveChaosConn(target, templs, share, perConn, *poisson, phase,
-					detector.NewRNG(*seed+uint64(id)+1), *timeout, *burst, chaosPlan{
-						corrupt:     *corrupt,
-						disconnect:  *disconnect,
-						seed:        *faultSeed + uint64(id),
-						dialRetries: *dialTries,
-					})
-			} else if *rate <= 0 {
-				res, sd, rd = driveSatConn(target, templs, share, *timeout)
-			} else {
-				res, sd, rd = driveConn(target, templs, share, perConn, *poisson, phase,
-					detector.NewRNG(*seed+uint64(id)+1), *timeout, *burst)
-			}
-			res.target = id % len(targets)
-			durMu.Lock()
-			if sd > sendDur {
-				sendDur = sd
-			}
-			if rd > recvDur {
-				recvDur = rd
-			}
-			durMu.Unlock()
-			results[id] = res
-		}(i, share)
+			phase:      time.Duration(id) * *burst / time.Duration(*conns),
+			disconnect: *disconnect,
+			rng:        detector.NewRNG(*seed + uint64(id) + 1),
+		}
+		src.due = src.phase
+		ucfg := uplink.Config{
+			Addr:         targets[id%len(targets)],
+			Timeout:      *timeout,
+			Burst:        *burst,
+			Batch:        min(uplink.DefaultBatch, len(templs)),
+			DialAttempts: *dialTries,
+			Seed:         *seed + uint64(id) + 1,
+			Reconnect:    useChaos,
+			Events:       share,
+		}
+		if *corrupt > 0 {
+			ucfg.Fault = frameFaults(chaos.NewFrameInjector(chaos.FrameConfig{
+				Seed:     *faultSeed + uint64(id),
+				BitFlip:  *corrupt / 2,
+				Truncate: *corrupt / 2,
+			}), frameLen)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[id], errs[id] = uplink.Run(context.Background(), src, ucfg)
+		}()
 	}
 	wg.Wait()
 	wall := time.Since(start)
 
-	var total connResult
+	var total uplink.Result
+	var runErr error
 	for i, r := range results {
-		total.sent += r.sent
-		total.received += r.received
-		total.islands += r.islands
-		total.corrupted += r.corrupted
-		total.partials += r.partials
-		total.reconnects += r.reconnects
-		total.dialRetries += r.dialRetries
-		if r.err != nil && total.err == nil {
-			total.err = fmt.Errorf("conn %d: %w", i, r.err)
+		total.Sent += r.Sent
+		total.Records += r.Records
+		total.Islands += r.Islands
+		total.Corrupted += r.Corrupted
+		total.Partials += r.Partials
+		total.Reconnects += r.Reconnects
+		total.Retries += r.Retries
+		total.SendTime = max(total.SendTime, r.SendTime)
+		total.RecvTime = max(total.RecvTime, r.RecvTime)
+		total.Latencies = append(total.Latencies, r.Latencies...)
+		if errs[i] != nil && runErr == nil {
+			runErr = fmt.Errorf("conn %d: %w", i, errs[i])
 		}
 	}
-	var lats []time.Duration
-	for _, r := range results {
-		lats = append(lats, r.lats...)
-	}
-	lost := total.sent - total.received
-	offered := float64(total.sent) / sendDur.Seconds()
-	served := float64(total.received) / recvDur.Seconds()
+	lost := total.Sent - total.Records
+	offered := float64(total.Sent) / total.SendTime.Seconds()
+	served := float64(total.Records) / total.RecvTime.Seconds()
 	if len(targets) > 1 {
 		// Per-target accounting: with a list of ingest addresses the run is
 		// a fleet measurement, so break connects/retries and traffic out by
 		// target before the aggregate lines.
 		type targetStat struct{ conns, connects, retries, sent, received int }
 		per := make([]targetStat, len(targets))
-		for _, r := range results {
-			ts := &per[r.target]
+		for i, r := range results {
+			ts := &per[i%len(targets)]
 			ts.conns++
-			ts.connects += r.connects
-			ts.retries += r.dialRetries
-			ts.sent += r.sent
-			ts.received += r.received
+			ts.connects += r.Connects
+			ts.retries += r.Retries
+			ts.sent += r.Sent
+			ts.received += r.Records
 		}
 		for i, ts := range per {
 			fmt.Fprintf(out, "target   %s: conns %d, connects %d (+%d dial retries), sent %d, received %d\n",
@@ -225,27 +221,35 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	fmt.Fprintf(out, "sent     %d events in %.2fs -> %.0f ev/s offered\n",
-		total.sent, sendDur.Seconds(), offered)
+		total.Sent, total.SendTime.Seconds(), offered)
 	fmt.Fprintf(out, "received %d records (%d islands) in %.2fs -> %.0f ev/s served\n",
-		total.received, total.islands, recvDur.Seconds(), served)
+		total.Records, total.Islands, total.RecvTime.Seconds(), served)
 	fmt.Fprintf(out, "lost     %d events (%.3f%%), wall %.2fs\n",
-		lost, 100*float64(lost)/float64(total.sent), wall.Seconds())
+		lost, 100*float64(lost)/float64(total.Sent), wall.Seconds())
 	if useChaos {
 		// Under clean-kill faults every lost event has exactly one cause, so
 		// this line lets the operator check lost == corrupted + partials.
 		fmt.Fprintf(out, "faults   %d corrupted + %d partials = %d explained, %d reconnects (%d dial retries)\n",
-			total.corrupted, total.partials, total.corrupted+total.partials,
-			total.reconnects, total.dialRetries)
+			total.Corrupted, total.Partials, total.Corrupted+total.Partials,
+			total.Reconnects, total.Retries)
 	}
-	if len(lats) > 0 {
+	if lats := total.Latencies; len(lats) > 0 {
+		// Every record answers an event whose id the connection patched in,
+		// so each matched record is one client-measured end-to-end latency.
+		// Unpaced, offered load exceeds capacity by construction and the
+		// served rate is the daemon's ceiling under its policy.
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 		q := func(p float64) time.Duration { return lats[int(p*float64(len(lats)-1))] }
-		fmt.Fprintf(out, "saturation: max sustained %.0f ev/s served, latency p50=%v p99=%v max=%v (%d matched)\n",
-			served, q(0.50).Round(time.Microsecond), q(0.99).Round(time.Microsecond),
+		label := "latency "
+		if *rate <= 0 {
+			label = fmt.Sprintf("saturation: max sustained %.0f ev/s served, latency", served)
+		}
+		fmt.Fprintf(out, "%s p50=%v p99=%v max=%v (%d matched)\n",
+			label, q(0.50).Round(time.Microsecond), q(0.99).Round(time.Microsecond),
 			lats[len(lats)-1].Round(time.Microsecond), len(lats))
 	}
-	if total.err != nil {
-		return total.err
+	if runErr != nil {
+		return runErr
 	}
 	if *statsURL != "" {
 		if err := printStats(out, *statsURL); err != nil {
@@ -258,18 +262,16 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-func rateName(r float64) string {
-	if r <= 0 {
+// targetName names the offered load: the arrival process of a paced run, or
+// "unpaced".
+func targetName(rate float64, poisson bool) string {
+	switch {
+	case rate <= 0:
 		return "unpaced"
+	case poisson:
+		return fmt.Sprintf("%.0f ev/s (Poisson)", rate)
 	}
-	return fmt.Sprintf("%.0f ev/s", r)
-}
-
-func arrivalName(poisson bool) string {
-	if poisson {
-		return "Poisson"
-	}
-	return "paced"
+	return fmt.Sprintf("%.0f ev/s (paced)", rate)
 }
 
 func pipelineConfig(name string, samples int) (adapt.Config, error) {
@@ -292,16 +294,17 @@ func pipelineConfig(name string, samples int) (adapt.Config, error) {
 	return cfg, nil
 }
 
-// template is one pre-serialized detector event. stream is the whole event's
-// wire image (the zero-copy fast path); frames are its per-packet subslices,
-// which the chaos path needs to aim faults at frame boundaries.
+// template is one pre-serialized detector event: its whole wire image and a
+// patcher per frame, so a connection can rewrite the event id of its copy in
+// a handful of adds per frame.
 type template struct {
 	stream []byte
-	frames [][]byte
+	patch  []adapt.FramePatcher
 }
 
 // digitizeTemplates pre-serializes n distinct detector events so the send
-// loop costs only socket writes. Event ids cycle 0..n-1.
+// loop costs only id patches and socket writes. Template i carries event id
+// i; every frame of every template has the same length.
 func digitizeTemplates(cfg adapt.Config, n int, seed uint64) ([]template, int, error) {
 	rng := detector.NewRNG(seed)
 	dig := detector.DefaultDigitizer()
@@ -315,21 +318,18 @@ func digitizeTemplates(cfg adapt.Config, n int, seed uint64) ([]template, int, e
 			return nil, 0, err
 		}
 		var buf []byte
-		offsets := make([]int, 0, len(packets)+1)
+		patch := make([]adapt.FramePatcher, len(packets))
 		for p := range packets {
-			offsets = append(offsets, len(buf))
 			b, err := packets[p].Marshal()
 			if err != nil {
 				return nil, 0, err
 			}
+			if patch[p], err = adapt.NewFramePatcher(b); err != nil {
+				return nil, 0, err
+			}
 			buf = append(buf, b...)
 		}
-		offsets = append(offsets, len(buf))
-		frames := make([][]byte, len(packets))
-		for p := range frames {
-			frames[p] = buf[offsets[p]:offsets[p+1]]
-		}
-		templs[i] = template{stream: buf, frames: frames}
+		templs[i] = template{stream: buf, patch: patch}
 		wire = len(buf)
 	}
 	return templs, wire, nil
@@ -366,422 +366,71 @@ func makeTruth(cfg adapt.Config, rng *detector.RNG) []grid.Value {
 	return tracker.Event(rng).Values
 }
 
-// driveConn sends `share` events down one connection at perConn events/s
-// (shifted by phase) and reads downlink records until the server closes the
-// stream.
-func driveConn(addr string, templs []template, share int, perConn float64,
-	poisson bool, phase time.Duration, rng *detector.RNG,
-	timeout, burst time.Duration) (connResult, time.Duration, time.Duration) {
-	var res connResult
-	start := time.Now()
-	nc, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		res.err = err
-		return res, time.Since(start), time.Since(start)
-	}
-	defer nc.Close()
-	res.connects = 1
-
-	var sendDur time.Duration
-	writeErr := make(chan error, 1)
-	go func() {
-		defer func() {
-			sendDur = time.Since(start)
-			// Half-close so the server sees a clean end of ingress and
-			// drains our in-flight events before closing the response path.
-			if tc, ok := nc.(*net.TCPConn); ok {
-				tc.CloseWrite()
-			}
-		}()
-		// Events due at the same wakeup go out in one vectored write, so the
-		// syscall rate tracks the pacing granularity, not the event rate.
-		batch := make(net.Buffers, 0, 64)
-		flush := func() error {
-			if len(batch) == 0 {
-				return nil
-			}
-			n := len(batch)
-			nc.SetWriteDeadline(time.Now().Add(timeout))
-			tmp := batch
-			if _, err := tmp.WriteTo(nc); err != nil {
-				return err
-			}
-			res.sent += n
-			batch = batch[:0]
-			return nil
-		}
-		ahead := phase // scheduled send time relative to start
-		for i := 0; i < share; i++ {
-			if perConn > 0 {
-				if poisson {
-					ahead += time.Duration(rng.Exp(1/perConn) * float64(time.Second))
-				} else {
-					ahead = phase + time.Duration(float64(i)/perConn*float64(time.Second))
-				}
-				if sleep := ahead - time.Since(start); sleep > burst {
-					if err := flush(); err != nil {
-						writeErr <- fmt.Errorf("write event %d: %w", i, err)
-						return
-					}
-					time.Sleep(sleep)
-				}
-			}
-			batch = append(batch, templs[i%len(templs)].stream)
-			if len(batch) == cap(batch) {
-				if err := flush(); err != nil {
-					writeErr <- fmt.Errorf("write event %d: %w", i, err)
-					return
-				}
-			}
-		}
-		writeErr <- flush()
-	}()
-
-	res.received, res.islands, res.err = readRecords(nc, timeout)
-	recvDur := time.Since(start)
-	if werr := <-writeErr; werr != nil && res.err == nil {
-		res.err = werr
-	}
-	return res, sendDur, recvDur
+// connSource yields one connection's share of the workload: event i is
+// template i mod n with id i patched into the connection's private copy, due
+// on the paced or Poisson schedule (at once when unpaced), and cut mid-event
+// with probability disconnect.
+type connSource struct {
+	templs     []template
+	streams    [][]byte // the connection's copies of the template streams
+	frameLen   int
+	i, share   int
+	perConn    float64 // events/s; 0 is unpaced
+	poisson    bool
+	phase, due time.Duration
+	disconnect float64
+	rng        *detector.RNG
 }
 
-// satWriteBatch is how many events the saturation drive gathers into one
-// vectored write. Each slot needs its own template copy (event ids are
-// patched in place), so the batch size trades a little client memory for one
-// writev per batch instead of one write syscall per event — on loopback the
-// sender and the daemon share the machine, so client syscalls eat directly
-// into the measured ceiling.
-const satWriteBatch = 8
-
-// driveSatConn is the -rate 0 saturation drive: it writes events back-to-back
-// as fast as the socket accepts them, satWriteBatch events per vectored
-// write with each event id patched into a private per-slot template copy
-// just before the send, and timestamps each send so the reader can match
-// downlink records (which carry the event id) back to their sends for
-// client-side end-to-end latency. The pair (served rate, latency
-// percentiles) this produces is the max-sustained-rate figure of merit:
-// offered load exceeds capacity by construction, so the served rate is the
-// daemon's ceiling under the configured policy.
-func driveSatConn(addr string, templs []template, share int,
-	timeout time.Duration) (connResult, time.Duration, time.Duration) {
-	var res connResult
-	start := time.Now()
-	nc, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		res.err = err
-		return res, time.Since(start), time.Since(start)
+func (s *connSource) Next() (uplink.Event, error) {
+	if s.i == s.share {
+		return uplink.Event{}, io.EOF
 	}
-	defer nc.Close()
-	res.connects = 1
-
-	// Per-slot private template copies: every slot of a write batch carries a
-	// different event id, so each needs its own bytes (the shared templates
-	// also serve every connection goroutine). Frame boundaries are
-	// reconstructed so each frame's event id and checksum can be rewritten in
-	// place. The patchers carry each frame's checksum base — it excludes the
-	// event id, so one patcher per template frame serves every slot, and each
-	// rewrite costs a handful of adds instead of refolding the whole frame
-	// (~17 KB/event at CTA geometry, paid by the client on the shared host).
-	streams := make([][][]byte, satWriteBatch)  // [slot][template]
-	frames := make([][][][]byte, satWriteBatch) // [slot][template][frame]
-	patchers := make([][]adapt.FramePatcher, len(templs))
-	for i, tp := range templs {
-		patchers[i] = make([]adapt.FramePatcher, len(tp.frames))
-		for j, f := range tp.frames {
-			fp, err := adapt.NewFramePatcher(f)
-			if err != nil {
-				res.err = err
-				return res, time.Since(start), time.Since(start)
-			}
-			patchers[i][j] = fp
-		}
+	i := s.i
+	s.i++
+	t := i % len(s.streams)
+	wire := s.streams[t]
+	for j, fp := range s.templs[t].patch {
+		fp.SetEventID(wire[j*s.frameLen:(j+1)*s.frameLen], uint32(i))
 	}
-	for s := 0; s < satWriteBatch; s++ {
-		streams[s] = make([][]byte, len(templs))
-		frames[s] = make([][][]byte, len(templs))
-		for i, tp := range templs {
-			streams[s][i] = append([]byte(nil), tp.stream...)
-			off := 0
-			frames[s][i] = make([][]byte, len(tp.frames))
-			for j, f := range tp.frames {
-				frames[s][i][j] = streams[s][i][off : off+len(f)]
-				off += len(f)
-			}
-		}
-	}
-
-	// sendNs[i] is event i's send time relative to start; the reader indexes
-	// it by the record's event id. Written before the socket write, read only
-	// after the matching record arrives, so no send can race its own read.
-	sendNs := make([]int64, share)
-
-	var sendDur time.Duration
-	writeErr := make(chan error, 1)
-	go func() {
-		defer func() {
-			sendDur = time.Since(start)
-			if tc, ok := nc.(*net.TCPConn); ok {
-				tc.CloseWrite()
-			}
-		}()
-		bufs := make(net.Buffers, 0, satWriteBatch)
-		for i := 0; i < share; {
-			n := satWriteBatch
-			if share-i < n {
-				n = share - i
-			}
-			bufs = bufs[:0]
-			for s := 0; s < n; s++ {
-				t := (i + s) % len(templs)
-				for j, f := range frames[s][t] {
-					patchers[t][j].SetEventID(f, uint32(i+s))
-				}
-				sendNs[i+s] = int64(time.Since(start))
-				bufs = append(bufs, streams[s][t])
-			}
-			nc.SetWriteDeadline(time.Now().Add(timeout))
-			if _, err := bufs.WriteTo(nc); err != nil {
-				writeErr <- fmt.Errorf("write events %d..%d: %w", i, i+n-1, err)
-				return
-			}
-			res.sent += n
-			i += n
-		}
-		writeErr <- nil
-	}()
-
-	res.received, res.islands, res.lats, res.err = readRecordsLat(nc, timeout, start, sendNs)
-	recvDur := time.Since(start)
-	if werr := <-writeErr; werr != nil && res.err == nil {
-		res.err = werr
-	}
-	return res, sendDur, recvDur
-}
-
-// readRecordsLat consumes downlink records until EOF like readRecords, and
-// additionally matches each record's event id against the send-time table to
-// accumulate client-observed end-to-end latencies.
-func readRecordsLat(nc net.Conn, timeout time.Duration, start time.Time,
-	sendNs []int64) (records, islands int, lats []time.Duration, err error) {
-	// The scanner's DeadlineRearmer re-arms every adapt.DeadlineRearmEvery
-	// records, not every record: in saturation mode records arrive tens of
-	// thousands of times per second and the deadline update is a measurable
-	// share of client CPU on the shared loopback host. A stalled server
-	// still trips the deadline armed at the head of the current window.
-	sc := adapt.NewRecordScanner(nc, adapt.NewDeadlineRearmer(nc, timeout))
-	lats = make([]time.Duration, 0, len(sendNs))
-	for {
-		rec, err := sc.Next()
-		if err != nil {
-			if err == io.EOF {
-				return sc.Records, sc.Islands, lats, nil
-			}
-			return sc.Records, sc.Islands, lats, fmt.Errorf("record stream: %w", err)
-		}
-		if id := adapt.RecordEventID(rec); int(id) < len(sendNs) {
-			lats = append(lats, time.Since(start)-time.Duration(sendNs[id]))
-		}
-	}
-}
-
-// chaosPlan configures the fault-injecting drive path of one connection.
-type chaosPlan struct {
-	corrupt     float64 // per-frame fault probability (half flips, half truncations)
-	disconnect  float64 // per-event probability of a deliberate mid-event cut
-	seed        uint64  // frame-injector seed (distinct per connection)
-	dialRetries int     // dial attempts per (re)connect
-}
-
-// dialRetry dials with exponential backoff plus jitter, as a field client
-// facing a daemon that may be restarting would. It returns the connection and
-// how many extra attempts the backoff absorbed.
-func dialRetry(addr string, timeout time.Duration, rng *detector.RNG, attempts int) (net.Conn, int, error) {
-	backoff := 10 * time.Millisecond
-	for try := 0; ; try++ {
-		nc, err := net.DialTimeout("tcp", addr, timeout)
-		if err == nil {
-			return nc, try, nil
-		}
-		if try+1 >= attempts {
-			return nil, try, fmt.Errorf("dial after %d attempts: %w", try+1, err)
-		}
-		// Full jitter in [backoff/2, 3*backoff/2): staggered retries avoid a
-		// reconnect stampede when every connection lost the daemon at once.
-		time.Sleep(backoff/2 + time.Duration(rng.Float64()*float64(backoff)))
-		if backoff *= 2; backoff > time.Second {
-			backoff = time.Second
-		}
-	}
-}
-
-// driveChaosConn is driveConn's fault-injecting sibling: it paces the same
-// workload but writes frame by frame through a chaos.FrameInjector, cuts the
-// connection mid-event with the configured probability, and reconnects with
-// backoff. Each connection segment gets its own record-reader goroutine so
-// responses to in-flight events are still counted after a cut.
-func driveChaosConn(addr string, templs []template, share int, perConn float64,
-	poisson bool, phase time.Duration, rng *detector.RNG,
-	timeout, burst time.Duration, plan chaosPlan) (connResult, time.Duration, time.Duration) {
-	var res connResult
-	start := time.Now()
-
-	// Private frame copies: event ids are patched in place per event, and the
-	// templates are shared across connection goroutines.
-	frames := make([][][]byte, len(templs))
-	for i, tp := range templs {
-		cp := make([][]byte, len(tp.frames))
-		for j, f := range tp.frames {
-			cp[j] = append([]byte(nil), f...)
-		}
-		frames[i] = cp
-	}
-	inj := chaos.NewFrameInjector(chaos.FrameConfig{
-		Seed:     plan.seed,
-		BitFlip:  plan.corrupt / 2,
-		Truncate: plan.corrupt / 2,
-	})
-
-	// One reader goroutine per connection segment; all are joined at the end
-	// so records that arrive after a cut still count.
-	type segResult struct {
-		records, islands int
-		err              error
-	}
-	var segs []chan segResult
-	connect := func() (net.Conn, error) {
-		nc, retries, err := dialRetry(addr, timeout, rng, plan.dialRetries)
-		res.dialRetries += retries
-		if err != nil {
-			return nil, err
-		}
-		res.connects++
-		done := make(chan segResult, 1)
-		segs = append(segs, done)
-		go func() {
-			r, n, err := readRecords(nc, timeout)
-			nc.Close()
-			done <- segResult{r, n, err}
-		}()
-		return nc, nil
-	}
-	finish := func(sendDur time.Duration) (connResult, time.Duration, time.Duration) {
-		for _, done := range segs {
-			sr := <-done
-			res.received += sr.records
-			res.islands += sr.islands
-			if sr.err != nil && res.err == nil {
-				res.err = sr.err
-			}
-		}
-		return res, sendDur, time.Since(start)
-	}
-	halfClose := func(nc net.Conn) {
-		// A clean FIN lets buffered packets arrive before the server sees EOF.
-		if tc, ok := nc.(*net.TCPConn); ok {
-			tc.CloseWrite()
+	if s.perConn > 0 {
+		if s.poisson {
+			s.due += time.Duration(s.rng.Exp(1/s.perConn) * float64(time.Second))
 		} else {
-			nc.Close()
+			s.due = s.phase + time.Duration(float64(i)/s.perConn*float64(time.Second))
 		}
 	}
-
-	nc, err := connect()
-	if err != nil {
-		res.err = err
-		return finish(time.Since(start))
+	ev := uplink.Event{Wire: wire, Due: s.due}
+	if s.disconnect > 0 && s.rng.Float64() < s.disconnect {
+		// Deliberate mid-event cut: at least one full frame, never all.
+		frames := len(wire) / s.frameLen
+		k := 1
+		if frames > 1 {
+			k += s.rng.Intn(frames - 1)
+		}
+		ev.Cut = k * s.frameLen
 	}
-
-	ahead := phase
-	for i := 0; i < share; i++ {
-		if perConn > 0 {
-			if poisson {
-				ahead += time.Duration(rng.Exp(1/perConn) * float64(time.Second))
-			} else {
-				ahead = phase + time.Duration(float64(i)/perConn*float64(time.Second))
-			}
-			if sleep := ahead - time.Since(start); sleep > burst {
-				time.Sleep(sleep)
-			}
-		}
-		ev := frames[i%len(frames)]
-		for _, f := range ev {
-			if err := adapt.PatchFrameEventID(f, uint32(i)); err != nil {
-				res.err = err
-				return finish(time.Since(start))
-			}
-		}
-		res.sent++
-		nc.SetWriteDeadline(time.Now().Add(timeout))
-
-		if plan.disconnect > 0 && rng.Float64() < plan.disconnect {
-			// Deliberate mid-event cut: at least one full frame, never all.
-			k := 1
-			if len(ev) > 1 {
-				k += rng.Intn(len(ev) - 1)
-			}
-			for j := 0; j < k; j++ {
-				if _, err := nc.Write(ev[j]); err != nil {
-					break // the cut was coming anyway
-				}
-			}
-			halfClose(nc)
-			res.partials++
-			res.reconnects++
-			if nc, err = connect(); err != nil {
-				res.err = err
-				return finish(time.Since(start))
-			}
-			continue
-		}
-
-		hit := false
-		var werr error
-	frameLoop:
-		for _, f := range ev {
-			chunks, fault := inj.Mutate(f)
-			if fault != chaos.FaultNone {
-				hit = true
-			}
-			for _, c := range chunks {
-				if _, err := nc.Write(c); err != nil {
-					werr = err
-					break frameLoop
-				}
-			}
-		}
-		if hit {
-			res.corrupted++
-		}
-		if werr != nil {
-			// Unplanned loss (e.g. the server cut us): the event is partial
-			// unless a fault already killed it; reconnect and press on.
-			if !hit {
-				res.partials++
-			}
-			res.reconnects++
-			nc.Close()
-			if nc, err = connect(); err != nil {
-				res.err = err
-				return finish(time.Since(start))
-			}
-		}
-	}
-	sendDur := time.Since(start)
-	halfClose(nc)
-	return finish(sendDur)
+	return ev, nil
 }
 
-// readRecords consumes downlink records until EOF, returning counts. Framing
-// and deadline amortization live in adapt.RecordScanner — the same reader the
-// gateway uses for its backend relays.
-func readRecords(nc net.Conn, timeout time.Duration) (records, islands int, err error) {
-	sc := adapt.NewRecordScanner(nc, adapt.NewDeadlineRearmer(nc, timeout))
-	for {
-		if _, err := sc.Next(); err != nil {
-			if err == io.EOF {
-				return sc.Records, sc.Islands, nil
+// frameFaults is the -corrupt transform: every frame goes through inj, and a
+// damaged frame's chunks are copied out of the injector's scratch so a write
+// batch can hold several.
+func frameFaults(inj *chaos.FrameInjector, frameLen int) uplink.Fault {
+	return func(dst [][]byte, wire []byte) ([][]byte, bool) {
+		hit := false
+		for off := 0; off < len(wire); off += frameLen {
+			chunks, fault := inj.Mutate(wire[off : off+frameLen])
+			if fault == chaos.FaultNone {
+				dst = append(dst, chunks...)
+				continue
 			}
-			return sc.Records, sc.Islands, fmt.Errorf("record stream: %w", err)
+			hit = true
+			for _, c := range chunks {
+				dst = append(dst, bytes.Clone(c))
+			}
 		}
+		return dst, hit
 	}
 }
 

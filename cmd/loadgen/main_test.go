@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/wustl-adapt/hepccl/internal/adapt"
-	"github.com/wustl-adapt/hepccl/internal/detector"
 	"github.com/wustl-adapt/hepccl/internal/server"
 )
 
@@ -52,64 +51,35 @@ func TestDigitizeTemplatesRoundTrip(t *testing.T) {
 		if len(tp.stream) != wire {
 			t.Fatalf("template %d is %d bytes, reported %d", i, len(tp.stream), wire)
 		}
-		if len(tp.frames) != cfg.ASICs {
-			t.Fatalf("template %d has %d frames, want %d", i, len(tp.frames), cfg.ASICs)
+		if len(tp.patch) != cfg.ASICs || wire%cfg.ASICs != 0 {
+			t.Fatalf("template %d has %d frame patchers for %d bytes, want %d equal frames",
+				i, len(tp.patch), wire, cfg.ASICs)
 		}
-		total := 0
-		for _, f := range tp.frames {
-			total += len(f)
-		}
-		if total != len(tp.stream) {
-			t.Fatalf("template %d frames cover %d of %d bytes", i, total, len(tp.stream))
-		}
-		sr := adapt.NewStreamReader(bytes.NewReader(tp.stream))
-		packets, err := sr.ReadEvent(cfg.ASICs)
-		if err != nil {
-			t.Fatalf("template %d: %v", i, err)
-		}
-		if packets[0].Event != uint32(i) {
-			t.Fatalf("template %d carries event id %d", i, packets[0].Event)
-		}
-		for _, p := range packets {
-			if int(p.SamplesPerChannel) != cfg.SamplesPerChannel {
-				t.Fatalf("template %d: %d samples on the wire, want %d",
-					i, p.SamplesPerChannel, cfg.SamplesPerChannel)
+		// The stream parses as the template's own event, and again after its
+		// patchers rewrite every frame's id (checksums included).
+		frameLen := wire / cfg.ASICs
+		for _, id := range []uint32{uint32(i), 1<<20 + uint32(i)} {
+			for j, fp := range tp.patch {
+				fp.SetEventID(tp.stream[j*frameLen:(j+1)*frameLen], id)
+			}
+			sr := adapt.NewStreamReader(bytes.NewReader(tp.stream))
+			packets, err := sr.ReadEvent(cfg.ASICs)
+			if err != nil {
+				t.Fatalf("template %d as event %d: %v", i, id, err)
+			}
+			if packets[0].Event != id {
+				t.Fatalf("template %d carries event id %d, want %d", i, packets[0].Event, id)
+			}
+			for _, p := range packets {
+				if int(p.SamplesPerChannel) != cfg.SamplesPerChannel {
+					t.Fatalf("template %d: %d samples on the wire, want %d",
+						i, p.SamplesPerChannel, cfg.SamplesPerChannel)
+				}
+			}
+			if sr.SkippedBytes != 0 || sr.BadPackets != 0 {
+				t.Fatalf("template %d: skipped=%d bad=%d", i, sr.SkippedBytes, sr.BadPackets)
 			}
 		}
-		if sr.SkippedBytes != 0 || sr.BadPackets != 0 {
-			t.Fatalf("template %d: skipped=%d bad=%d", i, sr.SkippedBytes, sr.BadPackets)
-		}
-	}
-}
-
-// TestReadRecords feeds synthetic downlink frames over an in-memory pipe and
-// checks record/island accounting and clean-EOF handling.
-func TestReadRecords(t *testing.T) {
-	client, srv := net.Pipe()
-	recs := []adapt.EventRecord{
-		{Event: 1, Islands: []adapt.IslandRecord{
-			{Label: 1, Pixels: 3, Sum: 42, RowQ16: 1 << 16, ColQ16: 2 << 16},
-			{Label: 2, Pixels: 1, Sum: 7},
-		}},
-		{Event: 2}, // empty event: header only
-		{Event: 3, Islands: []adapt.IslandRecord{{Label: 1, Pixels: 9, Sum: 900}}},
-	}
-	go func() {
-		defer srv.Close()
-		var buf []byte
-		for i := range recs {
-			buf = recs[i].AppendTo(buf[:0])
-			if _, err := srv.Write(buf); err != nil {
-				return
-			}
-		}
-	}()
-	records, islands, err := readRecords(client, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if records != len(recs) || islands != 3 {
-		t.Fatalf("got %d records, %d islands; want %d, 3", records, islands, len(recs))
 	}
 }
 
@@ -132,49 +102,15 @@ func TestRunRejectsBadArgs(t *testing.T) {
 	if err := run([]string{"-dial-retries", "0"}, io.Discard); err == nil {
 		t.Fatal("zero dial retries must fail")
 	}
-}
-
-// TestDialRetryBacksOff: a dead address burns through the attempt budget with
-// sleeps in between; a live address succeeds immediately with zero retries.
-func TestDialRetryBacksOff(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close() // now guaranteed dead
-
-	rng := detector.NewRNG(1)
-	start := time.Now()
-	if _, retries, err := dialRetry(addr, time.Second, rng, 3); err == nil {
-		t.Fatal("dialing a closed port must eventually fail")
-	} else if retries != 2 {
-		t.Fatalf("retries = %d, want 2 (3 attempts)", retries)
-	}
-	// Two backoff sleeps: >= 10/2 + 20/2 ms even with minimal jitter.
-	if elapsed := time.Since(start); elapsed < 15*time.Millisecond {
-		t.Fatalf("3 attempts finished in %v; backoff sleeps missing", elapsed)
-	}
-
-	ln2, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln2.Close()
-	go ln2.Accept()
-	nc, retries, err := dialRetry(ln2.Addr().String(), time.Second, rng, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc.Close()
-	if retries != 0 {
-		t.Fatalf("live address took %d retries", retries)
+	if err := run([]string{"-templates", "0"}, io.Discard); err == nil {
+		t.Fatal("zero templates must fail")
 	}
 }
 
-// TestLoadgenEndToEnd runs the generator against an in-process daemon with
-// the blocking policy: every offered event must come back as a record.
-func TestLoadgenEndToEnd(t *testing.T) {
+// startDaemon serves the adapt configuration from an in-process block-policy
+// daemon on a loopback port, shut down when the test ends.
+func startDaemon(t *testing.T) (*server.Server, string) {
+	t.Helper()
 	pcfg, err := pipelineConfig("adapt", 4)
 	if err != nil {
 		t.Fatal(err)
@@ -202,10 +138,17 @@ func TestLoadgenEndToEnd(t *testing.T) {
 		}
 		<-done
 	})
+	return srv, ln.Addr().String()
+}
+
+// TestLoadgenEndToEnd runs the generator against an in-process daemon with
+// the blocking policy: every offered event must come back as a record.
+func TestLoadgenEndToEnd(t *testing.T) {
+	srv, addr := startDaemon(t)
 
 	var out bytes.Buffer
-	err = run([]string{
-		"-addr", ln.Addr().String(),
+	err := run([]string{
+		"-addr", addr,
 		"-config", "adapt", "-samples", "4",
 		"-events", "60", "-conns", "3", "-rate", "0",
 		"-templates", "4", "-timeout", "10s",
@@ -228,38 +171,12 @@ func TestLoadgenEndToEnd(t *testing.T) {
 // blocking policy, every offered event is either served or incomplete, and
 // the incomplete count equals the generator's corrupted + partial tally.
 func TestLoadgenChaosAccounting(t *testing.T) {
-	pcfg, err := pipelineConfig("adapt", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(server.Config{
-		Pipeline:   pcfg,
-		Workers:    1,
-		QueueDepth: 8,
-		Policy:     server.PolicyBlock,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Error(err)
-		}
-		<-done
-	})
+	srv, addr := startDaemon(t)
 
 	const offered = 400
 	var out bytes.Buffer
-	err = run([]string{
-		"-addr", ln.Addr().String(),
+	err := run([]string{
+		"-addr", addr,
 		"-config", "adapt", "-samples", "4",
 		"-events", "400", "-conns", "2", "-rate", "0",
 		"-templates", "4", "-timeout", "10s",
@@ -286,5 +203,50 @@ func TestLoadgenChaosAccounting(t *testing.T) {
 	lost := offered - int(snap.EventsOut)
 	if want := fmt.Sprintf("= %d explained", lost); !strings.Contains(out.String(), want) {
 		t.Fatalf("fault summary does not explain the %d lost events:\n%s", lost, out.String())
+	}
+}
+
+// TestLoadgenArrivalModes runs the paced and Poisson modes README's 15k ev/s
+// command uses, and the unpaced one, against an in-process block-policy
+// daemon: each loses nothing, names its arrival process in the banner only
+// when paced, and reports client latency for every event.
+func TestLoadgenArrivalModes(t *testing.T) {
+	for _, tc := range []struct {
+		name, banner, latency string
+		args                  []string
+	}{
+		{"paced", "target 3000 ev/s (paced),", "latency  p50=", []string{"-rate", "3000"}},
+		{"poisson", "target 3000 ev/s (Poisson),", "latency  p50=", []string{"-rate", "3000", "-poisson"}},
+		{"unpaced", "target unpaced,", "saturation: max sustained ", []string{"-rate", "0"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, addr := startDaemon(t)
+			const events = 300
+			var out bytes.Buffer
+			err := run(append([]string{
+				"-addr", addr,
+				"-config", "adapt", "-samples", "4",
+				"-events", fmt.Sprint(events), "-conns", "2",
+				"-templates", "4", "-timeout", "10s", "-burst", "1ms",
+			}, tc.args...), &out)
+			if err != nil {
+				t.Fatalf("run: %v\n%s", err, out.String())
+			}
+			for _, want := range []string{
+				tc.banner,
+				"lost     0 events",
+				tc.latency,
+				fmt.Sprintf("(%d matched)", events),
+			} {
+				if !strings.Contains(out.String(), want) {
+					t.Fatalf("output lacks %q:\n%s", want, out.String())
+				}
+			}
+			snap := srv.StatsSnapshot()
+			if snap.EventsIn != events || snap.EventsOut != events || snap.Dropped != 0 {
+				t.Fatalf("server counted in=%d out=%d dropped=%d, want %d/%d/0",
+					snap.EventsIn, snap.EventsOut, snap.Dropped, events, events)
+			}
+		})
 	}
 }

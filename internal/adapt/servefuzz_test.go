@@ -18,8 +18,8 @@ import (
 // (ModeFixed, compact labels). All three must agree on the partition, pixel
 // counts, sums, and Q16.16 centroids.
 //
-// Geometry spans both engine extraction paths: cols ≤ 64 exercises the
-// single-word narrow extractor, wider images the generic multi-word one.
+// Geometry spans 1–48 rows by 1–70 columns: single pixels and single rows,
+// the 43×43 camera, and rows wider than one 64-bit word.
 func FuzzRunCCLvsPixel(f *testing.F) {
 	f.Add(uint64(1), uint8(43), uint8(43), false, []byte{0, 5, 5, 0, 9})
 	f.Add(uint64(2), uint8(8), uint8(10), true, []byte{3, 3, 3, 3, 3, 3, 3})

@@ -16,11 +16,11 @@
 // its bitmap layout, and labels one packed image at a time on a Batch of its
 // own.
 //
-// The partition produced is identical to the raster-scan union-find of
-// adapt.ServeEvent and to ccl.Label(ModeFixed): two lit pixels share an
-// island iff they are transitively connected under the configured
-// connectivity, and islands are numbered compactly 1..K in raster order of
-// first appearance. FuzzRunCCLvsPixel (internal/adapt) asserts this
+// The partition produced is identical to the flood fill of the per-pixel
+// oracle (adapt's ServePixel backend) and to ccl.Label(ModeFixed): two lit
+// pixels share an island iff they are transitively connected under the
+// configured connectivity, and islands are numbered compactly 1..K in raster
+// order of first appearance. FuzzRunCCLvsPixel (internal/adapt) asserts this
 // equivalence on random grids.
 package runccl
 

@@ -45,8 +45,8 @@
 // so a quiet server spins nothing. There is one worker loop: it drains its
 // rings in batches, serves the batch through adapt.Pipeline.ServeLitBatch,
 // and coalesces the batch's serialized adapt.EventRecord responses into one
-// pooled write per originating connection. Pacing (Config.PaceRate,
-// Config.PaceHardware) is a service interval on that loop: the drain takes one
+// pooled write per originating connection. Pacing (Config.PaceRate) is a
+// service interval on that loop: the drain takes one
 // event and waits out its slot before serving it. The whole path — frame
 // scan, ring handoff, serving, response write — runs at zero heap allocations
 // per event in steady state (gated in CI via BenchmarkIngestPath).

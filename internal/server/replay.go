@@ -1,16 +1,12 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"log"
-	"net"
 	"time"
 
-	"github.com/wustl-adapt/hepccl/internal/adapt"
+	"github.com/wustl-adapt/hepccl/internal/uplink"
 	"github.com/wustl-adapt/hepccl/internal/wal"
 )
 
@@ -22,9 +18,6 @@ import (
 // against a block-policy server is deterministic: two replays of the same log
 // produce identical served/dropped/bad/incomplete counts and an identical
 // downlink byte stream.
-
-// replayCRCTable fingerprints replay downlink streams (CRC-32C).
-var replayCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ReplayOptions parameterizes one replay run.
 type ReplayOptions struct {
@@ -61,7 +54,9 @@ type ReplayResult struct {
 // Replay streams the WAL at opts.Dir into opts.Addr and drains the responses.
 // It returns once the log is exhausted and the server has answered everything
 // it will answer (the connection's write side is closed and the response
-// stream read to EOF).
+// stream read to EOF). The log is a source on the shared uplink sender: its
+// records go out in append order, each due at its recorded offset scaled by
+// opts.Rate.
 func Replay(ctx context.Context, opts ReplayOptions) (ReplayResult, error) {
 	var res ReplayResult
 	sc, err := wal.NewScanner(opts.Dir)
@@ -69,101 +64,19 @@ func Replay(ctx context.Context, opts ReplayOptions) (ReplayResult, error) {
 		return res, err
 	}
 	defer sc.Close()
-
-	var d net.Dialer
-	nc, err := d.DialContext(ctx, "tcp", opts.Addr)
+	src := &walSource{sc: sc, rate: opts.Rate}
+	ur, err := uplink.Run(ctx, src, uplink.Config{Addr: opts.Addr})
+	res = ReplayResult{
+		Events:          src.events,
+		Bytes:           src.bytes,
+		Torn:            sc.Torn(),
+		DownlinkRecords: uint64(ur.Records),
+		DownlinkBytes:   ur.RecordBytes,
+		DownlinkCRC:     ur.CRC,
+		Duration:        ur.RecvTime,
+	}
 	if err != nil {
-		return res, fmt.Errorf("replay: dial %s: %w", opts.Addr, err)
-	}
-	defer nc.Close()
-
-	// Drain responses concurrently so server backpressure cannot deadlock the
-	// uplink against an unread downlink.
-	type drainResult struct {
-		records uint64
-		bytes   uint64
-		crc     uint32
-		err     error
-	}
-	drained := make(chan drainResult, 1)
-	go func() {
-		var dr drainResult
-		rs := adapt.NewRecordScanner(nc, nil)
-		for {
-			rec, err := rs.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				dr.err = err
-				break
-			}
-			dr.records++
-			dr.bytes += uint64(len(rec))
-			dr.crc = crc32.Update(dr.crc, replayCRCTable, rec)
-		}
-		drained <- dr
-	}()
-
-	start := time.Now()
-	bw := bufio.NewWriterSize(nc, 256<<10)
-	var firstTs uint64
-	haveFirst := false
-	werr := func() error {
-		for {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			rec, err := sc.Next()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			if opts.Rate > 0 {
-				if !haveFirst {
-					firstTs, haveFirst = rec.TsNanos, true
-				}
-				target := time.Duration(float64(rec.TsNanos-firstTs) / opts.Rate)
-				if wait := time.Until(start.Add(target)); wait > 0 {
-					// Flush what is queued before sleeping so pacing gaps are
-					// pacing gaps, not buffering artifacts.
-					if err := bw.Flush(); err != nil {
-						return err
-					}
-					time.Sleep(wait)
-				}
-			}
-			if _, err := bw.Write(rec.Payload); err != nil {
-				return err
-			}
-			res.Events++
-			res.Bytes += uint64(len(rec.Payload))
-		}
-	}()
-	if werr == nil {
-		werr = bw.Flush()
-	}
-	res.Torn = sc.Torn()
-	if werr != nil {
-		// Abort: tear the whole connection down so the drainer unblocks.
-		nc.Close()
-	} else if cw, ok := nc.(interface{ CloseWrite() error }); ok {
-		// Half-close the uplink so the server sees a clean end of stream,
-		// serves the tail, and closes the downlink — unblocking the drainer.
-		werr = cw.CloseWrite()
-	}
-	dr := <-drained
-	res.DownlinkRecords = dr.records
-	res.DownlinkBytes = dr.bytes
-	res.DownlinkCRC = dr.crc
-	res.Duration = time.Since(start)
-	if werr != nil {
-		return res, fmt.Errorf("replay: uplink: %w", werr)
-	}
-	if dr.err != nil {
-		return res, fmt.Errorf("replay: downlink: %w", dr.err)
+		return res, fmt.Errorf("replay: %w", err)
 	}
 	if l := opts.Logger; l != nil {
 		l.Printf("replay: %d events (%d bytes) in %v, %d records back (%d bytes, crc %08x)",
@@ -171,4 +84,31 @@ func Replay(ctx context.Context, opts ReplayOptions) (ReplayResult, error) {
 			res.DownlinkRecords, res.DownlinkBytes, res.DownlinkCRC)
 	}
 	return res, nil
+}
+
+// walSource yields a log's records as uplink events. A payload aliases its
+// segment buffer, which the scanner never rewrites, so a write batch can
+// hold several.
+type walSource struct {
+	sc            *wal.Scanner
+	rate          float64
+	first         uint64
+	events, bytes uint64
+}
+
+func (w *walSource) Next() (uplink.Event, error) {
+	rec, err := w.sc.Next()
+	if err != nil {
+		return uplink.Event{}, err
+	}
+	if w.events == 0 {
+		w.first = rec.TsNanos
+	}
+	w.events++
+	w.bytes += uint64(len(rec.Payload))
+	ev := uplink.Event{Wire: rec.Payload}
+	if w.rate > 0 {
+		ev.Due = time.Duration(float64(rec.TsNanos-w.first) / w.rate)
+	}
+	return ev, nil
 }

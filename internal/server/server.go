@@ -38,18 +38,16 @@ type Config struct {
 	// many cores accept traffic. Default 1.
 	AcceptorShards int
 	// PaceRate, when positive, throttles each worker to this many events per
-	// second — a fixed-capacity backend model (the generalization of
-	// PaceHardware's modeled FPGA interval), used to study scale-out with
-	// capacity-bound backends. A paced worker drains one event per service
-	// slot. It overrides PaceHardware (hepccld refuses the pair).
+	// second — a fixed-capacity backend model, used to study scale-out with
+	// capacity-bound backends and, at the modeled FPGA rate
+	// (adapt.Pipeline.EventsPerSecond, hepccld -pace-hw), to compare measured
+	// loss-vs-depth with experiments deadtime (E14). A paced worker drains
+	// one event per service slot.
 	PaceRate float64
 	// Pedestals holds the measured per-channel pedestal integrals
 	// (adapt.MeasurePedestals) installed in each worker pipeline at startup.
 	// Nil keeps nominal pedestals.
 	Pedestals []int64
-	// PaceHardware throttles each worker to the modeled FPGA event interval,
-	// making measured loss-vs-depth comparable to experiments deadtime (E14).
-	PaceHardware bool
 	// StatsAddr, when non-empty, serves GET /stats (JSON snapshot) and
 	// GET /healthz on this address.
 	StatsAddr string

@@ -221,10 +221,21 @@ func TestServerRecordsMatchPipeline(t *testing.T) {
 	}
 }
 
+// modeledRate is cfg's modeled FPGA event rate, the rate hepccld -pace-hw
+// paces each worker at.
+func modeledRate(t *testing.T, cfg adapt.Config) float64 {
+	t.Helper()
+	p, err := adapt.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.EventsPerSecond()
+}
+
 func TestServerDropPolicy(t *testing.T) {
 	cfg := testConfig()
 	s, addr := startServer(t, Config{
-		Pipeline: cfg, QueueDepth: 1, Policy: PolicyDrop, PaceHardware: true,
+		Pipeline: cfg, QueueDepth: 1, Policy: PolicyDrop, PaceRate: modeledRate(t, cfg),
 	})
 	const n = 60
 	events := makeEvents(t, cfg, n, 3)
@@ -255,7 +266,7 @@ func TestServerDropPolicy(t *testing.T) {
 func TestServerBlockPolicy(t *testing.T) {
 	cfg := testConfig()
 	s, addr := startServer(t, Config{
-		Pipeline: cfg, QueueDepth: 1, Policy: PolicyBlock, PaceHardware: true,
+		Pipeline: cfg, QueueDepth: 1, Policy: PolicyBlock, PaceRate: modeledRate(t, cfg),
 	})
 	const n = 30
 	events := makeEvents(t, cfg, n, 4)

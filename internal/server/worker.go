@@ -26,11 +26,10 @@ const lingerMin = 8
 // of its assigned connections until ingress closes and the rings are empty
 // (graceful drain). Each drain, up to the drain cap, goes through serve as one
 // batch. Pacing is a parameter of this loop, not a second loop: a service
-// interval (Config.PaceRate, else Config.PaceHardware's modeled FPGA event
-// interval) makes the drain cap 1 and has serve wait out the event's slot
-// first, so a paced worker takes one event off its lane per slot — a
-// fixed-rate derandomizer consumer — and frees that event's admission slot
-// before the wait, when a hardware FIFO's read pointer would move.
+// interval (Config.PaceRate) makes the drain cap 1 and has serve wait out the
+// event's slot first, so a paced worker takes one event off its lane per slot
+// — a fixed-rate derandomizer consumer — and frees that event's admission
+// slot before the wait, when a hardware FIFO's read pointer would move.
 //
 // Parking: when every ring is empty the worker announces parked, re-drains
 // (closing the race against a producer that pushed before the announcement),
@@ -39,18 +38,9 @@ const lingerMin = 8
 func (s *Server) run(w *worker, p *adapt.Pipeline) {
 	defer s.workersWG.Done()
 	limit := serveBatchMax
-	switch {
-	case s.cfg.PaceRate > 0:
-		// Explicit fixed-capacity backend model: one event per 1/PaceRate,
-		// regardless of what the modeled FPGA would sustain.
+	if s.cfg.PaceRate > 0 {
+		// Fixed-capacity backend model: one event per 1/PaceRate.
 		w.interval = time.Duration(float64(time.Second) / s.cfg.PaceRate)
-	case s.cfg.PaceHardware:
-		// Serve no faster than the modeled FPGA pipeline: one event per
-		// EventIntervalCycles at the design clock. This makes the server's
-		// loss-vs-depth behaviour directly comparable to E14.
-		w.interval = time.Duration(float64(time.Second) / p.EventsPerSecond())
-	}
-	if w.interval > 0 {
 		limit = 1
 	}
 	batch := make([]*event, limit)

@@ -12,8 +12,9 @@ import (
 	"github.com/wustl-adapt/hepccl/internal/adapt"
 )
 
-// Record is one recovered log entry. Payload aliases the scanner's segment
-// buffer and is valid until the next Next call.
+// Record is one recovered log entry. Payload aliases the segment buffer the
+// scanner read it from; each segment is read into a fresh buffer that is never
+// rewritten, so a payload stays valid after later Next calls.
 type Record struct {
 	// Event is the event id stamped at append time.
 	Event uint32
