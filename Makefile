@@ -36,7 +36,7 @@ hotclosure-check:
 # Fail when the //hepccl:checked hatches (bounds checks argued in prose
 # rather than proven) outnumber the ceiling. Lower the ceiling when a hatch
 # becomes a proof; raise it only in the diff that adds one.
-HATCH_CEILING = 44
+HATCH_CEILING = 41
 hatch-check:
 	@n=$$(grep -rh --include='*.go' --exclude='*_test.go' --exclude-dir=analysis '//hepccl:checked' . | wc -l); \
 	echo "$$n //hepccl:checked hatches (ceiling $(HATCH_CEILING))"; \
@@ -60,7 +60,7 @@ gw-soak:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkServeEvent' -benchtime 100x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkServe(Wire|Dense)$$' -benchtime 2s -benchmem ./internal/adapt
-	$(GO) test -run '^$$' -bench 'BenchmarkScan/' -benchtime 1s -benchmem ./internal/adapt
+	$(GO) test -run '^$$' -bench 'BenchmarkScan(Dense)?/' -benchtime 1s -benchmem ./internal/adapt
 	$(GO) test -run '^$$' -bench BenchmarkIngestPath -benchtime 200000x -benchmem ./internal/server
 # internal/tileccl is bench-only since PR 16 (only bench/ imports it) and leaves with the benchmark half.
 	$(GO) test -run '^$$' -bench 'BenchmarkLabel' -benchtime 100x -benchmem ./internal/tileccl

@@ -24,17 +24,75 @@ DATA lowBytes<>+0(SB)/8, $0x00FF00FF00FF00FF
 DATA lowBytes<>+8(SB)/8, $0x00FF00FF00FF00FF
 GLOBL lowBytes<>(SB), RODATA|NOPTR, $16
 
+// litPerm holds one entry per 4-bit lit mask of a group of four channels.
+// Each entry is four qword lanes, one per output slot: the two dword indexes
+// of the slot's source lane for VPERMD, which reads only their low three
+// bits, and, for the slots the group's lit channels fill, the sign bit of
+// the qword, which is VPMASKMOVQ's store mask. Lit lanes go to the front in
+// channel order; NO is an unused slot (indexes 0 and 1, not stored).
+#define L0 $0x8000000100000000
+#define L1 $0x8000000300000002
+#define L2 $0x8000000500000004
+#define L3 $0x8000000700000006
+#define NO $0x0000000100000000
+#define PERM(off, a, b, c, d) DATA litPerm<>+off(SB)/8, a; DATA litPerm<>+off+8(SB)/8, b; DATA litPerm<>+off+16(SB)/8, c; DATA litPerm<>+off+24(SB)/8, d
+PERM(0, NO, NO, NO, NO)
+PERM(32, L0, NO, NO, NO)
+PERM(64, L1, NO, NO, NO)
+PERM(96, L0, L1, NO, NO)
+PERM(128, L2, NO, NO, NO)
+PERM(160, L0, L2, NO, NO)
+PERM(192, L1, L2, NO, NO)
+PERM(224, L0, L1, L2, NO)
+PERM(256, L3, NO, NO, NO)
+PERM(288, L0, L3, NO, NO)
+PERM(320, L1, L3, NO, NO)
+PERM(352, L0, L1, L3, NO)
+PERM(384, L2, L3, NO, NO)
+PERM(416, L0, L2, L3, NO)
+PERM(448, L1, L2, L3, NO)
+PERM(480, L0, L1, L2, L3)
+GLOBL litPerm<>(SB), RODATA|NOPTR, $512
+
+// laneChannels is the channel offset of each lane of a group, << 32, and
+// groupStep the step from one group to the next.
+DATA laneChannels<>+0(SB)/8, $0x0000000000000000
+DATA laneChannels<>+8(SB)/8, $0x0000000100000000
+DATA laneChannels<>+16(SB)/8, $0x0000000200000000
+DATA laneChannels<>+24(SB)/8, $0x0000000300000000
+GLOBL laneChannels<>(SB), RODATA|NOPTR, $32
+
+DATA groupStep<>+0(SB)/8, $0x0000000400000000
+GLOBL groupStep<>(SB), RODATA|NOPTR, $8
+
 // Frame layout of the one-word route: a 17-byte header, 16 channels of four
 // big-endian uint16 samples, a big-endian 16-bit checksum.
 #define FRAME 147
 #define SAMPLES 17
 #define CHECKSUM 145
 
+// GROUP appends the lit channels among the four whose excesses are in the
+// dwords of x and whose lit bits are AX >> shift & 15; Y8 holds their Lit
+// channel lanes and moves on to the next group's.
+#define GROUP(x, shift) \
+	MOVL       AX, CX; \
+	SHRL       $shift, CX; \
+	ANDL       $15, CX; \
+	POPCNTL    CX, BX; \
+	SHLL       $5, CX; \
+	VMOVDQU    (R14)(CX*1), Y10; \
+	VPMOVZXDQ  x, Y4; \
+	VPOR       Y8, Y4, Y4; \
+	VPERMD     Y4, Y10, Y4; \
+	VPMASKMOVQ Y4, Y10, (DI)(R13*8); \
+	ADDQ       BX, R13; \
+	VPADDQ     Y9, Y8, Y8
+
 // func scanFramesAVX2(win []byte, lims []uint32, want, fl uint64, out []Lit, n int) (frames, nOut int)
 //
 // Every load and store is inside the frame, limit block and output slots the
 // loop condition just proved: win[0:147], lims[0:16], out[n:n+16].
-TEXT ·scanFramesAVX2(SB), NOSPLIT, $64-112
+TEXT ·scanFramesAVX2(SB), NOSPLIT, $0-112
 	MOVQ win_base+0(FP), SI
 	MOVQ win_len+8(FP), R8
 	MOVQ lims_base+24(FP), DX
@@ -48,6 +106,8 @@ TEXT ·scanFramesAVX2(SB), NOSPLIT, $64-112
 	VMOVDQU oddSamples<>(SB), Y15
 	VMOVDQU lowBytes<>(SB), X13
 	VPXOR   X12, X12, X12
+	VPBROADCASTQ groupStep<>(SB), Y9
+	LEAQ    litPerm<>(SB), R14
 
 frame:
 	// Room for one more whole frame, its sixteen limits and sixteen entries.
@@ -145,22 +205,20 @@ frame:
 	XORL      $0xFFFF, AX
 	JZ        next
 
-	// Append the lit channels, lowest first: flat channel << 32 | excess.
-	// BSF, not TZCNT: detectAVX2 does not check BMI1, and AX is non-zero.
-	VMOVDQU Y0, 0(SP)
-	VMOVDQU Y2, 32(SP)
-
-lit:
-	BSFL  AX, CX
-	BTRL  CX, AX
-	MOVL  (SP)(CX*4), BX
-	SHLQ  $32, CX
-	ORQ   R11, CX
-	ORQ   BX, CX
-	MOVQ  CX, (DI)(R13*8)
-	INCQ  R13
-	TESTL AX, AX
-	JNZ   lit
+	// Append the lit channels in channel order, four at a time: a group's
+	// four excesses widen to Lit lanes, flat channel << 32 | excess, VPERMD
+	// moves the lit ones to the front and VPMASKMOVQ stores exactly those,
+	// so nothing past the last lit entry is written. n advances by the
+	// group's lit count; no instruction branches on a channel.
+	VMOVQ        R11, X8
+	VPBROADCASTQ X8, Y8
+	VPADDQ       laneChannels<>(SB), Y8, Y8
+	VEXTRACTI128 $1, Y0, X1
+	VEXTRACTI128 $1, Y2, X3
+	GROUP(X0, 0)
+	GROUP(X1, 4)
+	GROUP(X2, 8)
+	GROUP(X3, 12)
 
 next:
 	ADDQ $FRAME, SI

@@ -272,3 +272,128 @@ func TestFrameKernelMatchesPortable(t *testing.T) {
 		check(name("output runs out"), sup, start, slices.Concat(wire...), last+ChannelsPerASIC-1, lits, nf, nf-1)
 	}
 }
+
+// FuzzScanWindow pits the AVX2 window kernel, called directly, against the
+// portable loop on fuzzer-chosen windows. The fuzzer picks the frames'
+// samples, each channel's limit (at its integral's lit/dark boundary, at
+// minLimit, clamped beyond reach, or random), the first ASIC and event id,
+// one byte flip anywhere in the window, how much of the window and of the
+// limit table to cut off, and the kernel's out room and starting n. Window,
+// limits and out each end at a guard page, so an over-read or over-write
+// faults. The kernel must take exactly the frames the portable scan takes
+// before the first one it lacks sixteen free out slots for, append exactly
+// their lit entries from n on, and leave every other out slot as it was.
+func FuzzScanWindow(f *testing.F) {
+	f.Add(uint16(0), uint32(0xC0FFEE), uint8(4), []byte{0xFF}, []byte{0}, uint16(0), uint8(0), uint16(0), uint16(0), uint8(64), uint8(0))
+	f.Add(uint16(250), uint32(7), uint8(12), []byte{0x80, 0x01, 0x7F}, []byte{3, 0, 4, 1, 2}, uint16(900), uint8(0x20), uint16(0), uint16(0), uint8(200), uint8(3))
+	f.Add(uint16(MaxASICs-12), uint32(1), uint8(12), []byte{0x12, 0x34}, []byte{3}, uint16(0), uint8(0), uint16(100), uint16(8), uint8(60), uint8(17))
+	f.Add(uint16(5), uint32(9), uint8(6), []byte{}, []byte{1}, uint16(2), uint8(1), uint16(0), uint16(0), uint8(15), uint8(1))
+	f.Fuzz(func(t *testing.T, start uint16, event uint32, framesB uint8, samples, limB []byte,
+		flipAt uint16, flip uint8, winCut, limCut uint16, room, n0B uint8) {
+		withKernel(t, true) // skips without AVX2
+		nf := 1 + int(framesB%12)
+		first := min(int(start), MaxASICs-nf)
+		rng := detector.NewRNG(uint64(first)<<32 | uint64(event))
+
+		// Frames first+0 … first+nf−1, samples cycled from the fuzz bytes,
+		// and one limit per channel in the class its limB byte names.
+		var win []byte
+		limits := make([]int64, (first+nf)*ChannelsPerASIC)
+		for fr := 0; fr < nf; fr++ {
+			a := first + fr
+			pkt := Packet{Header: Header{Magic: PacketMagic, ASIC: uint8(a), Flags: uint8(a >> 8),
+				Event: event, Timestamp: rng.Uint64(), SamplesPerChannel: 4}}
+			for c := range pkt.Samples {
+				pkt.Samples[c] = make([]int32, 4)
+				var raw int64
+				for k := range pkt.Samples[c] {
+					var v int32
+					if len(samples) > 0 {
+						j := 2 * ((fr*ChannelsPerASIC+c)*4 + k)
+						v = int32(samples[j%len(samples)])<<8 | int32(samples[(j+1)%len(samples)])
+					}
+					pkt.Samples[c][k] = v
+					raw += int64(v)
+				}
+				var class byte
+				if len(limB) > 0 {
+					class = limB[(fr*ChannelsPerASIC+c)%len(limB)]
+				}
+				lim := &limits[a*ChannelsPerASIC+c]
+				switch class % 5 {
+				case 0:
+					*lim = raw + int64(class>>3&1) // lit at the boundary, or dark one above it
+				case 1:
+					*lim = minLimit
+				case 2:
+					*lim = 1 << 24
+				case 3:
+					*lim = 1 << 40
+				default:
+					*lim = int64(rng.Intn(1 << 18))
+				}
+			}
+			frame, err := pkt.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			win = append(win, frame...)
+		}
+		if flip != 0 {
+			win[int(flipAt)%len(win)] ^= flip
+		}
+		win = win[:len(win)-int(winCut)%(len(win)+1)]
+		sup, err := newSuppressor(first+nf, 4, 0, limits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sup.lim32 = sup.lim32[:len(sup.lim32)-int(limCut)%(nf*ChannelsPerASIC+1)]
+
+		// The portable reference, into an out it cannot run short of.
+		useAVX2 = false
+		ref := make([]Lit, nf*ChannelsPerASIC+1)
+		off, _, nRef := sup.scan(win, first, event, ref, 0)
+		refFrames := off / oneWordFrame
+		useAVX2 = true
+
+		// The kernel takes frame j only with sixteen free slots after n.
+		n0 := int(n0B)
+		outLen := n0 + int(room)
+		wantFrames, wantN := 0, n0
+		for wantFrames < refFrames && wantN+ChannelsPerASIC <= outLen {
+			for _, l := range ref[:nRef] {
+				if l.Channel()/ChannelsPerASIC == first+wantFrames {
+					wantN++
+				}
+			}
+			wantFrames++
+		}
+
+		g := make([]Lit, max(outLen, 1))
+		for k := range g {
+			g[k] = Lit(0xDEADBEEF00000000 | uint64(k))
+		}
+		out := guarded(t, g)[:outLen]
+		before := slices.Clone(out)
+		var lims []uint32
+		if first*ChannelsPerASIC < len(sup.lim32) {
+			lims = guarded(t, sup.lim32[first*ChannelsPerASIC:])
+		}
+		var gwin []byte
+		if len(win) > 0 {
+			gwin = guarded(t, win)
+		}
+		want := uint64(0xFAA1) | uint64(first)<<16 | uint64(bits.ReverseBytes32(event))<<32
+		k, n := scanFramesAVX2(gwin, lims, want, uint64(first*ChannelsPerASIC)<<32, out, n0)
+		if k != wantFrames || n != wantN {
+			t.Fatalf("kernel took %d frames to n=%d, want %d frames to n=%d (portable took %d frames)",
+				k, n, wantFrames, wantN, refFrames)
+		}
+		if !slices.Equal(out[n0:n], ref[:n-n0]) {
+			t.Fatalf("kernel lit entries\n %x\nwant %x", out[n0:n], ref[:n-n0])
+		}
+		if !slices.Equal(out[:n0], before[:n0]) || !slices.Equal(out[n:], before[n:]) {
+			t.Fatalf("kernel wrote outside out[%d:%d]", n0, n)
+		}
+	})
+}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/wustl-adapt/hepccl/internal/grid"
 	"github.com/wustl-adapt/hepccl/internal/labeling"
+	"github.com/wustl-adapt/hepccl/internal/runccl"
 )
 
 // Serving fast path. ProcessEvent runs the cycle-level HLS co-simulation of
@@ -26,9 +27,9 @@ import (
 // behind ServeEvent/ServeBatch). Three sinks consume them, chosen by the
 // pipeline's configuration:
 //
-//   - sinkRuns (2D, every frame size): lit pixels fold directly into maximal
-//     horizontal runs in a runccl.Batch — no merged image, no bitmap — which
-//     labels them as they arrive.
+//   - sinkRuns (2D, every frame size): lit pixels set bits of a lit bitmap
+//     and prefix sums in a runccl.Batch, which cuts runs from the bitmap and
+//     labels them — no merged image.
 //   - sinkImage (ServePixel): lit pixels fill the merged image, which flood
 //     fill labels — the differential-testing oracle.
 //   - sink1D: consecutive lit channels are the 1D islands.
@@ -69,11 +70,8 @@ func (p *Pipeline) ServeLitBatch(events []LitEvent, recs []EventRecord) {
 	}
 }
 
-// ServeLit serves one zero-suppressed event. On the run sink the event's
-// runs land in one small arena that labels them as they arrive — each run
-// linked to the row above, island totals folded into the surviving root at
-// the link — so the record's islands are the arena's roots, emitted in one
-// sweep; the arena is reused by the next event.
+// ServeLit serves one zero-suppressed event. On the run sink the event is
+// labeled in one reused arena whose roots are the record's islands.
 //
 //hepccl:hotpath
 func (p *Pipeline) ServeLit(ev LitEvent, rec *EventRecord) {
@@ -109,52 +107,33 @@ func (p *Pipeline) photons(l Lit) grid.Value {
 	return PhotonCount(net, p.cfg.GainADC)
 }
 
-// sinkRuns streams one event's lit pixels — ascending flat order is raster
-// order — into maximal horizontal runs, the one event of the emptied run
-// arena, folding each run's charge sum and column moment as it goes. A lit
-// pixel extends the open run exactly when it is the next flat index on the
-// same row; any gap or row change seals the run. Row and column come from one
-// division per row change, not per pixel.
+// sinkRuns feeds one event's lit pixels (flat order is raster order) to the
+// emptied run arena in one pass with no branch on a pixel: each sets its bit
+// in the lit bitmap and writes its prefix sums of photons and of lit index ×
+// photons. EndEvent then cuts the runs from the bitmap and labels them.
 //
 //hepccl:hotpath
 func (p *Pipeline) sinkRuns(lit []Lit) {
 	b := p.runBatch
 	b.Reset()
 	b.BeginEvent()
-	cols := p.cfg.Detection.TwoD.Cols
-	px := p.cfg.Detection.TwoD.Rows * cols
-	var row, rowStart, rowEnd int
-	var start, end int32
-	var sum, colm int64
-	prev := -2
-	for _, l := range lit {
-		fl := l.Channel()
-		if fl >= px {
-			break // padded channels beyond the pixel array: never downlinked
-		}
-		v := int64(p.photons(l))
-		if fl == prev+1 && fl < rowEnd {
-			end++
-			sum += v
-			colm += int64(fl-rowStart) * v
-		} else {
-			if prev >= 0 {
-				b.AddRun(int32(row), start, end, sum, colm)
-			}
-			if fl >= rowEnd {
-				row = fl / cols
-				rowStart = row * cols
-				rowEnd = rowStart + cols
-			}
-			col := fl - rowStart
-			start, end = int32(col), int32(col)+1
-			sum = v
-			colm = int64(col) * v
-		}
-		prev = fl
+	// Channels past the pixel array pad the last ASIC: the list's tail.
+	px := p.cfg.Detection.TwoD.Rows * p.cfg.Detection.TwoD.Cols
+	for len(lit) > 0 && lit[len(lit)-1].Channel() >= px {
+		lit = lit[:len(lit)-1]
 	}
-	if prev >= 0 {
-		b.AddRun(int32(row), start, end, sum, colm)
+	bitmap, pre := b.Feed(len(lit))
+	pre = pre[:len(lit)]
+	var acc runccl.Prefix
+	for i, l := range lit {
+		w, bit := b.Bit(l.Channel())
+		// Bit places every pixel below px, all the trim left, in the bitmap.
+		//hepccl:checked
+		bitmap[w] |= bit
+		v := int64(p.photons(l))
+		acc.Sum += v
+		acc.Mom += int64(i) * v
+		pre[i] = acc
 	}
 	b.EndEvent()
 }
@@ -210,8 +189,8 @@ func (p *Pipeline) sinkImage(lit []Lit, rec *EventRecord) {
 	}
 	for k := range rec.Islands {
 		isl := &rec.Islands[k]
-		isl.RowQ16 = q16Ratio(rows[k], isl.Sum)
-		isl.ColQ16 = q16Ratio(cols[k], isl.Sum)
+		isl.RowQ16 = runccl.Q16Ratio(rows[k], isl.Sum)
+		isl.ColQ16 = runccl.Q16Ratio(cols[k], isl.Sum)
 	}
 }
 
@@ -252,7 +231,7 @@ func appendIsland1D(rec *EventRecord, first, last int, sum, weighted int64) {
 		Pixels: uint32(last - first + 1),
 		Sum:    sum,
 		RowQ16: 0,
-		ColQ16: q16Ratio(weighted, sum),
+		ColQ16: runccl.Q16Ratio(weighted, sum),
 	})
 }
 
@@ -312,13 +291,4 @@ func (p *Pipeline) ServeBatch(events [][]Packet, recs []EventRecord, errs []erro
 	sc.lit, sc.events = lit, evs
 	p.ServeLitBatch(evs, recs)
 	return ok
-}
-
-// q16Ratio returns round(num/den × 2^16) in Q16.16, the same rounding the
-// streaming centroid divider applies.
-func q16Ratio(num, den int64) int32 {
-	if den == 0 {
-		return 0
-	}
-	return int32((num<<16 + den/2) / den)
 }

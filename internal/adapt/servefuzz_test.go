@@ -8,6 +8,7 @@ import (
 	"github.com/wustl-adapt/hepccl/internal/design"
 	"github.com/wustl-adapt/hepccl/internal/detector"
 	"github.com/wustl-adapt/hepccl/internal/grid"
+	"github.com/wustl-adapt/hepccl/internal/runccl"
 )
 
 // FuzzRunCCLvsPixel is the differential check behind the run-based serving
@@ -18,17 +19,19 @@ import (
 // (ModeFixed, compact labels). All three must agree on the partition, pixel
 // counts, sums, and Q16.16 centroids.
 //
-// Geometry spans 1–48 rows by 1–70 columns: single pixels and single rows,
-// the 43×43 camera, and rows wider than one 64-bit word.
+// Geometry spans 1–48 rows by 1–140 columns: single pixels and single rows,
+// the 43×43 camera, and rows of up to three 64-bit words, so runs and 8-way
+// overlaps cross two word boundaries.
 func FuzzRunCCLvsPixel(f *testing.F) {
 	f.Add(uint64(1), uint8(43), uint8(43), false, []byte{0, 5, 5, 0, 9})
 	f.Add(uint64(2), uint8(8), uint8(10), true, []byte{3, 3, 3, 3, 3, 3, 3})
 	f.Add(uint64(3), uint8(5), uint8(70), false, []byte{40, 0, 40, 0, 40})
 	f.Add(uint64(4), uint8(1), uint8(64), true, []byte{7})
 	f.Add(uint64(5), uint8(16), uint8(16), true, []byte{})
+	f.Add(uint64(6), uint8(37), uint8(118), false, []byte{48}) // 38×119, one island over 283 ASICs
 	f.Fuzz(func(t *testing.T, seed uint64, rowsB, colsB uint8, eight bool, pe []byte) {
 		rows := 1 + int(rowsB%48)
-		cols := 1 + int(colsB%70)
+		cols := 1 + int(colsB%140)
 		px := rows * cols
 		conn := grid.FourWay
 		if eight {
@@ -104,7 +107,7 @@ func FuzzRunCCLvsPixel(f *testing.F) {
 		// the ccl package in corrected-resolver mode.
 		merged := make([]grid.Value, px)
 		for pi := range packets {
-			base := int(packets[pi].ASIC) * ChannelsPerASIC
+			base := packets[pi].ASICIndex() * ChannelsPerASIC
 			ints := packets[pi].Integrals()
 			for ch, raw := range ints {
 				fl := base + ch
@@ -146,9 +149,9 @@ func FuzzRunCCLvsPixel(f *testing.F) {
 				t.Fatalf("island %d: serve label=%d pixels=%d sum=%d, ccl label=%d pixels=%d sum=%d",
 					i, got.Label, got.Pixels, got.Sum, ref[i].Label, len(ref[i].Pixels), ref[i].Sum)
 			}
-			if got.RowQ16 != q16Ratio(rowM, sum) || got.ColQ16 != q16Ratio(colM, sum) {
+			if got.RowQ16 != runccl.Q16Ratio(rowM, sum) || got.ColQ16 != runccl.Q16Ratio(colM, sum) {
 				t.Fatalf("island %d: centroid (%d,%d) != reference (%d,%d)",
-					i, got.RowQ16, got.ColQ16, q16Ratio(rowM, sum), q16Ratio(colM, sum))
+					i, got.RowQ16, got.ColQ16, runccl.Q16Ratio(rowM, sum), runccl.Q16Ratio(colM, sum))
 			}
 		}
 	})

@@ -197,19 +197,20 @@ func (s *Suppressor) scan(win []byte, i int, event uint32, out []Lit, n int) (in
 				d3 := r3 - lim[3]
 				if int32(d0&d1&d2&d3) >= 0 {
 					// n never exceeds the channels scanned so far and out
-					// holds one slot more than the event has channels.
+					// holds one slot more than the event has channels, so
+					// these four channels' slots follow n.
 					//hepccl:checked
-					out[n] = Lit(fl | uint64(d0))
-					n += int(^d0 >> 31)
-					//hepccl:checked
-					out[n] = Lit(fl + 1<<32 | uint64(d1))
-					n += int(^d1 >> 31)
-					//hepccl:checked
-					out[n] = Lit(fl + 2<<32 | uint64(d2))
-					n += int(^d2 >> 31)
-					//hepccl:checked
-					out[n] = Lit(fl + 3<<32 | uint64(d3))
-					n += int(^d3 >> 31)
+					o := out[n:][:4]
+					// j counts this group's lit channels before the store:
+					// j ≤ 3, so the mask only proves it.
+					o[0] = Lit(fl | uint64(d0))
+					j := int(^d0 >> 31)
+					o[j&3] = Lit(fl + 1<<32 | uint64(d1))
+					j += int(^d1 >> 31)
+					o[j&3] = Lit(fl + 2<<32 | uint64(d2))
+					j += int(^d2 >> 31)
+					o[j&3] = Lit(fl + 3<<32 | uint64(d3))
+					n += j + int(^d3>>31)
 				}
 				fl += 4 << 32
 				src, lim = src[32:], lim[4:]

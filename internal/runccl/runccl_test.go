@@ -44,8 +44,8 @@ func islandsOf(g *grid.Grid, labels *grid.Labels, k int) []Island {
 	for l := 1; l <= k; l++ {
 		is := &islands[l-1]
 		is.Label = int32(l)
-		is.RowQ16 = q16Ratio(rowM[l], is.Sum)
-		is.ColQ16 = q16Ratio(colM[l], is.Sum)
+		is.RowQ16 = Q16Ratio(rowM[l], is.Sum)
+		is.ColQ16 = Q16Ratio(colM[l], is.Sum)
 	}
 	return islands
 }

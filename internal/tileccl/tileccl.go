@@ -835,8 +835,8 @@ func (e *Engine) merge(dst []runccl.Island) []runccl.Island {
 			Label:  int32(i + 1),
 			Pixels: gPixels[x],
 			Sum:    gSums[x],
-			RowQ16: q16Ratio(gRowM[x], gSums[x]),
-			ColQ16: q16Ratio(gColM[x], gSums[x]),
+			RowQ16: runccl.Q16Ratio(gRowM[x], gSums[x]),
+			ColQ16: runccl.Q16Ratio(gColM[x], gSums[x]),
 		}
 	}
 	return dst
@@ -927,13 +927,4 @@ func (e *Engine) orderByPos(ord []ordIsl) {
 		ord[cntRow[r]] = tmp[i]
 		cntRow[r]++
 	}
-}
-
-// q16Ratio returns round(num/den × 2^16) in Q16.16 — the identical rounding
-// runccl and the per-pixel serving path use, so centroids stay bit-identical.
-func q16Ratio(num, den int64) int32 {
-	if den == 0 {
-		return 0
-	}
-	return int32((num<<16 + den/2) / den)
 }

@@ -39,8 +39,8 @@ func refIslands(t testing.TB, g *grid.Grid, conn grid.Connectivity) []runccl.Isl
 	}
 	for l := 1; l <= res.Islands; l++ {
 		islands[l-1].Label = int32(l)
-		islands[l-1].RowQ16 = q16Ratio(rowM[l], islands[l-1].Sum)
-		islands[l-1].ColQ16 = q16Ratio(colM[l], islands[l-1].Sum)
+		islands[l-1].RowQ16 = runccl.Q16Ratio(rowM[l], islands[l-1].Sum)
+		islands[l-1].ColQ16 = runccl.Q16Ratio(colM[l], islands[l-1].Sum)
 	}
 	return islands
 }
