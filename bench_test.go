@@ -415,7 +415,7 @@ func BenchmarkPacketStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sr := adapt.NewStreamReader(bytes.NewReader(wire))
-		if _, err := sr.ReadEvent(20); err != nil {
+		if _, err := sr.ReadEventInto(nil, 20); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -58,7 +58,6 @@ func run(args []string, out io.Writer) error {
 		workers     = fs.Int("workers", 1, "pipeline worker pool size")
 		queue       = fs.Int("queue", 64, "per-worker derandomizer queue depth (events)")
 		policyName  = fs.String("policy", "drop", "queue overflow policy: drop (derandomizer) or block (backpressure)")
-		shards      = fs.Int("acceptor-shards", 1, "accept-loop count; >1 uses SO_REUSEPORT listeners with lane-per-core worker placement")
 		paceHW      = fs.Bool("pace-hw", false, "throttle workers to the modeled FPGA event interval (E14 comparison)")
 		paceRate    = fs.Float64("pace-rate", 0, "throttle each worker to this many events/s (fixed-capacity backend model; 0 disables)")
 		calibration = fs.Int("calibration", 20, "pedestal calibration events per worker at startup")
@@ -95,7 +94,7 @@ func run(args []string, out io.Writer) error {
 	}
 	cfg, err := buildConfig(daemonOpts{
 		config: *configName, samples: *samples, workers: *workers, queue: *queue,
-		policy: *policyName, shards: *shards, paceHW: *paceHW, paceRate: *paceRate,
+		policy: *policyName, paceHW: *paceHW, paceRate: *paceRate,
 		calibration: *calibration, seed: *seed,
 		idleTimeout: *idleTimeout, assemblyTimeout: *assemblyTimeout,
 		breakerBadPackets: *breakerBad, breakerWindow: *breakerWindow,
@@ -186,7 +185,6 @@ type daemonOpts struct {
 	workers     int
 	queue       int
 	policy      string
-	shards      int
 	paceHW      bool
 	paceRate    float64
 	calibration int
@@ -280,12 +278,11 @@ func buildConfig(o daemonOpts) (server.Config, error) {
 		return server.Config{}, fmt.Errorf("-record-segment-mb = %d must be >= 0", o.recordSegMB)
 	}
 	cfg := server.Config{
-		Pipeline:       pcfg,
-		Workers:        o.workers,
-		QueueDepth:     o.queue,
-		Policy:         policy,
-		AcceptorShards: o.shards,
-		PaceRate:       o.paceRate,
+		Pipeline:   pcfg,
+		Workers:    o.workers,
+		QueueDepth: o.queue,
+		Policy:     policy,
+		PaceRate:   o.paceRate,
 
 		IdleTimeout:        o.idleTimeout,
 		AssemblyTimeout:    o.assemblyTimeout,

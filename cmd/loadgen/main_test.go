@@ -63,7 +63,7 @@ func TestDigitizeTemplatesRoundTrip(t *testing.T) {
 				fp.SetEventID(tp.stream[j*frameLen:(j+1)*frameLen], id)
 			}
 			sr := adapt.NewStreamReader(bytes.NewReader(tp.stream))
-			packets, err := sr.ReadEvent(cfg.ASICs)
+			packets, err := sr.ReadEventInto(nil, cfg.ASICs)
 			if err != nil {
 				t.Fatalf("template %d as event %d: %v", i, id, err)
 			}

@@ -26,8 +26,9 @@ func FuzzStreamReader(f *testing.F) {
 	f.Add([]byte{0xA1, 0xFA})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sr := NewStreamReader(bytes.NewReader(data))
+		var pkt Packet
 		for i := 0; i < 64; i++ { // bound iterations defensively
-			pkt, err := sr.ReadPacket()
+			err := sr.ReadPacketInto(&pkt)
 			if err == io.EOF {
 				return
 			}
@@ -76,8 +77,9 @@ func FuzzStreamReaderResync(f *testing.F) {
 		sr := NewStreamReader(bytes.NewReader(data))
 		consumed := 0
 		iters := 0
+		var pkt Packet
 		for {
-			pkt, err := sr.ReadPacket()
+			err := sr.ReadPacketInto(&pkt)
 			if err == io.EOF {
 				break
 			}

@@ -52,7 +52,7 @@ func TestFramePatcherMatchesFullRecompute(t *testing.T) {
 // a clean skim returns the event id; an assembly interrupted by a packet from
 // a later event surfaces ErrIncompleteEvent and fully decodes + retains the
 // interrupting packet so the next real read starts from it with correct
-// samples; and garbage between frames is counted exactly as in ReadPacket.
+// samples; and garbage between frames is counted exactly as in ReadPacketInto.
 func TestSkimEvent(t *testing.T) {
 	var buf bytes.Buffer
 	sw := NewStreamWriter(&buf)
@@ -86,7 +86,7 @@ func TestSkimEvent(t *testing.T) {
 	}
 	// The interrupting packet (event 3, ASIC 0) must have been retained fully
 	// decoded: the follow-up assembly has to produce correct samples.
-	got, err := sr.ReadEvent(3)
+	got, err := sr.ReadEventInto(nil, 3)
 	if err != nil {
 		t.Fatalf("read event 3 after interrupted skim: %v", err)
 	}
@@ -160,7 +160,7 @@ func TestSkimEventCorruption(t *testing.T) {
 					id, err, sr.BadPackets)
 			}
 			// Whatever happened to event 2, event 3 survives intact.
-			got, err := sr.ReadEvent(2)
+			got, err := sr.ReadEventInto(nil, 2)
 			if err != nil || got[0].Event != 3 {
 				t.Fatalf("read event 3 after the skim: %v", err)
 			}

@@ -29,24 +29,27 @@ type Config struct {
 	// Detection selects and configures the island-detection back end
 	// (the TWO_DIMENSION switch).
 	Detection design.TopConfig
-	// Serve selects the 2D labeling backend of serving. The zero value,
-	// ServeRun, is what the daemon serves with at every frame size;
-	// ServePixel is the flood-fill oracle tests and bench/ build explicitly.
+	// Serve selects the labeling backend of serving. The zero value,
+	// ServeRun, is what the daemon serves with at every frame size and in 1D;
+	// ServePixel is the flood-fill oracle tests and bench/ build explicitly,
+	// for 2D and 1D configs alike.
 	Serve ServeBackend
 }
 
-// ServeBackend selects the island-labeling engine behind serving's 2D
-// path. Both produce the identical island partition, statistics, and compact
-// raster numbering; they differ only in cost scaling.
+// ServeBackend selects the island-labeling engine behind serving. Both
+// produce the identical island partition, statistics, and compact raster
+// numbering; they differ only in cost scaling.
 type ServeBackend int
 
 const (
 	// ServeRun (the default) is the run-based labeler (runccl.Batch): runs
 	// are built straight from the lit list, so labeling cost scales with lit
-	// content, not array area, at any frame size.
+	// content, not array area, at any frame size. In 1D it is the direct
+	// scan for consecutive lit channels.
 	ServeRun ServeBackend = iota
 	// ServePixel labels the merged image with flood fill
 	// (labeling.FloodFill): the per-pixel oracle for differential testing.
+	// A 1D config's image is one row of its channels.
 	ServePixel
 )
 
@@ -132,6 +135,12 @@ type Pipeline struct {
 	runBatch  *runccl.Batch // 2D run labeler, one event's arena; nil for 1D and ServePixel
 	seen      []uint64      // checkEvent duplicate-ASIC bitmap, one bit per ASIC
 
+	// The serving geometry, resolved once by New: a 2D config's array, or a
+	// 1D config's channels as one row; 8-way only when a 2D config asks for
+	// it, 4-way otherwise.
+	rows, cols int
+	conn       grid.Connectivity
+
 	// cutoff is the ADC-domain zero-suppression threshold: with rounded
 	// division by gain g, pe > T ⇔ net ≥ (T+1)·g − g/2, so suppressed
 	// channels never pay the photon-count division. sup folds the pedestals
@@ -200,12 +209,15 @@ func New(cfg Config) (*Pipeline, error) {
 			p.pcMax = lim
 		}
 	}
-	if cfg.Detection.TwoDimension && cfg.Serve != ServePixel {
-		conn := cfg.Detection.TwoD.Connectivity
-		if !conn.Valid() {
-			conn = grid.FourWay // matches the pixel path's "not 8-way ⇒ 4-way"
+	p.rows, p.cols, p.conn = 1, channels, grid.FourWay
+	if det := cfg.Detection; det.TwoDimension {
+		p.rows, p.cols = det.TwoD.Rows, det.TwoD.Cols
+		if det.TwoD.Connectivity == grid.EightWay {
+			p.conn = grid.EightWay
 		}
-		eng, err := runccl.NewEngine(cfg.Detection.TwoD.Rows, cfg.Detection.TwoD.Cols, conn)
+	}
+	if cfg.Detection.TwoDimension && cfg.Serve != ServePixel {
+		eng, err := runccl.NewEngine(p.rows, p.cols, p.conn)
 		if err != nil {
 			return nil, fmt.Errorf("adapt: %w", err)
 		}
@@ -221,9 +233,10 @@ func New(cfg Config) (*Pipeline, error) {
 func (p *Pipeline) Close() {}
 
 // ServeEngine names the labeling backend serving resolved to — "run",
-// "pixel" or "1d" — for the /stats serve_backend field.
+// "pixel" or "1d" (ServeRun on a 1D config) — for the /stats serve_backend
+// field.
 func (p *Pipeline) ServeEngine() string {
-	if !p.cfg.Detection.TwoDimension {
+	if !p.cfg.Detection.TwoDimension && p.cfg.Serve == ServeRun {
 		return "1d"
 	}
 	return p.cfg.Serve.String()

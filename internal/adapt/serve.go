@@ -30,9 +30,9 @@ import (
 //   - sinkRuns (2D, every frame size): lit pixels set bits of a lit bitmap
 //     and prefix sums in a runccl.Batch, which cuts runs from the bitmap and
 //     labels them — no merged image.
-//   - sinkImage (ServePixel): lit pixels fill the merged image, which flood
-//     fill labels — the differential-testing oracle.
-//   - sink1D: consecutive lit channels are the 1D islands.
+//   - sinkImage (ServePixel, 2D or 1D): lit pixels fill the merged image,
+//     which flood fill labels — the differential-testing oracle.
+//   - sink1D (1D ServeRun): consecutive lit channels are the 1D islands.
 //
 // Differences from ProcessEvent + RecordOf, by design:
 //
@@ -77,14 +77,14 @@ func (p *Pipeline) ServeLitBatch(events []LitEvent, recs []EventRecord) {
 func (p *Pipeline) ServeLit(ev LitEvent, rec *EventRecord) {
 	rec.Event = ev.Event
 	switch {
-	case !p.cfg.Detection.TwoDimension:
-		p.sink1D(ev.Lit, rec)
 	case p.runBatch != nil:
 		p.sinkRuns(ev.Lit)
 		rec.Islands = p.runBatch.Islands(0, rec.Islands[:0])
-	default:
+	case p.cfg.Serve == ServePixel:
 		//hepccl:coldpath
 		p.sinkImage(ev.Lit, rec) // the oracle: never a production backend
+	default:
+		p.sink1D(ev.Lit, rec)
 	}
 }
 
@@ -118,7 +118,7 @@ func (p *Pipeline) sinkRuns(lit []Lit) {
 	b.Reset()
 	b.BeginEvent()
 	// Channels past the pixel array pad the last ASIC: the list's tail.
-	px := p.cfg.Detection.TwoD.Rows * p.cfg.Detection.TwoD.Cols
+	px := p.rows * p.cols
 	for len(lit) > 0 && lit[len(lit)-1].Channel() >= px {
 		lit = lit[:len(lit)-1]
 	}
@@ -141,11 +141,12 @@ func (p *Pipeline) sinkRuns(lit []Lit) {
 // sinkImage fills the merged photo-electron image from one event's lit
 // pixels, labels it with flood fill, and folds each island's pixel count, sum
 // and integer row/column moments into its record. Flood fill numbers islands
-// 1..K in raster order of their first pixel, the order records carry.
+// 1..K in raster order of their first pixel, the order records carry. The
+// image has the serving geometry New resolved, so a 1D config's channels are
+// one row and its islands are runs of consecutive lit channels.
 func (p *Pipeline) sinkImage(lit []Lit, rec *EventRecord) {
 	sc := &p.serve
-	det := p.cfg.Detection.TwoD
-	px := det.Rows * det.Cols
+	px := p.rows * p.cols
 	if sc.merged == nil {
 		sc.merged = make([]grid.Value, px)
 	}
@@ -158,17 +159,13 @@ func (p *Pipeline) sinkImage(lit []Lit, rec *EventRecord) {
 			merged[fl] = p.photons(l)
 		}
 	}
-	conn := grid.FourWay // anything but 8-way labels 4-way, as the run path does
-	if det.Connectivity == grid.EightWay {
-		conn = grid.EightWay
-	}
-	g, err := grid.FromFlat(det.Rows, det.Cols, merged)
+	g, err := grid.FromFlat(p.rows, p.cols, merged)
 	if err != nil {
 		panic(err) // New proved the geometry positive
 	}
-	labels, err := labeling.FloodFill{}.Label(g, conn)
+	labels, err := labeling.FloodFill{}.Label(g, p.conn)
 	if err != nil {
-		panic(err) // conn is valid by construction
+		panic(err) // New resolved a valid connectivity
 	}
 	rec.Islands = rec.Islands[:0]
 	var rows, cols []int64 // moments, indexed like rec.Islands
@@ -184,8 +181,8 @@ func (p *Pipeline) sinkImage(lit []Lit, rec *EventRecord) {
 		isl := &rec.Islands[l-1]
 		isl.Pixels++
 		isl.Sum += v
-		rows[l-1] += int64(i/det.Cols) * v
-		cols[l-1] += int64(i%det.Cols) * v
+		rows[l-1] += int64(i/p.cols) * v
+		cols[l-1] += int64(i%p.cols) * v
 	}
 	for k := range rec.Islands {
 		isl := &rec.Islands[k]

@@ -223,6 +223,55 @@ func TestServeEvent1DMatchesProcessEvent(t *testing.T) {
 	}
 }
 
+// TestServePixel1DMatchesProcessEvent: on a 1D config the flood-fill oracle
+// labels the channels as one row, 4-way, and its downlink records must equal
+// the cycle-accurate pipeline's byte for byte — island numbering, pixel
+// counts, sums and Q16.16 centroids — while ServeRun stays on the direct 1D
+// scan.
+func TestServePixel1DMatchesProcessEvent(t *testing.T) {
+	cfg := DefaultADAPT()
+	cfg.Serve = ServePixel
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.ServeEngine(); got != "pixel" {
+		t.Fatalf("1D ServePixel engine %q, want pixel", got)
+	}
+	if run, err := New(DefaultADAPT()); err != nil || run.ServeEngine() != "1d" {
+		t.Fatalf("1D ServeRun engine %q (%v), want 1d", run.ServeEngine(), err)
+	}
+	rng := detector.NewRNG(21)
+	dig := detector.DefaultDigitizer()
+	tracker := detector.DefaultTracker()
+	tracker.Channels = cfg.ASICs * ChannelsPerASIC
+	tracker.Threshold = 0
+	islands := 0
+	var rec EventRecord
+	for ev := 0; ev < 200; ev++ {
+		packets, err := GenerateEvent(tracker.Event(rng).Values, cfg.ASICs, uint32(ev), 0, dig, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.ProcessEvent(packets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := RecordOf(res)
+		want := full.AppendTo(nil)
+		if err := p.ServeEvent(packets, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.AppendTo(nil); !bytes.Equal(got, want) {
+			t.Fatalf("event %d: pixel record\n%x\nwant ProcessEvent's\n%x", ev, got, want)
+		}
+		islands += len(rec.Islands)
+	}
+	if islands == 0 {
+		t.Fatal("no islands in 200 tracker events: the comparison proved nothing")
+	}
+}
+
 // TestServeEventEightWay covers the 8-way connectivity branch of the inline
 // labeler against the reference pipeline.
 func TestServeEventEightWay(t *testing.T) {

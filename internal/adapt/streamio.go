@@ -58,7 +58,7 @@ func (sw *StreamWriter) WriteEvent(packets []Packet) error {
 // frame consumes two bytes instead of copying the frame into a push-back
 // queue. The hunt for the frame magic scans the window a word at a time.
 //
-// End-of-stream vs transport faults: ReadPacket returns io.EOF only when the
+// End-of-stream vs transport faults: every read returns io.EOF only when the
 // underlying reader reports a clean end of stream (possibly after skipping
 // trailing garbage or a truncated final frame). Any other underlying error —
 // a socket reset, a read deadline, an injected fault — is returned wrapped,
@@ -83,7 +83,7 @@ type StreamReader struct {
 	// not a multiple of four): how often the cold route fires.
 	ReferenceEvents int
 	// BadPacketBudget, when positive, bounds how many corrupted frames one
-	// ReadPacket call will hunt past before returning ErrResyncStorm. Zero
+	// packet read will hunt past before returning ErrResyncStorm. Zero
 	// hunts until a valid packet or end of stream. The error is recoverable
 	// — a later call resumes the hunt — but it returns control to the
 	// caller, which a pure-garbage link would otherwise never do.
@@ -217,18 +217,9 @@ func (sr *StreamReader) drainAll() (int, error) {
 	}
 }
 
-// ReadPacket scans for the next valid packet. It returns io.EOF only at a
-// clean end of stream; underlying transport errors are returned wrapped.
-func (sr *StreamReader) ReadPacket() (*Packet, error) {
-	var p Packet
-	if err := sr.ReadPacketInto(&p); err != nil {
-		return nil, err
-	}
-	return &p, nil
-}
-
 // ReadPacketInto scans for the next valid packet and parses it into p,
-// reusing p's sample storage. The frame is validated and decoded directly
+// reusing p's sample storage. It returns io.EOF only at a clean end of
+// stream; underlying transport errors are returned wrapped. The frame is validated and decoded directly
 // from the read window — nothing is copied until the checksum passes, and a
 // failed candidate costs a two-byte skip, not a frame copy. The parsed
 // samples alias p's previous backing arrays; callers that retain packets
@@ -475,15 +466,11 @@ func (sr *StreamReader) SkimEvent(asics int) (uint32, error) {
 	return event, nil
 }
 
-// ReadEvent collects the next `asics` packets that share one event id.
-// Packets from other events encountered mid-assembly are an error (the
-// readout interleaves per event).
-func (sr *StreamReader) ReadEvent(asics int) ([]Packet, error) {
-	return sr.ReadEventInto(nil, asics)
-}
-
-// ReadEventInto is ReadEvent with storage reuse: dst's backing array (and the
-// sample arrays of the packets it holds) are recycled when capacity allows.
+// ReadEventInto collects the next `asics` packets that share one event id into
+// dst. Packets from other events encountered mid-assembly are an error (the
+// readout interleaves per event). dst's backing array (and the sample arrays
+// of the packets it holds) are recycled when capacity allows; a nil dst
+// allocates.
 //
 // When assembly is interrupted by a valid packet carrying a different event
 // id, ErrIncompleteEvent is returned and that packet stays in the read window:
@@ -496,7 +483,7 @@ func (sr *StreamReader) ReadEvent(asics int) ([]Packet, error) {
 func (sr *StreamReader) ReadEventInto(dst []Packet, asics int) ([]Packet, error) {
 	//hepccl:coldpath
 	if asics < 1 {
-		return nil, fmt.Errorf("adapt: ReadEvent needs asics >= 1")
+		return nil, fmt.Errorf("adapt: ReadEventInto needs asics >= 1")
 	}
 	//hepccl:amortized
 	if cap(dst) < asics {

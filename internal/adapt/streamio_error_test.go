@@ -58,7 +58,7 @@ func TestStreamReaderWrapsTransportError(t *testing.T) {
 		sr := NewStreamReader(&faultReader{data: stream[:cut]})
 		var lastErr error
 		for {
-			_, err := sr.ReadPacket()
+			err := sr.ReadPacketInto(new(Packet))
 			if err != nil {
 				lastErr = err
 				break
@@ -86,7 +86,7 @@ func TestStreamReaderCleanEOF(t *testing.T) {
 		sr := NewStreamReader(bytes.NewReader(data))
 		var err error
 		for err == nil {
-			_, err = sr.ReadPacket()
+			err = sr.ReadPacketInto(new(Packet))
 		}
 		if !errors.Is(err, io.EOF) {
 			t.Fatalf("%s: got %v, want io.EOF", name, err)
@@ -101,7 +101,7 @@ func TestReadEventWrapsTransportError(t *testing.T) {
 	stream := marshalStream(t, testPackets(t, asics, 5))
 	cut := len(stream) - len(stream)/asics - 2 // inside the last packet
 	sr := NewStreamReader(&faultReader{data: stream[:cut]})
-	_, err := sr.ReadEvent(asics)
+	_, err := sr.ReadEventInto(nil, asics)
 	if err == nil {
 		t.Fatal("expected error")
 	}
@@ -119,7 +119,7 @@ func TestReadEventTruncatedIsIncomplete(t *testing.T) {
 	const asics = 3
 	stream := marshalStream(t, testPackets(t, asics, 5))
 	sr := NewStreamReader(bytes.NewReader(stream[:len(stream)/2]))
-	_, err := sr.ReadEvent(asics)
+	_, err := sr.ReadEventInto(nil, asics)
 	if !errors.Is(err, ErrIncompleteEvent) {
 		t.Fatalf("got %v, want ErrIncompleteEvent", err)
 	}
@@ -155,7 +155,7 @@ func TestStreamReaderCorruptionRecovery(t *testing.T) {
 	sr := NewStreamReader(bytes.NewReader(stream))
 	good := 0
 	for {
-		if _, err := sr.ReadPacket(); err != nil {
+		if err := sr.ReadPacketInto(new(Packet)); err != nil {
 			if !errors.Is(err, io.EOF) {
 				t.Fatal(err)
 			}

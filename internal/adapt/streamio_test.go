@@ -33,7 +33,8 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 	sr := NewStreamReader(&buf)
 	for i := 0; i < 3; i++ {
-		p, err := sr.ReadPacket()
+		p := new(Packet)
+		err := sr.ReadPacketInto(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +42,7 @@ func TestStreamRoundTrip(t *testing.T) {
 			t.Fatalf("packet %d header mismatch: %+v", i, p.Header)
 		}
 	}
-	if _, err := sr.ReadPacket(); err != io.EOF {
+	if err := sr.ReadPacketInto(new(Packet)); err != io.EOF {
 		t.Fatalf("want io.EOF at end, got %v", err)
 	}
 	if sr.SkippedBytes != 0 || sr.BadPackets != 0 {
@@ -63,12 +64,11 @@ func TestStreamResyncAfterGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	sr := NewStreamReader(&buf)
-	p0, err := sr.ReadPacket()
-	if err != nil {
+	var p0, p1 Packet
+	if err := sr.ReadPacketInto(&p0); err != nil {
 		t.Fatal(err)
 	}
-	p1, err := sr.ReadPacket()
-	if err != nil {
+	if err := sr.ReadPacketInto(&p1); err != nil {
 		t.Fatal(err)
 	}
 	if p0.ASIC != 0 || p1.ASIC != 1 {
@@ -77,7 +77,7 @@ func TestStreamResyncAfterGarbage(t *testing.T) {
 	if sr.SkippedBytes == 0 {
 		t.Fatal("skipped bytes not counted")
 	}
-	if _, err := sr.ReadPacket(); err != io.EOF {
+	if err := sr.ReadPacketInto(new(Packet)); err != io.EOF {
 		t.Fatalf("want EOF, got %v", err)
 	}
 }
@@ -96,8 +96,8 @@ func TestStreamCorruptedPacketIsSkipped(t *testing.T) {
 	data[30] ^= 0xFF // corrupt a sample in packet 0: checksum fails
 
 	sr := NewStreamReader(bytes.NewReader(data))
-	p, err := sr.ReadPacket()
-	if err != nil {
+	var p Packet
+	if err := sr.ReadPacketInto(&p); err != nil {
 		t.Fatal(err)
 	}
 	if p.ASIC != 1 {
@@ -117,7 +117,7 @@ func TestStreamTruncatedTail(t *testing.T) {
 	}
 	data := buf.Bytes()
 	sr := NewStreamReader(bytes.NewReader(data[:len(data)-5]))
-	if _, err := sr.ReadPacket(); err != io.EOF {
+	if err := sr.ReadPacketInto(new(Packet)); err != io.EOF {
 		t.Fatalf("truncated tail: want EOF, got %v", err)
 	}
 }
@@ -134,18 +134,18 @@ func TestReadEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	sr := NewStreamReader(&buf)
-	got0, err := sr.ReadEvent(3)
+	got0, err := sr.ReadEventInto(nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got1, err := sr.ReadEvent(3)
+	got1, err := sr.ReadEventInto(nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got0[0].Event != 0 || got1[0].Event != 1 || len(got0) != 3 || len(got1) != 3 {
 		t.Fatalf("event assembly wrong: %d/%d", got0[0].Event, got1[0].Event)
 	}
-	if _, err := sr.ReadEvent(3); err != io.EOF {
+	if _, err := sr.ReadEventInto(nil, 3); err != io.EOF {
 		t.Fatalf("want EOF, got %v", err)
 	}
 }
@@ -158,7 +158,7 @@ func TestReadEventIncomplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	sr := NewStreamReader(&buf)
-	if _, err := sr.ReadEvent(3); !errors.Is(err, ErrIncompleteEvent) {
+	if _, err := sr.ReadEventInto(nil, 3); !errors.Is(err, ErrIncompleteEvent) {
 		t.Fatalf("want ErrIncompleteEvent, got %v", err)
 	}
 	// Interleaved foreign event.
@@ -168,10 +168,10 @@ func TestReadEventIncomplete(t *testing.T) {
 	other := makePackets(t, 1, 6)
 	sw.WritePacket(&other[0])
 	sr = NewStreamReader(&buf)
-	if _, err := sr.ReadEvent(2); !errors.Is(err, ErrIncompleteEvent) {
+	if _, err := sr.ReadEventInto(nil, 2); !errors.Is(err, ErrIncompleteEvent) {
 		t.Fatalf("want ErrIncompleteEvent on interleave, got %v", err)
 	}
-	if _, err := sr.ReadEvent(0); err == nil {
+	if _, err := sr.ReadEventInto(nil, 0); err == nil {
 		t.Fatal("asics < 1 must error")
 	}
 }
@@ -194,7 +194,7 @@ func TestReadEventResyncAfterLostPacket(t *testing.T) {
 		t.Fatal(err)
 	}
 	sr := NewStreamReader(&buf)
-	if _, err := sr.ReadEvent(3); !errors.Is(err, ErrIncompleteEvent) {
+	if _, err := sr.ReadEventInto(nil, 3); !errors.Is(err, ErrIncompleteEvent) {
 		t.Fatalf("want ErrIncompleteEvent for the broken event, got %v", err)
 	}
 	var dst []Packet
@@ -209,7 +209,7 @@ func TestReadEventResyncAfterLostPacket(t *testing.T) {
 		}
 		dst = got
 	}
-	if _, err := sr.ReadEvent(3); err != io.EOF {
+	if _, err := sr.ReadEventInto(nil, 3); err != io.EOF {
 		t.Fatalf("want clean EOF after resync, got %v", err)
 	}
 }
@@ -224,13 +224,13 @@ func TestReadEventHeldPacketFlushedAtEOF(t *testing.T) {
 	sw.WritePacket(&ev0[0])
 	sw.WritePacket(&ev1[0]) // interrupts event 0, then the stream ends
 	sr := NewStreamReader(&buf)
-	if _, err := sr.ReadEvent(3); !errors.Is(err, ErrIncompleteEvent) {
+	if _, err := sr.ReadEventInto(nil, 3); !errors.Is(err, ErrIncompleteEvent) {
 		t.Fatalf("want ErrIncompleteEvent, got %v", err)
 	}
-	if _, err := sr.ReadEvent(3); !errors.Is(err, ErrIncompleteEvent) {
+	if _, err := sr.ReadEventInto(nil, 3); !errors.Is(err, ErrIncompleteEvent) {
 		t.Fatalf("held packet must flush as an incomplete event, got %v", err)
 	}
-	if _, err := sr.ReadEvent(3); err != io.EOF {
+	if _, err := sr.ReadEventInto(nil, 3); err != io.EOF {
 		t.Fatalf("want clean EOF, got %v", err)
 	}
 }
@@ -264,13 +264,13 @@ func TestStreamRoundTripProperty(t *testing.T) {
 			want = append(want, ev)
 		}
 		sr := NewStreamReader(&buf)
+		var p Packet
 		for _, ev := range want {
-			p, err := sr.ReadPacket()
-			if err != nil || p.Event != ev {
+			if err := sr.ReadPacketInto(&p); err != nil || p.Event != ev {
 				return false
 			}
 		}
-		_, err := sr.ReadPacket()
+		err := sr.ReadPacketInto(&p)
 		return err == io.EOF
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

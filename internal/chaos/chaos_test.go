@@ -144,8 +144,9 @@ func TestReaderAgainstStreamParser(t *testing.T) {
 	cr := NewReader(bytes.NewReader(buf.Bytes()), Config{Seed: 11, BitFlip: 0.002, Drop: 0.001})
 	sr := adapt.NewStreamReader(cr)
 	recovered := 0
+	var pkt adapt.Packet
 	for {
-		_, err := sr.ReadPacket()
+		err := sr.ReadPacketInto(&pkt)
 		if err == io.EOF {
 			break
 		}

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"net"
 	"testing"
+	"time"
 
 	"github.com/wustl-adapt/hepccl/internal/adapt"
 	"github.com/wustl-adapt/hepccl/internal/wal"
@@ -24,15 +26,23 @@ func (l *loopStream) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// discardConn is a socket that accepts every write at once, so the ingest
+// benchmark's response writes cost the write path, not a peer.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error)      { return len(p), nil }
+func (discardConn) SetWriteDeadline(time.Time) error { return nil }
+
 // BenchmarkIngestPath measures the full software spine between the socket and
 // the response bytes, on the daemon's path: the suppressing stream read
 // (frame walk, checksum, zero-suppression), the lit-list copy into the pooled
-// event, queue handoff, batched serving, and response serialization into a
-// pooled write buffer. It is single-goroutine on purpose — the point is the per-event CPU
-// and allocation cost of the path, not scheduler throughput — and the CI
-// bench smoke gates on allocs/op == 0 in steady state. The record variant
-// runs the same spine with frame capture and WAL appends enabled, gating that
-// durability stays off the allocator too.
+// event, admission and the ingest-ring handoff, the worker's drain, batched
+// serving, response serialization into the worker's buffer, and the
+// connection's deadline-armed write. It is single-goroutine on purpose — the
+// point is the per-event CPU and allocation cost of the path, not scheduler
+// throughput — and the CI bench smoke gates on allocs/op == 0 in steady
+// state. The record variant runs the same spine with frame capture and WAL
+// appends enabled, gating that durability stays off the allocator too.
 func BenchmarkIngestPath(b *testing.B) {
 	b.Run("bare", func(b *testing.B) { benchIngestPath(b, false) })
 	b.Run("record", func(b *testing.B) { benchIngestPath(b, true) })
@@ -69,16 +79,21 @@ func benchIngestPath(b *testing.B, record bool) {
 	}
 
 	const batch = 32
-	queue := newRing[*event](64)
-	out := newRing[[]byte](responseRingDepth)
+	s := &Server{
+		cfg:      Config{QueueDepth: 64, Policy: PolicyBlock}.withDefaults(),
+		draining: make(chan struct{}),
+	}
+	w := newWorker()
+	w.lits = make([]adapt.LitEvent, batch)
+	w.recs = make([]adapt.EventRecord, batch)
+	c := &conn{s: s, nc: discardConn{}, w: w, in: newRing[*event](s.cfg.QueueDepth)}
+	w.addConn(c)
 	evs := make([]*event, batch)
-	lits := make([]adapt.LitEvent, 0, batch)
-	recs := make([]adapt.EventRecord, batch)
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n += batch {
-		// Ingest leg: decode and push one batch through the ingest ring.
+		// Reader leg: decode one batch and admit it to the lane.
 		for i := 0; i < batch; i++ {
 			ev := getEvent()
 			le, err := sr.ReadSuppressed(sup)
@@ -92,32 +107,20 @@ func benchIngestPath(b *testing.B, record bool) {
 					b.Fatal(err)
 				}
 			}
-			if !queue.push(ev) {
-				b.Fatal("ingest ring full")
+			ev.c, ev.enqueued = c, time.Now()
+			if !s.enqueue(ev) {
+				b.Fatal("lane full")
 			}
 		}
-		// Worker leg: drain, serve, coalesce into one pooled buffer.
-		if got := queue.popBatch(evs); got != batch {
-			b.Fatalf("drained %d of %d", got, batch)
+		// Worker leg: drain, serve, coalesce into the worker's buffer, write.
+		got := w.drain(evs[:0])
+		if len(got) != batch {
+			b.Fatalf("drained %d of %d", len(got), batch)
 		}
-		lits = lits[:0]
-		for _, e := range evs {
-			lits = append(lits, e.LitEvent)
-		}
-		p.ServeLitBatch(lits, recs[:batch])
-		buf := bufPool.Get().([]byte)[:0]
-		for i, e := range evs {
-			buf = recs[i].AppendTo(buf)
-			putEvent(e)
-		}
-		if !out.push(buf) {
-			b.Fatal("response ring full")
-		}
-		// Writer leg: take ownership and recycle.
-		w, ok := out.pop()
-		if !ok {
-			b.Fatal("response ring empty")
-		}
-		bufPool.Put(w[:0]) //nolint:staticcheck // []byte pooling is intentional
+		s.serve(w, p, got)
+	}
+	b.StopTimer()
+	if c.failed || c.stats.EventsOut.Load() == 0 {
+		b.Fatalf("responses not written (failed %v, out %d)", c.failed, c.stats.EventsOut.Load())
 	}
 }

@@ -4,19 +4,17 @@ import (
 	"errors"
 	"io"
 	"net"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/wustl-adapt/hepccl/internal/adapt"
 )
 
-// conn is one client connection: a reader goroutine assembling events and a
-// writer goroutine streaming downlink records back. Both legs ride SPSC
-// rings: the reader feeds its worker through in, the worker feeds the writer
-// through out. A connection is pinned to one worker at accept, which is what
-// makes both rings single-producer/single-consumer.
+// conn is one client connection: a reader goroutine assembling events and
+// feeding them to its worker through in, an SPSC ring. A connection is pinned
+// to one worker at accept, which is what makes the ring single-producer/
+// single-consumer; that worker also writes the connection's responses and
+// retires it.
 type conn struct {
 	s      *Server
 	nc     net.Conn
@@ -26,28 +24,14 @@ type conn struct {
 	// in carries assembled events to the owning worker. Its capacity covers
 	// the full derandomizer depth, so an admitted event always has a slot.
 	in *ring[*event]
-	// out carries serialized responses from the owning worker to the writer.
-	out *ring[[]byte]
-	// outWake nudges a writer parked on an empty out ring (capacity 1).
-	outWake chan struct{}
-	// done is closed once the reader has exited and every in-flight event
-	// for this connection has been resolved; the writer then drains out a
-	// final time and exits.
-	done chan struct{}
 	// readerGone is raised by the reader after its final ring push; the
 	// worker uses it to retire the connection from its drain list.
 	readerGone atomic.Bool
-	inflight   sync.WaitGroup
-	stats      counters
+	// failed is the worker's own: set at the first response-write fault,
+	// after which the connection's records are discarded.
+	failed bool
+	stats  counters
 }
-
-// responseRingDepth is the out ring's capacity in coalesced buffers. The
-// worker coalesces a whole batch into one buffer, so even a deep backlog
-// occupies few slots; a stalled client eventually fills it and the worker's
-// pushResponse stalls with it (the writer's deadline then kills the conn).
-const responseRingDepth = 128
-
-var bufPool = sync.Pool{New: func() any { return make([]byte, 0, 256) }}
 
 // readLoop assembles events off the wire and feeds them to the owning worker.
 func (c *conn) readLoop() {
@@ -174,13 +158,12 @@ func (c *conn) readLoop() {
 				//hepccl:amortized
 				wlog.Append(ev.Event, sr.Captured())
 			}
-			c.inflight.Add(1)
 			if s.enqueue(ev) {
 				ev = getEvent()
 			} else {
+				// A FIFO loss; ev is reused for the next read.
 				c.stats.Dropped.Add(1)
 				s.stats.Dropped.Add(1)
-				c.inflight.Done() // reuse ev for the next read
 			}
 		case errors.Is(err, adapt.ErrIncompleteEvent):
 			// Missing or interleaved packets: count and resynchronize. If
@@ -283,140 +266,38 @@ func (b *resyncBreaker) add(now time.Time, d int) bool {
 	return b.n > b.limit
 }
 
-// finishReads marks ingress over for this connection (letting the worker
-// retire it) and arranges for the writer to terminate once every event this
-// connection put in flight has been resolved.
+// finishReads marks ingress over for this connection: once the worker has
+// drained its ring it writes the last records and retires the connection.
 func (c *conn) finishReads() {
 	c.readerGone.Store(true)
 	c.w.notify()
-	go func() {
-		c.inflight.Wait()
-		close(c.done)
-	}()
 }
 
-// pushResponse hands a serialized record buffer to the connection's writer.
-// Called only by the owning worker (the out ring's single producer); the
-// writer owns buf afterwards. A full ring means the client has stalled long
-// enough for responseRingDepth coalesced buffers to pile up — the worker
-// waits here, which is the same backpressure the old channel send applied,
-// and the writer's deadline bounds how long the stall can last.
+// send writes one coalesced run of records to the client — the connection's
+// only write. The write deadline is armed for this write alone and cleared
+// after it, so a stalled client holds its lane for at most WriteTimeout and
+// the deadline cannot fire during a later idle stretch. The first fault
+// closes the socket, which also unblocks the reader, and every later run is
+// discarded. Worker-side only.
 //
 //hepccl:hotpath
-func (c *conn) pushResponse(buf []byte) {
-	for spins := 0; !c.out.push(buf); spins++ {
-		if spins < 64 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(50 * time.Microsecond)
-		}
+func (c *conn) send(buf []byte) {
+	if c.failed || len(buf) == 0 {
+		return
 	}
-	select {
-	case c.outWake <- struct{}{}:
-	default:
-	}
-}
-
-// writeLoop streams serialized records back to the client. After a write
-// fault it keeps draining the ring (discarding) so the worker never stalls
-// against a dead connection. The loop flushes whenever the ring goes empty —
-// the natural batch boundary — and parks on outWake until the worker pushes
-// again or done reports the connection resolved.
-func (c *conn) writeLoop() {
-	defer func() {
-		c.nc.Close()
-		c.s.removeConn(c)
-		c.s.connsWG.Done()
-	}()
-	w := newDeadlineWriter(c.nc, c.s.cfg.WriteTimeout)
-	failed := false
-	write := func(buf []byte) {
-		if !failed {
-			if _, err := w.Write(buf); err != nil {
-				failed = true
-				c.nc.Close() // unblock the reader too
-			} else {
-				c.stats.BytesOut.Add(uint64(len(buf)))
-				c.s.stats.BytesOut.Add(uint64(len(buf)))
-			}
-		}
-		bufPool.Put(buf[:0]) //nolint:staticcheck // []byte pooling is intentional
-	}
-	flush := func() {
-		if !failed {
-			if err := w.Flush(); err != nil {
-				failed = true
-				c.nc.Close()
-			}
-		}
-	}
-	for {
-		buf, ok := c.out.pop()
-		if ok {
-			write(buf)
-			continue
-		}
-		flush()
-		select {
-		case <-c.outWake:
-		case <-c.done:
-			// Every response was pushed before its inflight.Done, so after
-			// done nothing more can arrive: drain what remains and exit.
-			for {
-				buf, ok := c.out.pop()
-				if !ok {
-					break
-				}
-				write(buf)
-			}
-			flush()
-			return
-		}
-	}
-}
-
-// deadlineWriter is a buffered writer that arms a write deadline before each
-// flush, so a stalled client cannot wedge the writer goroutine forever.
-type deadlineWriter struct {
-	nc      net.Conn
-	timeout time.Duration
-	buf     []byte
-}
-
-func newDeadlineWriter(nc net.Conn, timeout time.Duration) *deadlineWriter {
-	return &deadlineWriter{nc: nc, timeout: timeout, buf: make([]byte, 0, 32<<10)}
-}
-
-//hepccl:hotpath
-func (w *deadlineWriter) Write(p []byte) (int, error) {
-	if len(w.buf)+len(p) > cap(w.buf) {
-		if err := w.Flush(); err != nil {
-			return 0, err
-		}
-	}
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
-//hepccl:hotpath
-func (w *deadlineWriter) Flush() error {
-	if len(w.buf) == 0 {
-		return nil
-	}
-	if w.timeout > 0 {
-		if err := w.nc.SetWriteDeadline(time.Now().Add(w.timeout)); err != nil {
-			w.buf = w.buf[:0]
-			return err
-		}
-	}
-	_, err := w.nc.Write(w.buf)
-	w.buf = w.buf[:0]
-	if w.timeout > 0 {
-		// Clear the deadline after a successful flush so it cannot fire
-		// spuriously during a later long idle stretch.
-		if cerr := w.nc.SetWriteDeadline(time.Time{}); err == nil {
+	nc := c.nc
+	err := nc.SetWriteDeadline(time.Now().Add(c.s.cfg.WriteTimeout))
+	if err == nil {
+		_, err = nc.Write(buf)
+		if cerr := nc.SetWriteDeadline(time.Time{}); err == nil {
 			err = cerr
 		}
 	}
-	return err
+	if err != nil {
+		c.failed = true
+		nc.Close()
+		return
+	}
+	c.stats.BytesOut.Add(uint64(len(buf)))
+	c.s.stats.BytesOut.Add(uint64(len(buf)))
 }

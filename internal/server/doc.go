@@ -6,11 +6,12 @@
 //
 // Architecture:
 //
-//	conn 1 ──reader──[SPSC ring]──┐
-//	conn 2 ──reader──[SPSC ring]──┼─ lane 1: worker (Pipeline) ─ batched drain
-//	                              │     │ ServeLitBatch → coalesced response
-//	conn 3 ──reader──[SPSC ring]──┐     ▼ write per conn
-//	conn N ──reader──[SPSC ring]──┼─ lane W: worker (Pipeline)
+//	conn k   ──reader──[SPSC ring]──┐
+//	conn k+W ──reader──[SPSC ring]──┼─ lane k of W: worker (Pipeline)
+//	  ...                           │    batched drain → ServeLitBatch →
+//	                                │    one coalesced write per conn per drain
+//	conn k   ◀────────── write ─────┤
+//	conn k+W ◀────────── write ─────┘
 //
 // Each connection carries a stream of ALPHA packets; a per-connection reader
 // assembles them into events (resynchronizing in place inside the read
@@ -20,10 +21,11 @@
 // onto its own single-producer/single-consumer ring. Decoded samples are
 // never buffered (the cycle-accurate ProcessEvent, which needs them, runs
 // offline in cmd/adaptpipe, not behind this socket). Connections are assigned
-// to worker lanes at accept time (least-loaded), so every ring has exactly one
-// producer (the conn's reader) and one consumer (the lane's worker) — event
-// handoff on the hot path is two atomic position updates, no locks and no
-// channel ops.
+// to worker lanes at accept time, round-robin by connection id, so every ring
+// has exactly one producer (the conn's reader) and one consumer (the lane's
+// worker) — event handoff on the hot path is two atomic position updates, no
+// locks and no channel ops. The worker is also the only writer of its
+// connections' responses, so a connection is one goroutine and one ring.
 // Pipelines hold pedestal-calibration and scratch state and are not
 // concurrency-safe, so every worker owns one calibrated adapt.Pipeline.
 //
@@ -44,12 +46,18 @@
 // re-checking its rings (producers that observe the flag nudge the channel),
 // so a quiet server spins nothing. There is one worker loop: it drains its
 // rings in batches, serves the batch through adapt.Pipeline.ServeLitBatch,
-// and coalesces the batch's serialized adapt.EventRecord responses into one
-// pooled write per originating connection. Pacing (Config.PaceRate) is a
-// service interval on that loop: the drain takes one
-// event and waits out its slot before serving it. The whole path — frame
-// scan, ring handoff, serving, response write — runs at zero heap allocations
-// per event in steady state (gated in CI via BenchmarkIngestPath).
+// and writes each originating connection's run of serialized
+// adapt.EventRecord responses to its socket with one deadline-armed write
+// from a buffer the worker owns. A client that stops reading therefore
+// stalls its whole lane once its kernel socket buffers are full, for at most
+// Config.WriteTimeout; the deadline then closes the connection and its later
+// records are discarded. A connection whose reader has exited is retired by
+// its worker once its ring is empty and its last records are written.
+// Pacing (Config.PaceRate) is a service interval on that loop: the drain
+// takes one event and waits out its slot before serving it. The whole path —
+// frame scan, ring handoff, serving, response write — runs at zero heap
+// allocations per event in steady state (gated in CI via
+// BenchmarkIngestPath).
 //
 // The server supports graceful drain on shutdown (stop ingress, process
 // everything queued, flush responses), and exposes global and per-connection

@@ -67,9 +67,14 @@ type worker struct {
 	next  int     // round-robin drain offset across conns
 
 	// The worker goroutine's own: ServeLitBatch's input and output, one slot
-	// per drained event, and the pacer (interval 0 = unpaced; see awaitSlot).
+	// per drained event; the response buffer each connection's run of
+	// records is coalesced into before its one write; the connections prune
+	// took off the lane, waiting for retire; and the pacer (interval 0 =
+	// unpaced; see awaitSlot).
 	lits      []adapt.LitEvent
 	recs      []adapt.EventRecord
+	resp      []byte
+	gone      []*conn
 	interval  time.Duration
 	due, idle time.Time
 }
@@ -157,13 +162,16 @@ func (w *worker) drain(dst []*event) []*event {
 	return dst
 }
 
-// prune drops connections that can never produce again: reader exited and
+// prune moves connections that can never produce again — reader exited and
 // ingest ring empty (the reader raises readerGone only after its final push,
-// so this order of observation is conclusive). Callers hold w.mu.
+// so this order of observation is conclusive) — from the drain list to gone,
+// for the worker to retire once this drain's records are written. Callers
+// hold w.mu.
 func (w *worker) prune() {
 	live := w.conns[:0]
 	for _, c := range w.conns {
 		if c.readerGone.Load() && c.in.len() == 0 {
+			w.gone = append(w.gone, c)
 			continue
 		}
 		live = append(live, c)

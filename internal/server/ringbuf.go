@@ -8,10 +8,9 @@ import "sync/atomic"
 // on its own cache line so the producer and consumer cores do not false-share.
 //
 // The SPSC contract is structural, not checked: exactly one goroutine may
-// call push and exactly one may call pop/popBatch. In the ingest spine every
-// ring has a natural owner pair — a connection's reader feeds its worker, a
-// worker feeds the connection's writer — which is what makes the single-slot
-// atomics sufficient. Visibility follows from the Go memory model: the
+// call push and exactly one may call popBatch. In the ingest spine every ring
+// has a natural owner pair — a connection's reader feeds its worker — which
+// is what makes the single-slot atomics sufficient. Visibility follows from the Go memory model: the
 // producer writes the slot before the tail store, and the consumer's tail
 // load synchronizes with that store, so the slot read observes the value
 // (and symmetrically for head when the producer checks for space).
@@ -62,7 +61,7 @@ func (r *ring[T]) push(v T) bool {
 	}
 	// Masking with len(buf)-1 (== mask, by construction) under the
 	// emptiness guard is what lets the compiler prove the store in range —
-	// including when push inlines into a caller's retry loop.
+	// including when push inlines into enqueue.
 	buf := r.buf
 	if len(buf) == 0 {
 		return false
@@ -70,30 +69,6 @@ func (r *ring[T]) push(v T) bool {
 	buf[t&uint64(len(buf)-1)] = v
 	r.tail.Store(t + 1)
 	return true
-}
-
-// pop removes the oldest element. Consumer-side only. The vacated slot is
-// zeroed so the ring never pins a popped element's storage.
-//
-//hepccl:hotpath
-func (r *ring[T]) pop() (T, bool) {
-	var zero T
-	h := r.head.Load()
-	if h == r.tail.Load() {
-		return zero, false
-	}
-	// Same shape as push: the len-derived mask plus the emptiness guard
-	// prove the slot access in range, even when pop inlines into the
-	// worker's round-robin scan.
-	buf := r.buf
-	if len(buf) == 0 {
-		return zero, false
-	}
-	i := h & uint64(len(buf)-1)
-	v := buf[i]
-	buf[i] = zero
-	r.head.Store(h + 1)
-	return v, true
 }
 
 // popBatch removes up to len(dst) elements in arrival order, returning the

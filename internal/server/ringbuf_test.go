@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// popOne takes one element off r through popBatch, the consumer's only read.
+func popOne[T any](r *ring[T]) (T, bool) {
+	var dst [1]T
+	n := r.popBatch(dst[:])
+	return dst[0], n == 1
+}
+
 func TestRingCeilPow2(t *testing.T) {
 	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 64: 64, 65: 128, 1000: 1024}
 	for in, want := range cases {
@@ -17,7 +24,7 @@ func TestRingCeilPow2(t *testing.T) {
 
 func TestRingEmptyAndFullBoundaries(t *testing.T) {
 	r := newRing[int](4)
-	if _, ok := r.pop(); ok {
+	if _, ok := popOne(r); ok {
 		t.Fatal("pop on empty ring reported a value")
 	}
 	if r.len() != 0 {
@@ -35,7 +42,7 @@ func TestRingEmptyAndFullBoundaries(t *testing.T) {
 		t.Fatalf("len = %d, want 4", r.len())
 	}
 	// One pop frees exactly one slot.
-	if v, ok := r.pop(); !ok || v != 0 {
+	if v, ok := popOne(r); !ok || v != 0 {
 		t.Fatalf("pop = %d,%v, want 0,true", v, ok)
 	}
 	if !r.push(4) {
@@ -45,12 +52,12 @@ func TestRingEmptyAndFullBoundaries(t *testing.T) {
 		t.Fatal("push accepted with the freed slot already reused")
 	}
 	for want := 1; want <= 4; want++ {
-		v, ok := r.pop()
+		v, ok := popOne(r)
 		if !ok || v != want {
 			t.Fatalf("pop = %d,%v, want %d,true", v, ok, want)
 		}
 	}
-	if _, ok := r.pop(); ok {
+	if _, ok := popOne(r); ok {
 		t.Fatal("pop on drained ring reported a value")
 	}
 }
@@ -66,7 +73,7 @@ func TestRingDepthOne(t *testing.T) {
 		if r.push("y") {
 			t.Fatal("second push accepted on depth-1 ring")
 		}
-		if v, ok := r.pop(); !ok || v != "x" {
+		if v, ok := popOne(r); !ok || v != "x" {
 			t.Fatalf("pop = %q,%v", v, ok)
 		}
 	}
@@ -86,7 +93,7 @@ func TestRingWraparound(t *testing.T) {
 			next++
 		}
 		for i := 0; i < 3; i++ {
-			v, ok := r.pop()
+			v, ok := popOne(r)
 			if !ok || v != want {
 				t.Fatalf("round %d: pop = %d,%v, want %d,true", round, v, ok, want)
 			}
@@ -98,7 +105,7 @@ func TestRingWraparound(t *testing.T) {
 		// Keep the ring from overflowing: drain the surplus every 2 rounds.
 		if (round+1)%2 == 0 {
 			for want < next {
-				v, ok := r.pop()
+				v, ok := popOne(r)
 				if !ok || v != want {
 					t.Fatalf("drain: pop = %d,%v, want %d,true", v, ok, want)
 				}
@@ -146,9 +153,9 @@ func TestRingPopClearsSlot(t *testing.T) {
 	r := newRing[*int](4)
 	v := new(int)
 	r.push(v)
-	r.pop()
+	popOne(r)
 	if r.buf[0] != nil {
-		t.Fatal("pop left the slot pointing at the element")
+		t.Fatal("a one-element pop left the slot pointing at the element")
 	}
 	r.push(new(int))
 	r.push(new(int))
@@ -195,14 +202,14 @@ func TestRingConcurrentSPSC(t *testing.T) {
 		}
 	}
 	<-done
-	if _, ok := r.pop(); ok {
+	if _, ok := popOne(r); ok {
 		t.Fatal("ring not empty after consuming every pushed value")
 	}
 }
 
 // TestRingDrainAfterClose models the shutdown protocol the spine uses: the
 // producer pushes a tail of values, raises a done flag (the stand-in for
-// ingressDone / the writer's done channel), and the consumer must still
+// ingressDone), and the consumer must still
 // recover every value pushed before the flag — lossless drain after close.
 func TestRingDrainAfterClose(t *testing.T) {
 	const total = 50000
@@ -262,7 +269,7 @@ func TestRingPositionOverflowUint64(t *testing.T) {
 			t.Fatalf("round %d: len = %d, want 5", round, r.len())
 		}
 		for i := 0; i < 5; i++ {
-			v, ok := r.pop()
+			v, ok := popOne(r)
 			if !ok || v != want {
 				t.Fatalf("round %d: pop = %d,%v, want %d,true", round, v, ok, want)
 			}
@@ -305,7 +312,7 @@ func TestRingFullSpanningOverflow(t *testing.T) {
 			t.Fatalf("dst[%d] = %d across the boundary", i, dst[i])
 		}
 	}
-	if _, ok := r.pop(); ok {
+	if _, ok := popOne(r); ok {
 		t.Fatal("ring not empty after draining across the boundary")
 	}
 }

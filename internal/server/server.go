@@ -29,14 +29,6 @@ type Config struct {
 	// Policy selects drop (derandomizer semantics) or block (backpressure)
 	// on a full queue.
 	Policy OverflowPolicy
-	// AcceptorShards is the accept-loop count for ListenAndServe. Above 1 on
-	// Linux, each shard owns its own SO_REUSEPORT listener and the kernel
-	// spreads incoming connections across them; elsewhere the shards share
-	// one listener. Each shard pins its connections to its own partition of
-	// the worker pool (lane-per-core placement), so a connection's ingest and
-	// response rings keep exactly one producer and one consumer no matter how
-	// many cores accept traffic. Default 1.
-	AcceptorShards int
 	// PaceRate, when positive, throttles each worker to this many events per
 	// second — a fixed-capacity backend model, used to study scale-out with
 	// capacity-bound backends and, at the modeled FPGA rate
@@ -55,7 +47,8 @@ type Config struct {
 	// /debug/pprof/ on the stats address. Off by default: the profiling
 	// surface is a debugging aid, not part of the operational API.
 	EnablePprof bool
-	// WriteTimeout bounds each response flush. Default 10s.
+	// WriteTimeout bounds each response write, and so how long a client
+	// that stops reading can stall its lane. Default 10s.
 	WriteTimeout time.Duration
 	// IdleTimeout closes a connection that delivers no data between events
 	// for this long. Zero disables (the seed behavior).
@@ -108,9 +101,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	if cfg.AcceptorShards <= 0 {
-		cfg.AcceptorShards = 1
-	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
@@ -148,15 +138,15 @@ type Server struct {
 	ingressDone chan struct{}
 
 	mu     sync.Mutex
-	lns    []net.Listener
+	ln     net.Listener
 	conns  map[*conn]struct{}
 	connID uint64
 
 	draining  chan struct{}
 	drainOnce sync.Once
 
-	// acceptWG tracks the accept loops. Shutdown waits it out (the closed
-	// listeners make the loops exit) before waiting on readersWG, so no
+	// acceptWG tracks the accept loop. Shutdown waits it out (the closed
+	// listener makes the loop exit) before waiting on readersWG, so no
 	// late-accepted connection can Add a reader concurrently with the Wait.
 	acceptWG  sync.WaitGroup
 	readersWG sync.WaitGroup
@@ -256,102 +246,44 @@ func (s *Server) isDraining() bool {
 	}
 }
 
-// ListenAndServe listens on addr and serves until Shutdown. With
-// Config.AcceptorShards above 1 it opens one SO_REUSEPORT listener per shard
-// (kernel-sharded accepts) where the platform supports it, and otherwise
-// runs the shards as accept loops over a single shared listener.
+// ListenAndServe listens on addr and serves until Shutdown.
 func (s *Server) ListenAndServe(addr string) error {
-	shards := s.cfg.AcceptorShards
-	if shards <= 1 || !reusePortSupported {
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			return err
-		}
-		lns := make([]net.Listener, shards)
-		for i := range lns {
-			lns[i] = ln // !linux fallback: shards share one listener
-		}
-		if shards <= 1 {
-			lns = lns[:1]
-		}
-		return s.serveListeners(lns)
-	}
-	lns := make([]net.Listener, shards)
-	ln0, err := listenReusePort(addr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	lns[0] = ln0
-	// Later shards bind the first listener's concrete address, so an
-	// ephemeral-port request (":0") lands every shard on the same port.
-	bound := ln0.Addr().String()
-	for i := 1; i < shards; i++ {
-		ln, err := listenReusePort(bound)
-		if err != nil {
-			for _, l := range lns[:i] {
-				l.Close()
-			}
-			return fmt.Errorf("server: acceptor shard %d: %w", i, err)
-		}
-		lns[i] = ln
-	}
-	return s.serveListeners(lns)
+	return s.Serve(ln)
 }
 
 // Serve accepts connections on ln until Shutdown, returning ErrServerClosed
 // on a clean shutdown. The stats endpoint and periodic log line run for the
 // lifetime of the serve loop.
 func (s *Server) Serve(ln net.Listener) error {
-	return s.serveListeners([]net.Listener{ln})
-}
-
-// serveListeners runs one accept loop per listener entry (shard). Distinct
-// entries may alias one net.Listener (the no-SO_REUSEPORT fallback).
-func (s *Server) serveListeners(lns []net.Listener) error {
 	s.mu.Lock()
-	s.lns = append(s.lns[:0], lns...)
+	s.ln = ln
 	if s.isDraining() {
 		s.mu.Unlock()
-		for _, ln := range lns {
-			ln.Close()
-		}
+		ln.Close()
 		return ErrServerClosed
 	}
-	// Registered under the same lock Shutdown closes listeners under: either
-	// the loops exist before Shutdown runs (it closes their listeners and
-	// waits them out), or draining was observed above and none start.
-	s.acceptWG.Add(len(lns))
+	// Registered under the same lock Shutdown closes the listener under:
+	// either the loop exists before Shutdown runs (it closes the listener and
+	// waits the loop out), or draining was observed above and it never starts.
+	s.acceptWG.Add(1)
 	s.mu.Unlock()
 	s.startStats()
 	stopLog := s.startPeriodicLog()
 	defer stopLog()
 	if l := s.cfg.Logger; l != nil {
-		l.Printf("hepccld: serving on %s (%d acceptor shards, %d workers, queue depth %d, policy %s, backend %s, scan kernel %s)",
-			lns[0].Addr(), len(lns), s.cfg.Workers, s.cfg.QueueDepth, s.cfg.Policy, s.serveBackend, adapt.ScanKernel())
+		l.Printf("hepccld: serving on %s (%d workers, queue depth %d, policy %s, backend %s, scan kernel %s)",
+			ln.Addr(), s.cfg.Workers, s.cfg.QueueDepth, s.cfg.Policy, s.serveBackend, adapt.ScanKernel())
 	}
-	if len(lns) == 1 {
-		return s.acceptLoop(lns[0], 0)
-	}
-	errc := make(chan error, len(lns))
-	for i, ln := range lns {
-		go func(ln net.Listener, shard int) {
-			errc <- s.acceptLoop(ln, shard)
-		}(ln, i)
-	}
-	var first error
-	for range lns {
-		if err := <-errc; first == nil || (errors.Is(first, ErrServerClosed) && !errors.Is(err, ErrServerClosed)) {
-			if err != nil {
-				first = err
-			}
-		}
-	}
-	return first
+	return s.acceptLoop(ln)
 }
 
-// acceptLoop accepts connections on ln and pins them to shard's worker
-// partition until Shutdown or a fatal accept error.
-func (s *Server) acceptLoop(ln net.Listener, shard int) error {
+// acceptLoop accepts connections on ln until Shutdown or a fatal accept
+// error.
+func (s *Server) acceptLoop(ln net.Listener) error {
 	defer s.acceptWG.Done()
 	var backoff time.Duration
 	for {
@@ -379,56 +311,34 @@ func (s *Server) acceptLoop(ln net.Listener, shard int) error {
 			return err
 		}
 		backoff = 0
-		s.addConn(nc, shard)
+		s.addConn(nc)
 	}
-}
-
-// partition returns the worker lanes owned by one acceptor shard: an equal
-// contiguous slice of the pool, so shard i's connections (and therefore
-// their SPSC rings) stay on shard i's lanes. With fewer workers than shards,
-// shards share lanes round-robin — the rings stay single-producer because a
-// connection is still pinned to exactly one worker.
-func (s *Server) partition(shard int) []*worker {
-	w, n := len(s.workers), s.cfg.AcceptorShards
-	if n <= 1 || w < n {
-		if w < n && n > 1 {
-			i := shard % w
-			return s.workers[i : i+1]
-		}
-		return s.workers
-	}
-	lo, hi := shard*w/n, (shard+1)*w/n
-	return s.workers[lo:hi]
 }
 
 // Addr returns the listener address, once serving.
 func (s *Server) Addr() net.Addr {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.lns) == 0 {
+	if s.ln == nil {
 		return nil
 	}
-	return s.lns[0].Addr()
+	return s.ln.Addr()
 }
 
-func (s *Server) addConn(nc net.Conn, shard int) {
+func (s *Server) addConn(nc net.Conn) {
 	c := &conn{
-		s:       s,
-		nc:      nc,
-		remote:  nc.RemoteAddr().String(),
-		in:      newRing[*event](s.cfg.QueueDepth),
-		out:     newRing[[]byte](responseRingDepth),
-		outWake: make(chan struct{}, 1),
-		done:    make(chan struct{}),
+		s:      s,
+		nc:     nc,
+		remote: nc.RemoteAddr().String(),
+		in:     newRing[*event](s.cfg.QueueDepth),
 	}
-	part := s.partition(shard)
 	s.mu.Lock()
 	s.connID++
 	c.id = s.connID
-	// Pin the connection to one worker lane (within its acceptor shard's
-	// partition) for its lifetime: that is what makes both of its rings
-	// single-producer/single-consumer.
-	c.w = part[int(c.id)%len(part)]
+	// Pin the connection to one worker lane, round-robin by id, for its
+	// lifetime: that is what makes its ring single-producer/single-consumer
+	// and its worker the only writer of its responses.
+	c.w = s.workers[c.id%uint64(len(s.workers))]
 	s.conns[c] = struct{}{}
 	s.mu.Unlock()
 	c.w.addConn(c)
@@ -442,7 +352,6 @@ func (s *Server) addConn(nc net.Conn, shard int) {
 		nc.SetReadDeadline(time.Now())
 	}
 	go c.readLoop()
-	go c.writeLoop()
 }
 
 func (s *Server) removeConn(c *conn) {
@@ -461,8 +370,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		close(s.draining)
 	})
 	s.mu.Lock()
-	for _, ln := range s.lns {
-		ln.Close()
+	if s.ln != nil {
+		s.ln.Close()
 	}
 	// Unblock readers parked in a socket read; their next read error is
 	// treated as end of ingress because draining is closed.
@@ -473,8 +382,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 	done := make(chan struct{})
 	go func() {
-		// The listeners are closed, so the accept loops are on their way
-		// out; once they are gone no new reader can appear.
+		// The listener is closed, so the accept loop is on its way out;
+		// once it is gone no new reader can appear.
 		s.acceptWG.Wait()
 		s.readersWG.Wait()
 		// All readers have exited: the ingest rings are frozen. Tell the

@@ -36,6 +36,13 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	serveOn(t, s, ln)
+	return s, ln.Addr().String()
+}
+
+// serveOn serves s on ln and shuts it down with t.
+func serveOn(t *testing.T, s *Server, ln net.Listener) {
+	t.Helper()
 	done := make(chan error, 1)
 	go func() { done <- s.Serve(ln) }()
 	t.Cleanup(func() {
@@ -48,7 +55,6 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 			t.Errorf("Serve returned %v, want ErrServerClosed", err)
 		}
 	})
-	return s, ln.Addr().String()
 }
 
 // makeEvents digitizes n tracker events for cfg.
@@ -293,8 +299,8 @@ func TestServerBlockPolicy(t *testing.T) {
 
 // TestServerGracefulShutdownMidLoad drives continuous load from several
 // connections, shuts down mid-stream, and checks every accepted event is
-// accounted for. Run under -race this also exercises reader/worker/writer
-// teardown ordering.
+// accounted for. Run under -race this also exercises reader/worker
+// teardown ordering and connection retirement.
 func TestServerGracefulShutdownMidLoad(t *testing.T) {
 	cfg := testConfig()
 	s, err := New(Config{Pipeline: cfg, Workers: 2, QueueDepth: 8, Policy: PolicyBlock})
@@ -623,5 +629,78 @@ func TestQueueSharding(t *testing.T) {
 	}
 	if snap := s.StatsSnapshot(); len(snap.QueueLens) != 3 {
 		t.Fatalf("expected 3 worker queues, got %d", len(snap.QueueLens))
+	}
+}
+
+// TestListenAndServe drives ListenAndServe end to end on an ephemeral port:
+// four clients spread round-robin over two worker lanes send events, every
+// event must come back, and ListenAndServe must return ErrServerClosed after
+// Shutdown.
+func TestListenAndServe(t *testing.T) {
+	cfg := Config{
+		Pipeline:   testConfig(),
+		Workers:    2,
+		QueueDepth: 64,
+		Policy:     PolicyBlock,
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.ListenAndServe("127.0.0.1:0") }()
+	var addr net.Addr
+	for i := 0; i < 200; i++ {
+		if addr = s.Addr(); addr != nil {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if addr == nil {
+		t.Fatal("server never bound a listener")
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		if err := <-done; !errors.Is(err, ErrServerClosed) {
+			t.Errorf("ListenAndServe returned %v, want ErrServerClosed", err)
+		}
+	})
+
+	const conns, perConn = 4, 25
+	events := makeEvents(t, cfg.Pipeline, conns*perConn, 99)
+	var wg sync.WaitGroup
+	got := make([]int, conns)
+	for ci := 0; ci < conns; ci++ {
+		wg.Add(1)
+		go func(ci int) {
+			defer wg.Done()
+			nc, err := net.Dial("tcp", addr.String())
+			if err != nil {
+				t.Errorf("conn %d: %v", ci, err)
+				return
+			}
+			defer nc.Close()
+			sw := adapt.NewStreamWriter(nc)
+			for i := 0; i < perConn; i++ {
+				if err := sw.WriteEvent(events[ci*perConn+i]); err != nil {
+					t.Errorf("conn %d write: %v", ci, err)
+					return
+				}
+			}
+			nc.(*net.TCPConn).CloseWrite()
+			got[ci] = len(readAllRecords(t, nc))
+		}(ci)
+	}
+	wg.Wait()
+	total := 0
+	for _, n := range got {
+		total += n
+	}
+	if total != conns*perConn {
+		t.Fatalf("served %d of %d events", total, conns*perConn)
 	}
 }

@@ -191,12 +191,12 @@ func chaosSoak(t *testing.T, queueDepth, totalEvents int, skimming bool) {
 	)
 
 	// drains collects the response-reader goroutines; each parses the record
-	// framing until its connection is done so server writers never feel
-	// backpressure AND every response byte is accounted for: the ring spine
-	// recycles event and buffer storage aggressively, so a coalesced batch
-	// buffer written from recycled memory that had been corrupted by a stale
-	// writer would surface here as a framing error or a record-count
-	// mismatch against EventsOut.
+	// framing until its connection is done so the workers' response writes
+	// never feel backpressure AND every response byte is accounted for: the
+	// spine recycles event storage and the worker's response buffer
+	// aggressively, so a coalesced run written from storage a stale event
+	// still referenced would surface here as a framing error or a
+	// record-count mismatch against EventsOut.
 	var drains []chan struct{}
 	var recordsDrained atomic.Int64
 	var drainMu sync.Mutex
@@ -396,8 +396,8 @@ func chaosSoak(t *testing.T, queueDepth, totalEvents int, skimming bool) {
 			snap.IdleTimeouts, snap.BreakerTrips)
 	}
 	// Downlink integrity: every record the server counts as served must have
-	// arrived as a well-framed record. A pooled buffer recycled while still
-	// in a writer's hands would break the framing or the count.
+	// arrived as a well-framed record. A response buffer reused before its
+	// write completed would break the framing or the count.
 	for _, err := range drainErrs {
 		t.Errorf("response stream: %v", err)
 	}

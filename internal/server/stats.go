@@ -83,7 +83,7 @@ func (h *latencyHist) quantile(q float64) uint64 {
 // All fields are atomic; each is updated by exactly one logical stage.
 type counters struct {
 	EventsIn         atomic.Uint64 // events fully assembled
-	EventsOut        atomic.Uint64 // responses handed to a writer
+	EventsOut        atomic.Uint64 // responses handed to the connection's write
 	Dropped          atomic.Uint64 // lost to a full queue (or shutdown)
 	BadEvents        atomic.Uint64 // events the pipeline rejected
 	IncompleteEvents atomic.Uint64 // assembly failures (missing/interleaved)

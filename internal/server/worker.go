@@ -51,11 +51,13 @@ func (s *Server) run(w *worker, p *adapt.Pipeline) {
 	for {
 		evs := w.drain(batch[:0])
 		if len(evs) == 0 {
-			if closed {
-				return
-			}
 			w.parked.Store(true)
 			if evs = w.drain(batch[:0]); len(evs) == 0 {
+				// Nothing left to write for what either drain pruned.
+				s.retire(w)
+				if closed {
+					return
+				}
 				select {
 				case <-w.wake:
 				case <-s.ingressDone:
@@ -76,14 +78,29 @@ func (s *Server) run(w *worker, p *adapt.Pipeline) {
 			evs = w.drain(evs)
 		}
 		s.serve(w, p, evs)
+		s.retire(w)
 	}
 }
 
+// retire closes and forgets the connections drain pruned. It runs after the
+// drain's records are written, so each connection's last response is on the
+// wire first; since every connection is pruned before its worker exits, all
+// are retired by the time Shutdown waits on connsWG.
+func (s *Server) retire(w *worker) {
+	for i, c := range w.gone {
+		c.nc.Close()
+		s.removeConn(c)
+		s.connsWG.Done()
+		w.gone[i] = nil
+	}
+	w.gone = w.gone[:0]
+}
+
 // serve is the per-drain body: one ServeLitBatch over evs (at least one
-// event, at most the drain cap) and the responses coalesced into one pooled
-// write buffer per connection, so a busy lane pays for clock reads, counter
-// updates, ring traffic, and writer wakeups once per batch instead of once
-// per event.
+// event, at most the drain cap) and each connection's run of responses
+// coalesced into the worker's buffer and written with one send, so a busy
+// lane pays for clock reads, counter updates and write syscalls once per
+// batch instead of once per event.
 //
 //hepccl:hotpath
 func (s *Server) serve(w *worker, p *adapt.Pipeline, evs []*event) {
@@ -104,17 +121,13 @@ func (s *Server) serve(w *worker, p *adapt.Pipeline, evs []*event) {
 	s.stats.ServeNs.Add(uint64(now.Sub(served)))
 	s.stats.LitChannels.Add(lit)
 	// drain pops each ring's backlog contiguously, so same-conn events form
-	// runs and each run becomes a single pooled buffer — one ring push, one
-	// writer wakeup, one update of each counter.
-	var buf []byte
+	// runs and each run becomes one write and one update of each counter.
+	buf := w.resp[:0]
 	var out, bad uint64
 	for i, ev := range evs {
 		if ev.Bad != nil {
 			bad++
 		} else {
-			if buf == nil {
-				buf = bufPool.Get().([]byte)[:0]
-			}
 			buf = recs[i].AppendTo(buf)
 			out++
 		}
@@ -128,14 +141,10 @@ func (s *Server) serve(w *worker, p *adapt.Pipeline, evs []*event) {
 			c.stats.BadEvents.Add(bad)
 			s.stats.BadEvents.Add(bad)
 		}
-		if buf != nil {
-			c.pushResponse(buf)
-		}
-		// The response is in the ring before the run's events are resolved,
-		// so the writer's final drain (armed by inflight.Wait) cannot miss it.
-		c.inflight.Add(-int(out + bad))
-		buf, out, bad = nil, 0, 0
+		c.send(buf)
+		buf, out, bad = buf[:0], 0, 0
 	}
+	w.resp = buf
 	for _, ev := range evs {
 		s.stats.latency.observe(now.Sub(ev.enqueued))
 		putEvent(ev)
