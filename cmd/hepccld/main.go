@@ -72,12 +72,6 @@ func run(args []string, out io.Writer) error {
 			"cut a connection after this many bad packets inside -breaker-window (0 disables)")
 		breakerWindow = fs.Duration("breaker-window", 0,
 			"sliding window for -breaker-bad-packets (0 uses the server default)")
-		degradedLoss = fs.Float64("degraded-loss", 0,
-			"recent loss fraction above which /healthz reports degraded (0 uses the default)")
-		overloadLoss = fs.Float64("overload-loss", 0,
-			"recent loss fraction above which /healthz reports overloaded, HTTP 503 (0 uses the default)")
-		degradedResync = fs.Float64("degraded-resync", 0,
-			"recent bad-packets-per-event fraction above which /healthz reports degraded (0 uses the default)")
 
 		recordDir = fs.String("record", "",
 			"append every admitted event's raw frames to a write-ahead log in this directory (empty disables)")
@@ -98,9 +92,7 @@ func run(args []string, out io.Writer) error {
 		calibration: *calibration, seed: *seed,
 		idleTimeout: *idleTimeout, assemblyTimeout: *assemblyTimeout,
 		breakerBadPackets: *breakerBad, breakerWindow: *breakerWindow,
-		degradedLoss: *degradedLoss, overloadLoss: *overloadLoss,
-		degradedResync: *degradedResync,
-		recordDir:      *recordDir, recordSegMB: *recordSegMB, recordRetain: *recordRetain,
+		recordDir: *recordDir, recordSegMB: *recordSegMB, recordRetain: *recordRetain,
 		replayDir: *replayDir, replayRate: *replayRate,
 	})
 	if err != nil {
@@ -194,9 +186,6 @@ type daemonOpts struct {
 	assemblyTimeout   time.Duration
 	breakerBadPackets int
 	breakerWindow     time.Duration
-	degradedLoss      float64
-	overloadLoss      float64
-	degradedResync    float64
 
 	recordDir    string
 	recordSegMB  int
@@ -250,18 +239,6 @@ func buildConfig(o daemonOpts) (server.Config, error) {
 	default:
 		return server.Config{}, fmt.Errorf("unknown -policy %q", o.policy)
 	}
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{
-		{"-degraded-loss", o.degradedLoss},
-		{"-overload-loss", o.overloadLoss},
-		{"-degraded-resync", o.degradedResync},
-	} {
-		if p.v < 0 || p.v >= 1 {
-			return server.Config{}, fmt.Errorf("%s = %g outside [0, 1)", p.name, p.v)
-		}
-	}
 	if o.paceRate < 0 {
 		return server.Config{}, fmt.Errorf("-pace-rate = %g must be >= 0", o.paceRate)
 	}
@@ -284,13 +261,10 @@ func buildConfig(o daemonOpts) (server.Config, error) {
 		Policy:     policy,
 		PaceRate:   o.paceRate,
 
-		IdleTimeout:        o.idleTimeout,
-		AssemblyTimeout:    o.assemblyTimeout,
-		BreakerBadPackets:  o.breakerBadPackets,
-		BreakerWindow:      o.breakerWindow,
-		DegradedLossRate:   o.degradedLoss,
-		OverloadLossRate:   o.overloadLoss,
-		DegradedResyncRate: o.degradedResync,
+		IdleTimeout:       o.idleTimeout,
+		AssemblyTimeout:   o.assemblyTimeout,
+		BreakerBadPackets: o.breakerBadPackets,
+		BreakerWindow:     o.breakerWindow,
 
 		RecordDir:          o.recordDir,
 		RecordSegmentBytes: int64(o.recordSegMB) << 20,

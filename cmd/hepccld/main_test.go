@@ -71,9 +71,6 @@ func TestBuildConfigHardening(t *testing.T) {
 		assemblyTimeout:   2 * time.Second,
 		breakerBadPackets: 512,
 		breakerWindow:     3 * time.Second,
-		degradedLoss:      0.02,
-		overloadLoss:      0.2,
-		degradedResync:    0.07,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -83,10 +80,6 @@ func TestBuildConfigHardening(t *testing.T) {
 	}
 	if cfg.BreakerBadPackets != 512 || cfg.BreakerWindow != 3*time.Second {
 		t.Fatalf("breaker = %d/%v", cfg.BreakerBadPackets, cfg.BreakerWindow)
-	}
-	if cfg.DegradedLossRate != 0.02 || cfg.OverloadLossRate != 0.2 || cfg.DegradedResyncRate != 0.07 {
-		t.Fatalf("health thresholds = %g/%g/%g",
-			cfg.DegradedLossRate, cfg.OverloadLossRate, cfg.DegradedResyncRate)
 	}
 	srv, err := server.New(cfg)
 	if err != nil {
@@ -104,10 +97,6 @@ func TestBuildConfigErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "-policy") {
 		t.Fatalf("bad policy name: got %v", err)
 	}
-	if _, err := buildConfig(daemonOpts{config: "cta", workers: 1, queue: 8, policy: "drop", overloadLoss: 1.5}); err == nil ||
-		!strings.Contains(err.Error(), "-overload-loss") {
-		t.Fatalf("out-of-range threshold: got %v", err)
-	}
 	if _, err := buildConfig(daemonOpts{config: "cta", workers: 1, queue: 8, policy: "drop", paceHW: true, paceRate: 1000}); err == nil ||
 		!strings.Contains(err.Error(), "-pace-rate") {
 		t.Fatalf("two service intervals: got %v", err)
@@ -124,9 +113,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-full"}, io.Discard); err == nil ||
 		!strings.Contains(err.Error(), "flag provided but not defined") {
 		t.Fatalf("-full left with the cycle-accurate serving mode (cmd/adaptpipe runs it): got %v", err)
-	}
-	if err := run([]string{"-degraded-loss", "2"}, io.Discard); err == nil {
-		t.Fatal("out-of-range health threshold must fail before listening")
 	}
 	if err := run([]string{"-record", "/tmp/x", "-replay", "/tmp/x"}, io.Discard); err == nil ||
 		!strings.Contains(err.Error(), "same directory") {

@@ -56,20 +56,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		backends   = fs.String("backends", "", "comma-separated backend list, each dataAddr=statsAddr")
 		configName = fs.String("config", "cta", "fleet pipeline configuration: adapt (1D) or cta (2D 43x43); sets frames per event")
 		asics      = fs.Int("asics", 0, "frames per event override (0 keeps the config default)")
-
-		slots   = fs.Int("slots", 512, "routing-table slots (power of two)")
-		vnodes  = fs.Int("vnodes", 64, "ring points per backend")
-		loadPct = fs.Int("load-factor-pct", 125, "bounded-load cap as percent of fleet-mean in-flight (>100)")
-
-		probeEvery   = fs.Duration("probe-interval", 250*time.Millisecond, "backend health poll period")
-		probeTimeout = fs.Duration("probe-timeout", time.Second, "one health request bound")
-		holdRetries  = fs.Int("hold-retries", 40, "overload hold-and-retry attempts before shedding")
-		holdDelay    = fs.Duration("hold-delay", 5*time.Millisecond, "delay between overload retries")
-
-		dialTimeout = fs.Duration("dial-timeout", 5*time.Second, "upstream dial bound")
-		writeT      = fs.Duration("upstream-write-timeout", 10*time.Second, "upstream flush bound")
-		readT       = fs.Duration("upstream-read-timeout", 0, "upstream record-read deadline (0 disables)")
-		clientT     = fs.Duration("client-write-timeout", 0, "downlink flush bound (0 disables)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -78,17 +64,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg.Slots = *slots
-	cfg.Vnodes = *vnodes
-	cfg.LoadFactorPct = *loadPct
-	cfg.ProbeInterval = *probeEvery
-	cfg.ProbeTimeout = *probeTimeout
-	cfg.HoldRetries = *holdRetries
-	cfg.HoldDelay = *holdDelay
-	cfg.DialTimeout = *dialTimeout
-	cfg.UpstreamWriteTimeout = *writeT
-	cfg.UpstreamReadTimeout = *readT
-	cfg.ClientWriteTimeout = *clientT
 	cfg.StatsAddr = *statsAddr
 	cfg.Logger = log.New(out, "", log.LstdFlags)
 

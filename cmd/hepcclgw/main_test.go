@@ -68,7 +68,6 @@ func TestRelayOneEvent(t *testing.T) {
 		done <- run(ctx, []string{
 			"-listen", "127.0.0.1:0", "-config", "adapt", "-asics", "4",
 			"-backends", srv.Addr().String() + "=" + srv.StatsAddr().String(),
-			"-probe-interval", "20ms",
 		}, &logs)
 	}()
 	relaying := regexp.MustCompile(`relaying on (\S+) to 1 backends`)

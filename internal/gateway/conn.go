@@ -35,11 +35,13 @@ import (
 // Backend death does not shed what it can still save: each charged event's
 // raw bytes stay held on the upstream until its record comes back, and when
 // the connection dies with events unanswered, the never-retried ones are
-// resubmitted once to a new slot owner instead of being shed. The retried
-// counter tallies those resubmissions; a resubmitted event is still exactly
-// one offered event and still lands in exactly one terminal bucket, so the
-// identity above is unchanged. An event whose retry also dies sheds as
-// backend_failed — one retry, never a storm.
+// resubmitted once to a new slot owner instead of being shed. Resubmission
+// takes the same path as forwarding — send: place, dial, charge, write — with
+// the dead backend excluded and upstreams private to the resubmitting relay.
+// The retried counter tallies those resubmissions; a resubmitted event is
+// still exactly one offered event and still lands in exactly one terminal
+// bucket, so the identity above is unchanged. An event whose retry also dies
+// sheds as backend_failed — one retry, never a storm.
 
 // upstreamFlushEvery caps how many events stage in one upstream write
 // buffer before a forced flush, bounding latency under a steady client
@@ -75,10 +77,13 @@ type upstream struct {
 	// free recycles raw buffers from answered events.
 	free [][]byte
 	// closed means no further writes: set by graceful half-close, write
-	// failure, or the relay's settle.
-	closed atomic.Bool
+	// failure, or the relay's settle. halfClosed marks the graceful case, the
+	// only one after which an end of stream is clean.
+	closed     atomic.Bool
+	halfClosed atomic.Bool
 
-	// pending counts events staged since the last flush (forwarder-owned).
+	// pending counts events staged since the last flush; it belongs to the
+	// goroutine that writes this upstream.
 	pending int
 }
 
@@ -101,6 +106,11 @@ type clientConn struct {
 func (g *Gateway) handleConn(nc net.Conn) {
 	defer g.connsWG.Done()
 	defer g.stats.conns.Add(-1)
+	defer func() {
+		g.mu.Lock()
+		delete(g.clients, nc)
+		g.mu.Unlock()
+	}()
 	tc, ok := nc.(*net.TCPConn)
 	if !ok {
 		nc.Close()
@@ -130,6 +140,12 @@ func (c *clientConn) run() {
 		}
 		event, err := c.sr.SkimEvent(g.cfg.ASICs)
 		if err != nil {
+			if g.closing.Load() {
+				// Shutdown woke this read: ingress ends here, and whatever
+				// the read was cut short on is not the client's error.
+				c.finish()
+				return
+			}
 			if errors.Is(err, adapt.ErrIncompleteEvent) {
 				// One broken event; the reader resynced. Count and continue.
 				g.stats.clientErrors.Add(1)
@@ -148,69 +164,98 @@ func (c *clientConn) run() {
 		// no held entry yet, so no charge/settle pair exists to race with.
 		//hepccl:checked
 		g.stats.offered.Add(1)
-		c.forward(event, c.sr.Captured())
+		c.send(c.ups, event, c.sr.Captured(), nil)
 		// Flush boundary: when the read window holds no complete frame the
 		// next read blocks on the socket, so push staged work downstream
 		// first.
 		if c.sr.Buffered() < adapt.PacketHeaderBytes {
-			c.flushAll()
+			c.flushAll(c.ups)
 		}
 	}
 }
 
-// forward places one framed event and writes it upstream, shedding with
-// accounting when the fleet cannot take it.
-func (c *clientConn) forward(event uint32, raw []byte) {
+// send places one event and writes it upstream, dialing the chosen backend's
+// upstream into ups if it has none. Forwarding passes c.ups and no dead
+// backend; resubmission passes its relay's private upstreams and the backend
+// whose connection died. An event that cannot be placed or dialed is shed
+// with accounting.
+func (c *clientConn) send(ups map[*Backend]*upstream, event uint32, raw []byte, dead *Backend) {
 	g := c.g
-	for attempt := 0; ; attempt++ {
-		t := g.table.Load()
-		b := c.pick(t, event)
+	for {
+		b := c.place(ups, event, dead)
 		if b == nil {
-			if t.routable == 0 {
-				// Pre-placement shed: the event was never charged to an
-				// upstream, so no settle can also count it.
+			return // place accounted the shed
+		}
+		u := ups[b]
+		if u == nil {
+			var err error
+			if u, err = c.dial(b); err != nil {
+				// Dial failure: the event is charged to no upstream (a
+				// resubmitted one was settled out of its dead upstream
+				// first), so this shed has no settle to race with.
+				b.failed.Add(1)
 				//hepccl:checked
-				g.stats.shedNoBackend.Add(1)
+				g.stats.shedBackendFailed.Add(1)
+				g.markBackendDown(b, err)
 				return
 			}
-			// Whole chain overloaded: hold and retry — the prober refreshes
-			// health underneath us — then shed.
-			if attempt >= g.cfg.HoldRetries {
-				// Pre-placement shed, as above: never charged, no settle race.
-				//hepccl:checked
-				g.stats.shedOverload.Add(1)
-				return
-			}
-			c.flushAll() // let held-up backends drain while we wait
-			time.Sleep(g.cfg.HoldDelay)
+			ups[b] = u
+		}
+		if !c.charge(u, event, raw, dead != nil) {
+			// The upstream died between placement and charge (its relay
+			// settled, or a write failed): the event was never written there.
+			// Drop it and re-place; the rebuilt table routes around it.
+			delete(ups, b)
 			continue
 		}
-		u, err := c.upstreamFor(b)
-		if err != nil {
-			// Dial failure: no upstream exists, the event was never charged,
-			// so this shed has no settle to race with.
-			//hepccl:checked
-			g.stats.shedBackendFailed.Add(1)
-			b.failed.Add(1)
-			g.markBackendDown(b, err)
-			return
-		}
-		if !c.charge(u, event, raw, false) {
-			// The relay settled this upstream between pick and charge: the
-			// event was never written. Drop the dead upstream and re-pick —
-			// the rebuilt table routes around the failure.
-			delete(c.ups, b)
-			continue
+		if u.pending == 0 {
+			// The first event of a staged run arms the deadline for every
+			// write of the run: the buffer's own spills and the flush.
+			u.nc.SetWriteDeadline(time.Now().Add(upstreamWriteTimeout))
 		}
 		if _, err := u.bw.Write(raw); err != nil {
 			// The event stays charged; the relay's settle classifies it.
-			c.failUpstream(u, err)
+			c.fail(u, err)
 			return
 		}
+		if dead != nil {
+			g.stats.retried.Add(1)
+		}
 		if u.pending++; u.pending >= upstreamFlushEvery {
-			c.flushUpstream(u)
+			c.flush(u)
 		}
 		return
+	}
+}
+
+// place picks the backend for one event from the live table, never dead.
+// While nothing in the chain can take the event (the whole chain overloaded,
+// or the table not yet rebuilt past dead) it holds, flushing ups so held-up
+// backends drain, and retries; then it sheds. nil means the event was shed,
+// with accounting.
+func (c *clientConn) place(ups map[*Backend]*upstream, event uint32, dead *Backend) *Backend {
+	g := c.g
+	for attempt := 0; ; attempt++ {
+		t := g.table.Load()
+		if b := c.pick(t, event); b != nil && b != dead {
+			return b
+		}
+		if t.routable == 0 {
+			// Pre-placement shed: the event is charged to no upstream (a
+			// resubmitted one was settled out of its dead upstream first),
+			// so no settle can also count it.
+			//hepccl:checked
+			g.stats.shedNoBackend.Add(1)
+			return nil
+		}
+		if attempt >= holdRetries {
+			// Pre-placement shed, as above: charged nowhere, no settle race.
+			//hepccl:checked
+			g.stats.shedOverload.Add(1)
+			return nil
+		}
+		c.flushAll(ups)
+		time.Sleep(holdDelay)
 	}
 }
 
@@ -312,22 +357,20 @@ func (c *clientConn) pick(t *table, event uint32) *Backend {
 	return nil
 }
 
-// loadCap is the bounded-load ceiling: LoadFactorPct of the fleet-mean
-// in-flight, plus a burst allowance so quiet fleets don't bounce.
+// loadCap is the bounded-load ceiling: loadPct of the fleet-mean in-flight,
+// plus a burst allowance so quiet fleets don't bounce.
 func (c *clientConn) loadCap(t *table) int64 {
 	if t.routable == 0 {
 		return 1 << 62
 	}
 	total := c.g.stats.inflight.Load()
-	return (total*int64(c.g.cfg.LoadFactorPct))/(int64(t.routable)*100) + 8
+	return (total*int64(c.g.loadPct))/(int64(t.routable)*100) + 8
 }
 
-// upstreamFor returns the live upstream for b, dialing if needed.
-func (c *clientConn) upstreamFor(b *Backend) (*upstream, error) {
-	if u, ok := c.ups[b]; ok {
-		return u, nil
-	}
-	nc, err := net.DialTimeout("tcp", b.Addr, c.g.cfg.DialTimeout)
+// dial opens an upstream to b and starts its relay.
+func (c *clientConn) dial(b *Backend) (*upstream, error) {
+	d := net.Dialer{Timeout: dialTimeout}
+	nc, err := d.Dial("tcp", b.Addr)
 	if err != nil {
 		return nil, err
 	}
@@ -339,54 +382,52 @@ func (c *clientConn) upstreamFor(b *Backend) (*upstream, error) {
 	tc.SetWriteBuffer(1 << 20)
 	u := &upstream{b: b, nc: tc, bw: bufio.NewWriterSize(tc, 64<<10)}
 	b.conns.Add(1)
-	c.ups[b] = u
+	// A resubmitting relay dials too; its own Done has not run, so the
+	// WaitGroup cannot be at zero while it adds.
 	c.relayWG.Add(1)
 	go c.relay(u)
 	return u, nil
 }
 
-// flushUpstream pushes one upstream's staged events onto the wire.
-func (c *clientConn) flushUpstream(u *upstream) {
+// flush pushes one upstream's staged events onto the wire.
+func (c *clientConn) flush(u *upstream) {
 	if u.closed.Load() || u.pending == 0 {
 		return
 	}
 	u.pending = 0
-	if t := c.g.cfg.UpstreamWriteTimeout; t > 0 {
-		u.nc.SetWriteDeadline(time.Now().Add(t))
-	}
 	if err := u.bw.Flush(); err != nil {
-		c.failUpstream(u, err)
+		c.fail(u, err)
 	}
 }
 
-// flushAll flushes every upstream with staged events.
-func (c *clientConn) flushAll() {
-	for _, u := range c.ups {
-		c.flushUpstream(u)
+// flushAll flushes every upstream in ups with staged events.
+func (c *clientConn) flushAll(ups map[*Backend]*upstream) {
+	for _, u := range ups {
+		c.flush(u)
 	}
 }
 
-// failUpstream tears an upstream down after a write error. Closing the
-// socket forces the relay off its read; the relay's settle classifies the
-// charged-but-unanswered events as failed.
-func (c *clientConn) failUpstream(u *upstream, err error) {
+// fail tears an upstream down after a write error. Closing the socket forces
+// the relay off its read; the relay's settle resubmits or sheds the charged
+// events. The dead upstream stays in its map until a charge finds it closed.
+func (c *clientConn) fail(u *upstream, err error) {
 	if u.closed.Swap(true) {
 		return
 	}
 	u.pending = 0
 	u.nc.Close()
-	delete(c.ups, u.b)
 	c.g.markBackendDown(u.b, err)
 }
 
-// closeWriteUpstream half-closes an upstream: the backend sees EOF, drains
-// its in-flight events, streams the remaining records, then closes — the
-// relay runs to completion behind it.
-func (c *clientConn) closeWriteUpstream(u *upstream) {
-	c.flushUpstream(u)
+// closeWrite flushes and half-closes an upstream: the backend sees EOF,
+// drains its in-flight events, streams the remaining records, then closes —
+// the relay runs to completion behind it.
+func (c *clientConn) closeWrite(u *upstream) {
+	c.flush(u)
 	if u.closed.Swap(true) {
 		return
 	}
+	u.halfClosed.Store(true)
 	u.nc.CloseWrite()
 }
 
@@ -396,7 +437,7 @@ func (c *clientConn) closeWriteUpstream(u *upstream) {
 func (c *clientConn) sweepUpstreams() {
 	for b, u := range c.ups {
 		if b.AdminState() != adminJoined {
-			c.closeWriteUpstream(u)
+			c.closeWrite(u)
 			delete(c.ups, b) // a re-added backend gets a fresh upstream
 		}
 	}
@@ -407,7 +448,7 @@ func (c *clientConn) sweepUpstreams() {
 // the downlink.
 func (c *clientConn) finish() {
 	for b, u := range c.ups {
-		c.closeWriteUpstream(u)
+		c.closeWrite(u)
 		delete(c.ups, b)
 	}
 	c.relayWG.Wait()
@@ -423,7 +464,7 @@ func (c *clientConn) relay(u *upstream) {
 	defer c.relayWG.Done()
 	defer u.b.conns.Add(-1)
 	defer u.nc.Close()
-	sc := adapt.NewRecordScanner(u.nc, adapt.NewDeadlineRearmer(u.nc, c.g.cfg.UpstreamReadTimeout))
+	sc := adapt.NewRecordScanner(u.nc, nil)
 	for {
 		rec, err := sc.Next()
 		if err != nil {
@@ -435,10 +476,14 @@ func (c *clientConn) relay(u *upstream) {
 	}
 }
 
-// settle classifies an ended upstream's unanswered events: a clean EOF means
-// the backend consumed them without answering (its derandomizer dropped
-// them); anything else is a connection failure — never-retried events are
-// resubmitted once to a new slot owner, already-retried ones shed as failed.
+// settle classifies an ended upstream's unanswered events. EOF after the
+// gateway's own half-close is clean: the backend consumed them without
+// answering (its derandomizer dropped them). So is EOF with nothing held, a
+// backend reaping an idle connection. Anything else is a connection failure
+// — an error, or an EOF with events held and no half-close, which is all a
+// reset leaves the reader once a failing write has taken the socket's error
+// — and never-retried events are resubmitted once to a new slot owner,
+// already-retried ones shed as failed.
 func (c *clientConn) settle(u *upstream, err error) {
 	u.mu.Lock()
 	u.closed.Store(true)
@@ -455,7 +500,7 @@ func (c *clientConn) settle(u *upstream, err error) {
 		u.b.inflight.Add(-left)
 		c.g.stats.inflight.Add(-left)
 	}
-	clean := err == io.EOF
+	clean := err == io.EOF && (left == 0 || u.halfClosed.Load())
 	var spent uint64
 	var fresh []heldEvent
 	if clean {
@@ -490,125 +535,18 @@ func (c *clientConn) settle(u *upstream, err error) {
 }
 
 // resubmit replays never-retried events from a dead upstream to new slot
-// owners, one retry each. It runs on the dead upstream's relay goroutine;
-// the retry upstreams it dials are private — never in c.ups, which the
-// forwarder owns — written, half-closed, and drained by their own relays.
+// owners, one retry each, through send. It runs on the dead upstream's relay
+// goroutine; the retry upstreams it dials are private — never in c.ups,
+// which the forwarder owns — written, half-closed, and drained by their own
+// relays.
 func (c *clientConn) resubmit(events []heldEvent, dead *Backend) {
-	g := c.g
-	targets := make(map[*Backend]*upstream, 2)
+	ups := make(map[*Backend]*upstream, 2)
 	for i := range events {
-		he := &events[i]
-		b := c.placeRetry(he.event, dead)
-		if b == nil {
-			continue // placeRetry accounted the shed
-		}
-		u, ok := targets[b]
-		if !ok {
-			u = c.dialRetry(b)
-			targets[b] = u // a nil caches the dial failure
-		}
-		if u == nil {
-			// Retry dial failed: the event is no longer charged anywhere
-			// (its dead upstream already settled it out), so this terminal
-			// shed has no concurrent settle to race with.
-			b.failed.Add(1)
-			//hepccl:checked
-			g.stats.shedBackendFailed.Add(1)
-			continue
-		}
-		if !c.charge(u, he.event, he.raw, true) {
-			// The retry target died under us mid-batch and its relay
-			// settled; this event was never written there, so it is charged
-			// nowhere and the shed cannot be double-counted.
-			b.failed.Add(1)
-			//hepccl:checked
-			g.stats.shedBackendFailed.Add(1)
-			continue
-		}
-		if _, err := u.bw.Write(he.raw); err != nil {
-			// Stays charged; the retry relay's settle sheds it as spent.
-			c.failRetry(u, err)
-			continue
-		}
-		g.stats.retried.Add(1)
+		c.send(ups, events[i].event, events[i].raw, dead)
 	}
-	for _, u := range targets {
-		if u == nil || u.closed.Load() {
-			continue
-		}
-		if t := g.cfg.UpstreamWriteTimeout; t > 0 {
-			u.nc.SetWriteDeadline(time.Now().Add(t))
-		}
-		if err := u.bw.Flush(); err != nil {
-			c.failRetry(u, err)
-			continue
-		}
-		u.closed.Store(true)
-		u.nc.CloseWrite()
+	for _, u := range ups {
+		c.closeWrite(u)
 	}
-}
-
-// placeRetry picks a new owner for a resubmitted event, treating the dead
-// backend as unroutable and holding through table lag the same way forward
-// holds through overload. nil means the event sheds, already accounted.
-func (c *clientConn) placeRetry(event uint32, dead *Backend) *Backend {
-	g := c.g
-	for attempt := 0; ; attempt++ {
-		t := g.table.Load()
-		b := c.pick(t, event)
-		if b == dead {
-			b = nil // rebuild has not propagated yet; hold
-		}
-		if b != nil {
-			return b
-		}
-		if t.routable == 0 {
-			// The resubmitted event was settled out of its dead upstream
-			// before placeRetry ran; it is charged nowhere now.
-			//hepccl:checked
-			g.stats.shedNoBackend.Add(1)
-			return nil
-		}
-		if attempt >= g.cfg.HoldRetries {
-			// Same as above: uncharged between settle and re-placement.
-			//hepccl:checked
-			g.stats.shedOverload.Add(1)
-			return nil
-		}
-		time.Sleep(g.cfg.HoldDelay)
-	}
-}
-
-// dialRetry dials a dedicated upstream for one resubmission batch and starts
-// its relay. nil means the dial failed (and the backend is marked down).
-func (c *clientConn) dialRetry(b *Backend) *upstream {
-	nc, err := net.DialTimeout("tcp", b.Addr, c.g.cfg.DialTimeout)
-	if err != nil {
-		c.g.markBackendDown(b, err)
-		return nil
-	}
-	tc := nc.(*net.TCPConn)
-	tc.SetNoDelay(false)
-	if t := c.g.cfg.UpstreamWriteTimeout; t > 0 {
-		tc.SetWriteDeadline(time.Now().Add(t))
-	}
-	u := &upstream{b: b, nc: tc, bw: bufio.NewWriterSize(tc, 64<<10)}
-	b.conns.Add(1)
-	// Safe from this relay goroutine: its own Done has not run, so the
-	// WaitGroup cannot be at zero while we Add.
-	c.relayWG.Add(1)
-	go c.relay(u)
-	return u
-}
-
-// failRetry tears a retry upstream down after a write error; its relay
-// settles the charged events (all retried, so they shed as failed).
-func (c *clientConn) failRetry(u *upstream, err error) {
-	if u.closed.Swap(true) {
-		return
-	}
-	u.nc.Close()
-	c.g.markBackendDown(u.b, err)
 }
 
 // writeRecord relays one record to the client; flushes when the scanner has
@@ -620,9 +558,6 @@ func (c *clientConn) writeRecord(rec []byte, more bool) {
 		return // client gone; the forwarder notices on its own side
 	}
 	if !more {
-		if t := c.g.cfg.ClientWriteTimeout; t > 0 {
-			c.nc.SetWriteDeadline(time.Now().Add(t))
-		}
 		c.bw.Flush()
 	}
 }

@@ -44,37 +44,6 @@ type Config struct {
 	// fleet's pipeline geometry; the gateway frames events but never serves).
 	ASICs int
 
-	// Slots is the routing-table size (power of two). Default 512.
-	Slots int
-	// Vnodes is the ring points per backend. Default 64.
-	Vnodes int
-	// LoadFactorPct bounds per-backend load: a slot's primary is skipped
-	// when its in-flight count exceeds LoadFactorPct/100 of the fleet mean
-	// (plus a small burst allowance). Default 125. Values <= 100 are
-	// rejected; bounded-load needs headroom above the mean.
-	LoadFactorPct int
-
-	// ProbeInterval is the health-poll period. Default 250ms.
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health request. Default 1s.
-	ProbeTimeout time.Duration
-
-	// HoldRetries and HoldDelay shape overload handling: an event whose
-	// whole candidate chain is overloaded is held for up to
-	// HoldRetries*HoldDelay before being shed. Defaults 40 and 5ms.
-	HoldRetries int
-	HoldDelay   time.Duration
-
-	// DialTimeout bounds one upstream dial. Default 5s.
-	DialTimeout time.Duration
-	// UpstreamWriteTimeout bounds one upstream flush. Default 10s.
-	UpstreamWriteTimeout time.Duration
-	// UpstreamReadTimeout is the record-relay read deadline (re-armed every
-	// adapt.DeadlineRearmEvery records). 0 disables.
-	UpstreamReadTimeout time.Duration
-	// ClientWriteTimeout bounds one downlink flush to a client. 0 disables.
-	ClientWriteTimeout time.Duration
-
 	// StatsAddr serves GET /stats, GET /healthz, POST /drain, POST /add.
 	// Empty disables.
 	StatsAddr string
@@ -82,41 +51,42 @@ type Config struct {
 	Logger *log.Logger
 }
 
-func (c Config) withDefaults() Config {
-	if c.Slots == 0 {
-		c.Slots = 512
-	}
-	if c.Vnodes == 0 {
-		c.Vnodes = 64
-	}
-	if c.LoadFactorPct == 0 {
-		c.LoadFactorPct = 125
-	}
-	if c.ProbeInterval == 0 {
-		c.ProbeInterval = 250 * time.Millisecond
-	}
-	if c.ProbeTimeout == 0 {
-		c.ProbeTimeout = time.Second
-	}
-	if c.HoldRetries == 0 {
-		c.HoldRetries = 40
-	}
-	if c.HoldDelay == 0 {
-		c.HoldDelay = 5 * time.Millisecond
-	}
-	if c.DialTimeout == 0 {
-		c.DialTimeout = 5 * time.Second
-	}
-	if c.UpstreamWriteTimeout == 0 {
-		c.UpstreamWriteTimeout = 10 * time.Second
-	}
-	return c
-}
+// The gateway's fixed settings. Like the shape of the paper's
+// island-detection stage, fixed at synthesis time, none is a runtime option.
+const (
+	// tableSlots is the routing-table size: a power of two, at least
+	// chainLen.
+	tableSlots = 512
+	// vnodesPerBackend is the ring points each joined backend contributes.
+	vnodesPerBackend = 64
+	// loadFactorPct bounds per-backend load: a candidate is skipped while its
+	// in-flight count exceeds loadFactorPct/100 of the fleet mean (plus a
+	// small burst allowance). It must exceed 100: bounded load needs
+	// headroom above the mean.
+	loadFactorPct = 125
+	// probeInterval is the health-poll period; probeTimeout bounds one
+	// health request.
+	probeInterval = 250 * time.Millisecond
+	probeTimeout  = time.Second
+	// holdRetries and holdDelay shape overload handling: an event whose
+	// whole candidate chain is overloaded is held for up to
+	// holdRetries*holdDelay before it is shed.
+	holdRetries = 40
+	holdDelay   = 5 * time.Millisecond
+	// dialTimeout bounds one upstream dial; upstreamWriteTimeout bounds the
+	// writes of one staged run of events to an upstream.
+	dialTimeout          = 5 * time.Second
+	upstreamWriteTimeout = 10 * time.Second
+)
 
 // Gateway routes framed events across the backend fleet.
 type Gateway struct {
 	cfg         Config
 	probeClient *http.Client
+	// probeEvery and loadPct start at probeInterval and loadFactorPct;
+	// in-package tests quicken the one and lift the other.
+	probeEvery time.Duration
+	loadPct    int
 
 	// mu guards fleet membership and table rebuilds (rebuild reads the
 	// fleet slice and swaps table; the forward path only loads table).
@@ -126,6 +96,9 @@ type Gateway struct {
 	// gen bumps on every rebuild; forwarders re-check their upstream maps
 	// when they observe a new generation.
 	gen atomic.Uint64
+	// clients holds the open client connections, so Shutdown can wake
+	// their forwarders and, past its deadline, close them.
+	clients map[net.Conn]struct{}
 
 	stats gwStats
 
@@ -142,22 +115,18 @@ type Gateway struct {
 
 // New validates cfg and builds a gateway (not yet serving or probing).
 func New(cfg Config) (*Gateway, error) {
-	cfg = cfg.withDefaults()
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("gateway: no backends configured")
 	}
 	if cfg.ASICs < 1 {
 		return nil, fmt.Errorf("gateway: ASICs = %d, need >= 1", cfg.ASICs)
 	}
-	if cfg.Slots&(cfg.Slots-1) != 0 || cfg.Slots < chainLen {
-		return nil, fmt.Errorf("gateway: Slots = %d must be a power of two >= %d", cfg.Slots, chainLen)
-	}
-	if cfg.LoadFactorPct <= 100 {
-		return nil, fmt.Errorf("gateway: LoadFactorPct = %d must exceed 100", cfg.LoadFactorPct)
-	}
 	g := &Gateway{
 		cfg:         cfg,
-		probeClient: &http.Client{Timeout: cfg.ProbeTimeout},
+		probeClient: &http.Client{Timeout: probeTimeout},
+		probeEvery:  probeInterval,
+		loadPct:     loadFactorPct,
+		clients:     make(map[net.Conn]struct{}),
 		done:        make(chan struct{}),
 	}
 	seen := map[string]bool{}
@@ -185,7 +154,7 @@ func (g *Gateway) fleet() []*Backend {
 // generation.
 func (g *Gateway) rebuild() {
 	g.mu.Lock()
-	t := buildTable(g.backends, g.cfg.Slots, g.cfg.Vnodes)
+	t := buildTable(g.backends, tableSlots, vnodesPerBackend)
 	g.table.Store(t)
 	g.mu.Unlock()
 	g.gen.Add(1)
@@ -252,7 +221,17 @@ func (g *Gateway) Serve(ln net.Listener) error {
 			return fmt.Errorf("gateway: accept: %w", err)
 		}
 		backoff = 0
+		// Register under mu, against Shutdown's sweep: a connection either
+		// lands in clients before the sweep or is refused here.
+		g.mu.Lock()
+		if g.closing.Load() {
+			g.mu.Unlock()
+			nc.Close()
+			continue
+		}
+		g.clients[nc] = struct{}{}
 		g.connsWG.Add(1)
+		g.mu.Unlock()
 		g.stats.conns.Add(1)
 		go g.handleConn(nc)
 	}
@@ -268,16 +247,23 @@ func (g *Gateway) Addr() net.Addr {
 	return g.ln.Addr()
 }
 
-// Shutdown stops accepting, waits for client connections to finish their
-// graceful drains (bounded by ctx), and stops the prober and admin endpoint.
+// Shutdown stops accepting, ends ingress on every client connection, waits
+// for each to finish its graceful drain — every record it is owed, then EOF
+// — and stops the prober and admin endpoint. Connections still open when
+// ctx ends are closed.
 func (g *Gateway) Shutdown(ctx context.Context) error {
 	var err error
 	g.shutOnce.Do(func() {
-		g.closing.Store(true)
 		close(g.done)
 		g.mu.Lock()
+		g.closing.Store(true)
 		if g.ln != nil {
 			g.ln.Close()
+		}
+		// Wake forwarders parked in a client read; with closing set, the
+		// read error ends ingress and the forwarder drains through finish.
+		for nc := range g.clients {
+			nc.SetReadDeadline(time.Now())
 		}
 		g.mu.Unlock()
 		finished := make(chan struct{})
@@ -288,6 +274,11 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 		select {
 		case <-finished:
 		case <-ctx.Done():
+			g.mu.Lock()
+			for nc := range g.clients {
+				nc.Close()
+			}
+			g.mu.Unlock()
 			err = ctx.Err()
 		}
 		g.bgWG.Wait()

@@ -106,26 +106,24 @@ func startGateway(t *testing.T, handles ...*backendHandle) *Gateway {
 	return startGatewayCfg(t, nil, handles...)
 }
 
-// startGatewayCfg is startGateway with a config hook applied before New.
-func startGatewayCfg(t *testing.T, mut func(*Config), handles ...*backendHandle) *Gateway {
+// startGatewayCfg is startGateway with a hook that may retune the gateway's
+// unexported fields after New and before Serve.
+func startGatewayCfg(t *testing.T, mut func(*Gateway), handles ...*backendHandle) *Gateway {
 	t.Helper()
 	cfg := Config{
-		ASICs:         testPipeline().ASICs,
-		ProbeInterval: 20 * time.Millisecond,
-		ProbeTimeout:  500 * time.Millisecond,
-		HoldRetries:   50,
-		HoldDelay:     2 * time.Millisecond,
-		StatsAddr:     "127.0.0.1:0",
+		ASICs:     testPipeline().ASICs,
+		StatsAddr: "127.0.0.1:0",
 	}
 	for _, h := range handles {
 		cfg.Backends = append(cfg.Backends, BackendSpec{Addr: h.addr, StatsAddr: h.stats})
 	}
-	if mut != nil {
-		mut(&cfg)
-	}
 	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	g.probeEvery = 20 * time.Millisecond
+	if mut != nil {
+		mut(g)
 	}
 	done := make(chan error, 1)
 	go func() { done <- g.ListenAndServe("127.0.0.1:0") }()
@@ -476,7 +474,7 @@ func TestGatewayRetryOnBackendDeath(t *testing.T) {
 	proxy := startCrashProxy(t, b0.addr)
 	front := &backendHandle{srv: b0.srv, addr: proxy.addr, stats: b0.stats, dead: true}
 	b1 := startBackend(t, server.PolicyBlock, "")
-	g := startGatewayCfg(t, func(cfg *Config) { cfg.LoadFactorPct = 100000 }, front, b1)
+	g := startGatewayCfg(t, func(g *Gateway) { g.loadPct = 100000 }, front, b1)
 
 	const total = 400
 	events := makeEvents(t, total, 0)

@@ -97,7 +97,7 @@ func (g *Gateway) probeAll() {
 // runProber polls until the gateway shuts down.
 func (g *Gateway) runProber() {
 	defer g.bgWG.Done()
-	tick := time.NewTicker(g.cfg.ProbeInterval)
+	tick := time.NewTicker(g.probeEvery)
 	defer tick.Stop()
 	for {
 		select {

@@ -113,13 +113,13 @@ func BenchmarkRelay(b *testing.B) {
 	corpus := relayCorpus(b, pcfg, 512)
 	addr, stats := startCannedBackend(b, len(corpus[0]))
 	g, err := New(Config{
-		ASICs:         pcfg.ASICs,
-		Backends:      []BackendSpec{{Addr: addr, StatsAddr: stats}},
-		ProbeInterval: time.Hour,
+		ASICs:    pcfg.ASICs,
+		Backends: []BackendSpec{{Addr: addr, StatsAddr: stats}},
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
+	g.probeEvery = time.Hour
 	go g.ListenAndServe("127.0.0.1:0")
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -6,7 +6,7 @@ import (
 
 // Slot table construction. Placement is a classic vnode hash ring flattened
 // into a fixed power-of-two slot table: every joined backend contributes
-// Vnodes pseudo-random points, each slot has a fixed probe point, and the
+// vnodesPerBackend pseudo-random points, each slot has a fixed probe point, and the
 // slot's candidate chain is the first chainLen distinct backends clockwise
 // from that point. Flattening means the per-event hot path is one hash, one
 // mask, one array load — the ring walk happens only at rebuild time, which is

@@ -66,16 +66,6 @@ type Config struct {
 	// BreakerWindow is the breaker's sliding window. Default 1s when
 	// BreakerBadPackets is set.
 	BreakerWindow time.Duration
-	// DegradedLossRate is the recent drop fraction (dropped/assembled) at
-	// which /healthz reports "degraded". Default 0.01.
-	DegradedLossRate float64
-	// OverloadLossRate is the recent drop fraction at which /healthz
-	// reports "overloaded" with HTTP 503. Default 0.10.
-	OverloadLossRate float64
-	// DegradedResyncRate is the recent fraction of assembly attempts lost
-	// to resync (bad packets + incomplete events vs events assembled) at
-	// which /healthz reports "degraded". Default 0.05.
-	DegradedResyncRate float64
 	// RecordDir, when non-empty, appends the raw wire bytes of every decoded
 	// event to a write-ahead log in this directory (see internal/wal) before
 	// it is enqueued, so a crash can never have served an event the log
@@ -109,15 +99,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.BreakerBadPackets > 0 && cfg.BreakerWindow <= 0 {
 		cfg.BreakerWindow = time.Second
-	}
-	if cfg.DegradedLossRate <= 0 {
-		cfg.DegradedLossRate = 0.01
-	}
-	if cfg.OverloadLossRate <= 0 {
-		cfg.OverloadLossRate = 0.10
-	}
-	if cfg.DegradedResyncRate <= 0 {
-		cfg.DegradedResyncRate = 0.05
 	}
 	if cfg.Logger == nil && cfg.LogInterval > 0 {
 		cfg.Logger = log.Default()

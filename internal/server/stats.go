@@ -220,18 +220,27 @@ type healthWindow struct {
 	resyncLoss uint64
 }
 
+// The health thresholds, on the recent window's fractions: drop fraction
+// (dropped/assembled) for degraded and overloaded, and resync-loss fraction
+// (bad packets + incomplete events per assembly attempt) for degraded.
+const (
+	degradedLossRate   = 0.01
+	overloadLossRate   = 0.10
+	degradedResyncRate = 0.05
+)
+
 // healthMinWindow is the shortest interval between fresh health evaluations;
 // requests inside it reuse the cached verdict so rates are computed over a
 // meaningful sample.
 const healthMinWindow = 250 * time.Millisecond
 
 // Health evaluates the server's recent drop and resync rates against the
-// configured thresholds:
+// thresholds:
 //
-//	overloaded: drop fraction >= OverloadLossRate
-//	degraded:   drop fraction >= DegradedLossRate, or resync-loss fraction
-//	            (bad packets + incomplete events per assembly attempt)
-//	            >= DegradedResyncRate
+//	overloaded: drop fraction >= overloadLossRate (10 %)
+//	degraded:   drop fraction >= degradedLossRate (1 %), or resync-loss
+//	            fraction (bad packets + incomplete events per assembly
+//	            attempt) >= degradedResyncRate (5 %)
 //	ok:         otherwise
 //
 // Verdicts are cached for healthMinWindow; an idle window keeps the previous
@@ -269,17 +278,17 @@ func (s *Server) HealthSnapshot() HealthSnapshot {
 		EventsIn:           din,
 		Dropped:            ddrop,
 		ResyncLoss:         dresync,
-		DegradedLossRate:   s.cfg.DegradedLossRate,
-		OverloadLossRate:   s.cfg.OverloadLossRate,
-		DegradedResyncRate: s.cfg.DegradedResyncRate,
+		DegradedLossRate:   degradedLossRate,
+		OverloadLossRate:   overloadLossRate,
+		DegradedResyncRate: degradedResyncRate,
 	}
 	if din > 0 {
 		snap.LossFraction = float64(ddrop) / float64(din)
 		snap.ResyncFraction = float64(dresync) / float64(din+dresync)
 		switch {
-		case snap.LossFraction >= s.cfg.OverloadLossRate:
+		case snap.LossFraction >= overloadLossRate:
 			snap.State = HealthOverloaded
-		case snap.LossFraction >= s.cfg.DegradedLossRate || snap.ResyncFraction >= s.cfg.DegradedResyncRate:
+		case snap.LossFraction >= degradedLossRate || snap.ResyncFraction >= degradedResyncRate:
 			snap.State = HealthDegraded
 		}
 	} else if dresync > 0 {
