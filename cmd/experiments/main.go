@@ -1,12 +1,26 @@
 // Command experiments regenerates the paper's tables and figures and prints
-// each cell next to its published value.
+// each cell next to its published value. Three tools ride along for looking
+// at one image, one design or one pipeline run at a time.
 //
 // Usage:
 //
-//	experiments                 # run everything (E1–E10)
+//	experiments                 # run everything (E1–E14)
 //	experiments table1 table3   # run selected experiments
 //	experiments -list           # list experiment ids
 //	experiments -csv fig10      # emit a figure's data series as CSV
+//
+//	experiments label -gen shower -rows 43 -cols 43   # label one image
+//	experiments report -stage pipelined -conn 8       # one synthesis report
+//	experiments pipe -config cta -events 3 -v         # one ADAPT pipeline run
+//
+// label labels an ASCII-art, PGM or generated image with the paper's 1.5-pass
+// CCL (either merge-table update) or the flood-fill golden model and prints
+// the label map and islands. report prints the Vitis-style synthesis report
+// of one design stage: latency, II, BRAM/FF/LUT, the per-loop breakdown and
+// the stream statistics, and -trace writes the scan loop's VCD waveform. pipe
+// runs the ADAPT front-end pipeline end to end on generated events and prints
+// the downlink records and the data reduction. Each tool takes its own flags;
+// run `experiments <tool> -h` for them.
 package main
 
 import (
@@ -14,8 +28,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 
 	"github.com/wustl-adapt/hepccl/internal/experiments"
+	"github.com/wustl-adapt/hepccl/internal/grid"
 )
 
 func main() {
@@ -25,7 +41,20 @@ func main() {
 	}
 }
 
+// tools are the subcommands; any other first argument is an experiment id
+// or a flag.
+var tools = map[string]func(args []string, out io.Writer) error{
+	"label":  label,
+	"report": report,
+	"pipe":   pipe,
+}
+
 func run(args []string, out io.Writer) error {
+	if len(args) > 0 {
+		if tool, ok := tools[args[0]]; ok {
+			return tool(args[1:], out)
+		}
+	}
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
 		list = fs.Bool("list", false, "list experiment ids and exit")
@@ -68,6 +97,29 @@ func run(args []string, out io.Writer) error {
 		if err := e.Run(out); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// connFlag registers the tools' shared -conn flag, rejecting anything but 4
+// or 8 while the flags parse.
+func connFlag(fs *flag.FlagSet) *grid.Connectivity {
+	conn := grid.FourWay
+	fs.Func("conn", "connectivity `n`: 4 or 8 (default 4)", func(s string) error {
+		n, err := strconv.Atoi(s)
+		if c := grid.Connectivity(n); err == nil && c.Valid() {
+			conn = c
+			return nil
+		}
+		return fmt.Errorf("want 4 or 8")
+	})
+	return &conn
+}
+
+// checkSize rejects an array the grid package would refuse to allocate.
+func checkSize(rows, cols int) error {
+	if rows < 1 || cols < 1 {
+		return fmt.Errorf("-rows and -cols must be at least 1, got %dx%d", rows, cols)
 	}
 	return nil
 }

@@ -1,8 +1,16 @@
 package main
 
 import (
+	"bufio"
+	"fmt"
+	"go/build"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"github.com/wustl-adapt/hepccl/internal/experiments"
 )
 
 func runOut(t *testing.T, args ...string) string {
@@ -33,12 +41,17 @@ func TestSelectedExperiments(t *testing.T) {
 	}
 }
 
+// TestRunAllDefault pins E1–E14 byte for byte. Regenerate the golden file
+// only for a change meant to move a table or figure:
+//
+//	go run ./cmd/experiments > cmd/experiments/testdata/all.golden
 func TestRunAllDefault(t *testing.T) {
-	out := runOut(t)
-	for _, want := range []string{"Table 1", "Table 2", "Table 3", "Table 4", "Fig 10", "Fig 11", "E7", "E8", "E9", "E10"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("full run missing %q", want)
-		}
+	want, err := os.ReadFile("testdata/all.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runOut(t); got != string(want) {
+		t.Fatalf("full run differs from testdata/all.golden:\n%s", got)
 	}
 }
 
@@ -54,15 +67,229 @@ func TestCSV(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
+	wantErrors(t,
+		[]string{"nope"},
+		[]string{"-csv"},
+		[]string{"-csv", "table1"},
+		[]string{"-csv", "fig10", "fig11"},
+	)
+}
+
+func wantErrors(t *testing.T, cases ...[]string) {
+	t.Helper()
 	var sb strings.Builder
-	for _, args := range [][]string{
-		{"nope"},
-		{"-csv"},
-		{"-csv", "table1"},
-		{"-csv", "fig10", "fig11"},
-	} {
+	for _, args := range cases {
 		if err := run(args, &sb); err == nil {
 			t.Errorf("run(%v): want error", args)
 		}
+	}
+}
+
+// TestScalingTables checks that Tables 3 and 4 sweep every size and carry
+// the 43x43 and 64x64 4-way latencies.
+func TestScalingTables(t *testing.T) {
+	out := runOut(t, "table3", "table4")
+	for _, want := range []string{"8x10", "16x16", "24x24", "32x32", "43x43", "64x64", "6575", "14396"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q", want)
+		}
+	}
+}
+
+func TestLabelErrors(t *testing.T) {
+	wantErrors(t,
+		[]string{"label", "-conn", "5"},
+		[]string{"label", "-algo", "nope"},
+		[]string{"label", "-gen", "nope"},
+		[]string{"label", "-in", "/does/not/exist"},
+		[]string{"label", "-in", "x", "-gen", "islands"},
+		[]string{"label", "-rows", "0", "-cols", "5"},
+		[]string{"label", "-gen", "spiral", "-cols", "-1"},
+	)
+}
+
+func TestLabelGenerators(t *testing.T) {
+	for _, gen := range []string{"islands", "shower", "muon-ring", "occupancy", "checkerboard", "spiral", "cornercase"} {
+		out := runOut(t, "label", "-gen", gen, "-rows", "12", "-cols", "12", "-conn", "8")
+		if !strings.Contains(out, "islands") && !strings.Contains(out, "CCL") {
+			t.Errorf("%s: output missing summary:\n%s", gen, out)
+		}
+	}
+}
+
+func TestLabelPaperModeCornerCase(t *testing.T) {
+	out := runOut(t, "label", "-gen", "cornercase", "-algo", "ccl-paper", "-show-merge-table")
+	if !strings.Contains(out, "2 islands") {
+		t.Fatalf("corner case should split under paper mode:\n%s", out)
+	}
+	if !strings.Contains(out, "merge table") {
+		t.Fatal("merge table not printed")
+	}
+	out = runOut(t, "label", "-gen", "cornercase", "-algo", "ccl-fixed")
+	if !strings.Contains(out, "1 islands") {
+		t.Fatalf("fixed mode should find one island:\n%s", out)
+	}
+}
+
+func TestLabelAlgorithms(t *testing.T) {
+	for _, algo := range []string{"ccl-fixed", "ccl-paper", "floodfill"} {
+		out := runOut(t, "label", "-gen", "spiral", "-rows", "9", "-cols", "9", "-algo", algo)
+		if !strings.Contains(out, "1 islands") {
+			t.Errorf("%s on spiral: want one island:\n%s", algo, out)
+		}
+	}
+}
+
+func TestLabelFileInput(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "img.txt")
+	if err := os.WriteFile(path, []byte("#.#\n###\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out := runOut(t, "label", "-in", path); !strings.Contains(out, "1 islands") {
+		t.Fatalf("file input: %s", out)
+	}
+}
+
+func TestLabelPGMInput(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "img.pgm")
+	if err := os.WriteFile(path, []byte("P2\n3 2\n9\n5 0 7\n0 0 7\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out := runOut(t, "label", "-in", path, "-conn", "4"); !strings.Contains(out, "2 islands") {
+		t.Fatalf("pgm input: %s", out)
+	}
+}
+
+func TestReport(t *testing.T) {
+	out := runOut(t, "report", "-stage", "pipelined", "-conn", "4", "-rows", "8", "-cols", "10")
+	for _, want := range []string{"Pipelined", "4-way", "8x10", "340", "4229", "4096", "loop breakdown", "scan"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestReportStages checks each stage's 8-way latency against Table 2.
+func TestReportStages(t *testing.T) {
+	for stage, want := range map[string]string{
+		"baseline": "1398", "bind-storage": "1718", "unrolled": "1578", "pipelined": "485",
+	} {
+		out := runOut(t, "report", "-stage", stage, "-conn", "8")
+		if !strings.Contains(out, fmt.Sprintf("latency %8s cycles", want)) || !strings.Contains(out, "loop breakdown") {
+			t.Errorf("%s: want latency %s and a breakdown:\n%s", stage, want, out)
+		}
+	}
+}
+
+func TestReportStreamStats(t *testing.T) {
+	out := runOut(t, "report", "-stage", "pipelined", "-conn", "8", "-rows", "8", "-cols", "10")
+	if !strings.Contains(out, "stream_topleft") {
+		t.Fatalf("8-way report should show diagonal streams:\n%s", out)
+	}
+}
+
+func TestReportErrors(t *testing.T) {
+	wantErrors(t,
+		[]string{"report", "-stage", "nope"},
+		[]string{"report", "-conn", "3"},
+		[]string{"report", "-rows", "0"},
+		[]string{"report", "-cols", "0"},
+	)
+}
+
+func TestReportTrace(t *testing.T) {
+	path := t.TempDir() + "/scan.vcd"
+	out := runOut(t, "report", "-stage", "pipelined", "-rows", "4", "-cols", "5", "-trace", path)
+	if !strings.Contains(out, "waveform") {
+		t.Fatalf("trace note missing:\n%s", out)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), "$enddefinitions $end") {
+		t.Fatalf("VCD malformed:\n%s", data)
+	}
+}
+
+func TestPipeADAPT(t *testing.T) {
+	out := runOut(t, "pipe", "-config", "adapt", "-events", "3", "-seed", "5", "-v")
+	for _, want := range []string{
+		"20 ASICs (320 channels)", "1D island detection",
+		"297619 events/s", "bottleneck: island",
+		"calibrated pedestals", "event 0", "processed 3 events",
+		"data reduction",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestPipeCTA(t *testing.T) {
+	out := runOut(t, "pipe", "-config", "cta", "-events", "2", "-seed", "9")
+	for _, want := range []string{"2D 43x43 4-way", "Pipelined", "processed 2 events"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	// CTA rate matches the §5.5 claim through the pipeline model.
+	if !strings.Contains(out, "15209 events/s") {
+		t.Errorf("expected 15209 events/s in:\n%s", out)
+	}
+}
+
+func TestPipeErrors(t *testing.T) {
+	wantErrors(t,
+		[]string{"pipe", "-config", "nope"},
+		[]string{"pipe", "-events", "0"},
+		[]string{"pipe", "-events", "-2"},
+	)
+}
+
+// TestReadmeCommands checks that every `go run ./<dir>` in README.md's sh
+// blocks names a main package of this module, and that every word after
+// `go run ./cmd/experiments` is a tool or an experiment id.
+func TestReadmeCommands(t *testing.T) {
+	f, err := os.Open("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	goRun := regexp.MustCompile(`go run (\./[\w/-]+)([^#|>&;]*)`)
+	var inSh bool
+	var seen int
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if strings.HasPrefix(line, "```") {
+			inSh = line == "```sh"
+			continue
+		}
+		if !inSh {
+			continue
+		}
+		for _, m := range goRun.FindAllStringSubmatch(line, -1) {
+			seen++
+			dir, args := strings.TrimPrefix(m[1], "./"), strings.Fields(m[2])
+			if pkg, err := build.ImportDir(filepath.Join("../..", dir), 0); err != nil || pkg.Name != "main" {
+				t.Errorf("README: %q names no main package", strings.TrimSpace(m[0]))
+				continue
+			}
+			if dir != "cmd/experiments" || len(args) == 0 || tools[args[0]] != nil {
+				continue
+			}
+			for _, a := range args {
+				if _, ok := experiments.ByID(a); !ok && !strings.HasPrefix(a, "-") {
+					t.Errorf("README: %q: %q is neither a tool nor an experiment id", strings.TrimSpace(m[0]), a)
+				}
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if seen == 0 {
+		t.Fatal("README: no `go run` commands found in sh blocks")
 	}
 }

@@ -112,7 +112,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-full"}, io.Discard); err == nil ||
 		!strings.Contains(err.Error(), "flag provided but not defined") {
-		t.Fatalf("-full left with the cycle-accurate serving mode (cmd/adaptpipe runs it): got %v", err)
+		t.Fatalf("-full left with the cycle-accurate serving mode (experiments pipe runs it): got %v", err)
 	}
 	if err := run([]string{"-record", "/tmp/x", "-replay", "/tmp/x"}, io.Discard); err == nil ||
 		!strings.Contains(err.Error(), "same directory") {

@@ -20,7 +20,7 @@
 // channels (adapt.StreamReader.ReadSuppressed) — and pushes that lit list
 // onto its own single-producer/single-consumer ring. Decoded samples are
 // never buffered (the cycle-accurate ProcessEvent, which needs them, runs
-// offline in cmd/adaptpipe, not behind this socket). Connections are assigned
+// offline in experiments pipe, not behind this socket). Connections are assigned
 // to worker lanes at accept time, round-robin by connection id, so every ring
 // has exactly one producer (the conn's reader) and one consumer (the lane's
 // worker) — event handoff on the hot path is two atomic position updates, no
