@@ -63,6 +63,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkScan(Dense)?/' -benchtime 1s -benchmem ./internal/adapt
 	$(GO) test -run '^$$' -bench BenchmarkIngestPath -benchtime 200000x -benchmem ./internal/server
 	$(GO) test -run '^$$' -bench BenchmarkRelay -benchtime 2000x -benchmem ./internal/gateway
+	$(GO) test -run '^$$' -bench BenchmarkAppend -benchtime 20000x -benchmem ./internal/wal
 # internal/tileccl is bench-only since PR 16 (only bench/ imports it) and leaves with the benchmark half.
 	$(GO) test -run '^$$' -bench 'BenchmarkLabel' -benchtime 100x -benchmem ./internal/tileccl
 

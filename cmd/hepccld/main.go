@@ -77,7 +77,7 @@ func run(args []string, out io.Writer) error {
 			"append every admitted event's raw frames to a write-ahead log in this directory (empty disables)")
 		recordSegMB  = fs.Int("record-segment-mb", 64, "WAL segment size in MiB")
 		recordRetain = fs.Int("record-retain", 0,
-			"keep only the newest N sealed WAL segments (0 keeps everything)")
+			"keep only the newest N WAL segment files, the active one included (0 keeps everything)")
 		replayDir = fs.String("replay", "",
 			"replay a recorded WAL through the local server instead of serving external clients, then exit")
 		replayRate = fs.Float64("replay-rate", 0,
@@ -253,6 +253,9 @@ func buildConfig(o daemonOpts) (server.Config, error) {
 	}
 	if o.recordSegMB < 0 {
 		return server.Config{}, fmt.Errorf("-record-segment-mb = %d must be >= 0", o.recordSegMB)
+	}
+	if o.recordRetain < 0 {
+		return server.Config{}, fmt.Errorf("-record-retain = %d must be >= 0", o.recordRetain)
 	}
 	cfg := server.Config{
 		Pipeline:   pcfg,

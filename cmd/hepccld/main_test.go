@@ -101,6 +101,10 @@ func TestBuildConfigErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "-pace-rate") {
 		t.Fatalf("two service intervals: got %v", err)
 	}
+	if _, err := buildConfig(daemonOpts{config: "cta", workers: 1, queue: 8, policy: "drop", recordDir: "/data/wal", recordRetain: -1}); err == nil ||
+		!strings.Contains(err.Error(), "-record-retain") {
+		t.Fatalf("negative retention: got %v", err)
+	}
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {

@@ -89,10 +89,16 @@ func Replay(ctx context.Context, opts ReplayOptions) (ReplayResult, error) {
 // walSource yields a log's records as uplink events. A payload aliases its
 // segment buffer, which the scanner never rewrites, so a write batch can
 // hold several.
+//
+// The due clock is monotone over a log recorded across writer restarts: each
+// writer stamps from its own Open, so a stamp below its predecessor's starts
+// a new epoch, placed right after the previous record.
 type walSource struct {
-	sc            *wal.Scanner
-	rate          float64
-	first         uint64
+	sc   *wal.Scanner
+	rate float64
+	// last is the previous record's stamp; at is its offset on the replay
+	// clock, the sum of the recorded gaps so far.
+	last, at      uint64
 	events, bytes uint64
 }
 
@@ -101,14 +107,15 @@ func (w *walSource) Next() (uplink.Event, error) {
 	if err != nil {
 		return uplink.Event{}, err
 	}
-	if w.events == 0 {
-		w.first = rec.TsNanos
+	if w.events > 0 && rec.TsNanos > w.last {
+		w.at += rec.TsNanos - w.last
 	}
+	w.last = rec.TsNanos
 	w.events++
 	w.bytes += uint64(len(rec.Payload))
 	ev := uplink.Event{Wire: rec.Payload}
 	if w.rate > 0 {
-		ev.Due = time.Duration(float64(rec.TsNanos-w.first) / w.rate)
+		ev.Due = time.Duration(float64(w.at) / w.rate)
 	}
 	return ev, nil
 }

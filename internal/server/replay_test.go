@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -182,5 +183,71 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 	if a.crc == 0 {
 		t.Error("downlink CRC is zero; fingerprint is vacuous")
+	}
+}
+
+// TestWALSourceAcrossWriterRestart: every writer stamps from its own Open, so
+// a log recorded across a restart holds a stamp below its predecessor's. The
+// replay clock must stay monotone through it: every Due is non-decreasing,
+// the recorded gap inside a session survives, and no Due lies past the
+// recording's wall-clock span over the rate.
+func TestWALSourceAcrossWriterRestart(t *testing.T) {
+	const gap = 50 * time.Millisecond
+	dir := t.TempDir()
+	start := time.Now()
+	session := func(events ...uint32) {
+		w, _, err := wal.Open(wal.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ev := range events {
+			if i > 0 {
+				time.Sleep(gap)
+			}
+			if err := w.Append(ev, []byte{byte(ev)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	session(1, 2)
+	session(3)
+	span := time.Since(start)
+
+	for _, rate := range []float64{1, 2} {
+		sc, err := wal.NewScanner(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := &walSource{sc: sc, rate: rate}
+		var dues []time.Duration
+		for {
+			ev, err := src.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			dues = append(dues, ev.Due)
+		}
+		sc.Close()
+		if len(dues) != 3 {
+			t.Fatalf("rate %g: %d records, want 3", rate, len(dues))
+		}
+		limit := time.Duration(float64(span) / rate)
+		for i, due := range dues {
+			if due < 0 || due > limit {
+				t.Fatalf("rate %g: record %d due at %v, outside [0, %v]", rate, i, due, limit)
+			}
+			if i > 0 && due < dues[i-1] {
+				t.Fatalf("rate %g: record %d due at %v, before record %d at %v", rate, i, due, i-1, dues[i-1])
+			}
+		}
+		if want := time.Duration(float64(gap) / rate); dues[1] < want {
+			t.Fatalf("rate %g: recorded gap replays as %v, want at least %v", rate, dues[1], want)
+		}
 	}
 }

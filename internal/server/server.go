@@ -78,7 +78,8 @@ type Config struct {
 	// RecordSegmentBytes sets the WAL segment size. Zero means the wal
 	// package default (64 MiB).
 	RecordSegmentBytes int64
-	// RecordRetain, when positive, keeps only the newest N sealed segments.
+	// RecordRetain, when positive, keeps only the newest N segment files,
+	// the active one included.
 	RecordRetain int
 	// LogInterval emits a periodic one-line stats summary. Zero disables.
 	LogInterval time.Duration

@@ -7,10 +7,11 @@ import (
 	"syscall"
 )
 
-// mmapSupported selects the zero-syscall append path: segment writes are
-// plain stores into a shared file mapping, so a SIGKILL loses nothing the
-// writer finished (the dirty pages belong to the page cache, not the
-// process).
+// mmapSupported selects the mapped append path: segment writes are plain
+// stores into a shared file mapping, so a SIGKILL loses nothing the writer
+// finished (the dirty pages belong to the page cache, not the process). The
+// only syscall while a segment fills is releaseMapped's madvise, once per
+// releaseBytes of log, and only on Linux.
 const mmapSupported = true
 
 // mapFile maps size bytes of f readable and writable, shared.

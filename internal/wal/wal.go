@@ -12,8 +12,11 @@
 // (magic "HEPCWAL1", format version, segment index, creation time) and is
 // preallocated to its full size at creation, then filled by pure memcpy into
 // a shared mmap of the file — an append is two header stores, one payload
-// copy, and a CRC, with no syscall on the hot path. Records are laid
-// back-to-back:
+// copy, and a CRC. The only syscall on the append path is one madvise per
+// releaseBytes (2 MiB) of log on Linux, which drops the written pages behind
+// the cursor from the process's mapping: they stay in the page cache, so the
+// writer's resident set holds about two windows of a segment, not all of
+// it. Records are laid back-to-back:
 //
 //	offset  size  field
 //	0       4     record magic "WALR"
@@ -72,6 +75,11 @@ const (
 	minSegmentBytes = 4 << 10
 	// defaultSegmentBytes is the segment size when Options leaves it zero.
 	defaultSegmentBytes = 64 << 20
+	// releaseBytes is the granule in which Append releases a mapped
+	// segment's written pages: once the cursor is this far past the last
+	// release, every whole granule behind it is dropped from the mapping.
+	// A power of two and a multiple of every page size.
+	releaseBytes = 2 << 20
 )
 
 // castagnoli is the CRC-32C table shared by writer and scanner.
@@ -85,8 +93,9 @@ type Options struct {
 	// Default 64 MiB; values below 4 KiB are raised to 4 KiB. A record
 	// larger than one segment gets a dedicated exactly-sized segment.
 	SegmentBytes int64
-	// Retain bounds how many segment files are kept: when a rotation pushes
-	// the count past Retain, the oldest segments are deleted. 0 keeps all.
+	// Retain bounds how many segment files are kept, the active one
+	// included: when a rotation pushes the count past Retain, the oldest
+	// segments are deleted. 0 keeps all.
 	Retain int
 	// Logger receives recovery and failure lines. nil silences them.
 	Logger *log.Logger
@@ -203,9 +212,10 @@ func listSegments(dir string) ([]string, []uint64, error) {
 // Append writes one event record. payload must be the event's exact wire
 // bytes; tsNanos is stamped from the writer's monotonic clock. Concurrent
 // callers serialize on the writer's mutex; the append itself is a memcpy
-// into the mapped segment, no syscalls. After any I/O error the writer is
-// failed: the error is sticky and every later Append returns it immediately,
-// so recording can never stall or wedge the serving path.
+// into the mapped segment, plus one madvise per releaseBytes (2 MiB) of log
+// that releases the written pages behind the cursor. After any I/O error the
+// writer is failed: the error is sticky and every later Append returns it
+// immediately, so recording can never stall or wedge the serving path.
 func (w *Writer) Append(event uint32, payload []byte) error {
 	w.mu.Lock()
 	if w.failed != nil {
@@ -236,10 +246,34 @@ func (w *Writer) Append(event uint32, payload []byte) error {
 	crc = crc32.Update(crc, castagnoli, payload)
 	binary.BigEndian.PutUint32(buf[20:], crc)
 	w.off += need
+	// The release runs under w.mu so a concurrent rotate cannot unmap or
+	// reuse the range while it is being dropped.
+	if w.off-w.seg.released >= releaseBytes {
+		w.release()
+	}
 	w.mu.Unlock()
 	w.records.Add(1)
 	w.bytes.Add(uint64(need))
 	return nil
+}
+
+// release drops the active segment's whole releaseBytes granules behind the
+// cursor from the mapping. The pages stay dirty in the page cache, so
+// durability, Sync and the scanner see the same bytes. A failed madvise only
+// costs memory: it is logged and releasing stops for this segment. Caller
+// holds w.mu.
+func (w *Writer) release() {
+	sg := w.seg
+	end := w.off &^ (releaseBytes - 1)
+	if sg.mapped {
+		if err := releaseMapped(sg.data[sg.released:end]); err != nil {
+			if w.opts.Logger != nil {
+				w.opts.Logger.Printf("wal: release %s: %v", filepath.Base(sg.f.Name()), err)
+			}
+			end = int64(len(sg.data))
+		}
+	}
+	sg.released = end
 }
 
 // fail records the sticky failure. Caller holds w.mu.
@@ -356,6 +390,9 @@ type segment struct {
 	f      *os.File
 	data   []byte
 	mapped bool
+	// released is the prefix of data already dropped from the mapping, a
+	// multiple of releaseBytes (or len(data) once releasing gave up).
+	released int64
 }
 
 // createSegment preallocates path at size and maps it writable. On platforms
