@@ -247,9 +247,6 @@ func (p *Pipeline) ServeEngine() string {
 // new one and leaves earlier ones untouched.
 func (p *Pipeline) Suppressor() *Suppressor { return p.sup }
 
-// Config returns the pipeline's configuration.
-func (p *Pipeline) Config() Config { return p.cfg }
-
 // Channels returns the flat merged channel count.
 func (p *Pipeline) Channels() int { return p.merger.Channels() }
 

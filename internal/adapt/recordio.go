@@ -150,8 +150,3 @@ func (rs *RecordScanner) Next() ([]byte, error) {
 //
 //hepccl:hotpath
 func RecordEventID(rec []byte) uint32 { return binary.BigEndian.Uint32(rec) }
-
-// RecordIslandCount reads the island count out of a framed record.
-//
-//hepccl:hotpath
-func RecordIslandCount(rec []byte) int { return int(binary.BigEndian.Uint32(rec[4:])) }

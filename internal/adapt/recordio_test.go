@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"testing"
 	"time"
@@ -32,7 +33,7 @@ func TestRecordScannerRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("record %d: bytes differ", i)
 		}
-		if RecordEventID(got) != recs[i].Event || RecordIslandCount(got) != len(recs[i].Islands) {
+		if RecordEventID(got) != recs[i].Event || int(binary.BigEndian.Uint32(got[4:])) != len(recs[i].Islands) {
 			t.Fatalf("record %d: header fields wrong", i)
 		}
 	}

@@ -3,7 +3,6 @@ package adapt
 import (
 	"fmt"
 
-	"github.com/wustl-adapt/hepccl/internal/design"
 	"github.com/wustl-adapt/hepccl/internal/grid"
 )
 
@@ -41,8 +40,7 @@ func ZeroSuppress(pe grid.Value, threshold grid.Value) grid.Value {
 }
 
 // Merger fuses the zero-suppressed 16-channel outputs of the event's ASICs
-// into one flat, event-wide channel array and the 16-wide Merge words the
-// island-detection stage reads (§4.1).
+// into one flat, event-wide channel array (§4.1).
 type Merger struct {
 	asics int
 }
@@ -54,9 +52,6 @@ func NewMerger(asics int) (*Merger, error) {
 	}
 	return &Merger{asics: asics}, nil
 }
-
-// ASICs returns the expected ASIC count.
-func (m *Merger) ASICs() int { return m.asics }
 
 // Channels returns the merged event width in channels.
 func (m *Merger) Channels() int { return m.asics * ChannelsPerASIC }
@@ -76,14 +71,4 @@ func (m *Merger) Merge(blocks map[uint8][ChannelsPerASIC]grid.Value) ([]grid.Val
 		copy(out[a*ChannelsPerASIC:(a+1)*ChannelsPerASIC], block[:])
 	}
 	return out, nil
-}
-
-// Words converts a flat merged array into the 16-channel-wide FIFO words the
-// 2D island-detection design consumes.
-func Words(values []grid.Value) []design.Word {
-	words := make([]design.Word, (len(values)+design.Channels-1)/design.Channels)
-	for i, v := range values {
-		words[i/design.Channels][i%design.Channels] = v
-	}
-	return words
 }

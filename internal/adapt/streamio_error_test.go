@@ -174,6 +174,63 @@ func TestStreamReaderCorruptionRecovery(t *testing.T) {
 	}
 }
 
+// TestStreamReaderByteNoise: a packet stream under seeded link noise, bit
+// flips and dropped bytes rolled per byte, must never break the parser. It
+// recovers the valid packets and accounts for the rest as skipped bytes.
+func TestStreamReaderByteNoise(t *testing.T) {
+	var buf bytes.Buffer
+	sw := NewStreamWriter(&buf)
+	const events = 200
+	var p Packet
+	p.Header = Header{SamplesPerChannel: 2}
+	for ch := 0; ch < ChannelsPerASIC; ch++ {
+		p.Samples[ch] = []int32{10, 20}
+	}
+	for e := 0; e < events; e++ {
+		p.Event = uint32(e)
+		if err := sw.WritePacket(&p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Per byte: drop it with probability 0.001, else invert one random bit
+	// with probability 0.002.
+	rng := detector.NewRNG(11)
+	noisy := make([]byte, 0, buf.Len())
+	faults := 0
+	for _, b := range buf.Bytes() {
+		if rng.Float64() < 0.001 {
+			faults++
+			continue
+		}
+		if rng.Float64() < 0.002 {
+			faults++
+			b ^= 1 << (rng.Uint64() & 7)
+		}
+		noisy = append(noisy, b)
+	}
+	if faults == 0 {
+		t.Fatal("no noise fired; rates too low for stream length")
+	}
+	sr := NewStreamReader(bytes.NewReader(noisy))
+	recovered := 0
+	for {
+		err := sr.ReadPacketInto(&p)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("parser must see noise as EOF-or-skip, got: %v", err)
+		}
+		recovered++
+	}
+	if recovered == 0 || recovered >= events {
+		t.Fatalf("recovered %d of %d packets under noise (want some, not all)", recovered, events)
+	}
+	if sr.SkippedBytes == 0 {
+		t.Fatal("noise must surface as skipped bytes")
+	}
+}
+
 // BenchmarkStreamReaderCorrupted measures packet parsing on a stream where
 // half the frames fail validation. The push-back path used to nest a fresh
 // bufio.Reader + io.MultiReader per corrupted frame; with the pending-bytes

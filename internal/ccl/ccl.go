@@ -113,7 +113,7 @@ func Label(g *grid.Grid, opt Options) (*Result, error) {
 
 // finalize produces the final label output (§4.4) from a resolved merge
 // table: index the table directly with each provisional label; no second scan
-// of the pixel data. Shared by Label and Result.Repair.
+// of the pixel data.
 func finalize(prov *grid.Labels, mt *MergeTable, opt Options) (*grid.Labels, int) {
 	final := grid.NewLabels(prov.Rows(), prov.Cols())
 	for i, n := 0, prov.Pixels(); i < n; i++ {

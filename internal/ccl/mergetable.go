@@ -18,11 +18,7 @@ type MergeTable struct {
 	// entries[0] is unused so that group numbers index directly (1-indexed,
 	// like the hardware array in Fig 5).
 	entries []grid.Label
-	// parity holds one even-parity bit per entry, refreshed on every write
-	// through setEntry and deliberately left stale by InjectSEU; Scrub
-	// compares it against the data to detect upsets (see scrub.go).
-	parity []uint8
-	next   grid.Label
+	next    grid.Label
 }
 
 // ErrMergeTableFull is returned by Alloc when every slot is in use. The
@@ -66,16 +62,8 @@ func NewMergeTable(capacity int) *MergeTable {
 	}
 	return &MergeTable{
 		entries: make([]grid.Label, capacity+1),
-		parity:  make([]uint8, capacity+1),
 		next:    1,
 	}
-}
-
-// setEntry is the single write port of the table: every legitimate write goes
-// through it so the stored parity bit always matches the data.
-func (mt *MergeTable) setEntry(g, v grid.Label) {
-	mt.entries[g] = v
-	mt.parity[g] = parityOf(v)
 }
 
 // Cap returns the capacity (maximum number of groups).
@@ -90,7 +78,7 @@ func (mt *MergeTable) Alloc() (grid.Label, error) {
 		return 0, ErrMergeTableFull
 	}
 	l := mt.next
-	mt.setEntry(l, l)
+	mt.entries[l] = l
 	mt.next++
 	return l, nil
 }
@@ -123,7 +111,7 @@ func (mt *MergeTable) Record(g, target grid.Label) {
 		return
 	}
 	if target < mt.entries[g] {
-		mt.setEntry(g, target)
+		mt.entries[g] = target
 	}
 }
 
@@ -145,9 +133,9 @@ func (mt *MergeTable) Union(a, b grid.Label) {
 	switch {
 	case ra == rb:
 	case ra < rb:
-		mt.setEntry(rb, ra)
+		mt.entries[rb] = ra
 	default:
-		mt.setEntry(ra, rb)
+		mt.entries[ra] = rb
 	}
 }
 
@@ -163,7 +151,7 @@ func (mt *MergeTable) Resolve() {
 			// First zero entry: no more groups (§4.3).
 			break
 		}
-		mt.setEntry(i, mt.entries[mt.entries[i]])
+		mt.entries[i] = mt.entries[mt.entries[i]]
 	}
 }
 

@@ -1,28 +1,14 @@
-// Package chaos is a composable, reproducible fault-injection layer for the
-// serving stack: every failure mode a front-end link or its peer can exhibit,
-// driven by a seeded deterministic RNG so any observed failure replays
-// exactly from its seed.
+// Package chaos is a reproducible, frame-granular fault injector for the
+// serving stack, driven by a seeded deterministic RNG so any observed failure
+// replays exactly from its seed.
 //
-// Three injection surfaces, from lowest to highest level:
-//
-//   - Injector: the byte-level engine. Rolls one fault decision per byte
-//     (bit flips, byte drops, duplication, insertion, stalls, disconnects),
-//     so a corruption sequence depends only on the seed and the byte stream —
-//     never on how the stream is chunked into Read/Write calls.
-//   - Reader / Conn: io.Reader and net.Conn wrappers that pass traffic
-//     through an Injector. Conn can corrupt either direction and optionally
-//     severs the underlying connection when a disconnect fault fires,
-//     modeling a peer vanishing mid-event.
-//   - FrameInjector: frame-granular faults (corrupt / truncate / drop /
-//     duplicate / insert-garbage, one whole frame at a time) with per-fault
-//     counters. Load generators use it when a test must account exactly for
-//     which events were sacrificed — a byte-level fault can straddle frame
-//     boundaries, a frame-level fault cannot.
+// FrameInjector applies at most one fault to each frame it is offered:
+// corrupt (one bit flip), truncate, drop, duplicate, or insert garbage ahead
+// of it, with per-fault counters. Because a fault never straddles a frame
+// boundary, a test can account exactly for which events were sacrificed:
+// loadgen -corrupt, the server soak and the replay tests rely on that.
 //
 // The fault model matches what the paper's front-end electronics face:
 // radiation-induced bit flips on the link, dropped and repeated frames from
-// readout FIFO overruns, idle links from powered-down ASICs, and hard
-// disconnects from link retraining. Single-event upsets in on-chip state
-// (BRAM) are modeled separately: see MergeTable.InjectSEU in internal/ccl
-// and Array.FlipBit in internal/hls/mem.
+// readout FIFO overruns, and line noise between frames.
 package chaos

@@ -287,7 +287,7 @@ func TestWordsForPacking(t *testing.T) {
 	for i := 0; i < 18; i++ {
 		g.Flat()[i] = grid.Value(i + 1)
 	}
-	words := WordsFor(g)
+	words := wordsFor(g)
 	if len(words) != 2 {
 		t.Fatalf("words = %d, want 2", len(words))
 	}
@@ -296,24 +296,6 @@ func TestWordsForPacking(t *testing.T) {
 	}
 	if words[1][2] != 0 {
 		t.Fatal("tail must be zero-padded")
-	}
-}
-
-func TestRunWords(t *testing.T) {
-	g := grid.MustParse("##..\n..##")
-	want, err := Run(g, cfg(StagePipelined, grid.FourWay, 2, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunWords(WordsFor(g), cfg(StagePipelined, grid.FourWay, 2, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Labels.Equal(want.Labels) {
-		t.Fatal("RunWords must match Run")
-	}
-	if _, err := RunWords(nil, cfg(StagePipelined, grid.FourWay, 2, 4)); err == nil {
-		t.Fatal("word-count mismatch must error")
 	}
 }
 

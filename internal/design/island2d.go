@@ -16,10 +16,10 @@ import (
 // element the island-detection function consumes (§4.1).
 type Word [Channels]grid.Value
 
-// WordsFor packs a grid's pixels, in row-major order, into 16-channel Merge
+// wordsFor packs a grid's pixels, in row-major order, into 16-channel Merge
 // words, zero-padding the tail — the format produced by merging
 // zero-suppressed integrals from the ALPHA ASICs.
-func WordsFor(g *grid.Grid) []Word {
+func wordsFor(g *grid.Grid) []Word {
 	flat := g.Flat()
 	words := make([]Word, (len(flat)+Channels-1)/Channels)
 	for i, v := range flat {
@@ -68,21 +68,7 @@ func Run(g *grid.Grid, cfg Config) (*Output, error) {
 		return nil, fmt.Errorf("design: image is %dx%d but design was compiled for %dx%d",
 			g.Rows(), g.Cols(), cfg.Rows, cfg.Cols)
 	}
-	return run(WordsFor(g), cfg)
-}
-
-// RunWords executes the design directly on Merge-module words, the hand-off
-// used by the ADAPT pipeline integration (internal/adapt).
-func RunWords(words []Word, cfg Config) (*Output, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	need := (cfg.Rows*cfg.Cols + Channels - 1) / Channels
-	if len(words) != need {
-		return nil, fmt.Errorf("design: got %d merge words, want %d for %dx%d",
-			len(words), need, cfg.Rows, cfg.Cols)
-	}
-	return run(words, cfg)
+	return run(wordsFor(g), cfg)
 }
 
 func run(words []Word, cfg Config) (*Output, error) {

@@ -3,7 +3,7 @@ package gateway
 import (
 	"sync/atomic"
 
-	"github.com/wustl-adapt/hepccl/internal/server"
+	"github.com/wustl-adapt/hepccl/internal/health"
 )
 
 // Backend lifecycle has two independent axes:
@@ -78,7 +78,7 @@ type Backend struct {
 	admin  atomic.Int32
 	health atomic.Int32
 	// snap holds the last decoded verbose health snapshot for /stats.
-	snap atomic.Pointer[server.HealthSnapshot]
+	snap atomic.Pointer[health.Snapshot]
 	// probeFails counts consecutive probe errors; at probeDownAfter the
 	// backend is classed down.
 	probeFails atomic.Int32
@@ -148,7 +148,7 @@ type BackendSnapshot struct {
 	Conns     int64  `json:"conns"`
 	// Probe carries the backend's own verbose health snapshot when the last
 	// probe decoded one.
-	Probe *server.HealthSnapshot `json:"probe,omitempty"`
+	Probe *health.Snapshot `json:"probe,omitempty"`
 }
 
 // snapshot captures the backend's counters; slots is filled in by the caller

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/wustl-adapt/hepccl/internal/adapt"
+	"github.com/wustl-adapt/hepccl/internal/health"
 	"github.com/wustl-adapt/hepccl/internal/server"
 )
 
@@ -160,11 +161,11 @@ func TestGatewayUpstreamWriteFailure(t *testing.T) {
 func TestGatewayResubmitFindsNoOwner(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		other server.HealthState // "" means unreachable: classed down
+		other health.State // "" means unreachable: classed down
 		cause func(ShedSnapshot) uint64
 	}{
 		{"down", "", func(s ShedSnapshot) uint64 { return s.NoBackend }},
-		{"overloaded", server.HealthOverloaded, func(s ShedSnapshot) uint64 { return s.Overload }},
+		{"overloaded", health.Overloaded, func(s ShedSnapshot) uint64 { return s.Overload }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sink := startSinkBackend(t)

@@ -7,11 +7,11 @@ import (
 	"net/http"
 	"time"
 
-	"github.com/wustl-adapt/hepccl/internal/server"
+	"github.com/wustl-adapt/hepccl/internal/health"
 )
 
 // The prober is the gateway's only view of backend health: it polls each
-// backend's /healthz?verbose=1 (the typed server.HealthSnapshot JSON) on a
+// backend's /healthz?verbose=1 (the typed health.Snapshot JSON) on a
 // fixed interval and folds the three-state answer plus reachability into the
 // backend's health class. Any class transition triggers a slot-table rebuild,
 // which is where degraded spill and down-removal take effect; overload
@@ -39,9 +39,9 @@ func (g *Gateway) probeOnce(b *Backend) bool {
 	b.snap.Store(snap)
 	var h healthClass
 	switch snap.State {
-	case server.HealthOverloaded:
+	case health.Overloaded:
 		h = healthOverloaded
-	case server.HealthDegraded:
+	case health.Degraded:
 		h = healthDegraded
 	default:
 		h = healthGood
@@ -56,7 +56,7 @@ func (g *Gateway) probeOnce(b *Backend) bool {
 // fetchHealth GETs one verbose health snapshot. A 503 still carries a valid
 // snapshot (that is how hepccld reports overloaded), so only transport and
 // decode failures are errors.
-func fetchHealth(c *http.Client, statsAddr string) (*server.HealthSnapshot, error) {
+func fetchHealth(c *http.Client, statsAddr string) (*health.Snapshot, error) {
 	resp, err := c.Get("http://" + statsAddr + "/healthz?verbose=1")
 	if err != nil {
 		return nil, fmt.Errorf("gateway: probe %s: %w", statsAddr, err)
@@ -68,7 +68,7 @@ func fetchHealth(c *http.Client, statsAddr string) (*server.HealthSnapshot, erro
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
 		return nil, fmt.Errorf("gateway: probe %s: HTTP %d", statsAddr, resp.StatusCode)
 	}
-	var snap server.HealthSnapshot
+	var snap health.Snapshot
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("gateway: probe %s: decode: %w", statsAddr, err)
 	}

@@ -8,26 +8,26 @@ import (
 	"testing"
 	"time"
 
-	"github.com/wustl-adapt/hepccl/internal/server"
+	"github.com/wustl-adapt/hepccl/internal/health"
 )
 
 // fakeBackend is an httptest /healthz endpoint whose reported state the test
 // walks through the three health states.
 type fakeBackend struct {
 	mu    sync.Mutex
-	state server.HealthState
+	state health.State
 	srv   *httptest.Server
 }
 
 func newFakeBackend(t *testing.T) *fakeBackend {
-	fb := &fakeBackend{state: server.HealthOK}
+	fb := &fakeBackend{state: health.OK}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fb.mu.Lock()
 		st := fb.state
 		fb.mu.Unlock()
-		snap := server.HealthSnapshot{State: st, LossFraction: 0.5, WindowSeconds: 0.25}
-		if st == server.HealthOverloaded {
+		snap := health.Snapshot{State: st, LossFraction: 0.5, WindowSeconds: 0.25}
+		if st == health.Overloaded {
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}
 		json.NewEncoder(w).Encode(snap)
@@ -37,7 +37,7 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 	return fb
 }
 
-func (fb *fakeBackend) set(st server.HealthState) {
+func (fb *fakeBackend) set(st health.State) {
 	fb.mu.Lock()
 	fb.state = st
 	fb.mu.Unlock()
@@ -105,7 +105,7 @@ func TestProberStateWalk(t *testing.T) {
 
 	// degraded: primaries spill to ring successors; chain keeps the backend;
 	// slots not owned by the walker do not move.
-	fakes[1].set(server.HealthDegraded)
+	fakes[1].set(health.Degraded)
 	g.probeAll()
 	if walker.HealthClass() != healthDegraded {
 		t.Fatalf("health = %s, want degraded", walker.HealthClass())
@@ -123,7 +123,7 @@ func TestProberStateWalk(t *testing.T) {
 	// overloaded: table treatment identical to degraded (still routable,
 	// spilled); the per-event forward path is what refuses it, which pick()
 	// models directly.
-	fakes[1].set(server.HealthOverloaded)
+	fakes[1].set(health.Overloaded)
 	g.probeAll()
 	if walker.HealthClass() != healthOverloaded {
 		t.Fatalf("health = %s, want overloaded", walker.HealthClass())
@@ -140,7 +140,7 @@ func TestProberStateWalk(t *testing.T) {
 	}
 
 	// recovered: exact slot restoration (consistent-hashing stability).
-	fakes[1].set(server.HealthOK)
+	fakes[1].set(health.OK)
 	g.probeAll()
 	if n := slotsOwnedBy(g, walker); n != base {
 		t.Fatalf("recovered backend owns %d slots, owned %d before", n, base)

@@ -12,7 +12,7 @@ import (
 
 	"github.com/wustl-adapt/hepccl/internal/adapt"
 	"github.com/wustl-adapt/hepccl/internal/detector"
-	"github.com/wustl-adapt/hepccl/internal/server"
+	"github.com/wustl-adapt/hepccl/internal/health"
 )
 
 // startCannedBackend stands in for hepccld at the far end of a relay: it takes
@@ -29,11 +29,11 @@ func startCannedBackend(tb testing.TB, eventBytes int) (addr, stats string) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	health, err := json.Marshal(server.HealthSnapshot{State: server.HealthOK})
+	verdict, err := json.Marshal(health.Snapshot{State: health.OK})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	hs := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { w.Write(health) })}
+	hs := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { w.Write(verdict) })}
 	go hs.Serve(hl)
 	go func() {
 		for {

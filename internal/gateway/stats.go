@@ -8,7 +8,7 @@ import (
 	"net/http"
 	"sync/atomic"
 
-	"github.com/wustl-adapt/hepccl/internal/server"
+	"github.com/wustl-adapt/hepccl/internal/health"
 )
 
 // gwStats is the gateway-level accounting. Every offered event lands in
@@ -65,10 +65,10 @@ type FleetSnapshot struct {
 	ClientErrors uint64       `json:"client_errors"`
 	Conns        int64        `json:"conns"`
 	// Routable and Joined describe the live routing table.
-	Routable int                `json:"routable_backends"`
-	Joined   int                `json:"joined_backends"`
-	Health   server.HealthState `json:"health"`
-	Backends []BackendSnapshot  `json:"backends"`
+	Routable int               `json:"routable_backends"`
+	Joined   int               `json:"joined_backends"`
+	Health   health.State      `json:"health"`
+	Backends []BackendSnapshot `json:"backends"`
 }
 
 // StatsSnapshot captures the fleet accounting and per-backend detail.
@@ -111,21 +111,16 @@ func (g *Gateway) StatsSnapshot() FleetSnapshot {
 // healthState folds the fleet into the gateway's own three-state health:
 // overloaded (503) when nothing is routable, degraded when the fleet is
 // impaired but serving, ok otherwise.
-func (s FleetSnapshot) healthState() server.HealthState {
+func (s FleetSnapshot) healthState() health.State {
 	if s.Routable == 0 {
-		return server.HealthOverloaded
+		return health.Overloaded
 	}
 	for _, b := range s.Backends {
 		if b.State != adminJoined.String() || b.Health != healthGood.String() {
-			return server.HealthDegraded
+			return health.Degraded
 		}
 	}
-	return server.HealthOK
-}
-
-// Health returns the gateway's aggregate health state.
-func (g *Gateway) Health() server.HealthState {
-	return g.StatsSnapshot().Health
+	return health.OK
 }
 
 // startStats serves the admin endpoint: GET /stats, GET /healthz,
@@ -143,7 +138,7 @@ func (g *Gateway) startStats() {
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		snap := g.StatsSnapshot()
-		if snap.Health == server.HealthOverloaded {
+		if snap.Health == health.Overloaded {
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}
 		if r.URL.Query().Get("verbose") != "" {

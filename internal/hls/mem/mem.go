@@ -16,10 +16,7 @@
 // so an unrolled loop can touch N elements per cycle (§5.3, Fig 7).
 package mem
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Kind is the storage binding of an array.
 type Kind int
@@ -77,8 +74,6 @@ type Array struct {
 	data      []int32
 	reads     int64
 	writes    int64
-	seus      int64
-	parity    []uint8 // per-element stored parity bit; nil until EnableParity
 }
 
 // NewArray returns a zeroed array of size elements, each widthBits wide,
@@ -139,72 +134,14 @@ func (a *Array) Read(i int) int32 {
 	return a.data[i]
 }
 
-// Write stores v at element i and counts the access. When parity protection
-// is enabled the stored parity bit is refreshed alongside the data, as a
-// hardware write port would.
+// Write stores v at element i and counts the access.
 func (a *Array) Write(i int, v int32) {
 	if i < 0 || i >= len(a.data) {
 		panic(fmt.Sprintf("mem: array %q write index %d of %d", a.name, i, len(a.data)))
 	}
 	a.writes++
 	a.data[i] = v
-	if a.parity != nil {
-		a.parity[i] = parityOf(v)
-	}
 }
-
-func parityOf(v int32) uint8 { return uint8(bits.OnesCount32(uint32(v)) & 1) }
-
-// EnableParity attaches one even-parity bit per element, refreshed on every
-// Write and deliberately NOT refreshed by FlipBit — that is what makes an
-// upset detectable. Existing contents are covered immediately.
-func (a *Array) EnableParity() {
-	a.parity = make([]uint8, len(a.data))
-	for i, v := range a.data {
-		a.parity[i] = parityOf(v)
-	}
-}
-
-// ParityEnabled reports whether the array carries parity bits.
-func (a *Array) ParityEnabled() bool { return a.parity != nil }
-
-// CheckParity reports whether element i's data matches its stored parity bit.
-// It is always true when parity is disabled. The check is free — it models
-// the comparator a scrubber reads alongside the data port.
-func (a *Array) CheckParity(i int) bool {
-	if a.parity == nil {
-		return true
-	}
-	return a.parity[i] == parityOf(a.data[i])
-}
-
-// ScanParity sweeps the array and returns the indices whose parity check
-// fails — the scrub pass a radiation-tolerant design runs between events.
-func (a *Array) ScanParity() []int {
-	var bad []int
-	for i := range a.data {
-		if !a.CheckParity(i) {
-			bad = append(bad, i)
-		}
-	}
-	return bad
-}
-
-// FlipBit models a single-event upset: it inverts bit b (mod the element
-// width) of element i directly in storage, bypassing the write port — no
-// write is counted and the parity bit is left stale. Returns the corrupted
-// value.
-func (a *Array) FlipBit(i int, b uint) int32 {
-	if i < 0 || i >= len(a.data) {
-		panic(fmt.Sprintf("mem: array %q flip index %d of %d", a.name, i, len(a.data)))
-	}
-	a.seus++
-	a.data[i] ^= 1 << (b % uint(a.widthBits))
-	return a.data[i]
-}
-
-// SEUs returns how many upsets have been injected with FlipBit.
-func (a *Array) SEUs() int64 { return a.seus }
 
 // Reads returns the total read count.
 func (a *Array) Reads() int64 { return a.reads }
@@ -213,16 +150,10 @@ func (a *Array) Reads() int64 { return a.reads }
 func (a *Array) Writes() int64 { return a.writes }
 
 // Reset zeroes the contents (not the access counters) — the per-event
-// re-initialization the hardware performs between images. Parity bits are
-// refreshed, so a reset also scrubs any latent upset.
+// re-initialization the hardware performs between images.
 func (a *Array) Reset() {
 	for i := range a.data {
 		a.data[i] = 0
-	}
-	if a.parity != nil {
-		for i := range a.parity {
-			a.parity[i] = 0
-		}
 	}
 }
 

@@ -179,83 +179,3 @@ func TestBankBalanceProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestParityDetectsFlipBit(t *testing.T) {
-	a := NewArray("mt", 16, 21, BRAMDualPort)
-	a.EnableParity()
-	if !a.ParityEnabled() {
-		t.Fatal("parity not enabled")
-	}
-	for i := 0; i < a.Size(); i++ {
-		a.Write(i, int32(i*3))
-	}
-	if bad := a.ScanParity(); bad != nil {
-		t.Fatalf("clean array fails parity at %v", bad)
-	}
-	writes := a.Writes()
-	got := a.FlipBit(5, 2)
-	if got != int32(15)^4 {
-		t.Fatalf("FlipBit returned %d, want %d", got, int32(15)^4)
-	}
-	if a.Writes() != writes {
-		t.Fatal("an SEU must not count as a write-port access")
-	}
-	if a.SEUs() != 1 {
-		t.Fatalf("SEUs = %d, want 1", a.SEUs())
-	}
-	if a.CheckParity(5) {
-		t.Fatal("single-bit flip must fail the parity check")
-	}
-	bad := a.ScanParity()
-	if len(bad) != 1 || bad[0] != 5 {
-		t.Fatalf("ScanParity = %v, want [5]", bad)
-	}
-	// A rewrite through the port scrubs the element.
-	a.Write(5, 15)
-	if bad := a.ScanParity(); bad != nil {
-		t.Fatalf("rewritten element still fails parity: %v", bad)
-	}
-	// Double flip of the same bit restores data AND parity consistency —
-	// the classic limitation of single-bit parity.
-	a.FlipBit(7, 0)
-	a.FlipBit(7, 0)
-	if !a.CheckParity(7) {
-		t.Fatal("even number of flips is invisible to parity")
-	}
-}
-
-func TestFlipBitWrapsWidth(t *testing.T) {
-	a := NewArray("w", 4, 8, Registers)
-	a.EnableParity()
-	a.Write(0, 0)
-	a.FlipBit(0, 8) // bit 8 of an 8-bit element wraps to bit 0
-	if v := a.Read(0); v != 1 {
-		t.Fatalf("got %d, want 1", v)
-	}
-	if a.CheckParity(0) {
-		t.Fatal("wrapped flip must still break parity")
-	}
-}
-
-func TestResetScrubsParity(t *testing.T) {
-	a := NewArray("r", 8, 16, LUTRAM)
-	a.EnableParity()
-	a.Write(3, 0x55)
-	a.FlipBit(3, 1)
-	if a.CheckParity(3) {
-		t.Fatal("flip undetected")
-	}
-	a.Reset()
-	if bad := a.ScanParity(); bad != nil {
-		t.Fatalf("reset array fails parity at %v", bad)
-	}
-}
-
-func TestParityDisabledIsAlwaysClean(t *testing.T) {
-	a := NewArray("np", 4, 12, Registers)
-	a.Write(1, 7)
-	a.FlipBit(1, 0)
-	if !a.CheckParity(1) || a.ScanParity() != nil {
-		t.Fatal("parity checks must pass when parity is disabled")
-	}
-}

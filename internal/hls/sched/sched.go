@@ -123,13 +123,6 @@ func (ld *Ledger) Total() int64 { return ld.total }
 // Get returns the cycles charged to name.
 func (ld *Ledger) Get(name string) int64 { return ld.byName[name] }
 
-// Regions returns region names in first-charge order.
-func (ld *Ledger) Regions() []string {
-	out := make([]string, len(ld.order))
-	copy(out, ld.order)
-	return out
-}
-
 // Breakdown renders "name: cycles" lines in charge order, then the total.
 func (ld *Ledger) Breakdown() string {
 	var b strings.Builder
@@ -138,14 +131,6 @@ func (ld *Ledger) Breakdown() string {
 	}
 	fmt.Fprintf(&b, "%-12s %8d", "total", ld.total)
 	return b.String()
-}
-
-// Merge adds every region of o into ld in o's charge order (used when
-// composing dataflow stages).
-func (ld *Ledger) Merge(o *Ledger) {
-	for _, n := range o.order {
-		ld.Charge(n, o.byName[n])
-	}
 }
 
 // Dataflow models a set of stages connected by streams, as created by

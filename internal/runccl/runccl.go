@@ -94,12 +94,6 @@ func (e *Engine) WordsPerRow() int { return e.wpr }
 // BitmapLen returns the required bitmap length, rows × WordsPerRow.
 func (e *Engine) BitmapLen() int { return e.rows * e.wpr }
 
-// Rows returns the configured row count.
-func (e *Engine) Rows() int { return e.rows }
-
-// Cols returns the configured column count.
-func (e *Engine) Cols() int { return e.cols }
-
 // Pack fills bitmap (reusing its capacity) with the lit-pixel bits of the
 // flat row-major values image, in the engine's layout. It is the reference
 // producer for tests and non-serving callers; the serving path sets the bits

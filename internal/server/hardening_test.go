@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/wustl-adapt/hepccl/internal/adapt"
+	"github.com/wustl-adapt/hepccl/internal/health"
 )
 
 // TestIdleTimeoutClosesConnection: a client that connects and goes silent is
@@ -155,7 +156,7 @@ func TestHealthzDegradedAndOverloaded(t *testing.T) {
 	if statsAddr == nil {
 		t.Fatal("stats endpoint never came up")
 	}
-	get := func() (HealthState, int) {
+	get := func() (health.State, int) {
 		resp, err := http.Get(fmt.Sprintf("http://%s/healthz", statsAddr))
 		if err != nil {
 			t.Fatal(err)
@@ -163,10 +164,10 @@ func TestHealthzDegradedAndOverloaded(t *testing.T) {
 		defer resp.Body.Close()
 		var body [64]byte
 		n, _ := resp.Body.Read(body[:])
-		return HealthState(strings.TrimSpace(string(body[:n]))), resp.StatusCode
+		return health.State(strings.TrimSpace(string(body[:n]))), resp.StatusCode
 	}
 
-	if st, code := get(); st != HealthOK || code != http.StatusOK {
+	if st, code := get(); st != health.OK || code != http.StatusOK {
 		t.Fatalf("idle server: %q %d, want ok 200", st, code)
 	}
 
@@ -174,7 +175,7 @@ func TestHealthzDegradedAndOverloaded(t *testing.T) {
 	s.stats.EventsIn.Add(1000)
 	s.stats.Dropped.Add(20)
 	time.Sleep(healthMinWindow + 20*time.Millisecond)
-	if st, code := get(); st != HealthDegraded || code != http.StatusOK {
+	if st, code := get(); st != health.Degraded || code != http.StatusOK {
 		t.Fatalf("2%% loss: %q %d, want degraded 200", st, code)
 	}
 
@@ -182,14 +183,14 @@ func TestHealthzDegradedAndOverloaded(t *testing.T) {
 	s.stats.EventsIn.Add(1000)
 	s.stats.Dropped.Add(200)
 	time.Sleep(healthMinWindow + 20*time.Millisecond)
-	if st, code := get(); st != HealthOverloaded || code != http.StatusServiceUnavailable {
+	if st, code := get(); st != health.Overloaded || code != http.StatusServiceUnavailable {
 		t.Fatalf("20%% loss: %q %d, want overloaded 503", st, code)
 	}
 
 	// Clean window again: recovery to ok.
 	s.stats.EventsIn.Add(10000)
 	time.Sleep(healthMinWindow + 20*time.Millisecond)
-	if st, code := get(); st != HealthOK || code != http.StatusOK {
+	if st, code := get(); st != health.OK || code != http.StatusOK {
 		t.Fatalf("clean window: %q %d, want ok 200", st, code)
 	}
 
@@ -197,7 +198,7 @@ func TestHealthzDegradedAndOverloaded(t *testing.T) {
 	s.stats.EventsIn.Add(1000)
 	s.stats.BadPackets.Add(500)
 	time.Sleep(healthMinWindow + 20*time.Millisecond)
-	if st, _ := get(); st != HealthDegraded {
+	if st, _ := get(); st != health.Degraded {
 		t.Fatalf("resync storm: %q, want degraded", st)
 	}
 }
@@ -229,11 +230,11 @@ func TestHealthzVerbose(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("content type %q", ct)
 	}
-	var snap HealthSnapshot
+	var snap health.Snapshot
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.State != HealthOK {
+	if snap.State != health.OK {
 		t.Fatalf("idle server state %q, want ok", snap.State)
 	}
 	if snap.DegradedLossRate <= 0 || snap.OverloadLossRate <= snap.DegradedLossRate {

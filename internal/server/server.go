@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/wustl-adapt/hepccl/internal/adapt"
+	"github.com/wustl-adapt/hepccl/internal/health"
 	"github.com/wustl-adapt/hepccl/internal/wal"
 )
 
@@ -416,7 +417,7 @@ func (s *Server) startStats() {
 		snap := s.HealthSnapshot()
 		if r.URL.Query().Get("verbose") != "" {
 			w.Header().Set("Content-Type", "application/json")
-			if snap.State == HealthOverloaded {
+			if snap.State == health.Overloaded {
 				w.WriteHeader(http.StatusServiceUnavailable)
 			}
 			enc := json.NewEncoder(w)
@@ -424,7 +425,7 @@ func (s *Server) startStats() {
 			enc.Encode(snap)
 			return
 		}
-		if snap.State == HealthOverloaded {
+		if snap.State == health.Overloaded {
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}
 		fmt.Fprintln(w, snap.State)

@@ -20,6 +20,7 @@ import (
 	"github.com/wustl-adapt/hepccl/internal/adapt"
 	"github.com/wustl-adapt/hepccl/internal/chaos"
 	"github.com/wustl-adapt/hepccl/internal/detector"
+	"github.com/wustl-adapt/hepccl/internal/health"
 )
 
 // countRecords parses the downlink record framing (8-byte header carrying
@@ -309,7 +310,7 @@ func chaosSoak(t *testing.T, queueDepth, totalEvents int, skimming bool) {
 	}
 
 	// The server must still be answering while loaded.
-	if h := s.Health(); h == HealthOverloaded && !skimming {
+	if h := s.Health(); h == health.Overloaded && !skimming {
 		t.Errorf("health = %v at end of soak", h)
 	}
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/wustl-adapt/hepccl/internal/adapt"
+	"github.com/wustl-adapt/hepccl/internal/health"
 	"github.com/wustl-adapt/hepccl/internal/wal"
 )
 
@@ -170,51 +171,12 @@ type ConnSnapshot struct {
 	CounterSnapshot
 }
 
-// HealthState classifies how the server is coping with its current load.
-type HealthState string
-
-// The three health states reported by Health and GET /healthz. Degraded and
-// ok both answer HTTP 200 (the service is still doing useful work);
-// overloaded answers 503 so a load balancer can shed traffic.
-const (
-	HealthOK         HealthState = "ok"
-	HealthDegraded   HealthState = "degraded"
-	HealthOverloaded HealthState = "overloaded"
-)
-
-// HealthSnapshot is the typed form of a health verdict: the state plus the
-// windowed inputs that produced it, served as JSON on /healthz?verbose=1 so
-// a gateway prober (or a human) sees *why* a backend is degraded, not just
-// that it is.
-type HealthSnapshot struct {
-	State HealthState `json:"state"`
-	// LossFraction is the recent dropped/assembled fraction of the window.
-	LossFraction float64 `json:"loss_fraction"`
-	// ResyncFraction is the recent resync-loss fraction: (bad packets +
-	// incomplete events) per assembly attempt over the window.
-	ResyncFraction float64 `json:"resync_fraction"`
-	// WindowSeconds is the evaluation window the fractions cover.
-	WindowSeconds float64 `json:"window_seconds"`
-	// EventsIn, Dropped, and ResyncLoss are the window's raw counter deltas.
-	EventsIn   uint64 `json:"events_in"`
-	Dropped    uint64 `json:"dropped"`
-	ResyncLoss uint64 `json:"resync_loss"`
-	// The thresholds the fractions were judged against.
-	DegradedLossRate   float64 `json:"degraded_loss_rate"`
-	OverloadLossRate   float64 `json:"overload_loss_rate"`
-	DegradedResyncRate float64 `json:"degraded_resync_rate"`
-	// WALAppendErrors is the recording log's failed-append count. Any failure
-	// sticky-fails the writer, so a nonzero value degrades an otherwise-ok
-	// verdict: the server still serves but the durability guarantee is gone.
-	WALAppendErrors uint64 `json:"wal_append_errors,omitempty"`
-}
-
 // healthWindow holds the counter baseline of the previous health evaluation
 // so each verdict reflects the recent window, not lifetime averages.
 type healthWindow struct {
 	mu         sync.Mutex
 	at         time.Time
-	snap       HealthSnapshot
+	snap       health.Snapshot
 	in         uint64
 	dropped    uint64
 	resyncLoss uint64
@@ -245,13 +207,13 @@ const healthMinWindow = 250 * time.Millisecond
 //
 // Verdicts are cached for healthMinWindow; an idle window keeps the previous
 // verdict's thresholds trivially satisfied and reports ok.
-func (s *Server) Health() HealthState {
+func (s *Server) Health() health.State {
 	return s.HealthSnapshot().State
 }
 
-// HealthSnapshot evaluates (or returns the cached) health verdict together
+// health.Snapshot evaluates (or returns the cached) health verdict together
 // with the windowed fractions that produced it.
-func (s *Server) HealthSnapshot() HealthSnapshot {
+func (s *Server) HealthSnapshot() health.Snapshot {
 	h := &s.health
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -272,8 +234,8 @@ func (s *Server) HealthSnapshot() HealthSnapshot {
 	}
 	h.at, h.in, h.dropped, h.resyncLoss = now, in, dropped, resyncLoss
 
-	snap := HealthSnapshot{
-		State:              HealthOK,
+	snap := health.Snapshot{
+		State:              health.OK,
 		WindowSeconds:      window.Seconds(),
 		EventsIn:           din,
 		Dropped:            ddrop,
@@ -287,18 +249,18 @@ func (s *Server) HealthSnapshot() HealthSnapshot {
 		snap.ResyncFraction = float64(dresync) / float64(din+dresync)
 		switch {
 		case snap.LossFraction >= overloadLossRate:
-			snap.State = HealthOverloaded
+			snap.State = health.Overloaded
 		case snap.LossFraction >= degradedLossRate || snap.ResyncFraction >= degradedResyncRate:
-			snap.State = HealthDegraded
+			snap.State = health.Degraded
 		}
 	} else if dresync > 0 {
 		// Nothing assembled but the link is producing garbage.
 		snap.ResyncFraction = 1
-		snap.State = HealthDegraded
+		snap.State = health.Degraded
 	}
 	if s.wal != nil {
-		if snap.WALAppendErrors = s.wal.AppendErrors(); snap.WALAppendErrors > 0 && snap.State == HealthOK {
-			snap.State = HealthDegraded
+		if snap.WALAppendErrors = s.wal.AppendErrors(); snap.WALAppendErrors > 0 && snap.State == health.OK {
+			snap.State = health.Degraded
 		}
 	}
 	h.snap = snap
@@ -357,20 +319,20 @@ func (rw *rateWindow) update(st *Stats) (evPerSec, nsPerEvent float64) {
 
 // Snapshot is the JSON document served by the stats endpoint.
 type Snapshot struct {
-	Health        HealthState `json:"health"`
-	UptimeSeconds float64     `json:"uptime_seconds"`
-	ConnsActive   int64       `json:"conns_active"`
-	ConnsTotal    uint64      `json:"conns_total"`
-	Workers       int         `json:"workers"`
-	QueueDepth    int         `json:"queue_depth"`
-	Pixels        int         `json:"pixels"`        // served frame size (channels for 1D)
-	ServeBackend  string      `json:"serve_backend"` // resolved labeling backend: run, pixel, 1d
-	ScanKernel    string      `json:"scan_kernel"`   // suppress-pass implementation on this host: avx2, portable
-	QueueLens     []int       `json:"queue_lens"`
-	QueueHWM      int64       `json:"queue_hwm"`
-	LossFraction  float64     `json:"loss_fraction"`
-	EventsPerSec  float64     `json:"events_per_sec"` // EWMA served throughput
-	NsPerEvent    float64     `json:"ns_per_event"`   // EWMA pipeline time per event
+	Health        health.State `json:"health"`
+	UptimeSeconds float64      `json:"uptime_seconds"`
+	ConnsActive   int64        `json:"conns_active"`
+	ConnsTotal    uint64       `json:"conns_total"`
+	Workers       int          `json:"workers"`
+	QueueDepth    int          `json:"queue_depth"`
+	Pixels        int          `json:"pixels"`        // served frame size (channels for 1D)
+	ServeBackend  string       `json:"serve_backend"` // resolved labeling backend: run, pixel, 1d
+	ScanKernel    string       `json:"scan_kernel"`   // suppress-pass implementation on this host: avx2, portable
+	QueueLens     []int        `json:"queue_lens"`
+	QueueHWM      int64        `json:"queue_hwm"`
+	LossFraction  float64      `json:"loss_fraction"`
+	EventsPerSec  float64      `json:"events_per_sec"` // EWMA served throughput
+	NsPerEvent    float64      `json:"ns_per_event"`   // EWMA pipeline time per event
 	// The raw cumulative counters behind the gauges, so a scraper can take
 	// its own deltas instead of inverting the EWMA.
 	ServeNs              uint64 `json:"serve_ns"`
