@@ -9,7 +9,8 @@
 # counts as reached from outside when another package's tests execute at
 # least one of its statements; the commands count through their in-process
 # tests. bench/ is a module of its own and is not run: what only bench/
-# calls belongs in the allowlist with that reason.
+# calls belongs in the allowlist with that reason, and the reason is checked
+# against bench/'s Go files (see the end of this script).
 #
 # Only exported names are listed, outside the commands' own main packages:
 # an unexported function is reached through its package's exported ones,
@@ -74,9 +75,37 @@ if [ -n "$stale" ]; then
 	echo "reach: reached from outside now; drop from $allow:" >&2
 	echo "$stale" | sed 's/^/  /' >&2
 fi
+status=0
 missing=$(comm -23 "$work/found" "$work/allowed")
 if [ -n "$missing" ]; then
 	echo "reach: only their own package reaches these; delete them or add them to $allow with a reason:" >&2
 	echo "$missing" | sed 's/^/  /' >&2
-	exit 1
+	status=1
 fi
+
+# A reason that cites bench/ must still hold there: "bench/ calls it:
+# `<call>` in <file>" needs <file> to contain the text <call>, "bench/
+# imports internal/tileccl" needs a bench/ Go file that imports the package.
+# Otherwise the line is stale and fails, rather than outliving the bench/
+# code it cites.
+benchstale=$(sed -n 's/^\([^#]*[^#[:space:]]\)[[:space:]]*#[[:space:]]*\(bench\/.*\)$/\1|\2/p' "$allow" |
+	while IFS='|' read -r entry reason; do
+		case $reason in
+		'bench/ calls it: `'*'` in '*)
+			call=${reason#*\`}
+			call=${call%%\`*}
+			file=${reason#*\` in }
+			file=${file%%[;[:space:]]*}
+			grep -qF -- "$call" "$file" 2>/dev/null || echo "$entry" ;;
+		"bench/ imports internal/tileccl"*)
+			grep -rqF --include='*.go' "\"$mod/internal/tileccl\"" bench/ || echo "$entry" ;;
+		*)
+			echo "$entry" ;;
+		esac
+	done)
+if [ -n "$benchstale" ]; then
+	echo "reach: bench/ reason that bench/ does not bear out (cited call or import missing, or unknown form); drop from $allow or give the line its real reason:" >&2
+	echo "$benchstale" | sed 's/^/  /' >&2
+	status=1
+fi
+exit $status

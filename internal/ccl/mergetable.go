@@ -83,23 +83,6 @@ func (mt *MergeTable) Alloc() (grid.Label, error) {
 	return l, nil
 }
 
-// Entry returns the raw table value for group g (0 if g does not exist or is
-// out of range).
-func (mt *MergeTable) Entry(g grid.Label) grid.Label {
-	if g < 1 || int(g) >= len(mt.entries) {
-		return 0
-	}
-	return mt.entries[g]
-}
-
-// Entries returns a copy of the live 1-indexed entries (index 0 excluded),
-// one per allocated group — the "bottom row" of the tables drawn in Fig 5.
-func (mt *MergeTable) Entries() []grid.Label {
-	out := make([]grid.Label, mt.Len())
-	copy(out, mt.entries[1:mt.next])
-	return out
-}
-
 // Record notes that group g is equivalent to group target using the paper's
 // update rule (§4.2, Example 4.4): the entry takes the minimum of its current
 // value and target, "avoid[ing] overwriting earlier merge table entries

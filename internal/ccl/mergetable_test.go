@@ -52,11 +52,11 @@ func TestAllocSelfPointing(t *testing.T) {
 	mt := NewMergeTable(4)
 	allocN(t, mt, 3)
 	for i := grid.Label(1); i <= 3; i++ {
-		if mt.Entry(i) != i {
-			t.Errorf("fresh group %d entry = %d, want self", i, mt.Entry(i))
+		if mt.entries[i] != i {
+			t.Errorf("fresh group %d entry = %d, want self", i, mt.entries[i])
 		}
 	}
-	if mt.Entry(4) != 0 {
+	if mt.entries[4] != 0 {
 		t.Error("unallocated group must read 0 (does not exist)")
 	}
 	if mt.Len() != 3 || mt.Cap() != 4 {
@@ -72,32 +72,25 @@ func TestAllocOverflow(t *testing.T) {
 	}
 }
 
-func TestEntryOutOfRange(t *testing.T) {
-	mt := NewMergeTable(2)
-	if mt.Entry(0) != 0 || mt.Entry(-1) != 0 || mt.Entry(99) != 0 {
-		t.Error("out-of-range Entry must return 0")
-	}
-}
-
 func TestRecordTakesMinimum(t *testing.T) {
 	// §4.2: entries update to the minimum of neighbor label and existing
 	// value — Example 4.4's protection against overwriting smaller targets.
 	mt := NewMergeTable(10)
 	allocN(t, mt, 10)
 	mt.Record(9, 7)
-	if mt.Entry(9) != 7 {
-		t.Fatalf("mt[9] = %d, want 7", mt.Entry(9))
+	if mt.entries[9] != 7 {
+		t.Fatalf("mt[9] = %d, want 7", mt.entries[9])
 	}
 	// Later attempt to point 9 at a LARGER value must not overwrite.
 	mt.Record(9, 8)
-	if mt.Entry(9) != 7 {
-		t.Fatalf("mt[9] = %d after Record(9,8), want 7 kept", mt.Entry(9))
+	if mt.entries[9] != 7 {
+		t.Fatalf("mt[9] = %d after Record(9,8), want 7 kept", mt.entries[9])
 	}
 	// A smaller value does overwrite (this is where the §6 corner case can
 	// lose the 7-equivalence — that behaviour is intentional here).
 	mt.Record(9, 3)
-	if mt.Entry(9) != 3 {
-		t.Fatalf("mt[9] = %d after Record(9,3), want 3", mt.Entry(9))
+	if mt.entries[9] != 3 {
+		t.Fatalf("mt[9] = %d after Record(9,3), want 3", mt.entries[9])
 	}
 }
 
@@ -105,7 +98,7 @@ func TestRecordIgnoresNonexistent(t *testing.T) {
 	mt := NewMergeTable(5)
 	allocN(t, mt, 2)
 	mt.Record(4, 1) // group 4 does not exist
-	if mt.Entry(4) != 0 {
+	if mt.entries[4] != 0 {
 		t.Fatal("Record must not create groups")
 	}
 	mt.Record(0, 1)
@@ -146,7 +139,7 @@ func TestResolveStopsAtZero(t *testing.T) {
 	if mt.Lookup(3) != 1 {
 		t.Fatal("allocated entries must resolve")
 	}
-	if mt.Entry(5) != 0 {
+	if mt.entries[5] != 0 {
 		t.Fatal("entries past the first zero must stay untouched")
 	}
 }
@@ -158,9 +151,9 @@ func TestResolveIdempotent(t *testing.T) {
 	mt.Record(8, 5)
 	mt.Record(12, 8)
 	mt.Resolve()
-	snap := mt.Entries()
+	snap := append([]grid.Label(nil), mt.entries[1:mt.next]...)
 	mt.Resolve()
-	for i, v := range mt.Entries() {
+	for i, v := range mt.entries[1:mt.next] {
 		if v != snap[i] {
 			t.Fatalf("Resolve not idempotent at %d: %d vs %d", i+1, v, snap[i])
 		}
@@ -256,7 +249,7 @@ func TestDownwardPointerProperty(t *testing.T) {
 			}
 		}
 		for i := grid.Label(1); i <= n; i++ {
-			if e := mt.Entry(i); e < 1 || e > i {
+			if e := mt.entries[i]; e < 1 || e > i {
 				return false
 			}
 		}

@@ -15,8 +15,10 @@ func TestFrameInjectorFaults(t *testing.T) {
 	})
 	const frames = 2000
 	emitted := 0
+	var counts [FaultInsert + 1]int
 	for i := 0; i < frames; i++ {
 		chunks, fault := fi.Mutate(frame)
+		counts[fault]++
 		switch fault {
 		case FaultNone:
 			if len(chunks) != 1 || !bytes.Equal(chunks[0], frame) {
@@ -54,19 +56,10 @@ func TestFrameInjectorFaults(t *testing.T) {
 			emitted += len(c)
 		}
 	}
-	var total uint64
-	for f := FaultNone; f < numFrameFaults; f++ {
-		n := fi.Count(f)
+	for f, n := range counts {
 		if n == 0 {
-			t.Fatalf("fault %v never fired in %d frames", f, frames)
+			t.Fatalf("fault %d never fired in %d frames", f, frames)
 		}
-		total += n
-	}
-	if total != frames {
-		t.Fatalf("fault counts sum to %d, want %d (one roll per frame)", total, frames)
-	}
-	if fi.Faulted()+fi.Count(FaultNone) != frames {
-		t.Fatalf("Faulted()=%d inconsistent with counts", fi.Faulted())
 	}
 	if emitted == frames*len(frame) {
 		t.Fatal("emitted byte count unchanged; faults had no effect")
@@ -98,15 +91,4 @@ func popcount8(b byte) int {
 		n++
 	}
 	return n
-}
-
-func TestFrameFaultString(t *testing.T) {
-	for f := FaultNone; f < numFrameFaults; f++ {
-		if f.String() == "unknown" {
-			t.Fatalf("fault %d has no name", int(f))
-		}
-	}
-	if FrameFault(99).String() != "unknown" {
-		t.Fatal("out-of-range fault must stringify as unknown")
-	}
 }

@@ -26,28 +26,7 @@ const (
 	FaultDuplicate
 	// FaultInsert emits random garbage bytes before the frame — line noise.
 	FaultInsert
-	numFrameFaults
 )
-
-// String implements fmt.Stringer.
-func (f FrameFault) String() string {
-	switch f {
-	case FaultNone:
-		return "none"
-	case FaultBitFlip:
-		return "bitflip"
-	case FaultTruncate:
-		return "truncate"
-	case FaultDrop:
-		return "drop"
-	case FaultDuplicate:
-		return "duplicate"
-	case FaultInsert:
-		return "insert"
-	default:
-		return "unknown"
-	}
-}
 
 // FrameConfig sets per-frame fault probabilities. The probabilities are
 // tried in declaration order and at most one fault fires per frame, so the
@@ -64,33 +43,14 @@ type FrameConfig struct {
 // FrameInjector applies at most one fault to each frame it is offered. Not
 // safe for concurrent use.
 type FrameInjector struct {
-	cfg    FrameConfig
-	rng    *detector.RNG
-	counts [numFrameFaults]uint64
-	buf    []byte
+	cfg FrameConfig
+	rng *detector.RNG
+	buf []byte
 }
 
 // NewFrameInjector returns an injector rolling with cfg's probabilities.
 func NewFrameInjector(cfg FrameConfig) *FrameInjector {
 	return &FrameInjector{cfg: cfg, rng: detector.NewRNG(cfg.Seed)}
-}
-
-// Count returns how many times the given fault has fired (FaultNone counts
-// untouched frames).
-func (fi *FrameInjector) Count(f FrameFault) uint64 {
-	if f < 0 || f >= numFrameFaults {
-		return 0
-	}
-	return fi.counts[f]
-}
-
-// Faulted returns the total number of frames that received any fault.
-func (fi *FrameInjector) Faulted() uint64 {
-	var n uint64
-	for f := FaultNone + 1; f < numFrameFaults; f++ {
-		n += fi.counts[f]
-	}
-	return n
 }
 
 // roll picks the fault for the next frame.
@@ -119,7 +79,6 @@ func (fi *FrameInjector) roll() FrameFault {
 // A nil result means the frame was dropped.
 func (fi *FrameInjector) Mutate(frame []byte) ([][]byte, FrameFault) {
 	f := fi.roll()
-	fi.counts[f]++
 	switch f {
 	case FaultBitFlip:
 		fi.buf = append(fi.buf[:0], frame...)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/wustl-adapt/hepccl/internal/grid"
-	"github.com/wustl-adapt/hepccl/internal/hls/mem"
 	"github.com/wustl-adapt/hepccl/internal/hls/resource"
 	"github.com/wustl-adapt/hepccl/internal/hls/sched"
 )
@@ -57,14 +56,6 @@ const (
 	centroidOverhead    = 10
 )
 
-// CentroidLatency returns the worst-case cycles for an image with n pixels
-// and up to maxLabels islands.
-func CentroidLatency(n, maxLabels int) int64 {
-	accum := sched.Loop{Name: "accumulate", Trip: int64(n), Pipelined: true, II: 1, Depth: centroidAccumDepth}
-	divide := sched.Loop{Name: "divide", Trip: int64(maxLabels), Pipelined: true, II: centroidDivideII, Depth: centroidDivideDepth}
-	return accum.Latency() + divide.Latency() + centroidOverhead
-}
-
 // CentroidResources estimates the design's resource usage: three 48-bit
 // accumulator arrays plus a pixel counter, all dual-port BRAM, and the
 // sequential divider.
@@ -97,16 +88,12 @@ func RunCentroid2D(g *grid.Grid, labels *grid.Labels, maxLabels int) (*CentroidO
 	}
 	n := g.Pixels()
 
-	// Accumulator arrays, indexed by label (1-based).
-	sumV := mem.NewArray("acc_v", maxLabels+1, 48, mem.BRAMDualPort)
-	sumR := mem.NewArray("acc_vr", maxLabels+1, 48, mem.BRAMDualPort)
-	sumC := mem.NewArray("acc_vc", maxLabels+1, 48, mem.BRAMDualPort)
-	count := mem.NewArray("acc_n", maxLabels+1, 24, mem.BRAMDualPort)
-	// 48-bit accumulators exceed the int32 Array cells; model the values in
-	// shadow slices while charging the arrays for access accounting.
-	shadowV := make([]int64, maxLabels+1)
-	shadowR := make([]int64, maxLabels+1)
-	shadowC := make([]int64, maxLabels+1)
+	// Accumulator arrays, indexed by label (1-based). The hardware's are
+	// 48 bits wide (24 for the count); CentroidResources prices them.
+	sumV := make([]int64, maxLabels+1)
+	sumR := make([]int64, maxLabels+1)
+	sumC := make([]int64, maxLabels+1)
+	count := make([]int32, maxLabels+1)
 
 	// Pass 1: accumulate (II=1 over all pixels).
 	for r := 0; r < g.Rows(); r++ {
@@ -119,28 +106,25 @@ func RunCentroid2D(g *grid.Grid, labels *grid.Labels, maxLabels int) (*CentroidO
 				return nil, fmt.Errorf("design: label %d exceeds accumulator bound %d", l, maxLabels)
 			}
 			v := int64(g.At(r, c))
-			shadowV[l] += v
-			shadowR[l] += v * int64(r)
-			shadowC[l] += v * int64(c)
-			sumV.Write(int(l), int32(shadowV[l]&0x7FFFFFFF))
-			sumR.Write(int(l), int32(shadowR[l]&0x7FFFFFFF))
-			sumC.Write(int(l), int32(shadowC[l]&0x7FFFFFFF))
-			count.Write(int(l), count.Read(int(l))+1)
+			sumV[l] += v
+			sumR[l] += v * int64(r)
+			sumC[l] += v * int64(c)
+			count[l]++
 		}
 	}
 
 	// Pass 2: fixed-point divides per live label, ascending.
 	var out []CentroidFx
 	for l := 1; l <= maxLabels; l++ {
-		if shadowV[l] == 0 {
+		if sumV[l] == 0 {
 			continue
 		}
 		out = append(out, CentroidFx{
 			Label:  grid.Label(l),
-			RowQ16: fxDivide(shadowR[l], shadowV[l]),
-			ColQ16: fxDivide(shadowC[l], shadowV[l]),
-			Sum:    shadowV[l],
-			Pixels: count.Read(l),
+			RowQ16: fxDivide(sumR[l], sumV[l]),
+			ColQ16: fxDivide(sumC[l], sumV[l]),
+			Sum:    sumV[l],
+			Pixels: count[l],
 		})
 	}
 

@@ -46,8 +46,9 @@ func TestCentroid2DBasic(t *testing.T) {
 	if out.Report.DynamicCycles > out.Report.LatencyCycles {
 		t.Fatal("dynamic exceeds worst case")
 	}
-	if out.Report.LatencyCycles != CentroidLatency(9, 5) {
-		t.Fatal("report/model latency mismatch")
+	// accumulate 14+(9−1)·1, divide 36+(5−1)·2, overhead 10.
+	if out.Report.LatencyCycles != 76 {
+		t.Fatalf("latency = %d, want 76", out.Report.LatencyCycles)
 	}
 }
 
@@ -102,7 +103,11 @@ func TestCentroid2DMatchesSoftware(t *testing.T) {
 func TestCentroid2DLatencyModel(t *testing.T) {
 	// 43×43 with the label bound from the merge-table sizing: the stage is
 	// far cheaper than labeling itself and cannot bottleneck the pipeline.
-	lat := CentroidLatency(1849, ccl.SizeForPaper(43, 43))
+	out, err := RunCentroid2D(grid.New(43, 43), grid.NewLabels(43, 43), ccl.SizeForPaper(43, 43))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat := out.Report.LatencyCycles
 	if lat >= Latency(StagePipelined, grid.FourWay, 43, 43) {
 		t.Fatalf("centroid stage (%d) should be cheaper than labeling (%d)",
 			lat, Latency(StagePipelined, grid.FourWay, 43, 43))

@@ -5,7 +5,6 @@ import (
 
 	"github.com/wustl-adapt/hepccl/internal/ccl"
 	"github.com/wustl-adapt/hepccl/internal/grid"
-	"github.com/wustl-adapt/hepccl/internal/hls/mem"
 	"github.com/wustl-adapt/hepccl/internal/hls/resource"
 	"github.com/wustl-adapt/hepccl/internal/hls/sched"
 	"github.com/wustl-adapt/hepccl/internal/hls/stream"
@@ -37,7 +36,8 @@ type StreamStat struct {
 
 // Output is the result of running a design configuration on one event.
 type Output struct {
-	// Labels is the final label image emitted on the output FIFO.
+	// Labels is the final label image: the output loop's merge-table
+	// lookup of every pixel (§4.4).
 	Labels *grid.Labels
 	// Report is the Vitis-style synthesis report for the configuration.
 	Report resource.Report
@@ -79,18 +79,12 @@ func run(words []Word, cfg Config) (*Output, error) {
 		mtCap = ccl.SizeForPaper(rows, cols)
 	}
 
-	// Storage bindings per stage (§5.1–5.4).
-	mtKind := mem.Registers
-	if cfg.Stage != StageBaseline {
-		mtKind = mem.BRAMDualPort
-	}
-	data := mem.NewArray("data", n, PixelBits, mem.BRAMDualPort)
-	if cfg.Stage == StageUnrolled || cfg.Stage == StagePipelined {
-		// Arrays smaller than the unroll factor partition completely.
-		data.Partition(min(Channels, n))
-	}
-	labels := mem.NewArray("labels", n, LabelBits, mem.BRAMDualPort)
-	mt := mem.NewArray("merge_table", mtCap+1, LabelBits, mtKind)
+	// The design's arrays. Their storage bindings per stage (§5.1–5.4:
+	// register or dual-port BRAM merge table, 1-cycle BRAM reads, cyclic
+	// banks on data) are priced by loops and bramBlocks in model.go.
+	data := make([]grid.Value, n)
+	labels := make([]grid.Label, n)
+	mt := make([]grid.Label, mtCap+1)
 
 	// Merge-update streams (pipelined stage, §5.4). Depth covers the worst
 	// case of one update per pixel per stream.
@@ -99,12 +93,12 @@ func run(words []Word, cfg Config) (*Output, error) {
 	var top, left, topLeft, topRight *stream.Stream[mergeUpdate]
 	if pipelined {
 		mkdepth := n + 1
-		top = stream.New[mergeUpdate]("stream_top", mkdepth, 2*LabelBits)
-		left = stream.New[mergeUpdate]("stream_left", mkdepth, 2*LabelBits)
+		top = stream.New[mergeUpdate]("stream_top", mkdepth)
+		left = stream.New[mergeUpdate]("stream_left", mkdepth)
 		updateStreams = []*stream.Stream[mergeUpdate]{top, left}
 		if cfg.Connectivity == grid.EightWay {
-			topLeft = stream.New[mergeUpdate]("stream_topleft", mkdepth, 2*LabelBits)
-			topRight = stream.New[mergeUpdate]("stream_topright", mkdepth, 2*LabelBits)
+			topLeft = stream.New[mergeUpdate]("stream_topleft", mkdepth)
+			topRight = stream.New[mergeUpdate]("stream_topright", mkdepth)
 			updateStreams = append(updateStreams, topLeft, topRight)
 		}
 	}
@@ -114,7 +108,7 @@ func run(words []Word, cfg Config) (*Output, error) {
 		base := w * Channels
 		for c := 0; c < Channels; c++ {
 			if i := base + c; i < n {
-				data.Write(i, word[c])
+				data[i] = word[c]
 			}
 		}
 	}
@@ -134,32 +128,31 @@ func run(words []Word, cfg Config) (*Output, error) {
 	// update rule.
 	apply := func(u mergeUpdate) {
 		if u.Group == u.Target {
-			mt.Write(int(u.Group), int32(u.Group)) // new-group init
+			mt[u.Group] = u.Group // new-group init
 			return
 		}
 		if cfg.FixedUpdate {
 			// §6 "logical fix": chase both to roots, link max at min.
 			ra, rb := u.Group, u.Target
-			for grid.Label(mt.Read(int(ra))) != ra {
-				ra = grid.Label(mt.Read(int(ra)))
+			for mt[ra] != ra {
+				ra = mt[ra]
 			}
-			for grid.Label(mt.Read(int(rb))) != rb {
-				rb = grid.Label(mt.Read(int(rb)))
+			for mt[rb] != rb {
+				rb = mt[rb]
 			}
 			switch {
 			case ra == rb:
 			case ra < rb:
-				mt.Write(int(rb), int32(ra))
+				mt[rb] = ra
 			default:
-				mt.Write(int(ra), int32(rb))
+				mt[ra] = rb
 			}
 			return
 		}
 		// Published rule (Fig 6): entry takes the minimum of its current
 		// value and the incoming label, if the group exists.
-		cur := grid.Label(mt.Read(int(u.Group)))
-		if cur != 0 && u.Target < cur {
-			mt.Write(int(u.Group), int32(u.Target))
+		if cur := mt[u.Group]; cur != 0 && u.Target < cur {
+			mt[u.Group] = u.Target
 		}
 	}
 	// emit queues (pipelined) or applies (serialized) a merge update.
@@ -220,8 +213,8 @@ func run(words []Word, cfg Config) (*Output, error) {
 		prev := grid.Label(0)
 		for c := 0; c < cols; c++ {
 			idx := r*cols + c
-			if data.Read(idx) == 0 {
-				labels.Write(idx, 0)
+			if data[idx] == 0 {
+				labels[idx] = 0
 				prev = 0
 				if err := tracePixel(idx, false, 0, 0); err != nil {
 					return nil, err
@@ -245,7 +238,7 @@ func run(words []Word, cfg Config) (*Output, error) {
 				if o.DR == 0 && o.DC == -1 {
 					l = prev // buffered left neighbor
 				} else {
-					l = grid.Label(labels.Read(nr*cols + nc))
+					l = labels[nr*cols+nc]
 				}
 				if l == 0 {
 					continue
@@ -289,7 +282,7 @@ func run(words []Word, cfg Config) (*Output, error) {
 					pixelUpdates++
 				}
 			}
-			labels.Write(idx, int32(cur))
+			labels[idx] = cur
 			prev = cur
 			if err := tracePixel(idx, true, cur, pixelUpdates); err != nil {
 				return nil, err
@@ -311,11 +304,11 @@ func run(words []Word, cfg Config) (*Output, error) {
 	dynResolve := 0
 	for i := 1; i <= mtCap; i++ {
 		dynResolve++
-		e := mt.Read(i)
+		e := mt[i]
 		if e == 0 {
 			break
 		}
-		mt.Write(i, mt.Read(int(e)))
+		mt[i] = mt[e]
 	}
 
 	// ---- Output: direct merge-table lookup per pixel (§4.4).
@@ -324,17 +317,12 @@ func run(words []Word, cfg Config) (*Output, error) {
 			return nil, err
 		}
 	}
-	outFIFO := stream.New[grid.Label]("labels_out", n, LabelBits)
-	for i := 0; i < n; i++ {
-		l := grid.Label(labels.Read(i))
-		if l != 0 {
-			l = grid.Label(mt.Read(int(l)))
-		}
-		outFIFO.MustWrite(l)
-	}
 	final := grid.NewLabels(rows, cols)
-	for i := 0; i < n; i++ {
-		final.SetFlat(i, outFIFO.MustRead())
+	for i, l := range labels {
+		if l != 0 {
+			l = mt[l]
+		}
+		final.SetFlat(i, l)
 	}
 
 	// ---- Schedule & report.

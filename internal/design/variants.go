@@ -1,13 +1,10 @@
 package design
 
 import (
-	"fmt"
-
 	"github.com/wustl-adapt/hepccl/internal/ccl"
 	"github.com/wustl-adapt/hepccl/internal/grid"
 	"github.com/wustl-adapt/hepccl/internal/hls/resource"
 	"github.com/wustl-adapt/hepccl/internal/hls/sched"
-	"github.com/wustl-adapt/hepccl/internal/labeling"
 )
 
 // This file implements the §6 future-work design variants the paper names:
@@ -16,9 +13,9 @@ import (
 //	 latency by removing the need for a second scan. … We also intend to
 //	 evaluate a two-pass implementation."
 //
-// Both are built on the same pipelined substrate as the published 1.5-pass
-// design and produce comparable synthesis reports, so the three pass
-// strategies can be ranked the way the paper intends. The latency and
+// Both are priced on the same pipelined substrate as the published 1.5-pass
+// design (VariantLatency, VariantInterval, VariantResources), so the three
+// pass strategies can be ranked the way the paper intends. The latency and
 // resource models for the variants are this reproduction's estimates — the
 // paper publishes no numbers for them — constructed with the same per-loop
 // conventions that reproduce Tables 1–4 (see model.go):
@@ -44,9 +41,9 @@ import (
 // latency — exactly the latency upside §6 cites as the reason to
 // "investigate a single-pass CCL approach" — at a 25 %+ FF/LUT premium and
 // with the control complexity §3 warns about. A second observation the
-// comparison surfaces: the single-pass variant's flat table keeps every
-// class fully resolved at all times, so it is immune to the §6 corner case
-// that affects the merge-table designs.
+// comparison surfaces: the single-pass variant's flat table
+// (labeling.FlatTable) keeps every class fully resolved at all times, so it
+// is immune to the §6 corner case that affects the merge-table designs.
 
 // PassStrategy selects how label equivalences are resolved across passes.
 type PassStrategy int
@@ -60,24 +57,7 @@ const (
 	PassSingle
 )
 
-// String implements fmt.Stringer.
-func (p PassStrategy) String() string {
-	switch p {
-	case PassOneAndHalf:
-		return "1.5-pass"
-	case PassTwo:
-		return "two-pass"
-	case PassSingle:
-		return "single-pass"
-	default:
-		return fmt.Sprintf("PassStrategy(%d)", int(p))
-	}
-}
-
-// Valid reports whether p names a real strategy.
-func (p PassStrategy) Valid() bool { return p >= PassOneAndHalf && p <= PassSingle }
-
-// VariantConfig configures a future-work variant run. Variants are built on
+// VariantConfig configures a future-work variant. Variants are built on
 // the fully pipelined schedule only.
 type VariantConfig struct {
 	// Rows, Cols fix the array shape.
@@ -96,22 +76,6 @@ type VariantConfig struct {
 	// latency; the rest contribute only pipeline fill. It costs "additional
 	// buffering and logic replication" (§6), modeled in VariantResources.
 	OverlappedDataflow bool
-}
-
-func (c VariantConfig) validate() error {
-	if c.Rows < 1 || c.Cols < 1 {
-		return fmt.Errorf("design: invalid array size %dx%d", c.Rows, c.Cols)
-	}
-	if !c.Connectivity.Valid() {
-		return fmt.Errorf("design: invalid connectivity %d", int(c.Connectivity))
-	}
-	if !c.Strategy.Valid() {
-		return fmt.Errorf("design: invalid pass strategy %d", int(c.Strategy))
-	}
-	if c.OutputLanes < 0 || c.OutputLanes > Channels {
-		return fmt.Errorf("design: output lanes %d outside 0..%d", c.OutputLanes, Channels)
-	}
-	return nil
 }
 
 func (c VariantConfig) lanes() int {
@@ -234,70 +198,4 @@ func VariantResources(cfg VariantConfig) resource.Usage {
 		base.LUT += n/3 + 520
 	}
 	return base
-}
-
-// RunVariant executes a variant functionally and returns labels plus its
-// modeled synthesis report. The single-pass variant runs the flat
-// representative-table scan labeling.FlatTable (correct on all inputs) and
-// reports its provisional labels as Groups; the 1.5-pass and two-pass
-// variants use the published merge-table update and therefore share its §6
-// corner case.
-func RunVariant(g *grid.Grid, cfg VariantConfig) (*Output, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if g.Rows() != cfg.Rows || g.Cols() != cfg.Cols {
-		return nil, fmt.Errorf("design: image is %dx%d but variant was compiled for %dx%d",
-			g.Rows(), g.Cols(), cfg.Rows, cfg.Cols)
-	}
-
-	var labels *grid.Labels
-	var groups int
-	var err error
-	switch cfg.Strategy {
-	case PassOneAndHalf, PassTwo:
-		// Functionally identical to the published design: the two-pass
-		// variant rewrites the label array instead of resolving at output,
-		// producing the same final labels.
-		res, lerr := ccl.Label(g, ccl.Options{
-			Connectivity: cfg.Connectivity,
-			Mode:         ccl.ModePaper,
-		})
-		if lerr != nil {
-			return nil, lerr
-		}
-		labels, groups = res.Labels, res.Groups
-	case PassSingle:
-		labels, groups, err = labeling.FlatTable(g, cfg.Connectivity)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	lat := VariantLatency(cfg)
-	ledger := sched.NewLedger()
-	ledger.Charge("variant:"+cfg.Strategy.String(), lat)
-	innerII := int64(1)
-	if cfg.Strategy == PassSingle {
-		innerII = 2
-	}
-	return &Output{
-		Labels: labels,
-		Report: resource.Report{
-			Design:        "island_detection_2d_" + cfg.Strategy.String(),
-			Stage:         StagePipelined.String(),
-			Connectivity:  cfg.Connectivity,
-			Rows:          cfg.Rows,
-			Cols:          cfg.Cols,
-			LatencyCycles: lat,
-			II:            VariantInterval(cfg),
-			InnerII:       innerII,
-			Usage:         VariantResources(cfg),
-			ClockMHz:      ClockMHz,
-			DynamicCycles: lat,
-		},
-		Ledger:  ledger,
-		Groups:  groups,
-		Islands: labels.Count(),
-	}, nil
 }

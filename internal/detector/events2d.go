@@ -152,32 +152,6 @@ func Checkerboard(rows, cols int) *grid.Grid {
 	return g
 }
 
-// CornerCaseTile tiles the 3×5 concave pattern that triggers the §6
-// transitive-chain corner case under 4-way labeling, separated by dark rows
-// and columns so each tile is an independent instance. The returned grid has
-// tilesR×tilesC instances.
-func CornerCaseTile(tilesR, tilesC int) *grid.Grid {
-	pattern := grid.MustParse(`
-		#..#.
-		#.##.
-		###..
-	`)
-	const tr, tc = 4, 6 // tile pitch with one-pixel dark margins
-	g := grid.New(tilesR*tr, tilesC*tc)
-	for i := 0; i < tilesR; i++ {
-		for j := 0; j < tilesC; j++ {
-			for r := 0; r < pattern.Rows(); r++ {
-				for c := 0; c < pattern.Cols(); c++ {
-					if pattern.Lit(r, c) {
-						g.Set(i*tr+r, j*tc+c, 1)
-					}
-				}
-			}
-		}
-	}
-	return g
-}
-
 // Spiral draws one maximally-concave single component: a rectangular spiral
 // arm wound inward with a one-pixel gap between turns, the stress case for
 // transitive merge chains. The arm is drawn as a continuous path, so the

@@ -99,7 +99,3 @@ func (r *RNG) Exp(mean float64) float64 {
 	}
 	return -mean * math.Log(u)
 }
-
-// Split returns a new independent generator derived from this one, so
-// sub-workloads can be generated in parallel without sharing state.
-func (r *RNG) Split() *RNG { return NewRNG(r.Uint64()) }

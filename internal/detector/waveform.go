@@ -49,19 +49,12 @@ func DefaultDigitizer() DigitizerConfig {
 	}
 }
 
-// Digitize produces one channel's sampled waveform for a deposit of pe
-// photo-electrons arriving at sample time t0. Zero pe still produces
-// pedestal + noise samples, which is what the pedestal-subtraction and
-// zero-suppression stages must reject.
-func (c DigitizerConfig) Digitize(pe float64, t0 float64, rng *RNG) []int32 {
-	out := make([]int32, c.Samples)
-	c.DigitizeInto(out, pe, t0, rng)
-	return out
-}
-
-// DigitizeInto is Digitize writing into dst (len ≥ Samples), so event
-// generators can lay many channels into one contiguous backing array.
-// Every sample written is clamped to be non-negative.
+// DigitizeInto writes one channel's sampled waveform for a deposit of pe
+// photo-electrons arriving at sample time t0 into dst (len ≥ Samples), so
+// event generators can lay many channels into one contiguous backing array.
+// Zero pe still produces pedestal + noise samples, which is what the
+// pedestal-subtraction and zero-suppression stages must reject. Every sample
+// written is clamped to be non-negative.
 func (c DigitizerConfig) DigitizeInto(dst []int32, pe float64, t0 float64, rng *RNG) {
 	// Normalize the pulse so its discrete integral over the window is
 	// GainADC per photo-electron.
@@ -87,20 +80,4 @@ func (c DigitizerConfig) DigitizeInto(dst []int32, pe float64, t0 float64, rng *
 		}
 		dst[i] = s
 	}
-}
-
-// Integrate sums a sampled waveform — the FPGA pipeline's waveform
-// integration stage.
-func Integrate(samples []int32) int64 {
-	var sum int64
-	for _, s := range samples {
-		sum += int64(s)
-	}
-	return sum
-}
-
-// ExpectedPedestalIntegral returns the integral a pedestal-only window
-// produces, the value the pedestal-subtraction stage removes.
-func (c DigitizerConfig) ExpectedPedestalIntegral() int64 {
-	return int64(c.Pedestal) * int64(c.Samples)
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"github.com/wustl-adapt/hepccl/internal/design"
 	"github.com/wustl-adapt/hepccl/internal/grid"
@@ -133,16 +132,4 @@ func WriteScalingStudy(w io.Writer, conn grid.Connectivity) error {
 			fmtDelta(float64(row.Model.Usage.LUT), float64(row.Paper.LUT)))
 	}
 	return nil
-}
-
-// MaxAbsLatencyError returns the largest |relative latency error| across a
-// scaling study, used by tests to bound model drift.
-func MaxAbsLatencyError(conn grid.Connectivity) float64 {
-	worst := 0.0
-	for _, row := range ScalingStudy(conn) {
-		if d := math.Abs(pctDiff(float64(row.Model.LatencyCycles), float64(row.Paper.Latency))); d > worst {
-			worst = d
-		}
-	}
-	return worst
 }

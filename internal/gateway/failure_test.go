@@ -91,9 +91,9 @@ func TestGatewayUpstreamWriteFailure(t *testing.T) {
 	},
 		&backendHandle{addr: sink.addr, stats: sinkHealth.addr(), dead: true},
 		&backendHandle{addr: survivorAddr, stats: survivorStats, dead: true})
-	sinkB := backendByAddr(t, g, sink.addr)
+	sinkB := backendByAddr(t, g.Gateway, sink.addr)
 
-	nc, err := net.Dial("tcp", g.Addr().String())
+	nc, err := net.Dial("tcp", g.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestGatewayUpstreamWriteFailure(t *testing.T) {
 	}
 	nc.(*net.TCPConn).CloseWrite()
 	n, ids := rc.wait(t)
-	snap := checkIdentity(t, g)
+	snap := checkIdentity(t, g.Gateway)
 	if snap.Offered != total || snap.Inflight != 0 || uint64(n) != snap.Relayed {
 		t.Fatalf("offered %d inflight %d relayed %d client records %d, want %d/0/equal",
 			snap.Offered, snap.Inflight, snap.Relayed, n, total)
@@ -179,10 +179,10 @@ func TestGatewayResubmitFindsNoOwner(t *testing.T) {
 			g := startGateway(t,
 				&backendHandle{addr: sink.addr, stats: sinkHealth.addr(), dead: true},
 				&backendHandle{addr: other.addr() + "#data", stats: other.addr(), dead: true}) // never dialed
-			sinkB := backendByAddr(t, g, sink.addr)
+			sinkB := backendByAddr(t, g.Gateway, sink.addr)
 
 			const total = 4
-			nc, err := net.Dial("tcp", g.Addr().String())
+			nc, err := net.Dial("tcp", g.addr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,7 +206,7 @@ func TestGatewayResubmitFindsNoOwner(t *testing.T) {
 			nc.(*net.TCPConn).CloseWrite()
 			n, _ := rc.wait(t)
 
-			snap := checkIdentity(t, g)
+			snap := checkIdentity(t, g.Gateway)
 			if n != 0 || snap.Relayed != 0 || snap.Retried != 0 || snap.Inflight != 0 {
 				t.Fatalf("records %d relayed %d retried %d inflight %d, want all 0", n, snap.Relayed, snap.Retried, snap.Inflight)
 			}
@@ -230,14 +230,10 @@ func TestGatewayShutdownIdleClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ln := listenLocal(t)
 	served := make(chan error, 1)
-	go func() { served <- g.ListenAndServe("127.0.0.1:0") }()
-	for deadline := time.Now().Add(5 * time.Second); g.Addr() == nil; time.Sleep(2 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("gateway never bound")
-		}
-	}
-	nc, err := net.Dial("tcp", g.Addr().String())
+	go func() { served <- g.Serve(ln) }()
+	nc, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

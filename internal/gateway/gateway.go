@@ -160,15 +160,6 @@ func (g *Gateway) rebuild() {
 	g.gen.Add(1)
 }
 
-// ListenAndServe binds addr and serves until Shutdown.
-func (g *Gateway) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("gateway: listen %s: %w", addr, err)
-	}
-	return g.Serve(ln)
-}
-
 // Serve probes the fleet once (so routing starts from real health, not
 // guesses), builds the first table, starts the prober and admin endpoint,
 // and accepts client connections until Shutdown.
@@ -235,16 +226,6 @@ func (g *Gateway) Serve(ln net.Listener) error {
 		g.stats.conns.Add(1)
 		go g.handleConn(nc)
 	}
-}
-
-// Addr returns the client-facing listen address, or nil before Serve.
-func (g *Gateway) Addr() net.Addr {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.ln == nil {
-		return nil
-	}
-	return g.ln.Addr()
 }
 
 // Shutdown stops accepting, ends ingress on every client connection, waits

@@ -101,14 +101,30 @@ func (h *backendHandle) kill() {
 	h.srv.Shutdown(ctx)
 }
 
+// listenLocal binds a loopback listener on an ephemeral port.
+func listenLocal(tb testing.TB) net.Listener {
+	tb.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ln
+}
+
+// testGateway is a serving gateway and its client-facing address.
+type testGateway struct {
+	*Gateway
+	addr string
+}
+
 // startGateway serves a gateway over the handles with fast probe cadence.
-func startGateway(t *testing.T, handles ...*backendHandle) *Gateway {
+func startGateway(t *testing.T, handles ...*backendHandle) *testGateway {
 	return startGatewayCfg(t, nil, handles...)
 }
 
 // startGatewayCfg is startGateway with a hook that may retune the gateway's
 // unexported fields after New and before Serve.
-func startGatewayCfg(t *testing.T, mut func(*Gateway), handles ...*backendHandle) *Gateway {
+func startGatewayCfg(t *testing.T, mut func(*Gateway), handles ...*backendHandle) *testGateway {
 	t.Helper()
 	cfg := Config{
 		ASICs:     testPipeline().ASICs,
@@ -125,15 +141,9 @@ func startGatewayCfg(t *testing.T, mut func(*Gateway), handles ...*backendHandle
 	if mut != nil {
 		mut(g)
 	}
+	ln := listenLocal(t)
 	done := make(chan error, 1)
-	go func() { done <- g.ListenAndServe("127.0.0.1:0") }()
-	deadline := time.Now().Add(5 * time.Second)
-	for g.Addr() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("gateway never bound")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	go func() { done <- g.Serve(ln) }()
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -144,7 +154,7 @@ func startGatewayCfg(t *testing.T, mut func(*Gateway), handles ...*backendHandle
 			t.Errorf("Serve returned %v, want ErrGatewayClosed", err)
 		}
 	})
-	return g
+	return &testGateway{Gateway: g, addr: ln.Addr().String()}
 }
 
 // makeEvents digitizes n tracker events with ids base..base+n-1.
@@ -242,7 +252,7 @@ func TestGatewayEndToEnd(t *testing.T) {
 		go func(ci int) {
 			defer wg.Done()
 			events := makeEvents(t, perClient, uint32(ci*100000))
-			nc, err := net.Dial("tcp", g.Addr().String())
+			nc, err := net.Dial("tcp", g.addr)
 			if err != nil {
 				t.Error(err)
 				return
@@ -275,7 +285,7 @@ func TestGatewayEndToEnd(t *testing.T) {
 	}
 	wg.Wait()
 
-	snap := checkIdentity(t, g)
+	snap := checkIdentity(t, g.Gateway)
 	if snap.Offered != 2*perClient || snap.Relayed != 2*perClient || snap.Shed.Total() != 0 {
 		t.Fatalf("offered %d relayed %d shed %d, want %d/%d/0",
 			snap.Offered, snap.Relayed, snap.Shed.Total(), 2*perClient, 2*perClient)
@@ -294,7 +304,7 @@ func TestGatewayEndToEnd(t *testing.T) {
 func TestGatewayDropsCorruptFirstFrame(t *testing.T) {
 	g := startGateway(t, startBackend(t, server.PolicyBlock, ""))
 	events := makeEvents(t, 3, 0)
-	nc, err := net.Dial("tcp", g.Addr().String())
+	nc, err := net.Dial("tcp", g.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +328,7 @@ func TestGatewayDropsCorruptFirstFrame(t *testing.T) {
 	}
 	nc.(*net.TCPConn).CloseWrite()
 	n, ids := rc.wait(t)
-	snap := checkIdentity(t, g)
+	snap := checkIdentity(t, g.Gateway)
 	if n != 2 || ids[0] != 1 || ids[2] != 1 {
 		t.Fatalf("%d records %v, want events 0 and 2 answered once each", n, ids)
 	}
@@ -338,7 +348,7 @@ func TestGatewayDrainZeroLoss(t *testing.T) {
 
 	const phase = 300
 	events := makeEvents(t, 3*phase, 0)
-	nc, err := net.Dial("tcp", g.Addr().String())
+	nc, err := net.Dial("tcp", g.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +416,7 @@ func TestGatewayDrainZeroLoss(t *testing.T) {
 			t.Fatalf("event %d answered %d times", ev[0].Event, ids[ev[0].Event])
 		}
 	}
-	snap := checkIdentity(t, g)
+	snap := checkIdentity(t, g.Gateway)
 	if snap.Shed.Total() != 0 || snap.Inflight != 0 {
 		t.Fatalf("shed %d inflight %d, want 0/0", snap.Shed.Total(), snap.Inflight)
 	}
@@ -478,7 +488,7 @@ func TestGatewayRetryOnBackendDeath(t *testing.T) {
 
 	const total = 400
 	events := makeEvents(t, total, 0)
-	nc, err := net.Dial("tcp", g.Addr().String())
+	nc, err := net.Dial("tcp", g.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +522,7 @@ func TestGatewayRetryOnBackendDeath(t *testing.T) {
 
 	nc.(*net.TCPConn).CloseWrite()
 	n, ids := rc.wait(t)
-	snap := checkIdentity(t, g)
+	snap := checkIdentity(t, g.Gateway)
 	if snap.Retried == 0 {
 		t.Fatalf("killing a backend with in-flight events must resubmit them: %+v", snap)
 	}
@@ -546,7 +556,7 @@ func TestGatewaySoak(t *testing.T) {
 	g := startGateway(t, b0, b1)
 
 	events := makeEvents(t, 3*perPhase, 0)
-	nc, err := net.Dial("tcp", g.Addr().String())
+	nc, err := net.Dial("tcp", g.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,7 +614,7 @@ func TestGatewaySoak(t *testing.T) {
 	nc.(*net.TCPConn).CloseWrite()
 	n, ids := rc.wait(t)
 
-	snap := checkIdentity(t, g)
+	snap := checkIdentity(t, g.Gateway)
 	if snap.Inflight != 0 {
 		t.Fatalf("inflight %d after quiesce", snap.Inflight)
 	}

@@ -72,9 +72,6 @@ func (g *Grid) Cols() int { return g.cols }
 // Pixels returns the total pixel count NROWS*NCOLS.
 func (g *Grid) Pixels() int { return g.rows * g.cols }
 
-// Index converts (row, col) to the flat address row*Cols+col (§4.1).
-func (g *Grid) Index(row, col int) int { return row*g.cols + col }
-
 // In reports whether (row, col) lies inside the grid.
 func (g *Grid) In(row, col int) bool {
 	return row >= 0 && row < g.rows && col >= 0 && col < g.cols
@@ -96,9 +93,6 @@ func (g *Grid) Set(row, col int, v Value) {
 	}
 	g.data[row*g.cols+col] = v
 }
-
-// AtFlat returns the value at flat address i.
-func (g *Grid) AtFlat(i int) Value { return g.data[i] }
 
 // Flat returns the underlying row-major storage. Mutating it mutates the grid.
 func (g *Grid) Flat() []Value { return g.data }

@@ -36,17 +36,11 @@ func TestNewPanicsOnInvalid(t *testing.T) {
 func TestIndexFlattening(t *testing.T) {
 	// §4.1: address = row*NCOLS + col.
 	g := New(8, 10)
-	if got := g.Index(0, 0); got != 0 {
-		t.Errorf("Index(0,0) = %d, want 0", got)
-	}
-	if got := g.Index(1, 0); got != 10 {
-		t.Errorf("Index(1,0) = %d, want 10", got)
-	}
-	if got := g.Index(3, 7); got != 37 {
-		t.Errorf("Index(3,7) = %d, want 37", got)
-	}
-	if got := g.Index(7, 9); got != 79 {
-		t.Errorf("Index(7,9) = %d, want 79", got)
+	for _, tc := range []struct{ r, c, addr int }{{0, 0, 0}, {1, 0, 10}, {3, 7, 37}, {7, 9, 79}} {
+		g.Set(tc.r, tc.c, Value(tc.addr+1))
+		if got := g.Flat()[tc.addr]; got != Value(tc.addr+1) {
+			t.Errorf("(%d,%d) is not at flat address %d", tc.r, tc.c, tc.addr)
+		}
 	}
 }
 
@@ -55,9 +49,6 @@ func TestSetAtRoundTrip(t *testing.T) {
 	g.Set(2, 1, 42)
 	if got := g.At(2, 1); got != 42 {
 		t.Fatalf("At(2,1) = %d, want 42", got)
-	}
-	if got := g.AtFlat(g.Index(2, 1)); got != 42 {
-		t.Fatalf("AtFlat = %d, want 42", got)
 	}
 	if !g.Lit(2, 1) || g.Lit(0, 0) {
 		t.Fatal("Lit misreports")
@@ -345,12 +336,17 @@ func TestCompactIdempotentProperty(t *testing.T) {
 				l.Set(r, c, Label(seedRows[r][c]%5)) // labels 0..4
 			}
 		}
-		orig := l.Clone()
+		clone := func() *Labels {
+			c := NewLabels(6, 7)
+			copy(c.Flat(), l.Flat())
+			return c
+		}
+		orig := clone()
 		k1 := l.Compact()
 		if !l.Isomorphic(orig) {
 			return false
 		}
-		second := l.Clone()
+		second := clone()
 		k2 := second.Compact()
 		return k1 == k2 && second.Equal(l)
 	}

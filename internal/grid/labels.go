@@ -59,13 +59,6 @@ func (l *Labels) SetFlat(i int, v Label) { l.lab[i] = v }
 // Flat returns the underlying row-major label storage.
 func (l *Labels) Flat() []Label { return l.lab }
 
-// Clone returns a deep copy.
-func (l *Labels) Clone() *Labels {
-	c := NewLabels(l.rows, l.cols)
-	copy(c.lab, l.lab)
-	return c
-}
-
 // Count returns the number of distinct non-background labels present.
 func (l *Labels) Count() int {
 	seen := make(map[Label]struct{})

@@ -4,13 +4,13 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
 // PGM (portable graymap) I/O, so real camera bitmaps can flow through the
-// pipeline tools. Both the plain (P2) and raw (P5) variants are supported
-// for reading; writing emits plain P2 for diff-friendliness. Gray values map
-// directly to pixel intensities (0 = dark).
+// pipeline tools. Both the plain (P2) and raw (P5) variants are read. Gray
+// values map directly to pixel intensities (0 = dark).
 
 // ReadPGM parses a PGM image into a grid.
 func ReadPGM(r io.Reader) (*Grid, error) {
@@ -41,8 +41,23 @@ func ReadPGM(r io.Reader) (*Grid, error) {
 	if maxVal < 1 || maxVal > 65535 {
 		return nil, fmt.Errorf("grid: pgm: invalid maxval %d", maxVal)
 	}
-	g := New(height, width)
+	// The header is outside input: reject a size whose pixel count, or P5
+	// byte count, does not fit in an int rather than wrap it.
+	if width > math.MaxInt/height {
+		return nil, fmt.Errorf("grid: pgm: size %dx%d overflows", width, height)
+	}
 	n := width * height
+	// P5: binary samples, 1 byte if maxVal < 256, else 2 bytes big-endian.
+	bytesPer := 1
+	if maxVal > 255 {
+		bytesPer = 2
+	}
+	if magic == "P5" && n > math.MaxInt/bytesPer {
+		return nil, fmt.Errorf("grid: pgm: size %dx%d overflows", width, height)
+	}
+	// Pixels are read before the grid is sized, so memory grows with the
+	// input actually present, not with what the header claims.
+	var data []Value
 	if magic == "P2" {
 		for i := 0; i < n; i++ {
 			tok, err := pgmToken(br)
@@ -53,20 +68,19 @@ func ReadPGM(r io.Reader) (*Grid, error) {
 			if err != nil || v < 0 || v > maxVal {
 				return nil, fmt.Errorf("grid: pgm pixel %d: bad value %q", i, tok)
 			}
-			g.data[i] = Value(v)
+			data = append(data, Value(v))
 		}
-		return g, nil
+		return FromFlat(height, width, data)
 	}
-	// P5: binary samples, 1 byte if maxVal < 256, else 2 bytes big-endian.
-	bytesPer := 1
-	if maxVal > 255 {
-		bytesPer = 2
-	}
-	buf := make([]byte, n*bytesPer)
-	if _, err := io.ReadFull(br, buf); err != nil {
+	buf, err := io.ReadAll(io.LimitReader(br, int64(n*bytesPer)))
+	if err != nil {
 		return nil, fmt.Errorf("grid: pgm raster: %w", err)
 	}
-	for i := 0; i < n; i++ {
+	if len(buf) < n*bytesPer {
+		return nil, fmt.Errorf("grid: pgm raster: %w", io.ErrUnexpectedEOF)
+	}
+	data = make([]Value, n)
+	for i := range data {
 		var v int
 		if bytesPer == 1 {
 			v = int(buf[i])
@@ -76,9 +90,9 @@ func ReadPGM(r io.Reader) (*Grid, error) {
 		if v > maxVal {
 			return nil, fmt.Errorf("grid: pgm pixel %d: value %d exceeds maxval %d", i, v, maxVal)
 		}
-		g.data[i] = Value(v)
+		data[i] = Value(v)
 	}
-	return g, nil
+	return FromFlat(height, width, data)
 }
 
 // pgmToken returns the next whitespace-delimited token, skipping '#'
@@ -106,31 +120,4 @@ func pgmToken(br *bufio.Reader) (string, error) {
 			tok = append(tok, b)
 		}
 	}
-}
-
-// WritePGM emits the grid as a plain (P2) PGM. Values are clamped at 0 and
-// the written maxval is the grid's maximum (at least 1).
-func (g *Grid) WritePGM(w io.Writer) error {
-	maxVal := Value(1)
-	for _, v := range g.data {
-		if v > maxVal {
-			maxVal = v
-		}
-	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "P2\n# hepccl island image\n%d %d\n%d\n", g.cols, g.rows, maxVal)
-	for r := 0; r < g.rows; r++ {
-		for c := 0; c < g.cols; c++ {
-			v := g.data[r*g.cols+c]
-			if v < 0 {
-				v = 0
-			}
-			if c > 0 {
-				bw.WriteByte(' ')
-			}
-			fmt.Fprintf(bw, "%d", v)
-		}
-		bw.WriteByte('\n')
-	}
-	return bw.Flush()
 }

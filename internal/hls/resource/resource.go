@@ -88,11 +88,6 @@ type Usage struct {
 	LUT     int
 }
 
-// Add returns the component-wise sum.
-func (u Usage) Add(o Usage) Usage {
-	return Usage{BRAM18K: u.BRAM18K + o.BRAM18K, FF: u.FF + o.FF, LUT: u.LUT + o.LUT}
-}
-
 // Report mirrors one row of the paper's tables: a synthesized configuration
 // with its timing and resource results.
 type Report struct {
@@ -124,9 +119,6 @@ type Report struct {
 	DynamicCycles int64
 }
 
-// Pixels returns Rows*Cols.
-func (r Report) Pixels() int { return r.Rows * r.Cols }
-
 // LatencySeconds converts the worst-case latency to seconds at ClockMHz.
 func (r Report) LatencySeconds() float64 {
 	if r.ClockMHz <= 0 {
@@ -147,10 +139,3 @@ func (r Report) EventsPerSecond() float64 {
 
 // SizeLabel renders "8x10"-style size strings used in the tables.
 func (r Report) SizeLabel() string { return fmt.Sprintf("%dx%d", r.Rows, r.Cols) }
-
-// String renders one table row.
-func (r Report) String() string {
-	return fmt.Sprintf("%-12s %-7s %5s | lat %7d | II %7d | BRAM %3d | FF %6d | LUT %6d",
-		r.Stage, r.Connectivity, r.SizeLabel(), r.LatencyCycles, r.II,
-		r.Usage.BRAM18K, r.Usage.FF, r.Usage.LUT)
-}

@@ -55,39 +55,6 @@ func (l Loop) Latency() int64 {
 	return l.Trip * l.IterLatency
 }
 
-// EffectiveII returns the function-level initiation interval contribution:
-// for serialized loops it equals the iteration latency; for pipelined loops,
-// the II.
-func (l Loop) EffectiveII() int64 {
-	if l.Pipelined {
-		if l.II < 1 {
-			return 1
-		}
-		return l.II
-	}
-	return l.IterLatency
-}
-
-// Validate reports structural problems (used by design tests).
-func (l Loop) Validate() error {
-	if l.Trip < 0 {
-		return fmt.Errorf("sched: loop %q negative trip %d", l.Name, l.Trip)
-	}
-	if l.Pipelined {
-		if l.II < 1 {
-			return fmt.Errorf("sched: pipelined loop %q II %d < 1", l.Name, l.II)
-		}
-		if l.Depth < 1 {
-			return fmt.Errorf("sched: pipelined loop %q depth %d < 1", l.Name, l.Depth)
-		}
-		return nil
-	}
-	if l.IterLatency < 1 {
-		return fmt.Errorf("sched: serialized loop %q iteration latency %d < 1", l.Name, l.IterLatency)
-	}
-	return nil
-}
-
 // Ledger accumulates cycles charged to named regions in insertion order.
 type Ledger struct {
 	total  int64

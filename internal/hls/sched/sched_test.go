@@ -12,9 +12,6 @@ func TestSerializedLatency(t *testing.T) {
 	if got := l.Latency(); got != 640 {
 		t.Fatalf("Latency = %d, want 640", got)
 	}
-	if got := l.EffectiveII(); got != 8 {
-		t.Fatalf("EffectiveII = %d, want 8", got)
-	}
 }
 
 func TestPipelinedLatency(t *testing.T) {
@@ -23,18 +20,12 @@ func TestPipelinedLatency(t *testing.T) {
 	if got := l.Latency(); got != 104 {
 		t.Fatalf("Latency = %d, want 104", got)
 	}
-	if got := l.EffectiveII(); got != 1 {
-		t.Fatalf("EffectiveII = %d, want 1", got)
-	}
 }
 
 func TestPipelinedIIClamp(t *testing.T) {
 	l := Loop{Name: "x", Trip: 10, Pipelined: true, II: 0, Depth: 5}
 	if got := l.Latency(); got != 14 {
 		t.Fatalf("Latency = %d, want 14 (II clamped to 1)", got)
-	}
-	if got := l.EffectiveII(); got != 1 {
-		t.Fatalf("EffectiveII = %d, want 1", got)
 	}
 }
 
@@ -45,29 +36,6 @@ func TestZeroTripLoop(t *testing.T) {
 	} {
 		if l.Latency() != 0 {
 			t.Errorf("%s: zero-trip loop latency = %d, want 0", l.Name, l.Latency())
-		}
-	}
-}
-
-func TestValidate(t *testing.T) {
-	good := []Loop{
-		{Name: "s", Trip: 4, IterLatency: 2},
-		{Name: "p", Trip: 4, Pipelined: true, II: 1, Depth: 3},
-	}
-	for _, l := range good {
-		if err := l.Validate(); err != nil {
-			t.Errorf("%s: unexpected error %v", l.Name, err)
-		}
-	}
-	bad := []Loop{
-		{Name: "neg", Trip: -1, IterLatency: 1},
-		{Name: "ii0", Trip: 4, Pipelined: true, II: 0, Depth: 3},
-		{Name: "d0", Trip: 4, Pipelined: true, II: 1, Depth: 0},
-		{Name: "il0", Trip: 4, IterLatency: 0},
-	}
-	for _, l := range bad {
-		if err := l.Validate(); err == nil {
-			t.Errorf("%s: expected validation error", l.Name)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 // Package stream models hls::stream FIFO channels as used by the dataflow
 // pipeline in the paper (§5.4): bounded queues connecting design stages, with
-// occupancy tracking so the resource estimator can size their hardware
-// implementation (shift registers vs. LUTRAM vs. BRAM).
+// write and high-water-mark counters for the design's stream statistics.
 //
 // The designs in internal/design execute single-threaded cycle simulations,
 // so streams are simple bounded queues rather than goroutine-safe channels;
@@ -11,55 +10,34 @@ package stream
 
 import "fmt"
 
-// Stream is a bounded FIFO of T with hardware metadata.
+// Stream is a bounded FIFO of T with traffic counters.
 type Stream[T any] struct {
-	name      string
-	depth     int
-	widthBits int
-	buf       []T
-	head      int // index of the oldest element in buf (ring)
-	n         int // current occupancy
-	maxOcc    int
-	reads     int64
-	writes    int64
+	name   string
+	depth  int
+	buf    []T
+	head   int // index of the oldest element in buf (ring)
+	n      int // current occupancy
+	maxOcc int
+	writes int64
 }
 
-// New returns an empty stream. depth is the FIFO capacity in elements;
-// widthBits is the hardware width of one element (for resource estimation).
-func New[T any](name string, depth, widthBits int) *Stream[T] {
+// New returns an empty stream. depth is the FIFO capacity in elements.
+func New[T any](name string, depth int) *Stream[T] {
 	if depth < 1 {
 		panic(fmt.Sprintf("stream %q: depth must be >= 1, got %d", name, depth))
 	}
-	if widthBits < 1 {
-		panic(fmt.Sprintf("stream %q: widthBits must be >= 1, got %d", name, widthBits))
-	}
-	return &Stream[T]{name: name, depth: depth, widthBits: widthBits, buf: make([]T, depth)}
+	return &Stream[T]{name: name, depth: depth, buf: make([]T, depth)}
 }
 
 // Name returns the stream's name.
 func (s *Stream[T]) Name() string { return s.name }
 
-// Depth returns the FIFO capacity in elements.
-func (s *Stream[T]) Depth() int { return s.depth }
-
-// WidthBits returns the element width in bits.
-func (s *Stream[T]) WidthBits() int { return s.widthBits }
-
-// Len returns the current occupancy.
-func (s *Stream[T]) Len() int { return s.n }
-
 // Empty reports whether the FIFO holds no elements.
 func (s *Stream[T]) Empty() bool { return s.n == 0 }
-
-// Full reports whether the FIFO is at capacity.
-func (s *Stream[T]) Full() bool { return s.n == s.depth }
 
 // MaxOccupancy returns the high-water mark since creation — what the FIFO
 // depth actually needed to be.
 func (s *Stream[T]) MaxOccupancy() int { return s.maxOcc }
-
-// Reads returns the total successful Read count.
-func (s *Stream[T]) Reads() int64 { return s.reads }
 
 // Writes returns the total successful Write count.
 func (s *Stream[T]) Writes() int64 { return s.writes }
@@ -91,20 +69,12 @@ func (s *Stream[T]) Read() (T, error) {
 	s.buf[s.head] = zero
 	s.head = (s.head + 1) % s.depth
 	s.n--
-	s.reads++
 	return v, nil
 }
 
-// MustWrite is Write that panics on overflow; used by designs whose FIFO
-// sizing has been proven sufficient (a panic indicates a design bug, exactly
+// MustRead is Read that panics on underflow; used by designs whose FIFO
+// traffic has been proven balanced (a panic indicates a design bug, exactly
 // like a co-sim deadlock).
-func (s *Stream[T]) MustWrite(v T) {
-	if err := s.Write(v); err != nil {
-		panic(err)
-	}
-}
-
-// MustRead is Read that panics on underflow.
 func (s *Stream[T]) MustRead() T {
 	v, err := s.Read()
 	if err != nil {
@@ -112,16 +82,3 @@ func (s *Stream[T]) MustRead() T {
 	}
 	return v
 }
-
-// Drain reads every element currently queued, in order.
-func (s *Stream[T]) Drain() []T {
-	out := make([]T, 0, s.n)
-	for s.n > 0 {
-		out = append(out, s.MustRead())
-	}
-	return out
-}
-
-// Bits returns the total storage the FIFO represents (depth × width), used
-// by the resource estimator to pick an implementation.
-func (s *Stream[T]) Bits() int { return s.depth * s.widthBits }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestFIFOOrder(t *testing.T) {
-	s := New[int]("q", 4, 32)
+	s := New[int]("q", 4)
 	for i := 1; i <= 4; i++ {
 		if err := s.Write(i); err != nil {
 			t.Fatal(err)
@@ -26,13 +26,18 @@ func TestFIFOOrder(t *testing.T) {
 	}
 }
 
-func TestOverflowUnderflow(t *testing.T) {
-	s := New[int]("q", 2, 8)
-	s.MustWrite(1)
-	s.MustWrite(2)
-	if !s.Full() {
-		t.Fatal("should be full")
+// mustWrite writes v, failing the test on overflow.
+func mustWrite(t *testing.T, s *Stream[int], v int) {
+	t.Helper()
+	if err := s.Write(v); err != nil {
+		t.Fatal(err)
 	}
+}
+
+func TestOverflowUnderflow(t *testing.T) {
+	s := New[int]("q", 2)
+	mustWrite(t, s, 1)
+	mustWrite(t, s, 2)
 	if err := s.Write(3); err == nil {
 		t.Fatal("write to full FIFO must error")
 	}
@@ -44,16 +49,8 @@ func TestOverflowUnderflow(t *testing.T) {
 }
 
 func TestMustPanics(t *testing.T) {
-	s := New[int]("q", 1, 8)
-	s.MustWrite(1)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("MustWrite on full FIFO must panic")
-			}
-		}()
-		s.MustWrite(2)
-	}()
+	s := New[int]("q", 1)
+	mustWrite(t, s, 1)
 	s.MustRead()
 	func() {
 		defer func() {
@@ -66,70 +63,46 @@ func TestMustPanics(t *testing.T) {
 }
 
 func TestHighWaterMark(t *testing.T) {
-	s := New[int]("q", 8, 16)
-	s.MustWrite(1)
-	s.MustWrite(2)
-	s.MustWrite(3)
+	s := New[int]("q", 8)
+	mustWrite(t, s, 1)
+	mustWrite(t, s, 2)
+	mustWrite(t, s, 3)
 	s.MustRead()
-	s.MustWrite(4)
+	mustWrite(t, s, 4)
 	if s.MaxOccupancy() != 3 {
 		t.Fatalf("MaxOccupancy = %d, want 3", s.MaxOccupancy())
 	}
-	if s.Reads() != 1 || s.Writes() != 4 {
-		t.Fatalf("reads/writes = %d/%d, want 1/4", s.Reads(), s.Writes())
-	}
-}
-
-func TestDrain(t *testing.T) {
-	s := New[string]("q", 4, 8)
-	s.MustWrite("a")
-	s.MustWrite("b")
-	got := s.Drain()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Drain = %v", got)
-	}
-	if !s.Empty() {
-		t.Fatal("Drain must empty the FIFO")
+	if s.Writes() != 4 {
+		t.Fatalf("writes = %d, want 4", s.Writes())
 	}
 }
 
 func TestMetadata(t *testing.T) {
-	s := New[int]("merged_integrals", 5, 512)
-	if s.Name() != "merged_integrals" || s.Depth() != 5 || s.WidthBits() != 512 {
-		t.Fatal("metadata wrong")
-	}
-	if s.Bits() != 2560 {
-		t.Fatalf("Bits = %d, want 2560", s.Bits())
+	s := New[int]("merged_integrals", 5)
+	if s.Name() != "merged_integrals" {
+		t.Fatalf("Name = %q", s.Name())
 	}
 }
 
 func TestConstructorPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { New[int]("q", 0, 8) },
-		func() { New[int]("q", 4, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("invalid constructor args must panic")
-				}
-			}()
-			fn()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("depth 0 must panic")
+		}
+	}()
+	New[int]("q", 0)
 }
 
 // Property: any interleaving of writes and reads preserves FIFO order.
 func TestFIFOOrderProperty(t *testing.T) {
 	f := func(ops []bool) bool {
-		s := New[int]("q", 64, 32)
+		s := New[int]("q", 64)
 		next, expect := 0, 0
 		for _, isWrite := range ops {
 			if isWrite {
-				if s.Full() {
+				if s.Write(next) != nil {
 					continue
 				}
-				s.MustWrite(next)
 				next++
 			} else {
 				if s.Empty() {
@@ -158,11 +131,10 @@ func TestFIFOOrderProperty(t *testing.T) {
 // Property: ring wrap-around never corrupts data across many cycles.
 func TestRingWrapProperty(t *testing.T) {
 	f := func(n uint8) bool {
-		s := New[int]("q", 3, 8)
+		s := New[int]("q", 3)
 		val := 0
 		for i := 0; i < int(n); i++ {
-			s.MustWrite(val)
-			if s.MustRead() != val {
+			if s.Write(val) != nil || s.MustRead() != val {
 				return false
 			}
 			val++

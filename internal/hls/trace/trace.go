@@ -150,9 +150,6 @@ func (v *VCD) flushChanges() error {
 	return nil
 }
 
-// Now returns the current tick count.
-func (v *VCD) Now() uint64 { return v.now }
-
 // Close flushes pending changes and the underlying buffer.
 func (v *VCD) Close() error {
 	if v.began {

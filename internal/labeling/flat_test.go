@@ -125,3 +125,69 @@ func TestMinRepresentativeProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: FlatTable is label-isomorphic to flood fill on random 8×10
+// grids at one-third occupancy, under both connectivities.
+func TestFlatTableMatchesFloodFill(t *testing.T) {
+	golden := FloodFill{}
+	f := func(cells [80]byte) bool {
+		g := grid.New(8, 10)
+		for i, b := range cells {
+			if b%3 == 0 {
+				g.Flat()[i] = grid.Value(b%7) + 1
+			}
+		}
+		for _, conn := range []grid.Connectivity{grid.FourWay, grid.EightWay} {
+			want, err := golden.Label(g, conn)
+			if err != nil {
+				return false
+			}
+			got, _, err := FlatTable(g, conn)
+			if err != nil || !got.Isomorphic(want) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// The flat table is always fully resolved, so the §6 corner case that
+// splits the published merge-table design (ccl's
+// TestCornerCasePaperModeSplits) stays one island here.
+func TestFlatTableImmuneToCornerCase(t *testing.T) {
+	g := grid.MustParse("#..#.\n#.##.\n###..")
+	got, _, err := FlatTable(g, grid.FourWay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Count() != 1 {
+		t.Fatalf("flat-table islands = %d, want 1", got.Count())
+	}
+}
+
+// The 8×10 4-way checkerboard is the table's worst case: 40 single-pixel
+// islands fill its (rows·cols+1)/2 capacity exactly, and must not overflow.
+func TestFlatTableCheckerboard(t *testing.T) {
+	g := grid.New(8, 10)
+	for r := 0; r < 8; r++ {
+		for c := 0; c < 10; c++ {
+			if (r+c)%2 == 0 {
+				g.Set(r, c, 1)
+			}
+		}
+	}
+	got, _, err := FlatTable(g, grid.FourWay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Count() != 40 {
+		t.Fatalf("islands = %d, want 40", got.Count())
+	}
+	golden, _ := FloodFill{}.Label(g, grid.FourWay)
+	if !got.Isomorphic(golden) {
+		t.Fatal("flat-table wrong on checkerboard")
+	}
+}

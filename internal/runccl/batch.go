@@ -127,9 +127,6 @@ func (b *Batch) EndEvent() {
 	b.evOff = append(b.evOff, b.next)
 }
 
-// Events returns the number of sealed events.
-func (b *Batch) Events() int { return len(b.evOff) - 1 }
-
 // Runs returns the run count of the sealed events.
 func (b *Batch) Runs() int { return int(b.evOff[len(b.evOff)-1]) }
 

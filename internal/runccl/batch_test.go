@@ -70,8 +70,8 @@ func TestBatchMatchesEngine(t *testing.T) {
 			frames[i] = randomFrame(rng, rows, cols, float64(i)*0.08)
 			batchFeed(e, b, frames[i])
 		}
-		if b.Events() != nEv {
-			t.Fatalf("%s: %d events, want %d", conn, b.Events(), nEv)
+		if len(b.evOff)-1 != nEv {
+			t.Fatalf("%s: %d events, want %d", conn, len(b.evOff)-1, nEv)
 		}
 		for i := range frames {
 			sameIslands(t, fmt.Sprintf("%s event %d", conn, i),
@@ -159,8 +159,8 @@ func TestBatchReuse(t *testing.T) {
 	}
 	sparse := randomFrame(rng, 16, 64, 0.1)
 	b.Reset()
-	if b.Events() != 0 || b.Runs() != 0 {
-		t.Fatalf("Reset left %d events, %d runs", b.Events(), b.Runs())
+	if len(b.evOff)-1 != 0 || b.Runs() != 0 {
+		t.Fatalf("Reset left %d events, %d runs", len(b.evOff)-1, b.Runs())
 	}
 	batchFeed(e, b, sparse)
 	fresh := e.NewBatch()
@@ -326,7 +326,7 @@ func TestBatchBit(t *testing.T) {
 		check := func(fl int) {
 			r, c := fl/cols, fl%cols
 			w, bit := b.Bit(fl)
-			if w != r*e.WordsPerRow()+c/64 || bit != 1<<(c%64) {
+			if w != r*e.wpr+c/64 || bit != 1<<(c%64) {
 				t.Fatalf("%dx%d pixel %d: Bit = (%d, %#x), want row %d column %d", rows, cols, fl, w, bit, r, c)
 			}
 		}

@@ -85,13 +85,10 @@ func NewEngine(rows, cols int, conn grid.Connectivity) (*Engine, error) {
 	return e, nil
 }
 
-// WordsPerRow returns the packed-bitmap stride: each image row occupies this
-// many uint64 words, starting at a word boundary (bit c of the row lives in
-// word c/64, bit position c%64). Bits at or beyond Cols in a row's last word
-// must be zero.
-func (e *Engine) WordsPerRow() int { return e.wpr }
-
-// BitmapLen returns the required bitmap length, rows × WordsPerRow.
+// BitmapLen returns the required packed-bitmap length. Each image row
+// occupies ⌈Cols/64⌉ uint64 words, starting at a word boundary (bit c of the
+// row lives in word c/64, bit position c%64). Bits at or beyond Cols in a
+// row's last word must be zero.
 func (e *Engine) BitmapLen() int { return e.rows * e.wpr }
 
 // Pack fills bitmap (reusing its capacity) with the lit-pixel bits of the
