@@ -29,8 +29,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -194,41 +192,11 @@ type daemonOpts struct {
 	replayRate   float64
 }
 
-// parseGeometry parses a "RxC" frame geometry like "512x512" or "768x1024".
-func parseGeometry(s string) (rows, cols int, err error) {
-	i := strings.IndexByte(s, 'x')
-	if i <= 0 || i == len(s)-1 {
-		return 0, 0, fmt.Errorf("geometry %q is not RxC", s)
-	}
-	if rows, err = strconv.Atoi(s[:i]); err != nil {
-		return 0, 0, fmt.Errorf("geometry %q: bad rows", s)
-	}
-	if cols, err = strconv.Atoi(s[i+1:]); err != nil {
-		return 0, 0, fmt.Errorf("geometry %q: bad cols", s)
-	}
-	if rows <= 0 || cols <= 0 {
-		return 0, 0, fmt.Errorf("geometry %q: dimensions must be positive", s)
-	}
-	return rows, cols, nil
-}
-
 // buildConfig resolves flags into a server configuration.
 func buildConfig(o daemonOpts) (server.Config, error) {
-	var pcfg adapt.Config
-	switch o.config {
-	case "adapt":
-		pcfg = adapt.DefaultADAPT()
-	case "cta":
-		pcfg = adapt.DefaultCTA()
-	default:
-		rows, cols, err := parseGeometry(o.config)
-		if err != nil {
-			return server.Config{}, fmt.Errorf("unknown -config %q (want adapt, cta, or RxC like 512x512)", o.config)
-		}
-		pcfg = adapt.DefaultFrame(rows, cols)
-	}
-	if o.samples > 0 {
-		pcfg.SamplesPerChannel = o.samples
+	pcfg, err := adapt.NamedConfig(o.config, o.samples)
+	if err != nil {
+		return server.Config{}, err
 	}
 	var policy server.OverflowPolicy
 	switch o.policy {

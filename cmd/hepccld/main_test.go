@@ -89,9 +89,11 @@ func TestBuildConfigHardening(t *testing.T) {
 }
 
 func TestBuildConfigErrors(t *testing.T) {
-	if _, err := buildConfig(daemonOpts{config: "nope", samples: 4, workers: 1, queue: 8, policy: "drop", seed: 1}); err == nil ||
-		!strings.Contains(err.Error(), "-config") {
-		t.Fatalf("bad config name: got %v", err)
+	for _, name := range []string{"nope", "8x8x9", "512x", "0x512"} {
+		if _, err := buildConfig(daemonOpts{config: name, samples: 4, workers: 1, queue: 8, policy: "drop", seed: 1}); err == nil ||
+			!strings.Contains(err.Error(), "-config") {
+			t.Fatalf("bad config name %q: got %v", name, err)
+		}
 	}
 	if _, err := buildConfig(daemonOpts{config: "cta", samples: 4, workers: 1, queue: 8, policy: "spill", seed: 1}); err == nil ||
 		!strings.Contains(err.Error(), "-policy") {

@@ -54,13 +54,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		listen     = fs.String("listen", "127.0.0.1:9300", "client-facing event listen address")
 		statsAddr  = fs.String("stats", "", "admin endpoint address: /stats /healthz /drain /add (empty disables)")
 		backends   = fs.String("backends", "", "comma-separated backend list, each dataAddr=statsAddr")
-		configName = fs.String("config", "cta", "fleet pipeline configuration: adapt (1D) or cta (2D 43x43); sets frames per event")
-		asics      = fs.Int("asics", 0, "frames per event override (0 keeps the config default)")
+		configName = fs.String("config", "cta", "fleet pipeline configuration: adapt (1D), cta (2D 43x43), or RxC (2D frame geometry, e.g. 512x512); sets frames per event")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cfg, err := buildConfig(*configName, *asics, *backends)
+	cfg, err := buildConfig(*configName, *backends)
 	if err != nil {
 		return err
 	}
@@ -96,21 +95,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 }
 
-// buildConfig resolves the pipeline geometry and backend list.
-func buildConfig(configName string, asics int, backends string) (gateway.Config, error) {
-	var pcfg adapt.Config
-	switch configName {
-	case "adapt":
-		pcfg = adapt.DefaultADAPT()
-	case "cta":
-		pcfg = adapt.DefaultCTA()
-	default:
-		return gateway.Config{}, fmt.Errorf("unknown -config %q", configName)
+// buildConfig resolves the frames per event and backend list.
+func buildConfig(configName, backends string) (gateway.Config, error) {
+	pcfg, err := adapt.NamedConfig(configName, 0)
+	if err != nil {
+		return gateway.Config{}, err
 	}
-	if asics == 0 {
-		asics = pcfg.ASICs
-	}
-	cfg := gateway.Config{ASICs: asics}
+	cfg := gateway.Config{ASICs: pcfg.ASICs}
 	if backends == "" {
 		return gateway.Config{}, fmt.Errorf("-backends is required")
 	}

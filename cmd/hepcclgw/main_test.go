@@ -34,6 +34,37 @@ func (l *lockedLog) String() string {
 	return l.b.String()
 }
 
+// TestBuildConfig resolves -config through the resolver hepccld uses, so the
+// gateway can front any daemon geometry, and names bad input.
+func TestBuildConfig(t *testing.T) {
+	for _, tc := range []struct {
+		config string
+		asics  int
+	}{{"cta", 116}, {"adapt", 20}, {"8x8", 4}, {"512x512", 16384}} {
+		cfg, err := buildConfig(tc.config, "127.0.0.1:9310=127.0.0.1:9311")
+		if err != nil {
+			t.Fatalf("-config %s: %v", tc.config, err)
+		}
+		if cfg.ASICs != tc.asics || len(cfg.Backends) != 1 {
+			t.Fatalf("-config %s: %d frames per event, %d backends; want %d, 1", tc.config, cfg.ASICs, len(cfg.Backends), tc.asics)
+		}
+	}
+	for _, tc := range []struct{ config, backends, want string }{
+		{"8x8x9", "a=b", "-config"},
+		{"nope", "a=b", "-config"},
+		{"cta", "", "-backends"},
+		{"cta", "a", "dataAddr=statsAddr"},
+	} {
+		if _, err := buildConfig(tc.config, tc.backends); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("-config %q -backends %q: got %v, want an error naming %s", tc.config, tc.backends, err, tc.want)
+		}
+	}
+	if err := run(context.Background(), []string{"-asics", "4"}, io.Discard); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-asics left with -config RxC: got %v", err)
+	}
+}
+
 // TestRelayOneEvent starts hepcclgw through run in front of one in-process
 // hepccld, relays one event to its record on the offering connection, and
 // stops it: run drains, logs the exact ledger and returns nil.
@@ -66,7 +97,7 @@ func TestRelayOneEvent(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run(ctx, []string{
-			"-listen", "127.0.0.1:0", "-config", "adapt", "-asics", "4",
+			"-listen", "127.0.0.1:0", "-config", "8x8",
 			"-backends", srv.Addr().String() + "=" + srv.StatsAddr().String(),
 		}, &logs)
 	}()

@@ -105,7 +105,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-addr names no targets")
 	}
 
-	cfg, err := pipelineConfig(*configName, *samples)
+	cfg, err := adapt.NamedConfig(*configName, *samples)
 	if err != nil {
 		return err
 	}
@@ -224,8 +224,11 @@ func run(args []string, out io.Writer) error {
 		total.Sent, total.SendTime.Seconds(), offered)
 	fmt.Fprintf(out, "received %d records (%d islands) in %.2fs -> %.0f ev/s served\n",
 		total.Records, total.Islands, total.RecvTime.Seconds(), served)
-	fmt.Fprintf(out, "lost     %d events (%.3f%%), wall %.2fs\n",
-		lost, 100*float64(lost)/float64(total.Sent), wall.Seconds())
+	fmt.Fprintf(out, "lost     %d events", lost)
+	if total.Sent > 0 {
+		fmt.Fprintf(out, " (%.3f%%)", 100*float64(lost)/float64(total.Sent))
+	}
+	fmt.Fprintf(out, ", wall %.2fs\n", wall.Seconds())
 	if useChaos {
 		// Under clean-kill faults every lost event has exactly one cause, so
 		// this line lets the operator check lost == corrupted + partials.
@@ -272,26 +275,6 @@ func targetName(rate float64, poisson bool) string {
 		return fmt.Sprintf("%.0f ev/s (Poisson)", rate)
 	}
 	return fmt.Sprintf("%.0f ev/s (paced)", rate)
-}
-
-func pipelineConfig(name string, samples int) (adapt.Config, error) {
-	var cfg adapt.Config
-	switch name {
-	case "adapt":
-		cfg = adapt.DefaultADAPT()
-	case "cta":
-		cfg = adapt.DefaultCTA()
-	default:
-		var rows, cols int
-		if n, err := fmt.Sscanf(name, "%dx%d", &rows, &cols); n != 2 || err != nil || rows <= 0 || cols <= 0 {
-			return cfg, fmt.Errorf("unknown -config %q (want adapt, cta, or RxC like 512x512)", name)
-		}
-		cfg = adapt.DefaultFrame(rows, cols)
-	}
-	if samples > 0 {
-		cfg.SamplesPerChannel = samples
-	}
-	return cfg, nil
 }
 
 // template is one pre-serialized detector event: its whole wire image and a

@@ -14,23 +14,40 @@ import (
 	"github.com/wustl-adapt/hepccl/internal/server"
 )
 
+// TestPipelineConfig resolves -config names through adapt.NamedConfig, the
+// resolver hepccld and hepcclgw share.
 func TestPipelineConfig(t *testing.T) {
-	cfg, err := pipelineConfig("cta", 4)
+	cfg, err := adapt.NamedConfig("cta", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.ASICs != 116 || cfg.SamplesPerChannel != 4 {
 		t.Fatalf("cta/4 -> %d ASICs, %d samples", cfg.ASICs, cfg.SamplesPerChannel)
 	}
-	cfg, err = pipelineConfig("adapt", 0)
+	cfg, err = adapt.NamedConfig("adapt", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.SamplesPerChannel != 16 {
 		t.Fatalf("samples=0 must keep the default, got %d", cfg.SamplesPerChannel)
 	}
-	if _, err := pipelineConfig("nope", 4); err == nil {
-		t.Fatal("unknown config must fail")
+	cfg, err = adapt.NamedConfig("512x512", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.ASICs != 512*512/adapt.ChannelsPerASIC {
+		t.Fatalf("512x512 -> %d ASICs", cfg.ASICs)
+	}
+	for _, name := range []string{"nope", "8x8x9", "8x", "x8", "0x8", "8x-1", ""} {
+		if _, err := adapt.NamedConfig(name, 4); err == nil || !strings.Contains(err.Error(), "-config") {
+			t.Fatalf("config %q: got %v, want an unknown -config error", name, err)
+		}
+	}
+	// The command rejects a trailing-junk geometry before sending anything.
+	var out strings.Builder
+	if err := run([]string{"-config", "8x8x9", "-addr", "127.0.0.1:1"}, &out); err == nil ||
+		!strings.Contains(err.Error(), "-config") || out.Len() != 0 {
+		t.Fatalf("-config 8x8x9: got %v after output %q, want an unknown -config error first", err, out.String())
 	}
 }
 
@@ -38,7 +55,7 @@ func TestPipelineConfig(t *testing.T) {
 // the real stream reader: every template must be one complete event with the
 // expected id, ASIC count, and window length.
 func TestDigitizeTemplatesRoundTrip(t *testing.T) {
-	cfg, err := pipelineConfig("adapt", 4)
+	cfg, err := adapt.NamedConfig("adapt", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,13 +122,21 @@ func TestRunRejectsBadArgs(t *testing.T) {
 	if err := run([]string{"-templates", "0"}, io.Discard); err == nil {
 		t.Fatal("zero templates must fail")
 	}
+	// A run that sends nothing reports its loss without a fraction.
+	var out strings.Builder
+	if err := run([]string{"-addr", "127.0.0.1:1", "-events", "1", "-conns", "1", "-dial-retries", "1"}, &out); err == nil {
+		t.Fatal("an unreachable target must fail")
+	}
+	if s := out.String(); strings.Contains(s, "NaN") || !strings.Contains(s, "lost     0 events, wall") {
+		t.Fatalf("nothing sent; want a lost line without a fraction:\n%s", s)
+	}
 }
 
 // startDaemon serves the adapt configuration from an in-process block-policy
 // daemon on a loopback port, shut down when the test ends.
 func startDaemon(t *testing.T) (*server.Server, string) {
 	t.Helper()
-	pcfg, err := pipelineConfig("adapt", 4)
+	pcfg, err := adapt.NamedConfig("adapt", 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,8 @@ package adapt
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"github.com/wustl-adapt/hepccl/internal/ccl"
 	"github.com/wustl-adapt/hepccl/internal/centroid"
@@ -122,6 +124,32 @@ func DefaultCTA() Config {
 			},
 		},
 	}
+}
+
+// NamedConfig resolves the -config name the commands share: adapt
+// (DefaultADAPT), cta (DefaultCTA) or RxC, a 2D frame geometry such as
+// 512x512 (DefaultFrame). A positive samples overrides the configuration's
+// SamplesPerChannel.
+func NamedConfig(name string, samples int) (Config, error) {
+	var cfg Config
+	switch name {
+	case "adapt":
+		cfg = DefaultADAPT()
+	case "cta":
+		cfg = DefaultCTA()
+	default:
+		r, c, ok := strings.Cut(name, "x")
+		rows, rerr := strconv.Atoi(r)
+		cols, cerr := strconv.Atoi(c)
+		if !ok || rerr != nil || cerr != nil || rows <= 0 || cols <= 0 {
+			return cfg, fmt.Errorf("unknown -config %q (want adapt, cta, or RxC like 512x512)", name)
+		}
+		cfg = DefaultFrame(rows, cols)
+	}
+	if samples > 0 {
+		cfg.SamplesPerChannel = samples
+	}
+	return cfg, nil
 }
 
 // Pipeline is one instantiated FPGA pipeline. A Pipeline holds calibration

@@ -87,13 +87,13 @@ type Backend struct {
 	// records returned and relayed to clients; inflight is their difference
 	// plus any events staged in upstream write buffers.
 	forwarded atomic.Uint64
-	relayed   atomic.Uint64
-	inflight  atomic.Int64
+	relayed   atomic.Uint64 //hepccl:accounted
+	inflight  atomic.Int64  //hepccl:accounted
 	// failed counts events charged to this backend on connection errors;
 	// dropped counts events the backend consumed but never answered (its
 	// derandomizer dropped them under PolicyDrop).
-	failed  atomic.Uint64
-	dropped atomic.Uint64
+	failed  atomic.Uint64 //hepccl:accounted
+	dropped atomic.Uint64 //hepccl:accounted
 	// conns counts live upstream connections to this backend.
 	conns atomic.Int64
 }

@@ -26,7 +26,9 @@ import (
 // Accounting is exact by construction: every event framed off a client is
 // counted offered, and ends in exactly one of relayed (a record reached the
 // client), shed_overload, shed_no_backend, shed_backend_failed,
-// shed_backend_dropped — or is still in flight. Charging and settling share
+// shed_backend_dropped — or is still in flight. Relayed, in flight and the
+// two backend sheds are counted once, on the backend charged with the event;
+// the gateway totals are their sums. Charging and settling share
 // the upstream's mutex, so an event charged concurrently with the stream
 // dying is always either in the settle remainder or individually shed,
 // never both and never neither. The soak test asserts the identity
@@ -193,9 +195,8 @@ func (c *clientConn) send(ups map[*Backend]*upstream, event uint32, raw []byte, 
 				// Dial failure: the event is charged to no upstream (a
 				// resubmitted one was settled out of its dead upstream
 				// first), so this shed has no settle to race with.
-				b.failed.Add(1)
 				//hepccl:checked
-				g.stats.shedBackendFailed.Add(1)
+				b.failed.Add(1)
 				g.markBackendDown(b, err)
 				return
 			}
@@ -274,7 +275,6 @@ func (c *clientConn) charge(u *upstream, event uint32, raw []byte, retried bool)
 	u.held = append(u.held, heldEvent{event: event, retried: retried, raw: append(buf[:0], raw...)})
 	u.b.inflight.Add(1)
 	u.b.forwarded.Add(1)
-	c.g.stats.inflight.Add(1)
 	return true
 }
 
@@ -300,8 +300,6 @@ func (c *clientConn) ack(u *upstream, id uint32) {
 			// Nothing held at all: still one delivered record.
 			u.b.inflight.Add(-1)
 			u.b.relayed.Add(1)
-			c.g.stats.inflight.Add(-1)
-			c.g.stats.relayed.Add(1)
 			return
 		}
 		j = u.head
@@ -309,13 +307,9 @@ func (c *clientConn) ack(u *upstream, id uint32) {
 	if skipped := int64(j - u.head); skipped > 0 {
 		u.b.inflight.Add(-skipped)
 		u.b.dropped.Add(uint64(skipped))
-		c.g.stats.inflight.Add(-skipped)
-		c.g.stats.shedBackendDropped.Add(uint64(skipped))
 	}
 	u.b.inflight.Add(-1)
 	u.b.relayed.Add(1)
-	c.g.stats.inflight.Add(-1)
-	c.g.stats.relayed.Add(1)
 	for i := u.head; i <= j; i++ {
 		u.free = append(u.free, u.held[i].raw)
 		u.held[i].raw = nil
@@ -358,12 +352,16 @@ func (c *clientConn) pick(t *table, event uint32) *Backend {
 }
 
 // loadCap is the bounded-load ceiling: loadPct of the fleet-mean in-flight,
-// plus a burst allowance so quiet fleets don't bounce.
+// plus a burst allowance so quiet fleets don't bounce. The fleet's in-flight
+// is summed over the table's backends, a few atomic loads.
 func (c *clientConn) loadCap(t *table) int64 {
 	if t.routable == 0 {
 		return 1 << 62
 	}
-	total := c.g.stats.inflight.Load()
+	var total int64
+	for _, b := range t.fleet {
+		total += b.Inflight()
+	}
 	return (total*int64(c.g.loadPct))/(int64(t.routable)*100) + 8
 }
 
@@ -498,7 +496,6 @@ func (c *clientConn) settle(u *upstream, err error) {
 	left := int64(len(held))
 	if left > 0 {
 		u.b.inflight.Add(-left)
-		c.g.stats.inflight.Add(-left)
 	}
 	clean := err == io.EOF && (left == 0 || u.halfClosed.Load())
 	var spent uint64
@@ -506,7 +503,6 @@ func (c *clientConn) settle(u *upstream, err error) {
 	if clean {
 		if left > 0 {
 			u.b.dropped.Add(uint64(left))
-			c.g.stats.shedBackendDropped.Add(uint64(left))
 		}
 	} else {
 		fresh = held[:0]
@@ -519,7 +515,6 @@ func (c *clientConn) settle(u *upstream, err error) {
 		}
 		if spent > 0 {
 			u.b.failed.Add(spent)
-			c.g.stats.shedBackendFailed.Add(spent)
 		}
 	}
 	u.mu.Unlock()

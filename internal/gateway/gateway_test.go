@@ -420,6 +420,20 @@ func TestGatewayDrainZeroLoss(t *testing.T) {
 	if snap.Shed.Total() != 0 || snap.Inflight != 0 {
 		t.Fatalf("shed %d inflight %d, want 0/0", snap.Shed.Total(), snap.Inflight)
 	}
+	// The fleet totals are the per-backend counts summed, and the re-added
+	// backend is the same fleet entry with the counts it had before.
+	var sum BackendSnapshot
+	for _, b := range snap.Backends {
+		sum.Relayed += b.Relayed
+		sum.Inflight += b.Inflight
+		sum.Failed += b.Failed
+		sum.Dropped += b.Dropped
+	}
+	if len(snap.Backends) != 2 || snap.Relayed != 3*phase || snap.Relayed != sum.Relayed ||
+		snap.Inflight != sum.Inflight || snap.Shed.BackendFailed != sum.Failed || snap.Shed.BackendDropped != sum.Dropped {
+		t.Fatalf("fleet relayed %d inflight %d shed failed %d dropped %d over %d backends; the backends sum to %+v",
+			snap.Relayed, snap.Inflight, snap.Shed.BackendFailed, snap.Shed.BackendDropped, len(snap.Backends), sum)
+	}
 	if drained.forwarded.Load() == forwardedAtReadd {
 		t.Fatal("re-added backend took no traffic")
 	}

@@ -47,6 +47,9 @@ type table struct {
 	routable int
 	// joined counts backends participating in the ring at all.
 	joined int
+	// fleet is every backend at the rebuild, whatever its state: the
+	// bounded-load cap sums their in-flight counts.
+	fleet []*Backend
 }
 
 // vnode is one ring point.
@@ -60,7 +63,7 @@ type vnode struct {
 // backends probed down stay off the ring too (they are unreachable, there is
 // nothing to spill *to* them).
 func buildTable(backends []*Backend, slots, vnodes int) *table {
-	t := &table{slots: make([]slotChain, slots), mask: uint32(slots - 1)}
+	t := &table{slots: make([]slotChain, slots), mask: uint32(slots - 1), fleet: backends}
 	ring := make([]vnode, 0, len(backends)*vnodes)
 	for _, b := range backends {
 		if !b.Joined() {

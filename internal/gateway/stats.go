@@ -11,26 +11,26 @@ import (
 	"github.com/wustl-adapt/hepccl/internal/health"
 )
 
-// gwStats is the gateway-level accounting. Every offered event lands in
-// exactly one terminal bucket (relayed or one of the sheds) or is in flight.
-// retried is supplementary, not a bucket: it counts events resubmitted to a
-// new owner after a backend death, each of which still terminates exactly
-// once — so offered == relayed + shed + inflight holds with retries active.
-// The //hepccl:accounted fields are the identity's terms; acctproto requires
-// every mutation to hold the charging upstream's //hepccl:acctmu mutex, or to
-// carry a //hepccl:checked justification for why no charge/settle race exists
-// (the pre-placement sheds, charged before any upstream does).
+// gwStats is the gateway-level accounting: the counts no backend owns. Every
+// offered event lands in exactly one terminal bucket (relayed or one of the
+// sheds) or is in flight. The pre-placement sheds live here; relayed,
+// inflight and the backend sheds live on the Backend they are charged to
+// (Backend.relayed, inflight, failed, dropped), and StatsSnapshot sums them
+// over the fleet, which never loses a member. retried is supplementary, not
+// a bucket: it counts events resubmitted to a new owner after a backend
+// death, each of which still terminates exactly once — so offered == relayed
+// + shed + inflight holds with retries active. The //hepccl:accounted fields
+// here and on Backend are the identity's terms; acctproto requires every
+// mutation to hold the charging upstream's //hepccl:acctmu mutex, or to carry
+// a //hepccl:checked justification for why no charge/settle race exists (the
+// counts charged before any upstream holds the event).
 type gwStats struct {
-	offered            atomic.Uint64 //hepccl:accounted
-	relayed            atomic.Uint64 //hepccl:accounted
-	retried            atomic.Uint64
-	shedOverload       atomic.Uint64 //hepccl:accounted
-	shedNoBackend      atomic.Uint64 //hepccl:accounted
-	shedBackendFailed  atomic.Uint64 //hepccl:accounted
-	shedBackendDropped atomic.Uint64 //hepccl:accounted
-	clientErrors       atomic.Uint64
-	inflight           atomic.Int64 //hepccl:accounted
-	conns              atomic.Int64
+	offered       atomic.Uint64 //hepccl:accounted
+	retried       atomic.Uint64
+	shedOverload  atomic.Uint64 //hepccl:accounted
+	shedNoBackend atomic.Uint64 //hepccl:accounted
+	clientErrors  atomic.Uint64
+	conns         atomic.Int64
 }
 
 // ShedSnapshot breaks shed events out by cause.
@@ -71,19 +71,17 @@ type FleetSnapshot struct {
 	Backends []BackendSnapshot `json:"backends"`
 }
 
-// StatsSnapshot captures the fleet accounting and per-backend detail.
+// StatsSnapshot captures the fleet accounting and per-backend detail. The
+// relayed, in-flight and backend-shed totals are the sums of the per-backend
+// counts.
 func (g *Gateway) StatsSnapshot() FleetSnapshot {
 	snap := FleetSnapshot{
 		Offered: g.stats.offered.Load(),
-		Relayed: g.stats.relayed.Load(),
 		Retried: g.stats.retried.Load(),
 		Shed: ShedSnapshot{
-			Overload:       g.stats.shedOverload.Load(),
-			NoBackend:      g.stats.shedNoBackend.Load(),
-			BackendFailed:  g.stats.shedBackendFailed.Load(),
-			BackendDropped: g.stats.shedBackendDropped.Load(),
+			Overload:  g.stats.shedOverload.Load(),
+			NoBackend: g.stats.shedNoBackend.Load(),
 		},
-		Inflight:     g.stats.inflight.Load(),
 		ClientErrors: g.stats.clientErrors.Load(),
 		Conns:        g.stats.conns.Load(),
 	}
@@ -102,6 +100,10 @@ func (g *Gateway) StatsSnapshot() FleetSnapshot {
 	for _, b := range g.fleet() {
 		bs := b.snapshot()
 		bs.Slots = slotsOf[b]
+		snap.Relayed += bs.Relayed
+		snap.Inflight += bs.Inflight
+		snap.Shed.BackendFailed += bs.Failed
+		snap.Shed.BackendDropped += bs.Dropped
 		snap.Backends = append(snap.Backends, bs)
 	}
 	snap.Health = snap.healthState()

@@ -58,13 +58,11 @@ func (c *conn) readLoop() {
 	syncStream := func() int {
 		if d := sr.SkippedBytes - lastSkipped; d > 0 {
 			c.stats.SkippedBytes.Add(uint64(d))
-			s.stats.SkippedBytes.Add(uint64(d))
 			lastSkipped = sr.SkippedBytes
 		}
 		d := sr.BadPackets - lastBad
 		if d > 0 {
 			c.stats.BadPackets.Add(uint64(d))
-			s.stats.BadPackets.Add(uint64(d))
 			lastBad = sr.BadPackets
 		}
 		if r := sr.ReferenceEvents - lastRef; r > 0 {
@@ -73,9 +71,14 @@ func (c *conn) readLoop() {
 		}
 		return d
 	}
+	ev := getEvent()
+	// Deferred in this order so the last counter sync lands before
+	// finishReads hands the connection to its worker for retirement, which
+	// folds its counters into the server's totals.
+	defer c.finishReads()
+	defer func() { putEvent(ev) }()
 	defer syncStream()
 
-	ev := getEvent()
 	for {
 		tr.MarkBoundary()
 		// When the lane is already at derandomizer depth under drop policy,
@@ -107,10 +110,7 @@ func (c *conn) readLoop() {
 			// Resync storm: this link is producing mostly garbage. Cut it
 			// loose rather than burn a reader on an unframeable stream.
 			c.stats.BreakerTrips.Add(1)
-			s.stats.BreakerTrips.Add(1)
 			c.nc.Close()
-			putEvent(ev)
-			c.finishReads()
 			return
 		}
 		if err != nil {
@@ -123,18 +123,13 @@ func (c *conn) readLoop() {
 					if tr.started {
 						// The deadline cut a half-assembled event.
 						c.stats.IncompleteEvents.Add(1)
-						s.stats.IncompleteEvents.Add(1)
 					}
 					if tr.active() {
 						c.stats.IdleTimeouts.Add(1)
-						s.stats.IdleTimeouts.Add(1)
 					} else {
 						c.stats.ReadErrors.Add(1)
-						s.stats.ReadErrors.Add(1)
 					}
 				}
-				putEvent(ev)
-				c.finishReads()
 				return
 			}
 		}
@@ -143,14 +138,11 @@ func (c *conn) readLoop() {
 			// A fully assembled event that was never decoded: it is a FIFO
 			// loss exactly like an enqueue rejection.
 			c.stats.EventsIn.Add(1)
-			s.stats.EventsIn.Add(1)
 			c.stats.Dropped.Add(1)
-			s.stats.Dropped.Add(1)
 		case err == nil:
 			ev.c = c
 			ev.enqueued = time.Now()
 			c.stats.EventsIn.Add(1)
-			s.stats.EventsIn.Add(1)
 			if wlog != nil {
 				// Write ahead of the enqueue so a crash never serves an event
 				// the log missed. A failed append sticky-fails the writer and
@@ -163,30 +155,23 @@ func (c *conn) readLoop() {
 			} else {
 				// A FIFO loss; ev is reused for the next read.
 				c.stats.Dropped.Add(1)
-				s.stats.Dropped.Add(1)
 			}
 		case errors.Is(err, adapt.ErrIncompleteEvent):
 			// Missing or interleaved packets: count and resynchronize. If
 			// the cause was a transport fault, the next read surfaces it.
 			c.stats.IncompleteEvents.Add(1)
-			s.stats.IncompleteEvents.Add(1)
 		case errors.Is(err, adapt.ErrResyncStorm):
 			// Bad-packet budget exhausted without a valid frame. The
 			// counters were synced above and the breaker already had its
 			// chance to trip; if it didn't, keep hunting.
 		case errors.Is(err, io.EOF):
 			// Clean end of stream.
-			putEvent(ev)
-			c.finishReads()
 			return
 		default:
 			// Transport fault (timeouts were classified above).
 			if !s.isDraining() {
 				c.stats.ReadErrors.Add(1)
-				s.stats.ReadErrors.Add(1)
 			}
-			putEvent(ev)
-			c.finishReads()
 			return
 		}
 	}
@@ -299,5 +284,4 @@ func (c *conn) send(buf []byte) {
 		return
 	}
 	c.stats.BytesOut.Add(uint64(len(buf)))
-	c.s.stats.BytesOut.Add(uint64(len(buf)))
 }

@@ -63,5 +63,11 @@
 // everything queued, flush responses), and exposes global and per-connection
 // statistics — events in/out, drops, bad packets, skipped bytes, queue
 // high-water mark, latency percentiles — via a JSON stats endpoint and a
-// periodic log line.
+// periodic log line. Every count has one home. A connection's counts live in
+// its own counters, written by its reader or its worker; the server-wide
+// figures are folded when read: the live connections' counters plus those of
+// the retired ones, which the worker folds in when it retires a connection
+// after its last write. Counts no connection owns (serve time, lit channels,
+// reference-route events, the queue high-water mark, the latency histogram)
+// are server-wide, each written once.
 package server

@@ -141,7 +141,7 @@ func TestResyncBreakerWindowSlides(t *testing.T) {
 }
 
 // TestHealthzDegradedAndOverloaded drives the health evaluation directly
-// through the server counters and checks both the verdicts and the HTTP
+// through the server totals and checks both the verdicts and the HTTP
 // status codes.
 func TestHealthzDegradedAndOverloaded(t *testing.T) {
 	cfg := testConfig()
@@ -170,33 +170,39 @@ func TestHealthzDegradedAndOverloaded(t *testing.T) {
 	if st, code := get(); st != health.OK || code != http.StatusOK {
 		t.Fatalf("idle server: %q %d, want ok 200", st, code)
 	}
+	// retire adds traffic to the server's totals as if connections carrying
+	// it had come and gone.
+	retire := func(in, dropped, badPackets uint64) {
+		s.mu.Lock()
+		s.retired.EventsIn += in
+		s.retired.Dropped += dropped
+		s.retired.BadPackets += badPackets
+		s.mu.Unlock()
+	}
 
 	// 2%% recent loss: degraded, still HTTP 200.
-	s.stats.EventsIn.Add(1000)
-	s.stats.Dropped.Add(20)
+	retire(1000, 20, 0)
 	time.Sleep(healthMinWindow + 20*time.Millisecond)
 	if st, code := get(); st != health.Degraded || code != http.StatusOK {
 		t.Fatalf("2%% loss: %q %d, want degraded 200", st, code)
 	}
 
 	// 20%% recent loss: overloaded, HTTP 503.
-	s.stats.EventsIn.Add(1000)
-	s.stats.Dropped.Add(200)
+	retire(1000, 200, 0)
 	time.Sleep(healthMinWindow + 20*time.Millisecond)
 	if st, code := get(); st != health.Overloaded || code != http.StatusServiceUnavailable {
 		t.Fatalf("20%% loss: %q %d, want overloaded 503", st, code)
 	}
 
 	// Clean window again: recovery to ok.
-	s.stats.EventsIn.Add(10000)
+	retire(10000, 0, 0)
 	time.Sleep(healthMinWindow + 20*time.Millisecond)
 	if st, code := get(); st != health.OK || code != http.StatusOK {
 		t.Fatalf("clean window: %q %d, want ok 200", st, code)
 	}
 
 	// Resync storm without drops: degraded.
-	s.stats.EventsIn.Add(1000)
-	s.stats.BadPackets.Add(500)
+	retire(1000, 0, 500)
 	time.Sleep(healthMinWindow + 20*time.Millisecond)
 	if st, _ := get(); st != health.Degraded {
 		t.Fatalf("resync storm: %q, want degraded", st)

@@ -120,10 +120,14 @@ type Server struct {
 	// to tell workers the ingest rings are frozen: drain and retire.
 	ingressDone chan struct{}
 
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[*conn]struct{}
+	mu    sync.Mutex
+	ln    net.Listener
+	conns map[*conn]struct{}
+	// connID is the last id handed out, so it counts accepted connections.
 	connID uint64
+	// retired sums the counters of every connection removeConn has folded
+	// out of conns; totals adds the live ones.
+	retired CounterSnapshot
 
 	draining  chan struct{}
 	drainOnce sync.Once
@@ -325,8 +329,6 @@ func (s *Server) addConn(nc net.Conn) {
 	s.conns[c] = struct{}{}
 	s.mu.Unlock()
 	c.w.addConn(c)
-	s.stats.ConnsTotal.Add(1)
-	s.stats.ConnsActive.Add(1)
 	s.readersWG.Add(1)
 	s.connsWG.Add(1)
 	if s.isDraining() {
@@ -337,11 +339,13 @@ func (s *Server) addConn(nc net.Conn) {
 	go c.readLoop()
 }
 
+// removeConn retires c: its reader has exited and its worker has written its
+// last records, so its counters are final and fold into s.retired.
 func (s *Server) removeConn(c *conn) {
 	s.mu.Lock()
 	delete(s.conns, c)
+	c.stats.foldInto(&s.retired)
 	s.mu.Unlock()
-	s.stats.ConnsActive.Add(-1)
 }
 
 // Shutdown gracefully drains the server: stop accepting, stop reading,

@@ -104,6 +104,18 @@ func readAllRecords(t testing.TB, r io.Reader) []adapt.EventRecord {
 	}
 }
 
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n uint64
+}
+
+func (cr *countingReader) Read(p []byte) (int, error) {
+	n, err := cr.r.Read(p)
+	cr.n += uint64(n)
+	return n, err
+}
+
 // sendEvents writes events over the wire and half-closes.
 func sendEvents(t testing.TB, nc net.Conn, events [][]adapt.Packet) {
 	t.Helper()
@@ -527,6 +539,51 @@ func TestStatsEndpoint(t *testing.T) {
 	if hz.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d", hz.StatusCode)
 	}
+
+	// Connections that have come and gone still count: the top-level
+	// counters are folded from the connections', retired ones included.
+	t.Run("retired", func(t *testing.T) {
+		s, addr := startServer(t, Config{
+			Pipeline: cfg, Workers: 2, QueueDepth: 8, Policy: PolicyBlock, StatsAddr: "127.0.0.1:0",
+		})
+		const conns, perConn = 3, 25
+		events := makeEvents(t, cfg, perConn, 5)
+		var records, bytesIn uint64
+		for i := 0; i < conns; i++ {
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			go sendEvents(t, nc, events)
+			cr := &countingReader{r: nc}
+			records += uint64(len(readAllRecords(t, cr)))
+			bytesIn += cr.n
+			nc.Close()
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for s.StatsSnapshot().ConnsActive != 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("connections never retired")
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		_, body := getStats(t, s)
+		var snap Snapshot
+		if err := json.Unmarshal(body, &snap); err != nil {
+			t.Fatal(err)
+		}
+		if snap.ConnsActive != 0 || snap.ConnsTotal != conns || len(snap.Conns) != 0 {
+			t.Fatalf("conns_active=%d conns_total=%d listed=%d, want 0/%d/0",
+				snap.ConnsActive, snap.ConnsTotal, len(snap.Conns), conns)
+		}
+		if snap.EventsIn != conns*perConn || snap.EventsOut != records || snap.BytesOut != bytesIn {
+			t.Fatalf("after retirement: in=%d out=%d bytes_out=%d, clients sent %d and received %d records, %d B",
+				snap.EventsIn, snap.EventsOut, snap.BytesOut, conns*perConn, records, bytesIn)
+		}
+		if records != conns*perConn {
+			t.Fatalf("clients received %d records, want %d", records, conns*perConn)
+		}
+	})
 
 	// A frame larger than any paper geometry serves on the same run backend
 	// as the 43x43 camera, and the tile pool's field is gone from /stats.

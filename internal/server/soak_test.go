@@ -47,8 +47,8 @@ func countRecords(nc net.Conn) (int, error) {
 }
 
 // soakDump renders what a failed soak ledger needs beside it: the full /stats
-// document, every connection's final counters, and their sum — so a global
-// counter that disagrees with the per-connection total is visible at once.
+// document, whose counters are folded from the connections', and every
+// connection's final counters.
 func soakDump(snap Snapshot, conns map[*conn]struct{}) string {
 	doc, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
@@ -61,19 +61,9 @@ func soakDump(snap Snapshot, conns map[*conn]struct{}) string {
 	sort.Slice(per, func(i, j int) bool { return per[i].ID < per[j].ID })
 	var b strings.Builder
 	fmt.Fprintf(&b, "/stats: %s\nper connection (%d tracked of %d accepted):\n", doc, len(per), snap.ConnsTotal)
-	var sum CounterSnapshot
 	for _, c := range per {
 		fmt.Fprintf(&b, "  conn %d %s: %+v\n", c.ID, c.Remote, c.CounterSnapshot)
-		sum.EventsIn += c.EventsIn
-		sum.EventsOut += c.EventsOut
-		sum.Dropped += c.Dropped
-		sum.BadEvents += c.BadEvents
-		sum.IncompleteEvents += c.IncompleteEvents
-		sum.BadPackets += c.BadPackets
-		sum.SkippedBytes += c.SkippedBytes
 	}
-	fmt.Fprintf(&b, "  sum over connections: in=%d out=%d dropped=%d bad_ev=%d incomplete=%d bad_pkts=%d skipped=%dB",
-		sum.EventsIn, sum.EventsOut, sum.Dropped, sum.BadEvents, sum.IncompleteEvents, sum.BadPackets, sum.SkippedBytes)
 	return b.String()
 }
 

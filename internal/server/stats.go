@@ -80,8 +80,9 @@ func (h *latencyHist) quantile(q float64) uint64 {
 	return h.maxUs.Load()
 }
 
-// counters is the shared shape of global and per-connection statistics.
-// All fields are atomic; each is updated by exactly one logical stage.
+// counters is one connection's statistics, the only home of each count: the
+// connection's reader or its worker writes each field, and nothing else does.
+// The server-wide figures are folded from them when read (Server.totals).
 type counters struct {
 	EventsIn         atomic.Uint64 // events fully assembled
 	EventsOut        atomic.Uint64 // responses handed to the connection's write
@@ -96,13 +97,12 @@ type counters struct {
 	BreakerTrips     atomic.Uint64 // connections closed by the resync breaker
 }
 
-// Stats aggregates the server-wide counters and derived gauges.
+// Stats holds the server-wide counts that no connection owns, each written
+// once. Per-connection counts live in each conn's counters, and the
+// connection totals are Server.totals.
 type Stats struct {
-	counters
-	ConnsTotal  atomic.Uint64
-	ConnsActive atomic.Int64
-	QueueHWM    atomic.Int64  // high-water mark across all shards
-	ServeNs     atomic.Uint64 // cumulative pipeline service time, nanoseconds
+	QueueHWM atomic.Int64  // high-water mark across all shards
+	ServeNs  atomic.Uint64 // cumulative pipeline service time, nanoseconds
 	// LitChannels counts the lit channels of every event handed to the
 	// pipeline; over EventsOut × Pixels it is the served lit fraction.
 	LitChannels atomic.Uint64
@@ -148,20 +148,38 @@ type CounterSnapshot struct {
 	BreakerTrips     uint64 `json:"breaker_trips"`
 }
 
-func (c *counters) snapshot() CounterSnapshot {
-	return CounterSnapshot{
-		EventsIn:         c.EventsIn.Load(),
-		EventsOut:        c.EventsOut.Load(),
-		Dropped:          c.Dropped.Load(),
-		BadEvents:        c.BadEvents.Load(),
-		IncompleteEvents: c.IncompleteEvents.Load(),
-		BadPackets:       c.BadPackets.Load(),
-		SkippedBytes:     c.SkippedBytes.Load(),
-		BytesOut:         c.BytesOut.Load(),
-		ReadErrors:       c.ReadErrors.Load(),
-		IdleTimeouts:     c.IdleTimeouts.Load(),
-		BreakerTrips:     c.BreakerTrips.Load(),
+func (c *counters) snapshot() (t CounterSnapshot) {
+	c.foldInto(&t)
+	return t
+}
+
+// foldInto adds the counters to t.
+func (c *counters) foldInto(t *CounterSnapshot) {
+	t.EventsIn += c.EventsIn.Load()
+	t.EventsOut += c.EventsOut.Load()
+	t.Dropped += c.Dropped.Load()
+	t.BadEvents += c.BadEvents.Load()
+	t.IncompleteEvents += c.IncompleteEvents.Load()
+	t.BadPackets += c.BadPackets.Load()
+	t.SkippedBytes += c.SkippedBytes.Load()
+	t.BytesOut += c.BytesOut.Load()
+	t.ReadErrors += c.ReadErrors.Load()
+	t.IdleTimeouts += c.IdleTimeouts.Load()
+	t.BreakerTrips += c.BreakerTrips.Load()
+}
+
+// totals is the server-wide counter block: the retired connections' sum plus
+// every live connection's counters. Retirement folds a connection into
+// s.retired and deletes it from s.conns under the same s.mu hold, so each
+// count is in the sum exactly once.
+func (s *Server) totals() CounterSnapshot {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t := s.retired
+	for c := range s.conns {
+		c.stats.foldInto(&t)
 	}
+	return t
 }
 
 // ConnSnapshot is one active connection's statistics.
@@ -221,9 +239,9 @@ func (s *Server) HealthSnapshot() health.Snapshot {
 	if h.snap.State != "" && now.Sub(h.at) < healthMinWindow {
 		return h.snap
 	}
-	in := s.stats.EventsIn.Load()
-	dropped := s.stats.Dropped.Load()
-	resyncLoss := s.stats.BadPackets.Load() + s.stats.IncompleteEvents.Load()
+	t := s.totals()
+	in, dropped := t.EventsIn, t.Dropped
+	resyncLoss := t.BadPackets + t.IncompleteEvents
 
 	din := in - h.in
 	ddrop := dropped - h.dropped
@@ -289,22 +307,20 @@ const rateMinWindow = 250 * time.Millisecond
 // value after rateTau of scraping, regardless of scrape cadence.
 const rateTau = 5 * time.Second
 
-// update folds the counter deltas since the previous evaluation into the
-// smoothed gauges and returns them.
-func (rw *rateWindow) update(st *Stats) (evPerSec, nsPerEvent float64) {
+// update folds the deltas of the cumulative out and serveNs since the
+// previous evaluation into the smoothed gauges and returns them.
+func (rw *rateWindow) update(out, serveNs uint64) (evPerSec, nsPerEvent float64) {
 	rw.mu.Lock()
 	defer rw.mu.Unlock()
 	now := time.Now()
 	if rw.at.IsZero() {
-		rw.at, rw.out, rw.serveNs = now, st.EventsOut.Load(), st.ServeNs.Load()
+		rw.at, rw.out, rw.serveNs = now, out, serveNs
 		return 0, 0
 	}
 	dt := now.Sub(rw.at)
 	if dt < rateMinWindow {
 		return rw.evRate, rw.nsPerEv
 	}
-	out := st.EventsOut.Load()
-	serveNs := st.ServeNs.Load()
 	dout := out - rw.out
 	dns := serveNs - rw.serveNs
 	rw.at, rw.out, rw.serveNs = now, out, serveNs
@@ -353,21 +369,19 @@ func (s *Server) StatsSnapshot() Snapshot {
 	snap := Snapshot{
 		Health:          s.Health(),
 		UptimeSeconds:   time.Since(st.start).Seconds(),
-		ConnsActive:     st.ConnsActive.Load(),
-		ConnsTotal:      st.ConnsTotal.Load(),
 		Workers:         len(s.workers),
 		QueueDepth:      s.cfg.QueueDepth,
 		Pixels:          s.pixels,
 		ServeBackend:    s.serveBackend,
 		ScanKernel:      adapt.ScanKernel(),
 		QueueHWM:        st.QueueHWM.Load(),
-		CounterSnapshot: st.counters.snapshot(),
+		CounterSnapshot: s.totals(),
 
 		ServeNs:              st.ServeNs.Load(),
 		LitChannels:          st.LitChannels.Load(),
 		ReferenceRouteEvents: st.ReferenceRouteEvents.Load(),
 	}
-	snap.EventsPerSec, snap.NsPerEvent = s.rates.update(st)
+	snap.EventsPerSec, snap.NsPerEvent = s.rates.update(snap.EventsOut, snap.ServeNs)
 	if s.wal != nil {
 		w := s.wal.Snapshot()
 		snap.WAL = &w
@@ -392,6 +406,7 @@ func (s *Server) StatsSnapshot() Snapshot {
 		snap.Latency.MeanUs = float64(h.sumUs.Load()) / float64(snap.Latency.Count)
 	}
 	s.mu.Lock()
+	snap.ConnsActive, snap.ConnsTotal = int64(len(s.conns)), s.connID
 	for c := range s.conns {
 		snap.Conns = append(snap.Conns, ConnSnapshot{
 			ID:              c.id,

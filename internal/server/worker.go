@@ -136,10 +136,8 @@ func (s *Server) serve(w *worker, p *adapt.Pipeline, evs []*event) {
 		}
 		c := ev.c
 		c.stats.EventsOut.Add(out) // zero for a run of bad events
-		s.stats.EventsOut.Add(out)
 		if bad > 0 {
 			c.stats.BadEvents.Add(bad)
-			s.stats.BadEvents.Add(bad)
 		}
 		c.send(buf)
 		buf, out, bad = buf[:0], 0, 0
