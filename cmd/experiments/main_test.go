@@ -181,11 +181,32 @@ func TestReportStages(t *testing.T) {
 	}
 }
 
+// TestReportStreamStats pins a report whose event writes to all four 8-way
+// merge-update streams: stdout after the path line, and the VCD, byte for
+// byte. Regenerate both only for a change meant to move them:
+//
+//	go run ./cmd/experiments report -stage pipelined -conn 8 -rows 24 -cols 24 \
+//	    -seed 4 -trace cmd/experiments/testdata/report-8way-24x24-seed4.vcd |
+//	    tail -n +2 > cmd/experiments/testdata/report-8way-24x24-seed4.txt
 func TestReportStreamStats(t *testing.T) {
-	out := runOut(t, "report", "-stage", "pipelined", "-conn", "8", "-rows", "8", "-cols", "10")
-	if !strings.Contains(out, "stream_topleft") {
-		t.Fatalf("8-way report should show diagonal streams:\n%s", out)
+	path := filepath.Join(t.TempDir(), "scan.vcd")
+	out := runOut(t, "report", "-stage", "pipelined", "-conn", "8", "-rows", "24", "-cols", "24",
+		"-seed", "4", "-trace", path)
+	_, body, _ := strings.Cut(out, "\n")
+	for file, got := range map[string]string{"report-8way-24x24-seed4.txt": body, "report-8way-24x24-seed4.vcd": readFile(t, path)} {
+		if want := readFile(t, filepath.Join("testdata", file)); got != want {
+			t.Errorf("output differs from testdata/%s:\n%s", file, got)
+		}
 	}
+}
+
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }
 
 func TestReportErrors(t *testing.T) {
@@ -197,18 +218,22 @@ func TestReportErrors(t *testing.T) {
 	)
 }
 
+// TestReportTrace writes one well-formed VCD per run. The 2x2 seed-12 event
+// overflows the paper's merge-table sizing, so report retries at SizeFor; the
+// waveform comes from the successful run only.
 func TestReportTrace(t *testing.T) {
-	path := t.TempDir() + "/scan.vcd"
-	out := runOut(t, "report", "-stage", "pipelined", "-rows", "4", "-cols", "5", "-trace", path)
-	if !strings.Contains(out, "waveform") {
-		t.Fatalf("trace note missing:\n%s", out)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "$enddefinitions $end") {
-		t.Fatalf("VCD malformed:\n%s", data)
+	for _, args := range [][]string{
+		{"-stage", "pipelined", "-rows", "4", "-cols", "5"},
+		{"-conn", "4", "-rows", "2", "-cols", "2", "-seed", "12"},
+	} {
+		path := filepath.Join(t.TempDir(), "scan.vcd")
+		out := runOut(t, append(append([]string{"report"}, args...), "-trace", path)...)
+		if !strings.Contains(out, "waveform") {
+			t.Fatalf("%v: trace note missing:\n%s", args, out)
+		}
+		if vcd := readFile(t, path); strings.Count(vcd, "$enddefinitions $end") != 1 {
+			t.Fatalf("%v: want exactly one VCD header:\n%s", args, vcd)
+		}
 	}
 }
 

@@ -169,8 +169,10 @@ func report(args []string, out io.Writer) error {
 	rng := detector.NewRNG(*seed)
 	g := detector.RandomIslands(*rows, *cols, max(2, *rows**cols/80), 1.5, rng)
 	// Paper merge-table sizing (the design default) so reports match the
-	// published tables; sparse workloads cannot overflow it, but if one
-	// does, retry with the 4-way-safe capacity and note it.
+	// published tables. Under 4-way even a sparse event can overflow it
+	// (-rows 2 -cols 2 -seed 12 does); then retry with the 4-way-safe
+	// capacity and note it. Run writes the waveform only once labeling
+	// succeeds, so the retry leaves one VCD.
 	cfg := design.Config{Rows: *rows, Cols: *cols, Connectivity: *conn, Stage: st}
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -158,5 +159,30 @@ func TestRunReplayEmptyLog(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "replay: events=0") {
 		t.Fatalf("missing replay summary:\n%s", out.String())
+	}
+}
+
+// TestRunFailsOnOccupiedStatsPort: a -stats address that cannot be bound is a
+// startup error, not a daemon serving without /stats and /healthz.
+func TestRunFailsOnOccupiedStatsPort(t *testing.T) {
+	occupied, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer occupied.Close()
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{
+			"-config", "adapt", "-calibration", "0", "-listen", "127.0.0.1:0",
+			"-log-interval", "0", "-stats", occupied.Addr().String(),
+		}, io.Discard)
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "stats endpoint") {
+			t.Fatalf("run with an occupied -stats port: %v, want a stats endpoint error", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("hepccld kept serving without its stats endpoint")
 	}
 }

@@ -157,3 +157,30 @@ func TestRelayOneEvent(t *testing.T) {
 		t.Fatalf("missing the drained ledger; log:\n%s", logs.String())
 	}
 }
+
+// TestRunFailsOnOccupiedStatsPort: a -stats address that cannot be bound is a
+// startup error, not a gateway relaying without its admin endpoint.
+func TestRunFailsOnOccupiedStatsPort(t *testing.T) {
+	occupied, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer occupied.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{
+			"-listen", "127.0.0.1:0", "-config", "8x8", "-stats", occupied.Addr().String(),
+			"-backends", "127.0.0.1:1=127.0.0.1:1",
+		}, io.Discard)
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "stats endpoint") {
+			t.Fatalf("run with an occupied -stats port: %v, want a stats endpoint error", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("hepcclgw kept relaying without its admin endpoint")
+	}
+}

@@ -73,7 +73,8 @@ type Config struct {
 	MergeTableCap int
 	// TraceWriter, when non-nil, receives a VCD waveform of the scan loop
 	// (one tick per pixel: scan index, litness, assigned label, merge-table
-	// activity) — the co-simulation debugging artifact.
+	// activity) — the co-simulation debugging artifact. Nothing is written
+	// when the run fails, e.g. on a merge-table overflow.
 	TraceWriter io.Writer
 }
 

@@ -30,37 +30,6 @@ func randomGrid(cells []byte, rows, cols, litPermille int) *grid.Grid {
 	return g
 }
 
-// Every stage is functionally identical: the optimization study changes the
-// schedule, never the algorithm. All stages must produce bit-identical labels
-// to internal/ccl running in paper mode.
-func TestStagesMatchCCLPaperMode(t *testing.T) {
-	f := func(cells [80]byte) bool {
-		g := randomGrid(cells[:], 8, 10, 550)
-		for _, conn := range []grid.Connectivity{grid.FourWay, grid.EightWay} {
-			want, err := ccl.Label(g, ccl.Options{Connectivity: conn, Mode: ccl.ModePaper})
-			if err != nil {
-				return false
-			}
-			for _, stage := range Stages() {
-				out, err := Run(g, cfg(stage, conn, 8, 10))
-				if err != nil {
-					return false
-				}
-				if !out.Labels.Equal(want.Labels) {
-					return false
-				}
-				if out.Groups != want.Groups {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
-}
-
 // FixedUpdate must make the hardware match the golden model on every input,
 // including the §6 corner case patterns.
 func TestFixedUpdateMatchesGolden(t *testing.T) {
@@ -279,23 +248,6 @@ func TestConfigValidation(t *testing.T) {
 	// Shape mismatch.
 	if _, err := Run(grid.New(3, 3), Config{Rows: 2, Cols: 2, Connectivity: grid.FourWay}); err == nil {
 		t.Error("shape mismatch must error")
-	}
-}
-
-func TestWordsForPacking(t *testing.T) {
-	g := grid.New(3, 6) // 18 pixels → 2 words
-	for i := 0; i < 18; i++ {
-		g.Flat()[i] = grid.Value(i + 1)
-	}
-	words := wordsFor(g)
-	if len(words) != 2 {
-		t.Fatalf("words = %d, want 2", len(words))
-	}
-	if words[0][0] != 1 || words[0][15] != 16 || words[1][0] != 17 || words[1][1] != 18 {
-		t.Fatal("packing order wrong")
-	}
-	if words[1][2] != 0 {
-		t.Fatal("tail must be zero-padded")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package design implements the synthesizable island-detection designs of §5
-// as functional, cycle-accounted simulations over the HLS substrate
-// (internal/hls/...). Each optimization stage of the paper's study is a
-// distinct schedule + storage binding of the same 1.5-pass CCL algorithm:
+// as cycle-accounted schedules over the HLS substrate (internal/hls/...).
+// Each optimization stage of the paper's study is a distinct schedule +
+// storage binding of the same 1.5-pass CCL algorithm:
 //
 //   - StageBaseline (§5.1): no pragmas. The merge table lives in registers,
 //     every loop is serialized, and the inner loop's initiation interval
@@ -17,9 +17,12 @@
 //     BRAM read latency hides inside the pipeline. This is the shipping
 //     configuration evaluated in Tables 3–4.
 //
-// Running a design produces both the functional result (final labels,
-// identical to internal/ccl with the matching mode) and a
-// resource.Report whose latency comes from the loop schedules and whose
-// BRAM/FF/LUT come from the calibrated estimator in model.go — the
-// reproduction's stand-in for a Vitis synthesis report.
+// The functional result of a run is ccl.Label's scan with the design's update
+// rule (ModePaper, or ModeFixed under FixedUpdate) and merge-table capacity;
+// the stages change the schedule, never the algorithm. The design adds its
+// own parts: the loop ledger and a resource.Report whose latency comes from
+// the loop schedules and whose BRAM/FF/LUT come from the calibrated estimator
+// in model.go — the reproduction's stand-in for a Vitis synthesis report —
+// plus the pipelined stage's merge-update stream counts and the optional
+// scan-loop VCD, both recovered from the provisional labels.
 package design

@@ -187,9 +187,12 @@ func (g *Gateway) Serve(ln net.Listener) error {
 		}
 	}
 	g.rebuild()
+	if err := g.startStats(); err != nil {
+		ln.Close()
+		return err
+	}
 	g.bgWG.Add(1)
 	go g.runProber()
-	g.startStats()
 
 	var backoff time.Duration
 	for {

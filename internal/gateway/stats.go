@@ -126,10 +126,11 @@ func (s FleetSnapshot) healthState() health.State {
 }
 
 // startStats serves the admin endpoint: GET /stats, GET /healthz,
-// POST /drain?addr=..., POST /add?addr=...&stats=...
-func (g *Gateway) startStats() {
+// POST /drain?addr=..., POST /add?addr=...&stats=... An address it cannot
+// bind is an error, so the gateway never runs without its admin port.
+func (g *Gateway) startStats() error {
 	if g.cfg.StatsAddr == "" {
-		return
+		return nil
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
@@ -178,8 +179,7 @@ func (g *Gateway) startStats() {
 	})
 	ln, err := net.Listen("tcp", g.cfg.StatsAddr)
 	if err != nil {
-		g.logf("gateway: stats endpoint: %v", err)
-		return
+		return fmt.Errorf("gateway: stats endpoint: %w", err)
 	}
 	g.mu.Lock()
 	g.statsLn = ln
@@ -190,6 +190,7 @@ func (g *Gateway) startStats() {
 			g.logf("gateway: stats endpoint: %v", err)
 		}
 	}()
+	return nil
 }
 
 // AdminAddr returns the admin endpoint's address, or nil when disabled or

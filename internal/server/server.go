@@ -258,7 +258,11 @@ func (s *Server) Serve(ln net.Listener) error {
 	// waits the loop out), or draining was observed above and it never starts.
 	s.acceptWG.Add(1)
 	s.mu.Unlock()
-	s.startStats()
+	if err := s.startStats(); err != nil {
+		ln.Close()
+		s.acceptWG.Done()
+		return err
+	}
 	stopLog := s.startPeriodicLog()
 	defer stopLog()
 	if l := s.cfg.Logger; l != nil {
@@ -405,10 +409,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// startStats serves /stats and /healthz if configured.
-func (s *Server) startStats() {
+// startStats serves /stats and /healthz if configured. An address it cannot
+// bind is an error: a daemon without its stats port is invisible to every
+// scraper and health probe.
+func (s *Server) startStats() error {
 	if s.cfg.StatsAddr == "" {
-		return
+		return nil
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
@@ -443,10 +449,7 @@ func (s *Server) startStats() {
 	}
 	ln, err := net.Listen("tcp", s.cfg.StatsAddr)
 	if err != nil {
-		if s.cfg.Logger != nil {
-			s.cfg.Logger.Printf("hepccld: stats endpoint: %v", err)
-		}
-		return
+		return fmt.Errorf("server: stats endpoint: %w", err)
 	}
 	s.mu.Lock()
 	s.statsLn = ln
@@ -458,6 +461,7 @@ func (s *Server) startStats() {
 			s.cfg.Logger.Printf("hepccld: stats endpoint: %v", err)
 		}
 	}()
+	return nil
 }
 
 // StatsAddr returns the stats endpoint's listen address, or nil when the
