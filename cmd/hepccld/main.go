@@ -23,10 +23,14 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
+	"net"
+	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -84,6 +88,17 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Bind the stats port before calibrating or starting a worker: a daemon
+	// without it is invisible to every scraper and health probe.
+	var adminLn net.Listener
+	if *statsAddr != "" {
+		ln, err := net.Listen("tcp", *statsAddr)
+		if err != nil {
+			return fmt.Errorf("stats endpoint: %w", err)
+		}
+		defer ln.Close()
+		adminLn = ln
+	}
 	cfg, err := buildConfig(daemonOpts{
 		config: *configName, samples: *samples, workers: *workers, queue: *queue,
 		policy: *policyName, paceHW: *paceHW, paceRate: *paceRate,
@@ -96,8 +111,6 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg.StatsAddr = *statsAddr
-	cfg.EnablePprof = *pprofOn
 	cfg.LogInterval = *logEvery
 	cfg.Logger = log.New(out, "", log.LstdFlags)
 
@@ -105,66 +118,73 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *replayDir != "" {
-		return runReplay(srv, *listen, *replayDir, *replayRate, cfg.Logger, out)
+	if adminLn != nil {
+		admin := &http.Server{Handler: adminHandler(srv.Handler(), *pprofOn)}
+		go admin.Serve(adminLn)
+		// Every return below drains srv first, so the endpoint answers
+		// until the workers are gone.
+		defer admin.Close()
 	}
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		return errors.Join(err, drain(srv))
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(ln) }()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe(*listen) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		cfg.Logger.Printf("hepccld: signal received, draining")
-		sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(sctx); err != nil {
-			return err
+	var (
+		res            server.ReplayResult
+		rerr, serveErr error
+	)
+	if *replayDir != "" {
+		// Stream the recorded WAL through the local server, then drain.
+		res, rerr = server.Replay(ctx, server.ReplayOptions{
+			Addr: ln.Addr().String(), Dir: *replayDir, Rate: *replayRate, Logger: cfg.Logger,
+		})
+	} else {
+		select {
+		case serveErr = <-serveDone:
+		case <-ctx.Done():
+			cfg.Logger.Printf("hepccld: signal received, draining")
 		}
-		<-errc // ErrServerClosed
-		snap := srv.StatsSnapshot()
-		cfg.Logger.Printf("hepccld: drained: in=%d out=%d dropped=%d", snap.EventsIn, snap.EventsOut, snap.Dropped)
-		return nil
 	}
+	if err := drain(srv); err != nil || serveErr != nil {
+		return errors.Join(serveErr, err)
+	}
+	<-serveDone // ErrServerClosed
+	snap := srv.StatsSnapshot()
+	if *replayDir != "" {
+		fmt.Fprintf(out, "replay: events=%d records=%d served=%d dropped=%d bad=%d incomplete=%d crc=%08x torn=%d\n",
+			res.Events, res.DownlinkRecords, snap.EventsOut, snap.Dropped,
+			snap.BadEvents, snap.IncompleteEvents, res.DownlinkCRC, res.Torn)
+		return rerr
+	}
+	cfg.Logger.Printf("hepccld: drained: in=%d out=%d dropped=%d", snap.EventsIn, snap.EventsOut, snap.Dropped)
+	return nil
 }
 
-// runReplay serves the configured pipeline on addr, streams the recorded WAL
-// through it, prints the accounting summary, and drains.
-func runReplay(srv *server.Server, addr, dir string, rate float64, logger *log.Logger, out io.Writer) error {
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.ListenAndServe(addr) }()
-	// Wait for the listener so the replay dial cannot race the bind.
-	for i := 0; srv.Addr() == nil; i++ {
-		select {
-		case err := <-serveDone:
-			return err
-		default:
-		}
-		if i > 1000 {
-			return fmt.Errorf("replay: server never bound %s", addr)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	res, rerr := server.Replay(ctx, server.ReplayOptions{
-		Addr:   srv.Addr().String(),
-		Dir:    dir,
-		Rate:   rate,
-		Logger: logger,
-	})
-	sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+// drain shuts srv down, waiting at most 30 s for its workers.
+func drain(srv *server.Server) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil {
-		return err
+	return srv.Shutdown(ctx)
+}
+
+// adminHandler is the -stats endpoint: the server's /stats and /healthz, and
+// with -pprof the net/http/pprof handlers under /debug/pprof/.
+func adminHandler(h http.Handler, pprofOn bool) http.Handler {
+	if !pprofOn {
+		return h
 	}
-	<-serveDone
-	snap := srv.StatsSnapshot()
-	fmt.Fprintf(out, "replay: events=%d records=%d served=%d dropped=%d bad=%d incomplete=%d crc=%08x torn=%d\n",
-		res.Events, res.DownlinkRecords, snap.EventsOut, snap.Dropped,
-		snap.BadEvents, snap.IncompleteEvents, res.DownlinkCRC, res.Torn)
-	return rerr
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/", h)
+	return mux
 }
 
 // daemonOpts carries the resolved flag values buildConfig turns into a

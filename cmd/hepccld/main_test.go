@@ -1,8 +1,12 @@
 package main
 
 import (
+	"context"
 	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -38,11 +42,7 @@ func TestBuildConfigCTA(t *testing.T) {
 		t.Fatalf("calibration measured %d pedestals, want %d", len(cfg.Pedestals), want)
 	}
 	// The resolved config must actually construct a server.
-	srv, err := server.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = srv
+	newServer(t, cfg)
 }
 
 func TestBuildConfigADAPTKeepsSamples(t *testing.T) {
@@ -82,11 +82,22 @@ func TestBuildConfigHardening(t *testing.T) {
 	if cfg.BreakerBadPackets != 512 || cfg.BreakerWindow != 3*time.Second {
 		t.Fatalf("breaker = %d/%v", cfg.BreakerBadPackets, cfg.BreakerWindow)
 	}
+	newServer(t, cfg)
+}
+
+// newServer builds a server from cfg and shuts its workers down with t, so
+// no test leaves a worker behind for TestRunDrainsOnListenFailure to see.
+func newServer(t *testing.T, cfg server.Config) {
+	t.Helper()
 	srv, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = srv
+	t.Cleanup(func() {
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 func TestBuildConfigErrors(t *testing.T) {
@@ -184,5 +195,56 @@ func TestRunFailsOnOccupiedStatsPort(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("hepccld kept serving without its stats endpoint")
+	}
+}
+
+// TestRunDrainsOnListenFailure: a -listen address that cannot be bound fails
+// run with an error naming it, and only after the workers server.New started
+// have exited. Shutdown waits on the workers, so no stack may still hold
+// one once run returns.
+func TestRunDrainsOnListenFailure(t *testing.T) {
+	occupied, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer occupied.Close()
+	addr := occupied.Addr().String()
+	err = run([]string{
+		"-config", "adapt", "-calibration", "0", "-workers", "2", "-listen", addr,
+		"-log-interval", "0", "-stats", "127.0.0.1:0",
+	}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), addr) {
+		t.Fatalf("run with an occupied -listen port: %v, want an error naming %s", err, addr)
+	}
+	buf := make([]byte, 1<<20)
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	if strings.Contains(stacks, "server.(*Server).run") {
+		t.Fatalf("a worker outlived run:\n%s", stacks)
+	}
+}
+
+// TestAdminHandlerPprof: -pprof mounts /debug/pprof/ in front of the
+// server's routes; without it the path is the server's 404.
+func TestAdminHandlerPprof(t *testing.T) {
+	stats := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/stats" {
+			http.NotFound(w, r)
+		}
+	})
+	for _, tc := range []struct {
+		pprof    bool
+		path     string
+		wantCode int
+	}{
+		{false, "/stats", http.StatusOK},
+		{false, "/debug/pprof/", http.StatusNotFound},
+		{true, "/stats", http.StatusOK},
+		{true, "/debug/pprof/", http.StatusOK},
+	} {
+		rec := httptest.NewRecorder()
+		adminHandler(stats, tc.pprof).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, tc.path, nil))
+		if rec.Code != tc.wantCode {
+			t.Errorf("-pprof=%v GET %s: %d, want %d", tc.pprof, tc.path, rec.Code, tc.wantCode)
+		}
 	}
 }

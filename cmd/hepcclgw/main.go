@@ -20,11 +20,13 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -63,12 +65,22 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg.StatsAddr = *statsAddr
 	cfg.Logger = log.New(out, "", log.LstdFlags)
 
 	gw, err := gateway.New(cfg)
 	if err != nil {
 		return err
+	}
+	if *statsAddr != "" {
+		sl, err := net.Listen("tcp", *statsAddr)
+		if err != nil {
+			return fmt.Errorf("stats endpoint: %w", err)
+		}
+		admin := &http.Server{Handler: gw.Handler()}
+		go admin.Serve(sl)
+		// Every return below shuts the gateway down first, so the endpoint
+		// answers until the drain is done.
+		defer admin.Close()
 	}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -77,22 +89,22 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	cfg.Logger.Printf("hepcclgw: relaying on %s to %d backends", ln.Addr(), len(cfg.Backends))
 	errc := make(chan error, 1)
 	go func() { errc <- gw.Serve(ln) }()
+	var serveErr error
 	select {
-	case err := <-errc:
-		return err
+	case serveErr = <-errc:
 	case <-ctx.Done():
 		cfg.Logger.Printf("hepcclgw: signal received, draining")
-		sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := gw.Shutdown(sctx); err != nil {
-			return err
-		}
-		<-errc // ErrGatewayClosed
-		snap := gw.StatsSnapshot()
-		cfg.Logger.Printf("hepcclgw: drained: offered=%d relayed=%d shed=%d inflight=%d",
-			snap.Offered, snap.Relayed, snap.Shed.Total(), snap.Inflight)
-		return nil
 	}
+	sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := gw.Shutdown(sctx); err != nil || serveErr != nil {
+		return errors.Join(serveErr, err)
+	}
+	<-errc // ErrGatewayClosed
+	snap := gw.StatsSnapshot()
+	cfg.Logger.Printf("hepcclgw: drained: offered=%d relayed=%d shed=%d inflight=%d",
+		snap.Offered, snap.Relayed, snap.Shed.Total(), snap.Inflight)
+	return nil
 }
 
 // buildConfig resolves the frames per event and backend list.

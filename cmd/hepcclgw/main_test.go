@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"net"
+	"net/http/httptest"
 	"regexp"
 	"strings"
 	"sync"
@@ -65,31 +66,31 @@ func TestBuildConfig(t *testing.T) {
 	}
 }
 
-// TestRelayOneEvent starts hepcclgw through run in front of one in-process
-// hepccld, relays one event to its record on the offering connection, and
-// stops it: run drains, logs the exact ledger and returns nil.
+// TestRelayOneEvent starts hepcclgw through run, with its admin port, in
+// front of one in-process hepccld, relays one event to its record on the
+// offering connection, and stops it: run drains, logs the exact ledger and
+// returns nil.
 func TestRelayOneEvent(t *testing.T) {
 	pcfg := adapt.DefaultADAPT()
 	pcfg.ASICs, pcfg.SamplesPerChannel = 4, 4
 	srv, err := server.New(server.Config{
-		Pipeline: pcfg, Workers: 1, QueueDepth: 8, Policy: server.PolicyBlock, StatsAddr: "127.0.0.1:0",
+		Pipeline: pcfg, Workers: 1, QueueDepth: 8, Policy: server.PolicyBlock,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.ListenAndServe("127.0.0.1:0")
+	backend, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(backend)
+	stats := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		srv.Shutdown(ctx)
+		stats.Close()
 	})
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Addr() == nil || srv.StatsAddr() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("hepccld never bound")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -97,11 +98,12 @@ func TestRelayOneEvent(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run(ctx, []string{
-			"-listen", "127.0.0.1:0", "-config", "8x8",
-			"-backends", srv.Addr().String() + "=" + srv.StatsAddr().String(),
+			"-listen", "127.0.0.1:0", "-stats", "127.0.0.1:0", "-config", "8x8",
+			"-backends", backend.Addr().String() + "=" + stats.Listener.Addr().String(),
 		}, &logs)
 	}()
 	relaying := regexp.MustCompile(`relaying on (\S+) to 1 backends`)
+	deadline := time.Now().Add(5 * time.Second)
 	var addr string
 	for addr == "" {
 		if m := relaying.FindStringSubmatch(logs.String()); m != nil {

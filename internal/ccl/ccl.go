@@ -166,7 +166,7 @@ func scan(g *grid.Grid, prov *grid.Labels, mt *MergeTable, opt Options) error {
 				// No lit scanned neighbors: open a new group (Example 4.1).
 				l, err := mt.Alloc()
 				if err != nil {
-					return fmt.Errorf("ccl: %w at pixel (%d,%d): capacity %d insufficient (4-way worst case needs SizeFor)", err, r, c, mt.Cap())
+					return fmt.Errorf("%w at pixel (%d,%d): capacity %d insufficient (4-way worst case needs SizeFor)", err, r, c, mt.Cap())
 				}
 				prov.Set(r, c, l)
 				continue

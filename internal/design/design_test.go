@@ -219,8 +219,12 @@ func TestPaperSizingOverflow(t *testing.T) {
 		}
 	}
 	c := Config{Rows: 6, Cols: 6, Connectivity: grid.FourWay, Stage: StagePipelined}
-	if _, err := Run(g, c); !errors.Is(err, ccl.ErrMergeTableFull) {
+	_, err := Run(g, c)
+	if !errors.Is(err, ccl.ErrMergeTableFull) {
 		t.Fatalf("err = %v, want ErrMergeTableFull", err)
+	}
+	if n := strings.Count(err.Error(), "ccl:"); n != 1 {
+		t.Fatalf("err = %q names its package %d times, want once", err, n)
 	}
 	c.Connectivity = grid.EightWay
 	out, err := Run(g, c)

@@ -85,63 +85,47 @@ func (c VariantConfig) lanes() int {
 	return c.OutputLanes
 }
 
-// variantLoops builds the stage list of a variant configuration.
+// variantLoops builds the stage list of a variant configuration from the
+// published pipelined schedule (loops in model.go): the output loop resized
+// for the lanes, a relabel pass before it for two-pass, and for single-pass
+// an II=2 scan and no resolve or drain.
 func variantLoops(cfg VariantConfig) []sched.Loop {
-	n := int64(cfg.Rows * cfg.Cols)
-	mt := int64(ccl.SizeForPaper(cfg.Rows, cfg.Cols))
+	n := cfg.Rows * cfg.Cols
 	lanes := int64(cfg.lanes())
-	outTrip := (n + lanes - 1) / lanes
-
-	var loops []sched.Loop
-	switch cfg.Strategy {
-	case PassOneAndHalf:
-		loops = []sched.Loop{
-			{Name: "load", Trip: n, Pipelined: true, II: 1, Depth: loadDepth},
-			{Name: "scan", Trip: n, Pipelined: true, II: 1, Depth: scanDepth},
-			{Name: "resolve", Trip: mt, IterLatency: resolveIter},
-			{Name: "output", Trip: outTrip, Pipelined: true, II: 1, Depth: outputDepth},
+	single := cfg.Strategy == PassSingle
+	var out []sched.Loop
+	for _, l := range loops(StagePipelined, cfg.Connectivity, n, ccl.SizeForPaper(cfg.Rows, cfg.Cols), false) {
+		switch l.Name {
+		case "scan":
+			if single {
+				// Flat-table relabeling is a loop-carried dependency: II=2.
+				l.II = 2
+			}
+		case "resolve", "drain":
+			if single {
+				// The flat table needs no resolve, and the II=2 scan
+				// absorbs the diagonal merge traffic the others drain.
+				continue
+			}
+		case "output":
+			l.Trip = (l.Trip + lanes - 1) / lanes
+			if cfg.Strategy == PassTwo {
+				out = append(out, sched.Loop{Name: "relabel", Trip: int64(n), Pipelined: true, II: 1, Depth: loadDepth})
+			}
 		}
-	case PassTwo:
-		loops = []sched.Loop{
-			{Name: "load", Trip: n, Pipelined: true, II: 1, Depth: loadDepth},
-			{Name: "scan", Trip: n, Pipelined: true, II: 1, Depth: scanDepth},
-			{Name: "resolve", Trip: mt, IterLatency: resolveIter},
-			{Name: "relabel", Trip: n, Pipelined: true, II: 1, Depth: loadDepth},
-			{Name: "output", Trip: outTrip, Pipelined: true, II: 1, Depth: outputDepth},
-		}
-	case PassSingle:
-		loops = []sched.Loop{
-			{Name: "load", Trip: n, Pipelined: true, II: 1, Depth: loadDepth},
-			// Flat-table relabeling is a loop-carried dependency: II=2.
-			{Name: "scan", Trip: n, Pipelined: true, II: 2, Depth: scanDepth},
-			{Name: "output", Trip: outTrip, Pipelined: true, II: 1, Depth: outputDepth},
-		}
+		out = append(out, l)
 	}
-	// Diagonal merge traffic: same 1.5N drain as the published design for
-	// the merge-table strategies; the single-pass variant absorbs it in the
-	// II=2 scan.
-	if cfg.Connectivity == grid.EightWay && cfg.Strategy != PassSingle {
-		loops = append(loops, sched.Loop{
-			Name: "drain", Trip: (3*n + 1) / 2, Pipelined: true, II: 1, Depth: drainDepth,
-		})
-	}
-	return loops
+	return out
 }
 
 // VariantLatency returns the modeled worst-case latency of a variant
 // configuration.
 func VariantLatency(cfg VariantConfig) int64 {
 	df := sched.Dataflow{Stages: variantLoops(cfg)}
-	var total int64
 	if cfg.OverlappedDataflow {
-		total = df.OverlappedLatency()
-	} else {
-		total = df.SequentialLatency()
+		return df.OverlappedLatency() + overhead(StagePipelined, cfg.Connectivity)
 	}
-	if cfg.Connectivity == grid.EightWay {
-		return total + pipeOverhead8
-	}
-	return total + pipeOverhead4
+	return df.SequentialLatency() + overhead(StagePipelined, cfg.Connectivity)
 }
 
 // VariantInterval returns the steady-state event interval: with overlapped

@@ -10,7 +10,8 @@
 // removal and hot re-addition without disturbing the rest of the ring. Responses relay back
 // on the client connection that offered the event; per-source FIFO order is
 // preserved per backend because one client's events for one backend share a
-// single ordered upstream connection.
+// single ordered upstream connection. The admin surface is Gateway.Handler;
+// the embedding command owns the listener it is served on.
 package gateway
 
 import (
@@ -43,10 +44,6 @@ type Config struct {
 	// ASICs is the number of frames composing one event on the wire (the
 	// fleet's pipeline geometry; the gateway frames events but never serves).
 	ASICs int
-
-	// StatsAddr serves GET /stats, GET /healthz, POST /drain, POST /add.
-	// Empty disables.
-	StatsAddr string
 	// Logger receives one-line operational logs. nil silences them.
 	Logger *log.Logger
 }
@@ -102,9 +99,7 @@ type Gateway struct {
 
 	stats gwStats
 
-	ln       net.Listener
-	statsLn  net.Listener
-	statsSrv *http.Server
+	ln net.Listener
 
 	done     chan struct{}
 	closing  atomic.Bool
@@ -161,8 +156,8 @@ func (g *Gateway) rebuild() {
 }
 
 // Serve probes the fleet once (so routing starts from real health, not
-// guesses), builds the first table, starts the prober and admin endpoint,
-// and accepts client connections until Shutdown.
+// guesses), builds the first table, starts the prober, and accepts client
+// connections until Shutdown.
 func (g *Gateway) Serve(ln net.Listener) error {
 	g.mu.Lock()
 	if g.closing.Load() {
@@ -187,10 +182,6 @@ func (g *Gateway) Serve(ln net.Listener) error {
 		}
 	}
 	g.rebuild()
-	if err := g.startStats(); err != nil {
-		ln.Close()
-		return err
-	}
 	g.bgWG.Add(1)
 	go g.runProber()
 
@@ -233,8 +224,7 @@ func (g *Gateway) Serve(ln net.Listener) error {
 
 // Shutdown stops accepting, ends ingress on every client connection, waits
 // for each to finish its graceful drain — every record it is owed, then EOF
-// — and stops the prober and admin endpoint. Connections still open when
-// ctx ends are closed.
+// — and stops the prober. Connections still open when ctx ends are closed.
 func (g *Gateway) Shutdown(ctx context.Context) error {
 	var err error
 	g.shutOnce.Do(func() {
@@ -266,9 +256,6 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 			err = ctx.Err()
 		}
 		g.bgWG.Wait()
-		if g.statsSrv != nil {
-			g.statsSrv.Close()
-		}
 	})
 	return err
 }

@@ -2,19 +2,23 @@ package gateway
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/wustl-adapt/hepccl/internal/adapt"
 	"github.com/wustl-adapt/hepccl/internal/detector"
+	"github.com/wustl-adapt/hepccl/internal/health"
 	"github.com/wustl-adapt/hepccl/internal/server"
 )
 
@@ -29,6 +33,7 @@ func testPipeline() adapt.Config {
 // backendHandle wraps one in-process hepccld for lifecycle control.
 type backendHandle struct {
 	srv   *server.Server
+	web   *httptest.Server // srv.Handler() on stats
 	addr  string
 	stats string
 	dead  bool
@@ -50,33 +55,26 @@ func startPacedBackend(t *testing.T, policy server.OverflowPolicy, listen string
 		// not the derandomizer, so a kill severs with data unread.
 		queue = 16
 	}
+	if listen == "" {
+		listen = "127.0.0.1:0"
+	}
+	ln, err := net.Listen("tcp", listen)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := server.New(server.Config{
 		Pipeline:   testPipeline(),
 		Workers:    1,
 		QueueDepth: queue,
 		Policy:     policy,
 		PaceRate:   rate,
-		StatsAddr:  "127.0.0.1:0",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if listen == "" {
-		listen = "127.0.0.1:0"
-	}
-	go s.ListenAndServe(listen)
-	h := &backendHandle{srv: s}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if a, sa := s.Addr(), s.StatsAddr(); a != nil && sa != nil {
-			h.addr, h.stats = a.String(), sa.String()
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("backend never bound")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	go s.Serve(ln)
+	web := httptest.NewServer(s.Handler())
+	h := &backendHandle{srv: s, web: web, addr: ln.Addr().String(), stats: web.Listener.Addr().String()}
 	t.Cleanup(func() { h.stop(t) })
 	return h
 }
@@ -90,6 +88,7 @@ func (h *backendHandle) stop(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	h.srv.Shutdown(ctx)
+	h.web.Close()
 }
 
 // kill force-closes the backend: expired context, so live connections are
@@ -99,6 +98,7 @@ func (h *backendHandle) kill() {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	h.srv.Shutdown(ctx)
+	h.web.Close()
 }
 
 // listenLocal binds a loopback listener on an ephemeral port.
@@ -126,10 +126,7 @@ func startGateway(t *testing.T, handles ...*backendHandle) *testGateway {
 // unexported fields after New and before Serve.
 func startGatewayCfg(t *testing.T, mut func(*Gateway), handles ...*backendHandle) *testGateway {
 	t.Helper()
-	cfg := Config{
-		ASICs:     testPipeline().ASICs,
-		StatsAddr: "127.0.0.1:0",
-	}
+	cfg := Config{ASICs: testPipeline().ASICs}
 	for _, h := range handles {
 		cfg.Backends = append(cfg.Backends, BackendSpec{Addr: h.addr, StatsAddr: h.stats})
 	}
@@ -365,9 +362,11 @@ func TestGatewayDrainZeroLoss(t *testing.T) {
 	}
 
 	send(events[:phase])
+	admin := httptest.NewServer(g.Handler())
+	defer admin.Close()
 
 	// Drain via the admin endpoint (exercising the HTTP handler too).
-	resp, err := http.Post(fmt.Sprintf("http://%s/drain?addr=%s", g.AdminAddr(), b0.addr), "", nil)
+	resp, err := http.Post(fmt.Sprintf("%s/drain?addr=%s", admin.URL, b0.addr), "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +395,7 @@ func TestGatewayDrainZeroLoss(t *testing.T) {
 
 	// Hot re-add and stream the final phase; b0 must serve again.
 	forwardedAtReadd := drained.forwarded.Load()
-	resp, err = http.Post(fmt.Sprintf("http://%s/add?addr=%s&stats=%s", g.AdminAddr(), b0.addr, b0.stats), "", nil)
+	resp, err = http.Post(fmt.Sprintf("%s/add?addr=%s&stats=%s", admin.URL, b0.addr, b0.stats), "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,6 +483,66 @@ func startCrashProxy(t *testing.T, target string) *crashProxy {
 		}
 	}()
 	return p
+}
+
+// TestHandlerHealthz: the admin /healthz answers 503 while nothing is
+// routable — JSON under ?verbose, the bare state line otherwise — and 200
+// once the fleet is whole.
+func TestHandlerHealthz(t *testing.T) {
+	dead := listenLocal(t)
+	deadAddr := dead.Addr().String()
+	dead.Close()
+	stranded := startGateway(t, &backendHandle{addr: deadAddr, stats: deadAddr, dead: true})
+	whole := startGateway(t, startBackend(t, server.PolicyBlock, ""))
+	deadline := time.Now().Add(5 * time.Second)
+	for whole.StatsSnapshot().Health != health.OK {
+		if time.Now().After(deadline) {
+			t.Fatalf("gateway over a live backend never reported ok: %+v", whole.StatsSnapshot())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for _, tc := range []struct {
+		name  string
+		g     *Gateway
+		query string
+		code  int
+		ctype string
+		state health.State
+	}{
+		{"overloaded/verbose", stranded.Gateway, "?verbose=1", http.StatusServiceUnavailable, "application/json", health.Overloaded},
+		{"overloaded", stranded.Gateway, "", http.StatusServiceUnavailable, "text/plain; charset=utf-8", health.Overloaded},
+		{"ok", whole.Gateway, "", http.StatusOK, "text/plain; charset=utf-8", health.OK},
+	} {
+		code, ctype, body := getHealthz(t, tc.g.Handler(), tc.query)
+		state := health.State(strings.TrimSpace(string(body)))
+		if tc.query != "" {
+			var snap FleetSnapshot
+			if err := json.Unmarshal(body, &snap); err != nil {
+				t.Fatalf("%s: body %q: %v", tc.name, body, err)
+			}
+			state = snap.Health
+		}
+		if code != tc.code || ctype != tc.ctype || state != tc.state {
+			t.Errorf("%s: %d %q %q, want %d %q %q", tc.name, code, ctype, state, tc.code, tc.ctype, tc.state)
+		}
+	}
+}
+
+// getHealthz serves h and returns one GET /healthz<query> as a client sees
+// it.
+func getHealthz(t *testing.T, h http.Handler, query string) (code int, ctype string, body []byte) {
+	t.Helper()
+	web := httptest.NewServer(h)
+	defer web.Close()
+	resp, err := http.Get(web.URL + "/healthz" + query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if body, err = io.ReadAll(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, resp.Header.Get("Content-Type"), body
 }
 
 // TestGatewayRetryOnBackendDeath kills a slow backend with events piled up

@@ -2,9 +2,7 @@ package gateway
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"sync/atomic"
 
@@ -125,13 +123,11 @@ func (s FleetSnapshot) healthState() health.State {
 	return health.OK
 }
 
-// startStats serves the admin endpoint: GET /stats, GET /healthz,
-// POST /drain?addr=..., POST /add?addr=...&stats=... An address it cannot
-// bind is an error, so the gateway never runs without its admin port.
-func (g *Gateway) startStats() error {
-	if g.cfg.StatsAddr == "" {
-		return nil
-	}
+// Handler serves the admin endpoint: GET /stats, GET /healthz,
+// POST /drain?addr=..., POST /add?addr=...&stats=... The caller owns the
+// listener it runs on. Until Serve builds the first routing table nothing
+// is routable, so /healthz answers overloaded.
+func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -141,17 +137,7 @@ func (g *Gateway) startStats() error {
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		snap := g.StatsSnapshot()
-		if snap.Health == health.Overloaded {
-			w.WriteHeader(http.StatusServiceUnavailable)
-		}
-		if r.URL.Query().Get("verbose") != "" {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(snap)
-			return
-		}
-		fmt.Fprintln(w, snap.Health)
+		health.Write(w, r, snap.Health, snap)
 	})
 	mux.HandleFunc("/drain", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -177,29 +163,5 @@ func (g *Gateway) startStats() error {
 		}
 		fmt.Fprintf(w, "joined %s (%s)\n", b.Addr, b.HealthClass())
 	})
-	ln, err := net.Listen("tcp", g.cfg.StatsAddr)
-	if err != nil {
-		return fmt.Errorf("gateway: stats endpoint: %w", err)
-	}
-	g.mu.Lock()
-	g.statsLn = ln
-	g.mu.Unlock()
-	g.statsSrv = &http.Server{Handler: mux}
-	go func() {
-		if err := g.statsSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			g.logf("gateway: stats endpoint: %v", err)
-		}
-	}()
-	return nil
-}
-
-// AdminAddr returns the admin endpoint's address, or nil when disabled or
-// not yet serving.
-func (g *Gateway) AdminAddr() net.Addr {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.statsLn == nil {
-		return nil
-	}
-	return g.statsLn.Addr()
+	return mux
 }

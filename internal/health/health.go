@@ -1,8 +1,15 @@
-// Package health holds the /healthz wire types shared by the daemon, which
-// serves them, and the gateway, which probes them. It imports nothing from
-// the module, so the gateway can read a backend's verdict without linking
-// the daemon.
+// Package health holds the /healthz wire types and the one writer that the
+// daemon and the gateway both answer /healthz with; the gateway also reads
+// its backends' verdicts through these types. It imports nothing from the
+// module, so the gateway can read a backend's verdict without linking the
+// daemon.
 package health
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+)
 
 // State classifies how a server is coping with its current load.
 type State string
@@ -41,4 +48,24 @@ type Snapshot struct {
 	// sticky-fails the writer, so a nonzero value degrades an otherwise-ok
 	// verdict: the server still serves but the durability guarantee is gone.
 	WALAppendErrors uint64 `json:"wal_append_errors,omitempty"`
+}
+
+// Write answers one GET /healthz: 503 when state is Overloaded, 200
+// otherwise; the body is detail as indented JSON under ?verbose, else the
+// bare state line.
+func Write(w http.ResponseWriter, r *http.Request, state State, detail any) {
+	verbose := r.URL.Query().Get("verbose") != ""
+	if verbose {
+		w.Header().Set("Content-Type", "application/json")
+	}
+	if state == Overloaded {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}
+	if !verbose {
+		fmt.Fprintln(w, state)
+		return
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(detail)
 }

@@ -62,8 +62,10 @@
 // The server supports graceful drain on shutdown (stop ingress, process
 // everything queued, flush responses), and exposes global and per-connection
 // statistics — events in/out, drops, bad packets, skipped bytes, queue
-// high-water mark, latency percentiles — via a JSON stats endpoint and a
-// periodic log line. Every count has one home. A connection's counts live in
+// high-water mark, latency percentiles — via Server.Handler (GET /stats and
+// GET /healthz) and a periodic log line. The package opens no HTTP socket:
+// the embedding command binds the listener, serves the handler on it, and
+// closes it after Shutdown. Every count has one home. A connection's counts live in
 // its own counters, written by its reader or its worker; the server-wide
 // figures are folded when read: the live connections' counters plus those of
 // the retired ones, which the worker folds in when it retires a connection

@@ -7,10 +7,10 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -146,18 +146,12 @@ func TestResyncBreakerWindowSlides(t *testing.T) {
 func TestHealthzDegradedAndOverloaded(t *testing.T) {
 	cfg := testConfig()
 	s, _ := startServer(t, Config{
-		Pipeline: cfg, QueueDepth: 8, Policy: PolicyDrop, StatsAddr: "127.0.0.1:0",
+		Pipeline: cfg, QueueDepth: 8, Policy: PolicyDrop,
 	})
-	var statsAddr net.Addr
-	for i := 0; i < 100 && statsAddr == nil; i++ {
-		statsAddr = s.StatsAddr()
-		time.Sleep(5 * time.Millisecond)
-	}
-	if statsAddr == nil {
-		t.Fatal("stats endpoint never came up")
-	}
+	web := httptest.NewServer(s.Handler())
+	defer web.Close()
 	get := func() (health.State, int) {
-		resp, err := http.Get(fmt.Sprintf("http://%s/healthz", statsAddr))
+		resp, err := http.Get(web.URL + "/healthz")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,23 +206,10 @@ func TestHealthzDegradedAndOverloaded(t *testing.T) {
 // TestHealthzVerbose asserts the typed JSON health snapshot on
 // /healthz?verbose=1: state plus the windowed fractions and thresholds.
 func TestHealthzVerbose(t *testing.T) {
-	cfg := Config{
-		Pipeline:  testConfig(),
-		StatsAddr: "127.0.0.1:0",
-	}
-	s, addr := startServer(t, cfg)
-	_ = addr
-	var statsAddr net.Addr
-	for i := 0; i < 200; i++ {
-		if statsAddr = s.StatsAddr(); statsAddr != nil {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if statsAddr == nil {
-		t.Fatal("stats endpoint never bound")
-	}
-	resp, err := http.Get("http://" + statsAddr.String() + "/healthz?verbose=1")
+	s, _ := startServer(t, Config{Pipeline: testConfig()})
+	web := httptest.NewServer(s.Handler())
+	defer web.Close()
+	resp, err := http.Get(web.URL + "/healthz?verbose=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,6 +226,52 @@ func TestHealthzVerbose(t *testing.T) {
 	}
 	if snap.DegradedLossRate <= 0 || snap.OverloadLossRate <= snap.DegradedLossRate {
 		t.Fatalf("thresholds not populated: %+v", snap)
+	}
+}
+
+// TestHandlerHealthz: /healthz answers 503 when overloaded — JSON under
+// ?verbose, the bare state line otherwise — and 200 when ok.
+func TestHandlerHealthz(t *testing.T) {
+	s, _ := startServer(t, Config{Pipeline: testConfig()})
+	web := httptest.NewServer(s.Handler())
+	defer web.Close()
+	for _, tc := range []struct {
+		name    string
+		dropped uint64 // of 1000 events retired in the row's window
+		query   string
+		code    int
+		ctype   string
+		state   health.State
+	}{
+		{"overloaded/verbose", 200, "?verbose=1", http.StatusServiceUnavailable, "application/json", health.Overloaded},
+		{"overloaded", 200, "", http.StatusServiceUnavailable, "text/plain; charset=utf-8", health.Overloaded},
+		{"ok", 0, "", http.StatusOK, "text/plain; charset=utf-8", health.OK},
+	} {
+		s.mu.Lock()
+		s.retired.EventsIn += 1000
+		s.retired.Dropped += tc.dropped
+		s.mu.Unlock()
+		time.Sleep(healthMinWindow + 20*time.Millisecond)
+		resp, err := http.Get(web.URL + "/healthz" + tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		state := health.State(strings.TrimSpace(string(body)))
+		if tc.query != "" {
+			var snap health.Snapshot
+			if err := json.Unmarshal(body, &snap); err != nil {
+				t.Fatalf("%s: body %q: %v", tc.name, body, err)
+			}
+			state = snap.State
+		}
+		if ctype := resp.Header.Get("Content-Type"); resp.StatusCode != tc.code || ctype != tc.ctype || state != tc.state {
+			t.Errorf("%s: %d %q %q, want %d %q %q", tc.name, resp.StatusCode, ctype, state, tc.code, tc.ctype, tc.state)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"sync"
 	"time"
 
@@ -41,13 +40,6 @@ type Config struct {
 	// (adapt.MeasurePedestals) installed in each worker pipeline at startup.
 	// Nil keeps nominal pedestals.
 	Pedestals []int64
-	// StatsAddr, when non-empty, serves GET /stats (JSON snapshot) and
-	// GET /healthz on this address.
-	StatsAddr string
-	// EnablePprof additionally registers net/http/pprof handlers under
-	// /debug/pprof/ on the stats address. Off by default: the profiling
-	// surface is a debugging aid, not part of the operational API.
-	EnablePprof bool
 	// WriteTimeout bounds each response write, and so how long a client
 	// that stops reading can stall its lane. Default 10s.
 	WriteTimeout time.Duration
@@ -140,9 +132,6 @@ type Server struct {
 	workersWG sync.WaitGroup
 	connsWG   sync.WaitGroup
 
-	statsSrv *http.Server
-	statsLn  net.Listener
-
 	// wal, when non-nil, receives the raw bytes of every admitted event.
 	wal *wal.Writer
 
@@ -233,18 +222,9 @@ func (s *Server) isDraining() bool {
 	}
 }
 
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Serve accepts connections on ln until Shutdown, returning ErrServerClosed
-// on a clean shutdown. The stats endpoint and periodic log line run for the
-// lifetime of the serve loop.
+// on a clean shutdown. The periodic log line runs for the lifetime of the
+// serve loop.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	s.ln = ln
@@ -258,11 +238,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	// waits the loop out), or draining was observed above and it never starts.
 	s.acceptWG.Add(1)
 	s.mu.Unlock()
-	if err := s.startStats(); err != nil {
-		ln.Close()
-		s.acceptWG.Done()
-		return err
-	}
 	stopLog := s.startPeriodicLog()
 	defer stopLog()
 	if l := s.cfg.Logger; l != nil {
@@ -304,16 +279,6 @@ func (s *Server) acceptLoop(ln net.Listener) error {
 		backoff = 0
 		s.addConn(nc)
 	}
-}
-
-// Addr returns the listener address, once serving.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
 }
 
 func (s *Server) addConn(nc net.Conn) {
@@ -395,9 +360,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 		err = ctx.Err()
 	}
-	if s.statsSrv != nil {
-		s.statsSrv.Close()
-	}
 	if s.wal != nil {
 		// On the clean path every reader has exited; on the ctx path a racing
 		// Append serializes against Close on the writer's mutex and then
@@ -409,13 +371,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// startStats serves /stats and /healthz if configured. An address it cannot
-// bind is an error: a daemon without its stats port is invisible to every
-// scraper and health probe.
-func (s *Server) startStats() error {
-	if s.cfg.StatsAddr == "" {
-		return nil
-	}
+// Handler serves GET /stats (the JSON Snapshot) and GET /healthz (the
+// health verdict). The caller owns the listener it runs on.
+func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -425,54 +383,9 @@ func (s *Server) startStats() error {
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		snap := s.HealthSnapshot()
-		if r.URL.Query().Get("verbose") != "" {
-			w.Header().Set("Content-Type", "application/json")
-			if snap.State == health.Overloaded {
-				w.WriteHeader(http.StatusServiceUnavailable)
-			}
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(snap)
-			return
-		}
-		if snap.State == health.Overloaded {
-			w.WriteHeader(http.StatusServiceUnavailable)
-		}
-		fmt.Fprintln(w, snap.State)
+		health.Write(w, r, snap.State, snap)
 	})
-	if s.cfg.EnablePprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	ln, err := net.Listen("tcp", s.cfg.StatsAddr)
-	if err != nil {
-		return fmt.Errorf("server: stats endpoint: %w", err)
-	}
-	s.mu.Lock()
-	s.statsLn = ln
-	s.mu.Unlock()
-	s.statsSrv = &http.Server{Handler: mux}
-	go func() {
-		if err := s.statsSrv.Serve(ln); err != nil &&
-			!errors.Is(err, http.ErrServerClosed) && s.cfg.Logger != nil {
-			s.cfg.Logger.Printf("hepccld: stats endpoint: %v", err)
-		}
-	}()
-	return nil
-}
-
-// StatsAddr returns the stats endpoint's listen address, or nil when the
-// endpoint is disabled or not yet serving.
-func (s *Server) StatsAddr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.statsLn == nil {
-		return nil
-	}
-	return s.statsLn.Addr()
+	return mux
 }
 
 // startPeriodicLog emits the one-line summary every LogInterval.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -403,7 +404,11 @@ func TestServeAfterShutdown(t *testing.T) {
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ListenAndServe("127.0.0.1:0"); !errors.Is(err, ErrServerClosed) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Serve(ln); !errors.Is(err, ErrServerClosed) {
 		t.Fatalf("got %v, want ErrServerClosed", err)
 	}
 }
@@ -491,7 +496,7 @@ func serverBadInput(t *testing.T, paceRate float64) {
 func TestStatsEndpoint(t *testing.T) {
 	cfg := testConfig()
 	s, addr := startServer(t, Config{
-		Pipeline: cfg, QueueDepth: 8, Policy: PolicyBlock, StatsAddr: "127.0.0.1:0",
+		Pipeline: cfg, QueueDepth: 8, Policy: PolicyBlock,
 	})
 	events := makeEvents(t, cfg, 6, 21)
 	// Event 4 arrives with two frames swapped — valid, but off the wire
@@ -544,7 +549,7 @@ func TestStatsEndpoint(t *testing.T) {
 	// counters are folded from the connections', retired ones included.
 	t.Run("retired", func(t *testing.T) {
 		s, addr := startServer(t, Config{
-			Pipeline: cfg, Workers: 2, QueueDepth: 8, Policy: PolicyBlock, StatsAddr: "127.0.0.1:0",
+			Pipeline: cfg, Workers: 2, QueueDepth: 8, Policy: PolicyBlock,
 		})
 		const conns, perConn = 3, 25
 		events := makeEvents(t, cfg, perConn, 5)
@@ -588,7 +593,7 @@ func TestStatsEndpoint(t *testing.T) {
 	// A frame larger than any paper geometry serves on the same run backend
 	// as the 43x43 camera, and the tile pool's field is gone from /stats.
 	t.Run("frame160", func(t *testing.T) {
-		s, _ := startServer(t, Config{Pipeline: adapt.DefaultFrame(160, 160), StatsAddr: "127.0.0.1:0"})
+		s, _ := startServer(t, Config{Pipeline: adapt.DefaultFrame(160, 160)})
 		_, body := getStats(t, s)
 		var fields map[string]json.RawMessage
 		if err := json.Unmarshal(body, &fields); err != nil {
@@ -603,18 +608,13 @@ func TestStatsEndpoint(t *testing.T) {
 	})
 }
 
-// getStats waits for the stats endpoint and returns its base URL and one
-// /stats body.
+// getStats serves s.Handler() for the rest of the test and returns its base
+// URL and one /stats body.
 func getStats(t *testing.T, s *Server) (base string, body []byte) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.StatsAddr() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("stats endpoint never came up")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	base = "http://" + s.StatsAddr().String()
+	web := httptest.NewServer(s.Handler())
+	t.Cleanup(web.Close)
+	base = web.URL
 	resp, err := http.Get(base + "/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -689,43 +689,17 @@ func TestQueueSharding(t *testing.T) {
 	}
 }
 
-// TestListenAndServe drives ListenAndServe end to end on an ephemeral port:
-// four clients spread round-robin over two worker lanes send events, every
-// event must come back, and ListenAndServe must return ErrServerClosed after
-// Shutdown.
-func TestListenAndServe(t *testing.T) {
+// TestServeFourClientsTwoLanes drives Serve end to end on an ephemeral
+// port: four clients spread round-robin over two worker lanes send events,
+// and every event must come back.
+func TestServeFourClientsTwoLanes(t *testing.T) {
 	cfg := Config{
 		Pipeline:   testConfig(),
 		Workers:    2,
 		QueueDepth: 64,
 		Policy:     PolicyBlock,
 	}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.ListenAndServe("127.0.0.1:0") }()
-	var addr net.Addr
-	for i := 0; i < 200; i++ {
-		if addr = s.Addr(); addr != nil {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if addr == nil {
-		t.Fatal("server never bound a listener")
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := s.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-		if err := <-done; !errors.Is(err, ErrServerClosed) {
-			t.Errorf("ListenAndServe returned %v, want ErrServerClosed", err)
-		}
-	})
+	_, addr := startServer(t, cfg)
 
 	const conns, perConn = 4, 25
 	events := makeEvents(t, cfg.Pipeline, conns*perConn, 99)
@@ -735,7 +709,7 @@ func TestListenAndServe(t *testing.T) {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
-			nc, err := net.Dial("tcp", addr.String())
+			nc, err := net.Dial("tcp", addr)
 			if err != nil {
 				t.Errorf("conn %d: %v", ci, err)
 				return
