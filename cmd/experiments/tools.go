@@ -221,7 +221,7 @@ func report(args []string, out io.Writer) error {
 func pipe(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("pipe", flag.ContinueOnError)
 	var (
-		configName = fs.String("config", "adapt", "pipeline configuration: adapt (1D) or cta (2D 43x43)")
+		configName = fs.String("config", "adapt", "pipeline configuration: adapt (1D), cta (2D 43x43), or RxC (2D frame geometry, e.g. 64x64)")
 		events     = fs.Int("events", 5, "number of events to process")
 		seed       = fs.Uint64("seed", 1, "workload seed")
 		calEvents  = fs.Int("calibration", 20, "pedestal calibration events before the run")
@@ -234,14 +234,9 @@ func pipe(args []string, out io.Writer) error {
 		return fmt.Errorf("-events must be at least 1, got %d", *events)
 	}
 
-	var cfg adapt.Config
-	switch *configName {
-	case "adapt":
-		cfg = adapt.DefaultADAPT()
-	case "cta":
-		cfg = adapt.DefaultCTA()
-	default:
-		return fmt.Errorf("unknown -config %q", *configName)
+	cfg, err := adapt.NamedConfig(*configName, 0)
+	if err != nil {
+		return err
 	}
 	p, err := adapt.New(cfg)
 	if err != nil {
@@ -249,6 +244,7 @@ func pipe(args []string, out io.Writer) error {
 	}
 	rng := detector.NewRNG(*seed)
 	dig := detector.DefaultDigitizer()
+	dig.Samples = cfg.SamplesPerChannel
 
 	mode := "1D island detection + centroiding"
 	if two := cfg.Detection.TwoD; cfg.Detection.TwoDimension {
@@ -274,7 +270,7 @@ func pipe(args []string, out io.Writer) error {
 
 	var downlinkBytes, rawBytes, totalIslands int
 	for ev := 0; ev < *events; ev++ {
-		truth := makeTruth(cfg, rng)
+		truth := adapt.GenerateTruth(cfg, rng)
 		packets, err := adapt.GenerateEvent(truth, cfg.ASICs, uint32(ev), uint64(ev)*1000, dig, rng)
 		if err != nil {
 			return err
@@ -311,21 +307,4 @@ func pipe(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "on-board data reduction: %.0fx\n", float64(rawBytes)/float64(downlinkBytes))
 	}
 	return nil
-}
-
-// makeTruth builds one event's true photo-electron image for the pipeline's
-// channel array.
-func makeTruth(cfg adapt.Config, rng *detector.RNG) []grid.Value {
-	channels := cfg.ASICs * adapt.ChannelsPerASIC
-	if two := cfg.Detection.TwoD; cfg.Detection.TwoDimension {
-		cam := detector.CameraConfig{Rows: two.Rows, Cols: two.Cols, NSBMeanPE: 0.1}
-		img := cam.Shower(cam.TypicalShower(rng), rng)
-		flat := make([]grid.Value, channels)
-		copy(flat, img.Flat())
-		return flat
-	}
-	tracker := detector.DefaultTracker()
-	tracker.Channels = channels
-	tracker.Threshold = 0 // pipeline applies its own suppression
-	return tracker.Event(rng).Values
 }

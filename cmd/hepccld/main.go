@@ -51,35 +51,12 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("hepccld", flag.ContinueOnError)
 	fs.SetOutput(out)
+	var cfg server.Config
+	resolve := configFlags(fs, &cfg)
 	var (
-		listen      = fs.String("listen", "127.0.0.1:9310", "event-ingest listen address")
-		statsAddr   = fs.String("stats", "", "stats endpoint address (empty disables)")
-		pprofOn     = fs.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the -stats address")
-		configName  = fs.String("config", "cta", "pipeline configuration: adapt (1D), cta (2D 43x43), or RxC (2D frame geometry, e.g. 512x512)")
-		samples     = fs.Int("samples", 4, "waveform samples per channel on the wire (0 keeps the config default)")
-		workers     = fs.Int("workers", 1, "pipeline worker pool size")
-		queue       = fs.Int("queue", 64, "per-worker derandomizer queue depth (events)")
-		policyName  = fs.String("policy", "drop", "queue overflow policy: drop (derandomizer) or block (backpressure)")
-		paceHW      = fs.Bool("pace-hw", false, "throttle workers to the modeled FPGA event interval (E14 comparison)")
-		paceRate    = fs.Float64("pace-rate", 0, "throttle each worker to this many events/s (fixed-capacity backend model; 0 disables)")
-		calibration = fs.Int("calibration", 20, "pedestal calibration events per worker at startup")
-		seed        = fs.Uint64("seed", 1, "calibration workload seed")
-		logEvery    = fs.Duration("log-interval", 5*time.Second, "periodic stats log interval (0 disables)")
-
-		idleTimeout = fs.Duration("idle-timeout", 0,
-			"close connections idle between events for this long (0 disables)")
-		assemblyTimeout = fs.Duration("assembly-timeout", 0,
-			"bound on assembling one event once its first byte arrives (0 disables)")
-		breakerBad = fs.Int("breaker-bad-packets", 0,
-			"cut a connection after this many bad packets inside -breaker-window (0 disables)")
-		breakerWindow = fs.Duration("breaker-window", 0,
-			"sliding window for -breaker-bad-packets (0 uses the server default)")
-
-		recordDir = fs.String("record", "",
-			"append every admitted event's raw frames to a write-ahead log in this directory (empty disables)")
-		recordSegMB  = fs.Int("record-segment-mb", 64, "WAL segment size in MiB")
-		recordRetain = fs.Int("record-retain", 0,
-			"keep only the newest N WAL segment files, the active one included (0 keeps everything)")
+		listen    = fs.String("listen", "127.0.0.1:9310", "event-ingest listen address")
+		statsAddr = fs.String("stats", "", "stats endpoint address (empty disables)")
+		pprofOn   = fs.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the -stats address")
 		replayDir = fs.String("replay", "",
 			"replay a recorded WAL through the local server instead of serving external clients, then exit")
 		replayRate = fs.Float64("replay-rate", 0,
@@ -99,19 +76,15 @@ func run(args []string, out io.Writer) error {
 		defer ln.Close()
 		adminLn = ln
 	}
-	cfg, err := buildConfig(daemonOpts{
-		config: *configName, samples: *samples, workers: *workers, queue: *queue,
-		policy: *policyName, paceHW: *paceHW, paceRate: *paceRate,
-		calibration: *calibration, seed: *seed,
-		idleTimeout: *idleTimeout, assemblyTimeout: *assemblyTimeout,
-		breakerBadPackets: *breakerBad, breakerWindow: *breakerWindow,
-		recordDir: *recordDir, recordSegMB: *recordSegMB, recordRetain: *recordRetain,
-		replayDir: *replayDir, replayRate: *replayRate,
-	})
-	if err != nil {
+	if *replayRate < 0 {
+		return fmt.Errorf("-replay-rate = %g must be >= 0", *replayRate)
+	}
+	if cfg.RecordDir != "" && cfg.RecordDir == *replayDir {
+		return fmt.Errorf("-record and -replay point at the same directory %q", cfg.RecordDir)
+	}
+	if err := resolve(); err != nil {
 		return err
 	}
-	cfg.LogInterval = *logEvery
 	cfg.Logger = log.New(out, "", log.LstdFlags)
 
 	srv, err := server.New(cfg)
@@ -187,98 +160,82 @@ func adminHandler(h http.Handler, pprofOn bool) http.Handler {
 	return mux
 }
 
-// daemonOpts carries the resolved flag values buildConfig turns into a
-// server configuration.
-type daemonOpts struct {
-	config      string
-	samples     int
-	workers     int
-	queue       int
-	policy      string
-	paceHW      bool
-	paceRate    float64
-	calibration int
-	seed        uint64
+// configFlags defines on fs the flags that configure the server. Those that
+// map one to one onto a server.Config field bind to it; the returned resolve,
+// called after fs.Parse, derives the rest.
+func configFlags(fs *flag.FlagSet, cfg *server.Config) (resolve func() error) {
+	var (
+		configName  = fs.String("config", "cta", "pipeline configuration: adapt (1D), cta (2D 43x43), or RxC (2D frame geometry, e.g. 512x512)")
+		samples     = fs.Int("samples", 4, "waveform samples per channel on the wire (0 keeps the config default)")
+		policyName  = fs.String("policy", "drop", "queue overflow policy: drop (derandomizer) or block (backpressure)")
+		paceHW      = fs.Bool("pace-hw", false, "throttle workers to the modeled FPGA event interval (E14 comparison)")
+		calibration = fs.Int("calibration", 20, "pedestal calibration events per worker at startup")
+		seed        = fs.Uint64("seed", 1, "calibration workload seed")
+		recordSegMB = fs.Int("record-segment-mb", 64, "WAL segment size in MiB")
+	)
+	fs.IntVar(&cfg.Workers, "workers", 1, "pipeline worker pool size")
+	fs.IntVar(&cfg.QueueDepth, "queue", 64, "per-worker derandomizer queue depth (events)")
+	fs.Float64Var(&cfg.PaceRate, "pace-rate", 0, "throttle each worker to this many events/s (fixed-capacity backend model; 0 disables)")
+	fs.DurationVar(&cfg.LogInterval, "log-interval", 5*time.Second, "periodic stats log interval (0 disables)")
+	fs.DurationVar(&cfg.IdleTimeout, "idle-timeout", 0,
+		"close connections idle between events for this long (0 disables)")
+	fs.DurationVar(&cfg.AssemblyTimeout, "assembly-timeout", 0,
+		"bound on assembling one event once its first byte arrives (0 disables)")
+	fs.IntVar(&cfg.BreakerBadPackets, "breaker-bad-packets", 0,
+		"cut a connection after this many bad packets inside -breaker-window (0 disables)")
+	fs.DurationVar(&cfg.BreakerWindow, "breaker-window", 0,
+		"sliding window for -breaker-bad-packets (0 uses the server default)")
+	fs.StringVar(&cfg.RecordDir, "record", "",
+		"append every admitted event's raw frames to a write-ahead log in this directory (empty disables)")
+	fs.IntVar(&cfg.RecordRetain, "record-retain", 0,
+		"keep only the newest N WAL segment files, the active one included (0 keeps everything)")
 
-	idleTimeout       time.Duration
-	assemblyTimeout   time.Duration
-	breakerBadPackets int
-	breakerWindow     time.Duration
-
-	recordDir    string
-	recordSegMB  int
-	recordRetain int
-	replayDir    string
-	replayRate   float64
-}
-
-// buildConfig resolves flags into a server configuration.
-func buildConfig(o daemonOpts) (server.Config, error) {
-	pcfg, err := adapt.NamedConfig(o.config, o.samples)
-	if err != nil {
-		return server.Config{}, err
-	}
-	var policy server.OverflowPolicy
-	switch o.policy {
-	case "drop":
-		policy = server.PolicyDrop
-	case "block":
-		policy = server.PolicyBlock
-	default:
-		return server.Config{}, fmt.Errorf("unknown -policy %q", o.policy)
-	}
-	if o.paceRate < 0 {
-		return server.Config{}, fmt.Errorf("-pace-rate = %g must be >= 0", o.paceRate)
-	}
-	if o.paceHW && o.paceRate > 0 {
-		return server.Config{}, fmt.Errorf("-pace-hw and -pace-rate both set a worker's service interval; give one")
-	}
-	if o.replayRate < 0 {
-		return server.Config{}, fmt.Errorf("-replay-rate = %g must be >= 0", o.replayRate)
-	}
-	if o.recordDir != "" && o.recordDir == o.replayDir {
-		return server.Config{}, fmt.Errorf("-record and -replay point at the same directory %q", o.recordDir)
-	}
-	if o.recordSegMB < 0 {
-		return server.Config{}, fmt.Errorf("-record-segment-mb = %d must be >= 0", o.recordSegMB)
-	}
-	if o.recordRetain < 0 {
-		return server.Config{}, fmt.Errorf("-record-retain = %d must be >= 0", o.recordRetain)
-	}
-	cfg := server.Config{
-		Pipeline:   pcfg,
-		Workers:    o.workers,
-		QueueDepth: o.queue,
-		Policy:     policy,
-		PaceRate:   o.paceRate,
-
-		IdleTimeout:       o.idleTimeout,
-		AssemblyTimeout:   o.assemblyTimeout,
-		BreakerBadPackets: o.breakerBadPackets,
-		BreakerWindow:     o.breakerWindow,
-
-		RecordDir:          o.recordDir,
-		RecordSegmentBytes: int64(o.recordSegMB) << 20,
-		RecordRetain:       o.recordRetain,
-	}
-	if o.paceHW {
-		// Serve no faster than the modeled FPGA pipeline: one event per
-		// EventIntervalCycles at the design clock, so the daemon's
-		// loss-vs-depth behaviour is directly comparable to E14.
-		p, err := adapt.New(pcfg)
+	return func() error {
+		pcfg, err := adapt.NamedConfig(*configName, *samples)
 		if err != nil {
-			return server.Config{}, err
+			return err
 		}
-		cfg.PaceRate = p.EventsPerSecond()
-	}
-	if o.calibration > 0 {
-		dig := detector.DefaultDigitizer()
-		dig.Samples = pcfg.SamplesPerChannel
-		ped, err := adapt.MeasurePedestals(o.calibration, pcfg.ASICs, dig, detector.NewRNG(o.seed))
-		if err != nil {
-			return server.Config{}, err
+		cfg.Pipeline = pcfg
+		switch *policyName {
+		case "drop":
+			cfg.Policy = server.PolicyDrop
+		case "block":
+			cfg.Policy = server.PolicyBlock
+		default:
+			return fmt.Errorf("unknown -policy %q", *policyName)
 		}
-		cfg.Pedestals = ped
+		if cfg.PaceRate < 0 {
+			return fmt.Errorf("-pace-rate = %g must be >= 0", cfg.PaceRate)
+		}
+		if *paceHW && cfg.PaceRate > 0 {
+			return fmt.Errorf("-pace-hw and -pace-rate both set a worker's service interval; give one")
+		}
+		if *recordSegMB < 0 {
+			return fmt.Errorf("-record-segment-mb = %d must be >= 0", *recordSegMB)
+		}
+		if cfg.RecordRetain < 0 {
+			return fmt.Errorf("-record-retain = %d must be >= 0", cfg.RecordRetain)
+		}
+		cfg.RecordSegmentBytes = int64(*recordSegMB) << 20
+		if *paceHW {
+			// Serve no faster than the modeled FPGA pipeline: one event per
+			// EventIntervalCycles at the design clock, so the daemon's
+			// loss-vs-depth behaviour is directly comparable to E14.
+			p, err := adapt.New(pcfg)
+			if err != nil {
+				return err
+			}
+			cfg.PaceRate = p.EventsPerSecond()
+		}
+		if *calibration > 0 {
+			dig := detector.DefaultDigitizer()
+			dig.Samples = pcfg.SamplesPerChannel
+			ped, err := adapt.MeasurePedestals(*calibration, pcfg.ASICs, dig, detector.NewRNG(*seed))
+			if err != nil {
+				return err
+			}
+			cfg.Pedestals = ped
+		}
+		return nil
 	}
-	return cfg, nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"io"
 	"net"
 	"net/http"
@@ -15,11 +16,22 @@ import (
 	"github.com/wustl-adapt/hepccl/internal/server"
 )
 
+// buildConfig resolves a hepccld argument list into the server
+// configuration run would build from it.
+func buildConfig(args ...string) (server.Config, error) {
+	fs := flag.NewFlagSet("hepccld", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	var cfg server.Config
+	resolve := configFlags(fs, &cfg)
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
+	}
+	return cfg, resolve()
+}
+
 func TestBuildConfigCTA(t *testing.T) {
-	cfg, err := buildConfig(daemonOpts{
-		config: "cta", samples: 4, workers: 2, queue: 32, policy: "drop",
-		paceHW: true, calibration: 10, seed: 1,
-	})
+	cfg, err := buildConfig("-config", "cta", "-samples", "4", "-workers", "2", "-queue", "32",
+		"-policy", "drop", "-pace-hw", "-calibration", "10", "-seed", "1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +58,8 @@ func TestBuildConfigCTA(t *testing.T) {
 }
 
 func TestBuildConfigADAPTKeepsSamples(t *testing.T) {
-	cfg, err := buildConfig(daemonOpts{
-		config: "adapt", workers: 1, queue: 8, policy: "block", seed: 1,
-	})
+	cfg, err := buildConfig("-config", "adapt", "-samples", "0", "-workers", "1", "-queue", "8",
+		"-policy", "block", "-calibration", "0", "-seed", "1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,13 +77,10 @@ func TestBuildConfigADAPTKeepsSamples(t *testing.T) {
 // TestBuildConfigHardening: the fault-tolerance flags must flow through to
 // the server configuration verbatim.
 func TestBuildConfigHardening(t *testing.T) {
-	cfg, err := buildConfig(daemonOpts{
-		config: "adapt", workers: 1, queue: 8, policy: "drop", seed: 1,
-		idleTimeout:       90 * time.Second,
-		assemblyTimeout:   2 * time.Second,
-		breakerBadPackets: 512,
-		breakerWindow:     3 * time.Second,
-	})
+	cfg, err := buildConfig("-config", "adapt", "-samples", "0", "-workers", "1", "-queue", "8",
+		"-policy", "drop", "-calibration", "0", "-seed", "1",
+		"-idle-timeout", "90s", "-assembly-timeout", "2s",
+		"-breaker-bad-packets", "512", "-breaker-window", "3s")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,21 +109,23 @@ func newServer(t *testing.T, cfg server.Config) {
 }
 
 func TestBuildConfigErrors(t *testing.T) {
+	base := []string{"-workers", "1", "-queue", "8", "-calibration", "0", "-seed", "1"}
+	with := func(args ...string) []string { return append(append([]string(nil), base...), args...) }
 	for _, name := range []string{"nope", "8x8x9", "512x", "0x512"} {
-		if _, err := buildConfig(daemonOpts{config: name, samples: 4, workers: 1, queue: 8, policy: "drop", seed: 1}); err == nil ||
+		if _, err := buildConfig(with("-config", name, "-samples", "4", "-policy", "drop")...); err == nil ||
 			!strings.Contains(err.Error(), "-config") {
 			t.Fatalf("bad config name %q: got %v", name, err)
 		}
 	}
-	if _, err := buildConfig(daemonOpts{config: "cta", samples: 4, workers: 1, queue: 8, policy: "spill", seed: 1}); err == nil ||
+	if _, err := buildConfig(with("-config", "cta", "-samples", "4", "-policy", "spill")...); err == nil ||
 		!strings.Contains(err.Error(), "-policy") {
 		t.Fatalf("bad policy name: got %v", err)
 	}
-	if _, err := buildConfig(daemonOpts{config: "cta", workers: 1, queue: 8, policy: "drop", paceHW: true, paceRate: 1000}); err == nil ||
+	if _, err := buildConfig(with("-config", "cta", "-samples", "0", "-policy", "drop", "-pace-hw", "-pace-rate", "1000")...); err == nil ||
 		!strings.Contains(err.Error(), "-pace-rate") {
 		t.Fatalf("two service intervals: got %v", err)
 	}
-	if _, err := buildConfig(daemonOpts{config: "cta", workers: 1, queue: 8, policy: "drop", recordDir: "/data/wal", recordRetain: -1}); err == nil ||
+	if _, err := buildConfig(with("-config", "cta", "-samples", "0", "-policy", "drop", "-record", "/data/wal", "-record-retain", "-1")...); err == nil ||
 		!strings.Contains(err.Error(), "-record-retain") {
 		t.Fatalf("negative retention: got %v", err)
 	}
@@ -144,10 +154,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 
 // TestBuildConfigRecordFlags: the durability flags must flow through.
 func TestBuildConfigRecordFlags(t *testing.T) {
-	cfg, err := buildConfig(daemonOpts{
-		config: "adapt", workers: 1, queue: 8, policy: "block", seed: 1,
-		recordDir: "/data/wal", recordSegMB: 16, recordRetain: 4,
-	})
+	cfg, err := buildConfig("-config", "adapt", "-samples", "0", "-workers", "1", "-queue", "8",
+		"-policy", "block", "-calibration", "0", "-seed", "1",
+		"-record", "/data/wal", "-record-segment-mb", "16", "-record-retain", "4")
 	if err != nil {
 		t.Fatal(err)
 	}

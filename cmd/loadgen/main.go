@@ -38,7 +38,6 @@ import (
 	"github.com/wustl-adapt/hepccl/internal/adapt"
 	"github.com/wustl-adapt/hepccl/internal/chaos"
 	"github.com/wustl-adapt/hepccl/internal/detector"
-	"github.com/wustl-adapt/hepccl/internal/grid"
 	"github.com/wustl-adapt/hepccl/internal/uplink"
 )
 
@@ -295,7 +294,7 @@ func digitizeTemplates(cfg adapt.Config, n int, seed uint64) ([]template, int, e
 	templs := make([]template, n)
 	wire := 0
 	for i := range templs {
-		truth := makeTruth(cfg, rng)
+		truth := adapt.GenerateTruth(cfg, rng)
 		packets, err := adapt.GenerateEvent(truth, cfg.ASICs, uint32(i), uint64(i)*1000, dig, rng)
 		if err != nil {
 			return nil, 0, err
@@ -316,37 +315,6 @@ func digitizeTemplates(cfg adapt.Config, n int, seed uint64) ([]template, int, e
 		wire = len(buf)
 	}
 	return templs, wire, nil
-}
-
-// showerModelMaxPixels is the largest frame that gets the single-shower
-// traffic model: one 128×128 camera. It decides what loadgen sends, not how
-// the daemon serves it.
-const showerModelMaxPixels = 128 * 128
-
-// makeTruth builds one event's true photo-electron image. Camera-scale 2D
-// frames get the CTA shower model; frames past showerModelMaxPixels get a
-// field of random blobs at ~2% occupancy — one shower in a megapixel frame
-// would light a few hundred pixels and measure nothing but dark-channel
-// overhead.
-func makeTruth(cfg adapt.Config, rng *detector.RNG) []grid.Value {
-	channels := cfg.ASICs * adapt.ChannelsPerASIC
-	if cfg.Detection.TwoDimension {
-		rows, cols := cfg.Detection.TwoD.Rows, cfg.Detection.TwoD.Cols
-		var img *grid.Grid
-		if rows*cols > showerModelMaxPixels {
-			img = detector.RandomIslands(rows, cols, rows*cols/400, 1.5, rng)
-		} else {
-			cam := detector.CameraConfig{Rows: rows, Cols: cols, NSBMeanPE: 0.1}
-			img = cam.Shower(cam.TypicalShower(rng), rng)
-		}
-		flat := make([]grid.Value, channels)
-		copy(flat, img.Flat())
-		return flat
-	}
-	tracker := detector.DefaultTracker()
-	tracker.Channels = channels
-	tracker.Threshold = 0
-	return tracker.Event(rng).Values
 }
 
 // connSource yields one connection's share of the workload: event i is

@@ -13,6 +13,37 @@ import (
 // shapes, pedestals, noise, and ADC quantization all exercise the pipeline's
 // packet handling and calibration paths.
 
+// showerModelMaxPixels is the largest frame GenerateTruth gives the
+// single-shower traffic model: one 128×128 camera.
+const showerModelMaxPixels = 128 * 128
+
+// GenerateTruth builds one synthetic event's true photo-electron image for
+// cfg's channel array. 1D configs get a tracker event; camera-scale 2D
+// frames get the CTA shower model; frames past showerModelMaxPixels get a
+// field of random blobs at ~2% occupancy — one shower in a megapixel frame
+// would light a few hundred pixels and measure nothing but dark-channel
+// overhead.
+func GenerateTruth(cfg Config, rng *detector.RNG) []grid.Value {
+	channels := cfg.ASICs * ChannelsPerASIC
+	if cfg.Detection.TwoDimension {
+		rows, cols := cfg.Detection.TwoD.Rows, cfg.Detection.TwoD.Cols
+		var img *grid.Grid
+		if rows*cols > showerModelMaxPixels {
+			img = detector.RandomIslands(rows, cols, rows*cols/400, 1.5, rng)
+		} else {
+			cam := detector.CameraConfig{Rows: rows, Cols: cols, NSBMeanPE: 0.1}
+			img = cam.Shower(cam.TypicalShower(rng), rng)
+		}
+		flat := make([]grid.Value, channels)
+		copy(flat, img.Flat())
+		return flat
+	}
+	tracker := detector.DefaultTracker()
+	tracker.Channels = channels
+	tracker.Threshold = 0 // the pipeline applies its own suppression
+	return tracker.Event(rng).Values
+}
+
 // GenerateEvent digitizes a flat photo-electron image into one packet per
 // ASIC. The image length must not exceed asics×16 channels; missing channels
 // read pedestal only. The pulse onset sits a quarter of the way into the

@@ -8,10 +8,11 @@ import (
 
 // Backend lifecycle has two independent axes:
 //
-//   - admin state, set by operators (or the gateway itself on dial failure):
-//     joined -> draining -> detached, with detached -> joined on hot re-add.
-//     Draining means "stop assigning, finish in-flight"; detached means the
-//     in-flight count hit zero and the last upstream connection closed.
+//   - admin state, set by operators: joined -> draining, with draining ->
+//     joined on hot re-add. Draining means "stop assigning, finish
+//     in-flight". Detached is not stored: a draining backend reads detached
+//     (AdminState) while its in-flight count and upstream connections are
+//     both zero, so no watcher has to notice the moment they get there.
 //
 //   - health class, set by the prober from the backend's three-state
 //     /healthz?verbose=1: good, degraded, overloaded, or down (unreachable).
@@ -19,7 +20,8 @@ import (
 //     the forward path; down removes the backend from the ring until probes
 //     succeed again.
 
-// adminState is the operator-controlled lifecycle axis.
+// adminState is the operator-controlled lifecycle axis. Backend.admin
+// stores only adminJoined or adminDraining; adminDetached is derived.
 type adminState int32
 
 const (
@@ -114,8 +116,16 @@ func (b *Backend) setStatsAddr(addr string) { b.statsAddr.Store(&addr) }
 // Joined reports whether the backend participates in the ring (admin axis).
 func (b *Backend) Joined() bool { return adminState(b.admin.Load()) == adminJoined }
 
-// AdminState returns the operator-controlled lifecycle state.
-func (b *Backend) AdminState() adminState { return adminState(b.admin.Load()) }
+// AdminState returns the operator-controlled lifecycle state: the stored
+// joined or draining, and detached for a draining backend with nothing in
+// flight and no upstream connection left.
+func (b *Backend) AdminState() adminState {
+	a := adminState(b.admin.Load())
+	if a == adminDraining && b.Inflight() == 0 && b.conns.Load() == 0 {
+		return adminDetached
+	}
+	return a
+}
 
 // HealthClass returns the probed health class.
 //

@@ -101,13 +101,13 @@ type clientConn struct {
 
 	ups     map[*Backend]*upstream
 	relayWG sync.WaitGroup
-	gen     uint64
+	// swept is the routing table ups was last swept against.
+	swept *table
 }
 
 // handleConn owns one client connection for its lifetime.
 func (g *Gateway) handleConn(nc net.Conn) {
 	defer g.connsWG.Done()
-	defer g.stats.conns.Add(-1)
 	defer func() {
 		g.mu.Lock()
 		delete(g.clients, nc)
@@ -120,12 +120,12 @@ func (g *Gateway) handleConn(nc net.Conn) {
 	}
 	tc.SetNoDelay(false)
 	c := &clientConn{
-		g:   g,
-		nc:  tc,
-		sr:  adapt.NewStreamReader(tc),
-		bw:  bufio.NewWriterSize(tc, 64<<10),
-		ups: make(map[*Backend]*upstream, 4),
-		gen: g.gen.Load(),
+		g:     g,
+		nc:    tc,
+		sr:    adapt.NewStreamReader(tc),
+		bw:    bufio.NewWriterSize(tc, 64<<10),
+		ups:   make(map[*Backend]*upstream, 4),
+		swept: g.table.Load(),
 	}
 	c.sr.SetCapture(true)
 	c.run()
@@ -136,13 +136,13 @@ func (c *clientConn) run() {
 	g := c.g
 	defer c.nc.Close()
 	for {
-		if gen := g.gen.Load(); gen != c.gen {
-			c.gen = gen
+		if t := g.table.Load(); t != c.swept {
+			c.swept = t
 			c.sweepUpstreams()
 		}
 		event, err := c.sr.SkimEvent(g.cfg.ASICs)
 		if err != nil {
-			if g.closing.Load() {
+			if g.closing() {
 				// Shutdown woke this read: ingress ends here, and whatever
 				// the read was cut short on is not the client's error.
 				c.finish()
@@ -429,12 +429,12 @@ func (c *clientConn) closeWrite(u *upstream) {
 	u.nc.CloseWrite()
 }
 
-// sweepUpstreams reacts to a table generation change: upstreams to backends
-// that left the ring (draining, detached) are half-closed so the backend can
-// finish its in-flight work and the drain can complete.
+// sweepUpstreams reacts to a table rebuild: upstreams to backends that left
+// the ring (draining, detached) are half-closed so the backend can finish
+// its in-flight work and the drain can complete.
 func (c *clientConn) sweepUpstreams() {
 	for b, u := range c.ups {
-		if b.AdminState() != adminJoined {
+		if !b.Joined() {
 			c.closeWrite(u)
 			delete(c.ups, b) // a re-added backend gets a fresh upstream
 		}

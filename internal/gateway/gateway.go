@@ -12,6 +12,13 @@
 // preserved per backend because one client's events for one backend share a
 // single ordered upstream connection. The admin surface is Gateway.Handler;
 // the embedding command owns the listener it is served on.
+//
+// Lifecycle facts are read off the state they follow from, not stored
+// beside it: a draining backend is detached while nothing is in flight on
+// it and no upstream connection to it is open; a forwarder notices a
+// rebuild because the routing table it loads is no longer the one it last
+// swept against; the open-client count is the size of the client table;
+// and the gateway is closing once its done channel is closed.
 package gateway
 
 import (
@@ -87,22 +94,22 @@ type Gateway struct {
 
 	// mu guards fleet membership and table rebuilds (rebuild reads the
 	// fleet slice and swaps table; the forward path only loads table).
+	// Every rebuild stores a new table, so a forwarder that sees a table
+	// other than the one it last swept against re-checks its upstreams.
 	mu       sync.Mutex
 	backends []*Backend
 	table    atomic.Pointer[table]
-	// gen bumps on every rebuild; forwarders re-check their upstream maps
-	// when they observe a new generation.
-	gen atomic.Uint64
 	// clients holds the open client connections, so Shutdown can wake
-	// their forwarders and, past its deadline, close them.
+	// their forwarders and, past its deadline, close them; its size is the
+	// conns figure on /stats.
 	clients map[net.Conn]struct{}
 
 	stats gwStats
 
 	ln net.Listener
 
+	// done is closed when Shutdown begins: the gateway is closing.
 	done     chan struct{}
-	closing  atomic.Bool
 	connsWG  sync.WaitGroup
 	bgWG     sync.WaitGroup
 	shutOnce sync.Once
@@ -145,14 +152,21 @@ func (g *Gateway) fleet() []*Backend {
 	return g.backends
 }
 
-// rebuild recomputes the slot table from the current fleet and bumps the
-// generation.
+// rebuild recomputes the slot table from the current fleet.
 func (g *Gateway) rebuild() {
 	g.mu.Lock()
-	t := buildTable(g.backends, tableSlots, vnodesPerBackend)
-	g.table.Store(t)
+	g.table.Store(buildTable(g.backends, tableSlots, vnodesPerBackend))
 	g.mu.Unlock()
-	g.gen.Add(1)
+}
+
+// closing reports whether Shutdown has begun.
+func (g *Gateway) closing() bool {
+	select {
+	case <-g.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // Serve probes the fleet once (so routing starts from real health, not
@@ -160,7 +174,7 @@ func (g *Gateway) rebuild() {
 // connections until Shutdown.
 func (g *Gateway) Serve(ln net.Listener) error {
 	g.mu.Lock()
-	if g.closing.Load() {
+	if g.closing() {
 		g.mu.Unlock()
 		ln.Close()
 		return ErrGatewayClosed
@@ -169,16 +183,11 @@ func (g *Gateway) Serve(ln net.Listener) error {
 	g.mu.Unlock()
 
 	for _, b := range g.fleet() {
-		// Startup probe: retry through probeDownAfter so one blip does not
-		// class a live backend down before the first event arrives.
-		for i := 0; i < probeDownAfter; i++ {
-			if g.probeOnce(b); b.HealthClass() != healthUnknown {
-				break
-			}
-		}
-		if b.HealthClass() == healthUnknown {
-			b.setHealth(healthDown)
-			g.logf("gateway: backend %s unreachable at startup", b.Addr)
+		// Startup probe: retry until the backend has a class, so one blip
+		// does not class a live backend down before the first event
+		// arrives; the probeDownAfter-th failure classes it down.
+		for i := 0; i < probeDownAfter && b.HealthClass() == healthUnknown; i++ {
+			g.probeOnce(b)
 		}
 	}
 	g.rebuild()
@@ -189,7 +198,7 @@ func (g *Gateway) Serve(ln net.Listener) error {
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
-			if g.closing.Load() {
+			if g.closing() {
 				g.connsWG.Wait()
 				return ErrGatewayClosed
 			}
@@ -209,7 +218,7 @@ func (g *Gateway) Serve(ln net.Listener) error {
 		// Register under mu, against Shutdown's sweep: a connection either
 		// lands in clients before the sweep or is refused here.
 		g.mu.Lock()
-		if g.closing.Load() {
+		if g.closing() {
 			g.mu.Unlock()
 			nc.Close()
 			continue
@@ -217,7 +226,6 @@ func (g *Gateway) Serve(ln net.Listener) error {
 		g.clients[nc] = struct{}{}
 		g.connsWG.Add(1)
 		g.mu.Unlock()
-		g.stats.conns.Add(1)
 		go g.handleConn(nc)
 	}
 }
@@ -228,13 +236,14 @@ func (g *Gateway) Serve(ln net.Listener) error {
 func (g *Gateway) Shutdown(ctx context.Context) error {
 	var err error
 	g.shutOnce.Do(func() {
+		// Closed before the sweep below: a connection that registers after
+		// the sweep sees done closed and is refused.
 		close(g.done)
 		g.mu.Lock()
-		g.closing.Store(true)
 		if g.ln != nil {
 			g.ln.Close()
 		}
-		// Wake forwarders parked in a client read; with closing set, the
+		// Wake forwarders parked in a client read; with done closed, the
 		// read error ends ingress and the forwarder drains through finish.
 		for nc := range g.clients {
 			nc.SetReadDeadline(time.Now())
@@ -262,8 +271,9 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 
 // Drain begins removing a backend: it stops receiving new assignments
 // immediately; in-flight events finish and relay normally; once its
-// in-flight count and upstream connections reach zero it detaches. Returns
-// the backend or an error if the address is unknown or already leaving.
+// in-flight count and upstream connections reach zero it reads detached
+// (Backend.AdminState). Returns the backend or an error if the address is
+// unknown or already leaving.
 func (g *Gateway) Drain(addr string) (*Backend, error) {
 	g.mu.Lock()
 	var b *Backend
@@ -284,29 +294,7 @@ func (g *Gateway) Drain(addr string) (*Backend, error) {
 	g.mu.Unlock()
 	g.rebuild()
 	g.logf("gateway: backend %s draining", addr)
-	g.bgWG.Add(1)
-	go g.watchDetach(b)
 	return b, nil
-}
-
-// watchDetach flips a draining backend to detached once its in-flight count
-// and upstream connections hit zero.
-func (g *Gateway) watchDetach(b *Backend) {
-	defer g.bgWG.Done()
-	tick := time.NewTicker(10 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-g.done:
-			return
-		case <-tick.C:
-			if b.Inflight() == 0 && b.conns.Load() == 0 &&
-				b.admin.CompareAndSwap(int32(adminDraining), int32(adminDetached)) {
-				g.logf("gateway: backend %s detached", b.Addr)
-				return
-			}
-		}
-	}
 }
 
 // Add hot-adds a backend: a brand-new address joins the fleet, and a

@@ -14,8 +14,8 @@ import (
 // backend's /healthz?verbose=1 (the typed health.Snapshot JSON) on a
 // fixed interval and folds the three-state answer plus reachability into the
 // backend's health class. Any class transition triggers a slot-table rebuild,
-// which is where degraded spill and down-removal take effect; overload
-// transitions only bump the generation so forwarders re-read state promptly.
+// which is where degraded spill and down-removal take effect; overload is
+// read per event on the forward path.
 
 // probeDownAfter is how many consecutive probe failures class a backend down.
 const probeDownAfter = 3

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -153,7 +154,9 @@ func TestProberStateWalk(t *testing.T) {
 	}
 
 	// drain: leaves the ring immediately, detaches once idle, and the other
-	// backends' slots still do not move.
+	// backends' slots still do not move. The walker drains holding one
+	// in-flight event, so it reads draining until that event settles.
+	walker.inflight.Add(1)
 	if _, err := g.Drain(walker.Addr); err != nil {
 		t.Fatal(err)
 	}
@@ -171,6 +174,11 @@ func TestProberStateWalk(t *testing.T) {
 			t.Fatalf("slot %d moved on unrelated drain", s)
 		}
 	}
+	time.Sleep(50 * time.Millisecond)
+	if st := walker.AdminState(); st != adminDraining {
+		t.Fatalf("backend with an event in flight reads %s, want draining", st)
+	}
+	walker.inflight.Add(-1)
 	deadline := time.Now().Add(2 * time.Second)
 	for walker.AdminState() != adminDetached {
 		if time.Now().After(deadline) {
@@ -187,8 +195,33 @@ func TestProberStateWalk(t *testing.T) {
 		t.Fatalf("re-added backend owns %d slots, owned %d before", n, base)
 	}
 
-	close(g.done) // stop watchDetach pollers
+	close(g.done) // as Shutdown would; the gateway never served, so no prober runs
 	g.bgWG.Wait()
+}
+
+// TestDrainReAddLeavesNoGoroutine: a Drain followed by an Add before the
+// backend detaches leaves nothing running behind it. The stats address
+// refuses connections, so each Add's probe fails at once.
+func TestDrainReAddLeavesNoGoroutine(t *testing.T) {
+	closed := newFakeBackend(t)
+	closed.srv.Close()
+	g := probeGateway(t, closed)
+	addr := g.fleet()[0].Addr
+	baseline := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		if _, err := g.Drain(addr); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.Add(addr, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(100 * time.Millisecond)
+	if n := runtime.NumGoroutine(); n > baseline {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("goroutines: %d after 20 drain/re-add cycles, %d before\n%s",
+			n, baseline, buf[:runtime.Stack(buf, true)])
+	}
 }
 
 // TestProberDown verifies consecutive probe failures class a backend down

@@ -28,7 +28,6 @@ type gwStats struct {
 	shedOverload  atomic.Uint64 //hepccl:accounted
 	shedNoBackend atomic.Uint64 //hepccl:accounted
 	clientErrors  atomic.Uint64
-	conns         atomic.Int64
 }
 
 // ShedSnapshot breaks shed events out by cause.
@@ -81,7 +80,6 @@ func (g *Gateway) StatsSnapshot() FleetSnapshot {
 			NoBackend: g.stats.shedNoBackend.Load(),
 		},
 		ClientErrors: g.stats.clientErrors.Load(),
-		Conns:        g.stats.conns.Load(),
 	}
 	t := g.table.Load()
 	slotsOf := map[*Backend]int{}
@@ -95,7 +93,11 @@ func (g *Gateway) StatsSnapshot() FleetSnapshot {
 			}
 		}
 	}
-	for _, b := range g.fleet() {
+	g.mu.Lock()
+	fleet := g.backends
+	snap.Conns = int64(len(g.clients))
+	g.mu.Unlock()
+	for _, b := range fleet {
 		bs := b.snapshot()
 		bs.Slots = slotsOf[b]
 		snap.Relayed += bs.Relayed

@@ -60,9 +60,17 @@
 // BenchmarkIngestPath).
 //
 // The server supports graceful drain on shutdown (stop ingress, process
-// everything queued, flush responses), and exposes global and per-connection
-// statistics — events in/out, drops, bad packets, skipped bytes, queue
-// high-water mark, latency percentiles — via Server.Handler (GET /stats and
+// everything queued, flush responses). A connection registers under the
+// server's mutex only while the server is not draining, and Shutdown closes
+// the draining signal and sweeps the registered connections under that
+// same hold, so its wait on the readers can never race a late registration;
+// it then waits on the workers, which retire every connection before they
+// return. That is two wait groups, readers and workers. The drain runs
+// once: a second Shutdown waits for it and closes nothing again.
+//
+// The server exposes global and per-connection statistics — events in/out,
+// drops, bad packets, skipped bytes, queue high-water mark, latency
+// percentiles — via Server.Handler (GET /stats and
 // GET /healthz) and a periodic log line. The package opens no HTTP socket:
 // the embedding command binds the listener, serves the handler on it, and
 // closes it after Shutdown. Every count has one home. A connection's counts live in

@@ -121,16 +121,14 @@ type Server struct {
 	// out of conns; totals adds the live ones.
 	retired CounterSnapshot
 
-	draining  chan struct{}
-	drainOnce sync.Once
+	// draining is closed under mu by Shutdown's one drain. A connection
+	// registers in conns and readersWG under mu only while it is open, so
+	// after Shutdown's locked sweep no reader can be added behind the Wait.
+	draining chan struct{}
+	shutdown sync.Once
 
-	// acceptWG tracks the accept loop. Shutdown waits it out (the closed
-	// listener makes the loop exit) before waiting on readersWG, so no
-	// late-accepted connection can Add a reader concurrently with the Wait.
-	acceptWG  sync.WaitGroup
 	readersWG sync.WaitGroup
 	workersWG sync.WaitGroup
-	connsWG   sync.WaitGroup
 
 	// wal, when non-nil, receives the raw bytes of every admitted event.
 	wal *wal.Writer
@@ -226,17 +224,16 @@ func (s *Server) isDraining() bool {
 // on a clean shutdown. The periodic log line runs for the lifetime of the
 // serve loop.
 func (s *Server) Serve(ln net.Listener) error {
+	// Checked under the hold Shutdown closes draining and the listener
+	// under: either Shutdown sees ln and closes it, or draining is observed
+	// here and the loop never starts.
 	s.mu.Lock()
-	s.ln = ln
 	if s.isDraining() {
 		s.mu.Unlock()
 		ln.Close()
 		return ErrServerClosed
 	}
-	// Registered under the same lock Shutdown closes the listener under:
-	// either the loop exists before Shutdown runs (it closes the listener and
-	// waits the loop out), or draining was observed above and it never starts.
-	s.acceptWG.Add(1)
+	s.ln = ln
 	s.mu.Unlock()
 	stopLog := s.startPeriodicLog()
 	defer stopLog()
@@ -250,7 +247,6 @@ func (s *Server) Serve(ln net.Listener) error {
 // acceptLoop accepts connections on ln until Shutdown or a fatal accept
 // error.
 func (s *Server) acceptLoop(ln net.Listener) error {
-	defer s.acceptWG.Done()
 	var backoff time.Duration
 	for {
 		nc, err := ln.Accept()
@@ -288,7 +284,15 @@ func (s *Server) addConn(nc net.Conn) {
 		remote: nc.RemoteAddr().String(),
 		in:     newRing[*event](s.cfg.QueueDepth),
 	}
+	// Register under the hold Shutdown closes draining and sweeps conns
+	// under: a connection either lands in conns and readersWG before the
+	// sweep, or is refused here.
 	s.mu.Lock()
+	if s.isDraining() {
+		s.mu.Unlock()
+		nc.Close()
+		return
+	}
 	s.connID++
 	c.id = s.connID
 	// Pin the connection to one worker lane, round-robin by id, for its
@@ -296,15 +300,9 @@ func (s *Server) addConn(nc net.Conn) {
 	// and its worker the only writer of its responses.
 	c.w = s.workers[c.id%uint64(len(s.workers))]
 	s.conns[c] = struct{}{}
+	s.readersWG.Add(1)
 	s.mu.Unlock()
 	c.w.addConn(c)
-	s.readersWG.Add(1)
-	s.connsWG.Add(1)
-	if s.isDraining() {
-		// Shutdown may already have swept the conn table; make sure this
-		// late arrival's reader unblocks immediately too.
-		nc.SetReadDeadline(time.Now())
-	}
 	go c.readLoop()
 }
 
@@ -318,35 +316,37 @@ func (s *Server) removeConn(c *conn) {
 }
 
 // Shutdown gracefully drains the server: stop accepting, stop reading,
-// process every queued event, flush every response, then close. A second
-// call is a no-op. If ctx expires first, remaining connections are closed
-// and ctx.Err() is returned.
+// process every queued event, flush every response, then close. The drain
+// starts once; a second call, concurrent or later, waits for that same
+// drain, or for its own ctx, and closes nothing again. If ctx expires
+// first, remaining connections are closed and ctx.Err() is returned.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.drainOnce.Do(func() {
+	first := false
+	s.shutdown.Do(func() {
+		first = true
+		s.mu.Lock()
 		close(s.draining)
+		if s.ln != nil {
+			s.ln.Close()
+		}
+		// Unblock readers parked in a socket read; their next read error is
+		// treated as end of ingress because draining is closed.
+		for c := range s.conns {
+			c.nc.SetReadDeadline(time.Now())
+		}
+		s.mu.Unlock()
+		go func() {
+			// No reader registers after the sweep above, so once these
+			// exit the ingest rings are frozen: tell the workers to serve
+			// the remainder and retire.
+			s.readersWG.Wait()
+			close(s.ingressDone)
+		}()
 	})
-	s.mu.Lock()
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	// Unblock readers parked in a socket read; their next read error is
-	// treated as end of ingress because draining is closed.
-	for c := range s.conns {
-		c.nc.SetReadDeadline(time.Now())
-	}
-	s.mu.Unlock()
-
 	done := make(chan struct{})
 	go func() {
-		// The listener is closed, so the accept loop is on its way out;
-		// once it is gone no new reader can appear.
-		s.acceptWG.Wait()
-		s.readersWG.Wait()
-		// All readers have exited: the ingest rings are frozen. Tell the
-		// workers to serve the remainder and retire.
-		close(s.ingressDone)
+		// A worker returns only after retiring every connection of its lane.
 		s.workersWG.Wait()
-		s.connsWG.Wait()
 		close(done)
 	}()
 	var err error
@@ -360,7 +360,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 		err = ctx.Err()
 	}
-	if s.wal != nil {
+	if first && s.wal != nil {
 		// On the clean path every reader has exited; on the ctx path a racing
 		// Append serializes against Close on the writer's mutex and then
 		// sticky-fails, which is fine for a server being torn down.

@@ -413,6 +413,60 @@ func TestServeAfterShutdown(t *testing.T) {
 	}
 }
 
+// TestShutdownTwice: the drain runs once. A later Shutdown returns nil, and
+// two concurrent ones both return once the one drain is done; neither closes
+// a channel or the record log a second time.
+func TestShutdownTwice(t *testing.T) {
+	t.Run("sequential", func(t *testing.T) {
+		s, err := New(Config{Pipeline: testConfig(), RecordDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if err := s.Shutdown(context.Background()); err != nil {
+				t.Fatalf("Shutdown #%d: %v", i+1, err)
+			}
+		}
+	})
+	t.Run("concurrent", func(t *testing.T) {
+		s, err := New(Config{Pipeline: testConfig(), Workers: 2, RecordDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		serveDone := make(chan error, 1)
+		go func() { serveDone <- s.Serve(ln) }()
+		nc, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		if err := adapt.NewStreamWriter(nc).WriteEvent(makeEvents(t, testConfig(), 1, 3)[0]); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		errs := make(chan error, 2)
+		for i := 0; i < 2; i++ {
+			go func() { errs <- s.Shutdown(ctx) }()
+		}
+		for i := 0; i < 2; i++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("concurrent Shutdown: %v", err)
+			}
+		}
+		if err := <-serveDone; !errors.Is(err, ErrServerClosed) {
+			t.Fatalf("Serve returned %v, want ErrServerClosed", err)
+		}
+		if snap := s.StatsSnapshot(); snap.ConnsActive != 0 {
+			t.Fatalf("%d connections still active after shutdown", snap.ConnsActive)
+		}
+	})
+}
+
 // TestServerBadInput feeds garbage, a corrupted frame, an interleaved event,
 // a valid event, and then an event that repeats an ASIC; the valid event must
 // still be served and the failure counters must reflect each fault — on whole

@@ -85,12 +85,11 @@ func (s *Server) run(w *worker, p *adapt.Pipeline) {
 // retire closes and forgets the connections drain pruned. It runs after the
 // drain's records are written, so each connection's last response is on the
 // wire first; since every connection is pruned before its worker exits, all
-// are retired by the time Shutdown waits on connsWG.
+// are retired by the time Shutdown's wait on the workers returns.
 func (s *Server) retire(w *worker) {
 	for i, c := range w.gone {
 		c.nc.Close()
 		s.removeConn(c)
-		s.connsWG.Done()
 		w.gone[i] = nil
 	}
 	w.gone = w.gone[:0]
