@@ -237,8 +237,15 @@ func TestReportTrace(t *testing.T) {
 	}
 }
 
+// TestPipeADAPT and TestPipeCTA pin the cycle-accurate co-simulation's full
+// verbose output byte for byte. Regenerate the golden files only for a change
+// meant to move it:
+//
+//	go run ./cmd/experiments pipe -config adapt -events 3 -seed 5 -v > cmd/experiments/testdata/pipe-adapt-3ev-seed5.txt
+//	go run ./cmd/experiments pipe -config cta -events 2 -seed 9 -v > cmd/experiments/testdata/pipe-cta-2ev-seed9.txt
 func TestPipeADAPT(t *testing.T) {
 	out := runOut(t, "pipe", "-config", "adapt", "-events", "3", "-seed", "5", "-v")
+	wantGolden(t, out, "testdata/pipe-adapt-3ev-seed5.txt")
 	for _, want := range []string{
 		"20 ASICs (320 channels)", "1D island detection",
 		"297619 events/s", "bottleneck: island",
@@ -252,7 +259,8 @@ func TestPipeADAPT(t *testing.T) {
 }
 
 func TestPipeCTA(t *testing.T) {
-	out := runOut(t, "pipe", "-config", "cta", "-events", "2", "-seed", "9")
+	out := runOut(t, "pipe", "-config", "cta", "-events", "2", "-seed", "9", "-v")
+	wantGolden(t, out, "testdata/pipe-cta-2ev-seed9.txt")
 	for _, want := range []string{"2D 43x43 4-way", "Pipelined", "processed 2 events"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -261,6 +269,14 @@ func TestPipeCTA(t *testing.T) {
 	// CTA rate matches the §5.5 claim through the pipeline model.
 	if !strings.Contains(out, "15209 events/s") {
 		t.Errorf("expected 15209 events/s in:\n%s", out)
+	}
+}
+
+// wantGolden fails the test unless out equals the golden file at path.
+func wantGolden(t *testing.T, out, path string) {
+	t.Helper()
+	if want := readFile(t, path); out != want {
+		t.Errorf("output differs from %s:\n%s", path, out)
 	}
 }
 

@@ -146,38 +146,6 @@ func TestStageFunctions(t *testing.T) {
 	}
 }
 
-func TestMerger(t *testing.T) {
-	m, err := NewMerger(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Channels() != 32 {
-		t.Fatalf("channels = %d, want 32", m.Channels())
-	}
-	blocks := map[uint8][ChannelsPerASIC]grid.Value{}
-	var b0, b1 [ChannelsPerASIC]grid.Value
-	b0[0] = 5
-	b1[15] = 9
-	blocks[0], blocks[1] = b0, b1
-	out, err := m.Merge(blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 5 || out[31] != 9 {
-		t.Fatal("merge placement wrong")
-	}
-	// Missing / extra blocks error.
-	if _, err := m.Merge(map[uint8][ChannelsPerASIC]grid.Value{0: b0}); err == nil {
-		t.Error("short merge must error")
-	}
-	if _, err := m.Merge(map[uint8][ChannelsPerASIC]grid.Value{0: b0, 2: b1}); err == nil {
-		t.Error("wrong ASIC id must error")
-	}
-	if _, err := NewMerger(0); err == nil {
-		t.Error("zero ASICs must error")
-	}
-}
-
 func TestNewPipelineValidation(t *testing.T) {
 	bad := []Config{
 		{},
@@ -484,6 +452,43 @@ func TestToQ16Saturation(t *testing.T) {
 	}
 	if ToQ16(1.5) != 98304 {
 		t.Error("1.5 in Q16.16 = 98304")
+	}
+}
+
+// TestQ16CentroidBound: New refuses a frame side or a 1D channel count past
+// 32,768, whose far centroids a Q16.16 record field would wrap negative, and
+// the longest it accepts serves its last coordinate exactly.
+func TestQ16CentroidBound(t *testing.T) {
+	oneD := func(asics int) Config {
+		cfg := DefaultADAPT()
+		cfg.ASICs = asics
+		return cfg
+	}
+	for i, cfg := range []Config{DefaultFrame(1, 40000), DefaultFrame(32769, 1), oneD(2049)} {
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "Q16.16") {
+			t.Errorf("config %d: err = %v, want a Q16.16 refusal", i, err)
+		}
+	}
+	for _, cfg := range []Config{DefaultFrame(1, 32768), oneD(2048)} {
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth := make([]grid.Value, 32768)
+		truth[32767] = 10
+		dig := quietDigitizer()
+		dig.Samples = cfg.SamplesPerChannel
+		packets, err := GenerateEvent(truth, cfg.ASICs, 1, 0, dig, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec EventRecord
+		if err := p.ServeEvent(packets, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.Islands) != 1 || rec.Islands[0].ColQ16 != 32767<<16 {
+			t.Errorf("%d ASICs: record %+v, want one island at ColQ16 %d", cfg.ASICs, rec.Islands, 32767<<16)
+		}
 	}
 }
 

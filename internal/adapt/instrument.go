@@ -80,7 +80,7 @@ func (ins *Instrument) ProcessEvent(xPackets, yPackets []Packet) (*StationEvent,
 	sort.Slice(yi, func(i, j int) bool { return yi[i].Sum > yi[j].Sum })
 	pairs := min(len(xi), len(yi))
 	for k := 0; k < pairs; k++ {
-		balance := float64(min64(xi[k].Sum, yi[k].Sum)) / float64(max64(xi[k].Sum, yi[k].Sum))
+		balance := float64(min(xi[k].Sum, yi[k].Sum)) / float64(max(xi[k].Sum, yi[k].Sum))
 		ev.Points = append(ev.Points, Point2D{
 			Row:     yi[k].Centroid,
 			Col:     xi[k].Centroid,
@@ -100,18 +100,4 @@ func (ins *Instrument) EventsPerSecond() float64 {
 	x := ins.X.EventsPerSecond()
 	y := ins.Y.EventsPerSecond()
 	return math.Min(x, y)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

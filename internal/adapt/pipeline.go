@@ -68,8 +68,8 @@ func (b ServeBackend) String() string {
 }
 
 // DefaultADAPT returns the synthetic ADAPT flight configuration: 20 ASICs
-// (320 channels) in 1D mode with the pipelined schedule — the configuration
-// whose ~300k events/s matches the pipeline throughput reported in §2.
+// (320 channels) in 1D mode — the configuration whose ~300k events/s matches
+// the pipeline throughput reported in §2.
 func DefaultADAPT() Config {
 	return Config{
 		ASICs:             20,
@@ -77,7 +77,6 @@ func DefaultADAPT() Config {
 		PedestalPerSample: 200,
 		GainADC:           40,
 		ThresholdPE:       2,
-		Detection:         design.TopConfig{OneDPipelined: true},
 	}
 }
 
@@ -157,7 +156,6 @@ func NamedConfig(name string, samples int) (Config, error) {
 // run one Pipeline per worker (see internal/server).
 type Pipeline struct {
 	cfg       Config
-	merger    *Merger
 	pedestals []int64 // per flat channel, integral units
 	serve     serveScratch
 	runBatch  *runccl.Batch // 2D run labeler, one event's arena; nil for 1D and ServePixel
@@ -186,6 +184,10 @@ type Pipeline struct {
 	pcMax uint64
 }
 
+// maxSide is the longest frame side, or 1D channel count, whose centroids a
+// Q16.16 record field holds: coordinate 32767 is the largest below 2^15.
+const maxSide = 1 << 15
+
 // New validates the configuration and builds the pipeline.
 func New(cfg Config) (*Pipeline, error) {
 	if cfg.ASICs < 1 {
@@ -206,27 +208,30 @@ func New(cfg Config) (*Pipeline, error) {
 		return nil, fmt.Errorf("adapt: gain must be positive")
 	}
 	channels := cfg.ASICs * ChannelsPerASIC
-	if cfg.Detection.TwoDimension {
-		px := cfg.Detection.TwoD.Rows * cfg.Detection.TwoD.Cols
-		if cfg.Detection.TwoD.Rows < 1 || cfg.Detection.TwoD.Cols < 1 {
+	if det := cfg.Detection; det.TwoDimension {
+		if det.TwoD.Rows < 1 || det.TwoD.Cols < 1 {
 			return nil, fmt.Errorf("adapt: 2D mode needs positive array dims")
 		}
-		if px > channels {
+		if px := det.TwoD.Rows * det.TwoD.Cols; px > channels {
 			return nil, fmt.Errorf("adapt: %d pixels exceed %d digitizer channels",
 				px, channels)
 		}
-	}
-	merger, err := NewMerger(cfg.ASICs)
-	if err != nil {
-		return nil, err
+		if side := max(det.TwoD.Rows, det.TwoD.Cols); side > maxSide {
+			return nil, fmt.Errorf("adapt: %dx%d frame: a side above %d overflows a Q16.16 centroid",
+				det.TwoD.Rows, det.TwoD.Cols, maxSide)
+		}
+	} else if channels > maxSide {
+		return nil, fmt.Errorf("adapt: %d channels in 1D: more than %d overflow a Q16.16 centroid",
+			channels, maxSide)
 	}
 	peds := make([]int64, channels)
 	nominal := cfg.PedestalPerSample * int64(cfg.SamplesPerChannel)
 	for i := range peds {
 		peds[i] = nominal
 	}
-	p := &Pipeline{cfg: cfg, merger: merger, pedestals: peds}
+	p := &Pipeline{cfg: cfg, pedestals: peds}
 	p.cutoff = (int64(cfg.ThresholdPE)+1)*cfg.GainADC - cfg.GainADC/2
+	var err error
 	if p.sup, err = newSuppressor(cfg.ASICs, cfg.SamplesPerChannel, p.cutoff, peds); err != nil {
 		return nil, err
 	}
@@ -276,7 +281,7 @@ func (p *Pipeline) ServeEngine() string {
 func (p *Pipeline) Suppressor() *Suppressor { return p.sup }
 
 // Channels returns the flat merged channel count.
-func (p *Pipeline) Channels() int { return p.merger.Channels() }
+func (p *Pipeline) Channels() int { return p.cfg.ASICs * ChannelsPerASIC }
 
 // Calibrate measures per-channel pedestal integrals from pedestal-only
 // events (no light), replacing the nominal baseline — the data-acquisition
@@ -357,62 +362,48 @@ type EventResult struct {
 // packet handling → integration → pedestal subtraction → photon counting →
 // zero-suppression → merge → island detection (+ centroiding).
 func (p *Pipeline) ProcessEvent(packets []Packet) (*EventResult, error) {
-	// The cycle-accurate path models the hardware Merge module, whose ASIC
-	// streams are keyed by the one-byte wire field; frame geometries beyond
-	// 256 ASICs exist only on the serving path.
-	if p.cfg.ASICs > 256 {
-		return nil, fmt.Errorf("adapt: cycle-accurate pipeline supports at most 256 ASICs, have %d (use ServeEvent)", p.cfg.ASICs)
-	}
 	if err := p.checkEvent(packets); err != nil {
 		return nil, fmt.Errorf("adapt: %w", err)
 	}
-	blocks := make(map[uint8][ChannelsPerASIC]grid.Value, len(packets))
+	// Merge (§4.1): each ASIC's 16 channels land at its offset of the flat
+	// event array; checkEvent has proven every ASIC present exactly once.
+	merged := make([]grid.Value, p.Channels())
 	for i := range packets {
 		pkt := &packets[i]
-		ints := pkt.Integrals()
-		var block [ChannelsPerASIC]grid.Value
-		base := int(pkt.ASIC) * ChannelsPerASIC
-		for ch, raw := range ints {
+		base := pkt.ASICIndex() * ChannelsPerASIC
+		for ch, raw := range pkt.Integrals() {
 			net := PedestalSubtract(raw, p.pedestals[base+ch])
-			pe := PhotonCount(net, p.cfg.GainADC)
-			block[ch] = ZeroSuppress(pe, p.cfg.ThresholdPE)
+			merged[base+ch] = ZeroSuppress(PhotonCount(net, p.cfg.GainADC), p.cfg.ThresholdPE)
 		}
-		blocks[pkt.ASIC] = block
-	}
-	merged, err := p.merger.Merge(blocks)
-	if err != nil {
-		return nil, err
 	}
 
 	res := &EventResult{Event: packets[0].Event, Values: merged}
 	det := p.cfg.Detection
-	if det.TwoDimension {
-		// The camera may be smaller than the padded channel array.
-		px := det.TwoD.Rows * det.TwoD.Cols
-		out, err := design.IslandDetection(merged[:px], det)
+	if !det.TwoDimension {
+		out, err := design.RunIsland1D(merged)
 		if err != nil {
 			return nil, err
 		}
-		res.TwoD = out.TwoD
-		g, err := grid.FromFlat(det.TwoD.Rows, det.TwoD.Cols, merged[:px])
-		if err != nil {
-			return nil, err
-		}
-		res.Islands = ccl.Islands(g, out.TwoD.Labels)
-		res.Centroids = centroid.All2D(res.Islands)
-		// The streaming hardware centroid stage (Fig 3's centroiding half).
-		// Final labels are merge-table roots, bounded by its capacity.
-		hw, err := design.RunCentroid2D(g, out.TwoD.Labels, ccl.SizeFor(det.TwoD.Rows, det.TwoD.Cols, det.TwoD.Connectivity))
-		if err != nil {
-			return nil, err
-		}
-		res.HardwareCentroids = hw
+		res.OneD = out
 		return res, nil
 	}
-	out, err := design.IslandDetection(merged, det)
+	// The camera may be smaller than the padded channel array.
+	g, err := grid.FromFlat(p.rows, p.cols, merged[:p.rows*p.cols])
 	if err != nil {
 		return nil, err
 	}
-	res.OneD = out.OneD
+	out, err := design.Run(g, det.TwoD)
+	if err != nil {
+		return nil, err
+	}
+	res.TwoD = out
+	res.Islands = ccl.Islands(g, out.Labels)
+	res.Centroids = centroid.All2D(res.Islands)
+	// The streaming hardware centroid stage (Fig 3's centroiding half).
+	// Final labels are merge-table roots, bounded by its capacity.
+	res.HardwareCentroids, err = design.RunCentroid2D(g, out.Labels, ccl.SizeFor(p.rows, p.cols, det.TwoD.Connectivity))
+	if err != nil {
+		return nil, err
+	}
 	return res, nil
 }

@@ -48,99 +48,113 @@ func sortIslands(islands []IslandRecord) {
 }
 
 // TestServeEventMatchesProcessEvent checks the serving fast path against the
-// cycle-accurate pipeline on 2D shower events: same islands, same pixel
-// counts and sums, centroids within fixed-point rounding distance. A second
-// round gives every seventh channel a negative suppression limit, −40 (such a
+// cycle-accurate pipeline on 2D shower events, and on a 64×80 frame whose 320
+// ASICs the one-byte wire field alone cannot address: same islands, same
+// pixel counts and sums, centroids within fixed-point rounding distance. A
+// second CTA round gives every seventh channel a negative suppression limit, −40 (such a
 // channel is always lit, with an excess above its integral), which the
-// co-simulation sees only as a pedestal. In both, the wire path, under each
+// co-simulation sees only as a pedestal. In every leg the wire path, under each
 // scan kernel the host has, must serve the events' frames to ServeEvent's
 // records byte for byte.
 func TestServeEventMatchesProcessEvent(t *testing.T) {
 	t.Cleanup(func() { useAVX2 = hostAVX2 })
+	type leg struct {
+		name     string
+		cfg      Config
+		negative bool
+		events   [][]Packet
+	}
+	var legs []leg
 	for _, samples := range []int{16, 4} {
 		for _, negative := range []bool{false, true} {
-			name := fmt.Sprintf("samples=%d negative=%v", samples, negative)
 			cfg := DefaultCTA()
 			cfg.SamplesPerChannel = samples
-			p, err := New(cfg)
+			legs = append(legs, leg{fmt.Sprintf("samples=%d negative=%v", samples, negative),
+				cfg, negative, ctaEvents(t, cfg, 8, 7)})
+		}
+	}
+	// 320 ASICs: the packets past the 256th carry a non-zero Flags byte.
+	wide := DefaultFrame(64, 80)
+	legs = append(legs, leg{"frame 64x80", wide, false, frameEvents(t, wide, 8, 7)})
+	for _, l := range legs {
+		p, err := New(l.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.negative {
+			peds := make([]int64, p.Channels())
+			for fl := range peds {
+				peds[fl] = p.Pedestal(fl)
+				if fl%7 == 0 {
+					peds[fl] = -40 - p.cutoff
+				}
+			}
+			if err := p.SetPedestals(peds); err != nil {
+				t.Fatal(err)
+			}
+		}
+		total := 0
+		var stream []byte
+		var records [][]byte
+		for _, packets := range l.events {
+			res, err := p.ProcessEvent(packets)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if negative {
-				peds := make([]int64, p.Channels())
-				for fl := range peds {
-					peds[fl] = p.Pedestal(fl)
-					if fl%7 == 0 {
-						peds[fl] = -40 - p.cutoff
-					}
+			full := RecordOf(res)
+			var rec EventRecord
+			if err := p.ServeEvent(packets, &rec); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Event != full.Event {
+				t.Fatalf("%s: event id %d, want %d", l.name, rec.Event, full.Event)
+			}
+			if len(rec.Islands) != len(full.Islands) {
+				t.Fatalf("%s event %d: serve found %d islands, process %d",
+					l.name, rec.Event, len(rec.Islands), len(full.Islands))
+			}
+			got := append([]IslandRecord(nil), rec.Islands...)
+			want := append([]IslandRecord(nil), full.Islands...)
+			sortIslands(got)
+			sortIslands(want)
+			for i := range got {
+				if got[i].Pixels != want[i].Pixels || got[i].Sum != want[i].Sum {
+					t.Fatalf("%s event %d island %d: got pixels=%d sum=%d, want pixels=%d sum=%d",
+						l.name, rec.Event, i, got[i].Pixels, got[i].Sum, want[i].Pixels, want[i].Sum)
 				}
-				if err := p.SetPedestals(peds); err != nil {
-					t.Fatal(err)
+				// Both sides divide the same integer moments; allow one
+				// Q16.16 LSB of rounding skew.
+				if dr := math.Abs(float64(got[i].RowQ16 - want[i].RowQ16)); dr > 1 {
+					t.Fatalf("%s event %d island %d: row centroid off by %v Q16 LSB",
+						l.name, rec.Event, i, dr)
+				}
+				if dc := math.Abs(float64(got[i].ColQ16 - want[i].ColQ16)); dc > 1 {
+					t.Fatalf("%s event %d island %d: col centroid off by %v Q16 LSB",
+						l.name, rec.Event, i, dc)
 				}
 			}
-			total := 0
-			var stream []byte
-			var records [][]byte
-			for _, packets := range ctaEvents(t, cfg, 8, 7) {
-				res, err := p.ProcessEvent(packets)
+			total += len(rec.Islands)
+			records = append(records, rec.AppendTo(nil))
+			for i := range packets {
+				frame, err := packets[i].Marshal()
 				if err != nil {
 					t.Fatal(err)
 				}
-				full := RecordOf(res)
-				var rec EventRecord
-				if err := p.ServeEvent(packets, &rec); err != nil {
-					t.Fatal(err)
-				}
-				if rec.Event != full.Event {
-					t.Fatalf("%s: event id %d, want %d", name, rec.Event, full.Event)
-				}
-				if len(rec.Islands) != len(full.Islands) {
-					t.Fatalf("%s event %d: serve found %d islands, process %d",
-						name, rec.Event, len(rec.Islands), len(full.Islands))
-				}
-				got := append([]IslandRecord(nil), rec.Islands...)
-				want := append([]IslandRecord(nil), full.Islands...)
-				sortIslands(got)
-				sortIslands(want)
-				for i := range got {
-					if got[i].Pixels != want[i].Pixels || got[i].Sum != want[i].Sum {
-						t.Fatalf("%s event %d island %d: got pixels=%d sum=%d, want pixels=%d sum=%d",
-							name, rec.Event, i, got[i].Pixels, got[i].Sum, want[i].Pixels, want[i].Sum)
-					}
-					// Both sides divide the same integer moments; allow one
-					// Q16.16 LSB of rounding skew.
-					if dr := math.Abs(float64(got[i].RowQ16 - want[i].RowQ16)); dr > 1 {
-						t.Fatalf("%s event %d island %d: row centroid off by %v Q16 LSB",
-							name, rec.Event, i, dr)
-					}
-					if dc := math.Abs(float64(got[i].ColQ16 - want[i].ColQ16)); dc > 1 {
-						t.Fatalf("%s event %d island %d: col centroid off by %v Q16 LSB",
-							name, rec.Event, i, dc)
-					}
-				}
-				total += len(rec.Islands)
-				records = append(records, rec.AppendTo(nil))
-				for i := range packets {
-					frame, err := packets[i].Marshal()
-					if err != nil {
-						t.Fatal(err)
-					}
-					stream = append(stream, frame...)
-				}
+				stream = append(stream, frame...)
 			}
-			if total == 0 {
-				t.Fatalf("%s: no islands in any event; workload broken", name)
+		}
+		if total == 0 {
+			t.Fatalf("%s: no islands in any event; workload broken", l.name)
+		}
+		for _, avx2 := range []bool{false, hostAVX2} {
+			useAVX2 = avx2
+			got, _ := wirePath(t, p, stream)
+			if len(got) != len(records) {
+				t.Fatalf("%s: wire path assembled %d events, want %d", l.name, len(got), len(records))
 			}
-			for _, avx2 := range []bool{false, hostAVX2} {
-				useAVX2 = avx2
-				got, _ := wirePath(t, p, stream)
-				if len(got) != len(records) {
-					t.Fatalf("%s: wire path assembled %d events, want %d", name, len(got), len(records))
-				}
-				for i, o := range got {
-					if o.class != "ok" || !bytes.Equal(o.rec, records[i]) {
-						t.Fatalf("%s: %s wire path event %d: %s, record differs from ServeEvent's", name, ScanKernel(), i, o.class)
-					}
+			for i, o := range got {
+				if o.class != "ok" || !bytes.Equal(o.rec, records[i]) {
+					t.Fatalf("%s: %s wire path event %d: %s, record differs from ServeEvent's", l.name, ScanKernel(), i, o.class)
 				}
 			}
 		}

@@ -38,8 +38,7 @@ type EventRecord struct {
 // RecordOf converts a pipeline result into its downlink record.
 func RecordOf(res *EventResult) EventRecord {
 	rec := EventRecord{Event: res.Event}
-	switch {
-	case res.OneD != nil:
+	if res.OneD != nil {
 		for _, is := range res.OneD.Islands {
 			rec.Islands = append(rec.Islands, IslandRecord{
 				Label:  int32(len(rec.Islands) + 1),
@@ -49,28 +48,18 @@ func RecordOf(res *EventResult) EventRecord {
 				ColQ16: ToQ16(is.Centroid),
 			})
 		}
-	case res.HardwareCentroids != nil:
-		// 2D mode: the downlink carries the streaming centroid stage's
-		// fixed-point output directly — no float ever exists on the FPGA.
-		for _, c := range res.HardwareCentroids.Centroids {
-			rec.Islands = append(rec.Islands, IslandRecord{
-				Label:  c.Label,
-				Pixels: uint32(c.Pixels),
-				Sum:    c.Sum,
-				RowQ16: c.RowQ16,
-				ColQ16: c.ColQ16,
-			})
-		}
-	default:
-		for i, c := range res.Centroids {
-			rec.Islands = append(rec.Islands, IslandRecord{
-				Label:  c.Label,
-				Pixels: uint32(res.Islands[i].Size()),
-				Sum:    c.Sum,
-				RowQ16: ToQ16(c.Row),
-				ColQ16: ToQ16(c.Col),
-			})
-		}
+		return rec
+	}
+	// 2D mode: the downlink carries the streaming centroid stage's
+	// fixed-point output directly — no float ever exists on the FPGA.
+	for _, c := range res.HardwareCentroids.Centroids {
+		rec.Islands = append(rec.Islands, IslandRecord{
+			Label:  c.Label,
+			Pixels: uint32(c.Pixels),
+			Sum:    c.Sum,
+			RowQ16: c.RowQ16,
+			ColQ16: c.ColQ16,
+		})
 	}
 	return rec
 }

@@ -128,7 +128,6 @@ func frameConfig(rows, cols, asics1D, spc int, eight bool) Config {
 		PedestalPerSample: 200,
 		GainADC:           40,
 		ThresholdPE:       2,
-		Detection:         design.TopConfig{OneDPipelined: true},
 	}
 	if rows > 0 {
 		conn := grid.FourWay

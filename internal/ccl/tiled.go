@@ -26,8 +26,6 @@ type TiledOptions struct {
 	// TileRows, TileCols set the tile shape (defaults 8×8). Edge tiles may
 	// be smaller when the image is not an exact multiple.
 	TileRows, TileCols int
-	// CompactLabels renumbers final labels to 1..K in raster order.
-	CompactLabels bool
 }
 
 func (o TiledOptions) withDefaults() TiledOptions {
@@ -159,13 +157,9 @@ func LabelTiled(g *grid.Grid, opt TiledOptions) (*TiledResult, error) {
 	for i, n := 0, rows*cols; i < n; i++ {
 		out.SetFlat(i, mt.Lookup(out.AtFlat(i)))
 	}
-	islands := len(mt.Roots())
-	if opt.CompactLabels {
-		islands = out.Compact()
-	}
 	return &TiledResult{
 		Labels:         out,
-		Islands:        islands,
+		Islands:        len(mt.Roots()),
 		Tiles:          tilesR * tilesC,
 		MaxTileGroups:  maxGroups,
 		BoundaryUnions: unions,

@@ -54,18 +54,6 @@ func TestTiledDefaults(t *testing.T) {
 	}
 }
 
-func TestTiledCompact(t *testing.T) {
-	g := grid.MustParse("#.#\n...\n#.#")
-	res, err := LabelTiled(g, TiledOptions{TileRows: 2, TileCols: 2, CompactLabels: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := res.Labels.Distinct()
-	if len(d) != 4 || d[0] != 1 || d[3] != 4 {
-		t.Fatalf("compact labels = %v", d)
-	}
-}
-
 func TestTiledValidation(t *testing.T) {
 	g := grid.New(4, 4)
 	if _, err := LabelTiled(g, TiledOptions{Connectivity: grid.Connectivity(3)}); err == nil {

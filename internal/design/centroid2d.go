@@ -76,15 +76,15 @@ func CentroidResources(n, maxLabels int) resource.Usage {
 }
 
 // RunCentroid2D executes the centroid stage over a labeled image. maxLabels
-// bounds the accumulator arrays (0 means the paper's merge-table sizing of
-// the image shape, the natural bound on final labels).
+// bounds the accumulator arrays; 0 sizes them at (rows·cols+1)/2, the island
+// count of a full 4-way checkerboard. A label above the bound is an error.
 func RunCentroid2D(g *grid.Grid, labels *grid.Labels, maxLabels int) (*CentroidOutput, error) {
 	if g.Rows() != labels.Rows() || g.Cols() != labels.Cols() {
 		return nil, fmt.Errorf("design: centroid needs matching shapes, got %dx%d vs %dx%d",
 			g.Rows(), g.Cols(), labels.Rows(), labels.Cols())
 	}
 	if maxLabels == 0 {
-		maxLabels = (g.Rows()*g.Cols() + 1) / 2 // any label assignment fits
+		maxLabels = (g.Rows()*g.Cols() + 1) / 2
 	}
 	n := g.Pixels()
 

@@ -257,7 +257,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestIsland1D(t *testing.T) {
 	values := []grid.Value{0, 3, 5, 0, 0, 7, 0, 2, 2, 2}
-	out, err := RunIsland1D(values, true)
+	out, err := RunIsland1D(values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,38 +283,28 @@ func TestIsland1D(t *testing.T) {
 	if out.Report.DynamicCycles > out.Report.LatencyCycles {
 		t.Fatal("dynamic cycles exceed worst case")
 	}
+	if out.Report.Stage != "Pipelined" || out.Report.InnerII != 1 {
+		t.Fatalf("1D schedule = %s II %d, want Pipelined II 1", out.Report.Stage, out.Report.InnerII)
+	}
 }
 
 func TestIsland1DTrailingAndEdges(t *testing.T) {
-	out, err := RunIsland1D([]grid.Value{4}, true)
+	out, err := RunIsland1D([]grid.Value{4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Islands) != 1 || out.Islands[0].Centroid != 0 {
 		t.Fatalf("single channel: %+v", out.Islands)
 	}
-	out, err = RunIsland1D([]grid.Value{0, 0, 0}, false)
+	out, err = RunIsland1D([]grid.Value{0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Islands) != 0 {
 		t.Fatal("all-dark must yield no islands")
 	}
-	if _, err := RunIsland1D(nil, true); err == nil {
+	if _, err := RunIsland1D(nil); err == nil {
 		t.Fatal("empty input must error")
-	}
-}
-
-func TestIsland1DPipelinedFaster(t *testing.T) {
-	values := make([]grid.Value, 128)
-	values[5] = 9
-	fast, _ := RunIsland1D(values, true)
-	slow, _ := RunIsland1D(values, false)
-	if fast.Report.LatencyCycles >= slow.Report.LatencyCycles {
-		t.Fatal("pipelined 1D must be faster")
-	}
-	if fast.Report.InnerII != 1 || slow.Report.InnerII != 0 {
-		t.Fatal("1D InnerII wrong")
 	}
 }
 
@@ -325,7 +315,7 @@ func TestIsland1DProperty(t *testing.T) {
 		for i, v := range vals {
 			values[i] = grid.Value(v % 5) // plenty of zeros
 		}
-		out, err := RunIsland1D(values, true)
+		out, err := RunIsland1D(values)
 		if err != nil {
 			return false
 		}
@@ -366,42 +356,6 @@ func TestIsland1DProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestTopLevelSwitch(t *testing.T) {
-	values := []grid.Value{1, 1, 0, 0, 0, 2}
-	// 1D mode.
-	out, err := IslandDetection(values, TopConfig{OneDPipelined: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.OneD == nil || out.TwoD != nil {
-		t.Fatal("1D mode must populate OneD only")
-	}
-	if len(out.OneD.Islands) != 2 {
-		t.Fatalf("1D islands = %d, want 2", len(out.OneD.Islands))
-	}
-	// 2D mode on the same stream, interpreted as 2×3.
-	out, err = IslandDetection(values, TopConfig{
-		TwoDimension: true,
-		TwoD:         Config{Rows: 2, Cols: 3, Connectivity: grid.FourWay, Stage: StagePipelined},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.TwoD == nil || out.OneD != nil {
-		t.Fatal("2D mode must populate TwoD only")
-	}
-	if out.TwoD.Islands != 2 {
-		t.Fatalf("2D islands = %d, want 2", out.TwoD.Islands)
-	}
-	// Mismatched flat length errors in 2D mode.
-	if _, err := IslandDetection(values[:5], TopConfig{
-		TwoDimension: true,
-		TwoD:         Config{Rows: 2, Cols: 3, Connectivity: grid.FourWay, Stage: StagePipelined},
-	}); err == nil {
-		t.Fatal("flat length mismatch must error")
 	}
 }
 

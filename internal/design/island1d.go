@@ -37,7 +37,6 @@ type Output1D struct {
 // per-island centroid division.
 const (
 	oneDScanDepth    = 16
-	oneDSerialIter   = 6
 	oneDDivideCycles = 12 // fixed-point divide latency per island
 	oneDOverhead     = 30
 )
@@ -47,9 +46,8 @@ const (
 func MaxIslands1D(n int) int { return (n + 1) / 2 }
 
 // RunIsland1D executes the 1D island detection + centroiding design over a
-// channel array. pipelined selects the optimized schedule (the shipped ADAPT
-// configuration); false models the naïve serialized one.
-func RunIsland1D(values []grid.Value, pipelined bool) (*Output1D, error) {
+// channel array on the pipelined schedule of the shipped ADAPT firmware.
+func RunIsland1D(values []grid.Value) (*Output1D, error) {
 	n := len(values)
 	if n == 0 {
 		return nil, fmt.Errorf("design: 1D island detection needs at least one channel")
@@ -84,13 +82,9 @@ func RunIsland1D(values []grid.Value, pipelined bool) (*Output1D, error) {
 	flush(n - 1)
 
 	ledger := sched.NewLedger()
-	scan := sched.Loop{Name: "scan", Trip: int64(n)}
-	if pipelined {
-		scan.Pipelined, scan.II, scan.Depth = true, 1, oneDScanDepth
-	} else {
-		scan.IterLatency = oneDSerialIter
-	}
-	ledger.ChargeLoop(scan)
+	ledger.ChargeLoop(sched.Loop{
+		Name: "scan", Trip: int64(n), Pipelined: true, II: 1, Depth: oneDScanDepth,
+	})
 	// Worst-case centroid divides: one per possible island.
 	ledger.ChargeLoop(sched.Loop{
 		Name: "centroid", Trip: int64(MaxIslands1D(n)), IterLatency: oneDDivideCycles,
@@ -99,22 +93,16 @@ func RunIsland1D(values []grid.Value, pipelined bool) (*Output1D, error) {
 	worst := ledger.Total()
 	dynamic := worst - int64(oneDDivideCycles)*int64(MaxIslands1D(n)-len(islands))
 
-	stage := "Pipelined"
-	innerII := int64(1)
-	if !pipelined {
-		stage = "Baseline"
-		innerII = 0
-	}
 	return &Output1D{
 		Islands: islands,
 		Report: resource.Report{
 			Design:        "island_detection_and_centroiding",
-			Stage:         stage,
+			Stage:         "Pipelined",
 			Rows:          1,
 			Cols:          n,
 			LatencyCycles: worst,
 			II:            worst,
-			InnerII:       innerII,
+			InnerII:       1,
 			Usage: resource.Usage{
 				BRAM18K: 2 + resource.BRAM18KFor(n, PixelBits),
 				FF:      8*n + 520,

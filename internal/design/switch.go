@@ -1,50 +1,14 @@
 package design
 
-import (
-	"fmt"
-
-	"github.com/wustl-adapt/hepccl/internal/grid"
-)
-
 // TopConfig models the top-level compile-time switch TWO_DIMENSION (§5.1):
 // "When set, the island_detection_2d function is compiled into the pipeline
 // instead of the original island_detection_and_centroiding, which adds
-// flexibility to the pipeline without touching the core design."
+// flexibility to the pipeline without touching the core design." The
+// pipeline reads it and calls Run or RunIsland1D itself.
 type TopConfig struct {
 	// TwoDimension selects the 2D CCL stage; false selects the original 1D
 	// island detection + centroiding.
 	TwoDimension bool
 	// TwoD configures the 2D design (used when TwoDimension is true).
 	TwoD Config
-	// OneDPipelined selects the optimized 1D schedule (used otherwise).
-	OneDPipelined bool
-}
-
-// TopOutput is the result of the configured island-detection stage; exactly
-// one of TwoD/OneD is set, matching the compile-time exclusivity of the
-// hardware.
-type TopOutput struct {
-	TwoD *Output
-	OneD *Output1D
-}
-
-// IslandDetection runs the stage the TWO_DIMENSION switch selects on the
-// flattened channel values from the Merge module.
-func IslandDetection(values []grid.Value, cfg TopConfig) (*TopOutput, error) {
-	if cfg.TwoDimension {
-		g, err := grid.FromFlat(cfg.TwoD.Rows, cfg.TwoD.Cols, values)
-		if err != nil {
-			return nil, fmt.Errorf("design: 2D island detection: %w", err)
-		}
-		out, err := Run(g, cfg.TwoD)
-		if err != nil {
-			return nil, err
-		}
-		return &TopOutput{TwoD: out}, nil
-	}
-	out, err := RunIsland1D(values, cfg.OneDPipelined)
-	if err != nil {
-		return nil, err
-	}
-	return &TopOutput{OneD: out}, nil
 }
