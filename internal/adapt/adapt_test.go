@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"github.com/wustl-adapt/hepccl/internal/ccl"
+	"github.com/wustl-adapt/hepccl/internal/centroid"
 	"github.com/wustl-adapt/hepccl/internal/design"
 	"github.com/wustl-adapt/hepccl/internal/detector"
 	"github.com/wustl-adapt/hepccl/internal/grid"
@@ -204,6 +205,17 @@ func TestEndToEnd1DExactRecovery(t *testing.T) {
 	}
 }
 
+// floatCentroids is the float reference for a 2D result: centroid.All2D over
+// the islands the design's labels cut from the merged image.
+func floatCentroids(t *testing.T, p *Pipeline, res *EventResult) []centroid.Centroid2D {
+	t.Helper()
+	g, err := grid.FromFlat(p.rows, p.cols, res.Values[:p.rows*p.cols])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return centroid.All2D(ccl.Islands(g, res.TwoD.Labels))
+}
+
 func TestEndToEnd2DCTAShower(t *testing.T) {
 	cfg := DefaultCTA()
 	p, err := New(cfg)
@@ -242,12 +254,13 @@ func TestEndToEnd2DCTAShower(t *testing.T) {
 	if !res.TwoD.Labels.Isomorphic(want.Labels) {
 		t.Fatal("pipeline labeling differs from direct CCL on the truth image")
 	}
-	if len(res.Islands) == 0 || len(res.Centroids) != len(res.Islands) {
-		t.Fatalf("islands/centroids = %d/%d", len(res.Islands), len(res.Centroids))
+	cs := floatCentroids(t, p, res)
+	if len(cs) == 0 {
+		t.Fatal("no islands")
 	}
 	// The dominant island's centroid should be near the configured center.
-	main := res.Centroids[0]
-	for _, c := range res.Centroids {
+	main := cs[0]
+	for _, c := range cs {
 		if c.Sum > main.Sum {
 			main = c
 		}
@@ -530,10 +543,11 @@ func TestHardwareCentroidsMatchSoftware(t *testing.T) {
 		t.Fatal("2D mode must produce hardware centroids")
 	}
 	hw := res.HardwareCentroids.Centroids
-	if len(hw) != len(res.Centroids) {
-		t.Fatalf("hw %d vs sw %d centroids", len(hw), len(res.Centroids))
+	cs := floatCentroids(t, p, res)
+	if len(hw) != len(cs) {
+		t.Fatalf("hw %d vs sw %d centroids", len(hw), len(cs))
 	}
-	for i, sw := range res.Centroids {
+	for i, sw := range cs {
 		if hw[i].Label != sw.Label || hw[i].Sum != sw.Sum {
 			t.Fatalf("centroid %d identity mismatch", i)
 		}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"github.com/wustl-adapt/hepccl/internal/ccl"
-	"github.com/wustl-adapt/hepccl/internal/centroid"
 	"github.com/wustl-adapt/hepccl/internal/design"
 	"github.com/wustl-adapt/hepccl/internal/grid"
 	"github.com/wustl-adapt/hepccl/internal/runccl"
@@ -348,13 +347,9 @@ type EventResult struct {
 	OneD *design.Output1D
 	// TwoD holds the 2D design output when TWO_DIMENSION is set.
 	TwoD *design.Output
-	// Islands are the extracted 2D islands (2D mode only).
-	Islands []ccl.Island
-	// Centroids are the 2D island centroids (2D mode only).
-	Centroids []centroid.Centroid2D
 	// HardwareCentroids are the fixed-point centroids from the streaming
 	// island_centroid_2d design (2D mode only) — what the FPGA actually
-	// transmits; Centroids is the float reference.
+	// transmits.
 	HardwareCentroids *design.CentroidOutput
 }
 
@@ -397,8 +392,6 @@ func (p *Pipeline) ProcessEvent(packets []Packet) (*EventResult, error) {
 		return nil, err
 	}
 	res.TwoD = out
-	res.Islands = ccl.Islands(g, out.Labels)
-	res.Centroids = centroid.All2D(res.Islands)
 	// The streaming hardware centroid stage (Fig 3's centroiding half).
 	// Final labels are merge-table roots, bounded by its capacity.
 	res.HardwareCentroids, err = design.RunCentroid2D(g, out.Labels, ccl.SizeFor(p.rows, p.cols, det.TwoD.Connectivity))

@@ -47,31 +47,17 @@ import (
 // safe for concurrent use; servers give each worker its own.
 type serveScratch struct {
 	merged []grid.Value // image sink: photo-electron image
-	lit    []Lit        // ServeEvent/ServeBatch: integrateEvent's arena
-	events []LitEvent   // ServeBatch: one lit event per input event
+	lit    []Lit        // ServeEvent: integrateEvent's output
 }
 
-// ServeLitBatch serves a batch of zero-suppressed events into recs, reusing
-// each record's island storage and the pipeline's scratch: ServeLit per
-// event. It is the serving entry point of internal/server: workers drain
-// their rings into it. Lit lists must be in ascending channel order with
-// every channel below the pipeline's channel count, which both producers
-// guarantee. Events marked Bad carry no lit channels and yield an empty
-// record the caller discards.
-//
-//hepccl:hotpath
-func (p *Pipeline) ServeLitBatch(events []LitEvent, recs []EventRecord) {
-	//hepccl:coldpath
-	if len(recs) != len(events) {
-		panic("adapt: ServeLitBatch requires len(events) == len(recs)")
-	}
-	for i := range events {
-		p.ServeLit(events[i], &recs[i])
-	}
-}
-
-// ServeLit serves one zero-suppressed event. On the run sink the event is
-// labeled in one reused arena whose roots are the record's islands.
+// ServeLit serves one zero-suppressed event into rec, reusing rec's island
+// storage and the pipeline's scratch. It is the serving entry point of
+// internal/server: a worker serves each event it drains from its rings. Lit
+// lists must be in ascending channel order with every channel below the
+// pipeline's channel count, which both producers guarantee. An event marked
+// Bad carries no lit channels and yields an empty record the caller
+// discards. On the run sink the event is labeled in one reused arena whose
+// roots are the record's islands.
 //
 //hepccl:hotpath
 func (p *Pipeline) ServeLit(ev LitEvent, rec *EventRecord) {
@@ -79,7 +65,7 @@ func (p *Pipeline) ServeLit(ev LitEvent, rec *EventRecord) {
 	switch {
 	case p.runBatch != nil:
 		p.sinkRuns(ev.Lit)
-		rec.Islands = p.runBatch.Islands(0, rec.Islands[:0])
+		rec.Islands = p.runBatch.Islands(rec.Islands[:0])
 	case p.cfg.Serve == ServePixel:
 		//hepccl:coldpath
 		p.sinkImage(ev.Lit, rec) // the oracle: never a production backend
@@ -115,7 +101,6 @@ func (p *Pipeline) photons(l Lit) grid.Value {
 //hepccl:hotpath
 func (p *Pipeline) sinkRuns(lit []Lit) {
 	b := p.runBatch
-	b.Reset()
 	b.BeginEvent()
 	// Channels past the pixel array pad the last ASIC: the list's tail.
 	px := p.rows * p.cols
@@ -259,33 +244,19 @@ func (p *Pipeline) ServeEvent(packets []Packet, rec *EventRecord) error {
 	return nil
 }
 
-// ServeBatch is ServeEvent over a batch, served through ServeLitBatch.
-// events, recs, and errs must have equal length. Per-event failures are
-// recorded in errs[i] (nil on success) and do not stop the batch. It returns
-// the number of events served successfully.
+// ServeBatch is ServeEvent over a batch. events, recs, and errs must have
+// equal length. Per-event failures are recorded in errs[i] (nil on success)
+// and do not stop the batch; recs[i] is unspecified when errs[i] != nil. It
+// returns the number of events served successfully.
 func (p *Pipeline) ServeBatch(events [][]Packet, recs []EventRecord, errs []error) int {
 	if len(recs) != len(events) || len(errs) != len(events) {
 		panic("adapt: ServeBatch requires len(events) == len(recs) == len(errs)")
 	}
-	sc := &p.serve
-	lit, evs := sc.lit[:0], sc.events[:0]
 	ok := 0
 	for i, packets := range events {
-		var ev LitEvent
-		if err := p.checkEvent(packets); err != nil {
-			errs[i] = fmt.Errorf("adapt: %w", err)
-		} else {
-			errs[i] = nil
+		if errs[i] = p.ServeEvent(packets, &recs[i]); errs[i] == nil {
 			ok++
-			lo := len(lit)
-			lit = p.integrateEvent(packets, lit)
-			// A later append may move lit to a larger array; this slice then
-			// keeps the old one, whose filled prefix is never written again.
-			ev = LitEvent{Event: packets[0].Event, Lit: lit[lo:]}
 		}
-		evs = append(evs, ev)
 	}
-	sc.lit, sc.events = lit, evs
-	p.ServeLitBatch(evs, recs)
 	return ok
 }

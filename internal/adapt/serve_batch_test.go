@@ -81,9 +81,9 @@ func TestServeBatchBadEvent(t *testing.T) {
 
 // BenchmarkServeDense is the dense serving path in isolation: 512 distinct
 // 43×43 events at 30 % occupancy, 5–24 p.e. per lit pixel (the
-// cta-dense-sat frame: a few hundred runs and islands per event), served 64
-// per ServeLitBatch and encoded with AppendTo as a lane worker does. CI
-// requires 0 allocs/op.
+// cta-dense-sat frame: a few hundred runs and islands per event), served by
+// ServeLit and encoded with AppendTo 64 at a time, as a lane worker drains.
+// CI requires 0 allocs/op.
 func BenchmarkServeDense(b *testing.B) {
 	const distinct, batch = 512, 64
 	cfg := DefaultCTA()
@@ -115,7 +115,9 @@ func BenchmarkServeDense(b *testing.B) {
 	for n := 0; n < b.N; n += distinct {
 		islands = 0
 		for lo := 0; lo < distinct; lo += batch {
-			p.ServeLitBatch(events[lo:lo+batch], recs)
+			for i := range recs {
+				p.ServeLit(events[lo+i], &recs[i])
+			}
 			buf = buf[:0]
 			for i := range recs {
 				buf = recs[i].AppendTo(buf)

@@ -74,13 +74,13 @@ func TestServeEventFrameMatchesPixel(t *testing.T) {
 	}
 }
 
-// TestServeLitBatchMegapixel drives ServeLitBatch with events far larger
-// than the arena ever is on a paper geometry: nine 128×128 checkerboards of
-// 8,192 one-pixel runs (and islands) each, then a sparse frame, an empty
-// event and a Bad event. Every record must be byte-identical to serving that
-// event alone and to the per-pixel oracle, with no allocation once the arena
-// is warm.
-func TestServeLitBatchMegapixel(t *testing.T) {
+// TestServeLitMegapixel drives ServeLit with events far larger than the
+// arena ever is on a paper geometry: nine 128×128 checkerboards of 8,192
+// one-pixel runs (and islands) each, then a sparse frame, an empty event and
+// a Bad event, each into a record of its own. Once all are served, every
+// record must be byte-identical to serving that event on a second pipeline
+// and to the per-pixel oracle, with no allocation once the arena is warm.
+func TestServeLitMegapixel(t *testing.T) {
 	const side = 128
 	cfg := DefaultFrame(side, side)
 	run, pixel := framePipelines(t, cfg)
@@ -113,17 +113,22 @@ func TestServeLitBatchMegapixel(t *testing.T) {
 	)
 
 	recs := make([]EventRecord, len(events))
-	run.ServeLitBatch(events, recs)
+	serveAll := func() {
+		for i, ev := range events {
+			run.ServeLit(ev, &recs[i])
+		}
+	}
+	serveAll()
 	var recS, recP EventRecord
 	for i, ev := range events {
 		got := recs[i].AppendTo(nil)
 		single.ServeLit(ev, &recS)
 		if !bytes.Equal(got, recS.AppendTo(nil)) {
-			t.Fatalf("event %d: batched record differs from ServeLit alone", i)
+			t.Fatalf("event %d: record differs from a second pipeline's", i)
 		}
 		pixel.ServeLit(ev, &recP)
 		if !bytes.Equal(got, recP.AppendTo(nil)) {
-			t.Fatalf("event %d: batched record differs from the per-pixel oracle", i)
+			t.Fatalf("event %d: record differs from the per-pixel oracle", i)
 		}
 	}
 	if n := len(recs[0].Islands); n != side*side/2 {
@@ -133,7 +138,7 @@ func TestServeLitBatchMegapixel(t *testing.T) {
 		t.Fatalf("sparse/empty/bad served %d/%d/%d islands, want 2/0/0",
 			len(recs[9].Islands), len(recs[10].Islands), len(recs[11].Islands))
 	}
-	if allocs := testing.AllocsPerRun(5, func() { run.ServeLitBatch(events, recs) }); allocs != 0 {
-		t.Fatalf("ServeLitBatch allocates %v times per batch once warm, want 0", allocs)
+	if allocs := testing.AllocsPerRun(5, serveAll); allocs != 0 {
+		t.Fatalf("ServeLit allocates %v times per %d events once warm, want 0", allocs, len(events))
 	}
 }

@@ -157,17 +157,18 @@ func FuzzRunCCLvsPixel(f *testing.F) {
 	})
 }
 
-// FuzzBatchVsSingle is the differential check behind batched serving: a
-// fuzzer-chosen batch of events — geometry, connectivity,
-// sample depth, batch size, and payload all fuzzed — is served through
-// ServeBatch and compared byte-for-byte (marshalled record bytes) against
-// ServeEvent on the run backend and against the per-pixel reference backend,
-// event by event. Fuzzer-chosen bits also shuffle some events' packet order —
-// valid, and sorted back into raster order by the reference integration —
-// and may truncate the first event, checking error parity between the batched
-// and single paths. rows = cols = 255 selects a 129×128 frame, larger than
-// any paper geometry: eight striped events there are 66 k runs through one
-// reused arena.
+// FuzzBatchVsSingle is the differential check of serving on reused
+// pipelines: a fuzzer-chosen run of events — geometry, connectivity, sample
+// depth, event count, and payload all fuzzed — is served through ServeBatch
+// on one run-backend pipeline and compared byte-for-byte (marshalled record
+// bytes) against ServeEvent on a second one and against the per-pixel
+// reference backend, event by event, each pipeline serving the whole run.
+// Fuzzer-chosen bits also shuffle some events' packet order — valid, and
+// sorted back into raster order by the reference integration — and may
+// truncate the first event, checking error parity between ServeBatch and
+// ServeEvent. rows = cols = 255 selects a 129×128 frame, larger than any
+// paper geometry: eight striped events there are 66 k runs through one reused
+// arena.
 func FuzzBatchVsSingle(f *testing.F) {
 	f.Add(uint64(1), uint8(43), uint8(43), false, uint8(4), uint8(3), uint8(0), []byte{0, 5, 5, 0, 9})
 	f.Add(uint64(2), uint8(8), uint8(10), true, uint8(4), uint8(5), uint8(2), []byte{3, 3, 3, 3})

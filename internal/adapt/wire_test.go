@@ -475,7 +475,7 @@ func FuzzWireVsPacket(f *testing.F) {
 // 512 of them (an 8.7 MB wire image, far beyond L2) read ahead 256 at a time
 // as the daemon's block-policy queue does and served 64 at a time — from
 // wire bytes to encoded records. The wire sub-benchmark is the daemon's path
-// (ReadSuppressed → lit-list copy → ServeLitBatch → AppendTo); packet is the
+// (ReadSuppressed → lit-list copy → ServeLit → AppendTo); packet is the
 // same work through the []Packet reference (ReadEventInto → ServeBatch →
 // AppendTo). CI gates the within-run ratio wire/packet, which holds on any
 // host speed, and 0 allocs/op on wire.
@@ -507,7 +507,9 @@ func BenchmarkServeWire(b *testing.B) {
 				queue[i].Lit = append(queue[i].Lit[:0], ev.Lit...)
 			}
 			for lo := 0; lo < ahead; lo += batch {
-				p.ServeLitBatch(queue[lo:lo+batch], recs)
+				for i := range recs {
+					p.ServeLit(queue[lo+i], &recs[i])
+				}
 				buf = buf[:0]
 				for i := range recs {
 					buf = recs[i].AppendTo(buf)

@@ -12,6 +12,7 @@ import (
 
 	"github.com/wustl-adapt/hepccl/internal/adapt"
 	"github.com/wustl-adapt/hepccl/internal/health"
+	"github.com/wustl-adapt/hepccl/internal/leakcheck"
 	"github.com/wustl-adapt/hepccl/internal/server"
 )
 
@@ -222,6 +223,7 @@ func TestGatewayResubmitFindsNoOwner(t *testing.T) {
 // parked in its read, drain it, and return well inside its context, and the
 // client must see its record and then a clean end of stream.
 func TestGatewayShutdownIdleClient(t *testing.T) {
+	leakcheck.Check(t)
 	b := startBackend(t, server.PolicyBlock, "")
 	g, err := New(Config{
 		ASICs:    testPipeline().ASICs,

@@ -19,6 +19,7 @@ import (
 	"github.com/wustl-adapt/hepccl/internal/adapt"
 	"github.com/wustl-adapt/hepccl/internal/detector"
 	"github.com/wustl-adapt/hepccl/internal/health"
+	"github.com/wustl-adapt/hepccl/internal/leakcheck"
 	"github.com/wustl-adapt/hepccl/internal/server"
 )
 
@@ -339,6 +340,7 @@ func TestGatewayDropsCorruptFirstFrame(t *testing.T) {
 // finish-in-flight, not shed — and the re-added backend must take traffic
 // again.
 func TestGatewayDrainZeroLoss(t *testing.T) {
+	leakcheck.Check(t)
 	b0 := startBackend(t, server.PolicyBlock, "")
 	b1 := startBackend(t, server.PolicyBlock, "")
 	g := startGateway(t, b0, b1)

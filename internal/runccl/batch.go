@@ -31,9 +31,9 @@ type Prefix struct {
 // min-root forest (parent[x] ≤ x, arXiv:1708.08180), folding the absorbed
 // root's totals into the survivor. A root is thus its set's first run in
 // raster order, holding its island's totals, and Islands emits the roots. A
-// Batch holds events between Resets in disjoint index ranges no union
-// crosses, and is not safe for concurrent use. Records are bit-identical to
-// the per-pixel reference (adapt's FuzzRunCCLvsPixel, FuzzBatchVsSingle).
+// Batch holds one event: BeginEvent empties the arena. It is not safe for
+// concurrent use. Records are bit-identical to the per-pixel reference
+// (adapt's FuzzRunCCLvsPixel, FuzzBatchVsSingle).
 type Batch struct {
 	rows, cols int
 	wpr        int    // bitmap words per row
@@ -55,9 +55,9 @@ type Batch struct {
 	starts, ends []uint64
 	base         []int32
 
-	runs  []arenaRun
-	evOff []int32 // event e's runs are [evOff[e], evOff[e+1]); len events+1
-	roots []int32 // Islands scratch: the event's root indexes
+	runs   []arenaRun
+	roots  []int32 // Islands scratch: the event's root indexes
+	sealed int     // runs sealed since Reset
 }
 
 // NewBatch returns a run labeler for the engine's geometry and connectivity.
@@ -74,23 +74,18 @@ func (e *Engine) NewBatch() *Batch {
 	b.bits, b.pre = make([]uint64, (e.rows+1)*e.wpr), make([]Prefix, 1, 64)
 	b.starts, b.ends = make([]uint64, 2*e.wpr), make([]uint64, e.wpr+1)
 	b.base = make([]int32, 2*e.wpr)
-	b.evOff = make([]int32, 1, 64)
 	return b
 }
 
-// Reset discards every event, keeping the arena's storage.
-//
-//hepccl:hotpath
-func (b *Batch) Reset() {
-	b.runs = b.runs[:0]
-	b.evOff = b.evOff[:1]
-}
+// Reset zeroes the count of sealed runs that Runs reports.
+func (b *Batch) Reset() { b.sealed = 0 }
 
-// BeginEvent opens an event; Feed or ExtractEvent gives it its lit pixels.
+// BeginEvent opens an event in the emptied arena, keeping its storage; Feed
+// or ExtractEvent gives it its lit pixels.
 //
 //hepccl:hotpath
 func (b *Batch) BeginEvent() {
-	b.row, b.next, b.lit = b.rows, int32(len(b.runs)), 0
+	b.row, b.next, b.lit = b.rows, 0, 0
 }
 
 // Feed sizes the open event for n lit pixels and returns what the producer
@@ -104,7 +99,7 @@ func (b *Batch) Feed(n int) (bitmap []uint64, pre []Prefix) {
 	//hepccl:amortized
 	b.pre = slices.Grow(b.pre[:1], n)[:n+1]
 	//hepccl:amortized
-	b.runs = slices.Grow(b.runs, n)[:len(b.runs)+n]
+	b.runs = slices.Grow(b.runs[:0], n)[:n]
 	b.row = 0
 	return b.bits[b.wpr:], b.pre[1:]
 }
@@ -124,11 +119,11 @@ func (b *Batch) Bit(fl int) (word int, bit uint64) {
 func (b *Batch) EndEvent() {
 	b.cutRows(b.rows)
 	b.runs = b.runs[:b.next]
-	b.evOff = append(b.evOff, b.next)
+	b.sealed += int(b.next)
 }
 
-// Runs returns the run count of the sealed events.
-func (b *Batch) Runs() int { return int(b.evOff[len(b.evOff)-1]) }
+// Runs returns the count of runs sealed since Reset, over every event.
+func (b *Batch) Runs() int { return b.sealed }
 
 // cutRows cuts the open event's rows up to to: each row's runs, then its
 // links to the row above. A run at columns s..s+k−1 holds lit indexes
@@ -245,14 +240,14 @@ func (b *Batch) cutRows(to int) {
 	b.row, b.next, b.lit = stop, i, lit
 }
 
-// Islands appends event ev's islands to dst: its roots in index order, which
-// is raster order of first pixel — ccl.Label's compact numbering, with the
-// values the per-pixel path gives. dst follows the usual reuse contract.
+// Islands appends the sealed event's islands to dst: its roots in index
+// order, which is raster order of first pixel — ccl.Label's compact
+// numbering, with the values the per-pixel path gives. dst follows the usual
+// reuse contract.
 //
 //hepccl:hotpath
-func (b *Batch) Islands(ev int, dst []Island) []Island {
-	lo := b.evOff[ev]
-	runs := b.runs[lo:b.evOff[ev+1]]
+func (b *Batch) Islands(dst []Island) []Island {
+	runs := b.runs
 	//hepccl:amortized
 	b.roots = slices.Grow(b.roots[:0], len(runs))
 	// Whether a run is a root is a coin flip on a dense frame, so compact
@@ -264,7 +259,7 @@ func (b *Batch) Islands(ev int, dst []Island) []Island {
 		// k counts roots among the first i runs: k ≤ i < len(roots).
 		//hepccl:checked
 		roots[k] = int32(i)
-		k += int(1 + (runs[i].parent-lo-int32(i))>>31)
+		k += int(1 + (runs[i].parent-int32(i))>>31)
 	}
 	base := len(dst)
 	//hepccl:amortized

@@ -51,9 +51,10 @@ func sameIslands(t *testing.T, ctx string, got, want []Island) {
 	}
 }
 
-// TestBatchMatchesEngine drives several events through one batch and checks
-// each event's islands are bit-identical to ccl.Label's on the same frame.
-// Rows span three bitmap words, so runs cross word boundaries.
+// TestBatchMatchesEngine drives several events through one batch, one after
+// another, and checks each event's islands right after it are bit-identical
+// to ccl.Label's on the same frame. Rows span three bitmap words, so runs
+// cross word boundaries.
 func TestBatchMatchesEngine(t *testing.T) {
 	const rows, cols = 17, 129
 	for _, conn := range []grid.Connectivity{grid.FourWay, grid.EightWay} {
@@ -63,25 +64,17 @@ func TestBatchMatchesEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := e.NewBatch()
-		const nEv = 9
-		frames := make([][]grid.Value, nEv)
-		b.Reset()
-		for i := range frames {
-			frames[i] = randomFrame(rng, rows, cols, float64(i)*0.08)
-			batchFeed(e, b, frames[i])
-		}
-		if len(b.evOff)-1 != nEv {
-			t.Fatalf("%s: %d events, want %d", conn, len(b.evOff)-1, nEv)
-		}
-		for i := range frames {
+		for i := 0; i < 9; i++ {
+			f := randomFrame(rng, rows, cols, float64(i)*0.08)
+			batchFeed(e, b, f)
 			sameIslands(t, fmt.Sprintf("%s event %d", conn, i),
-				b.Islands(i, nil), wantIslands(t, rows, cols, conn, frames[i]))
+				b.Islands(nil), wantIslands(t, rows, cols, conn, f))
 		}
 	}
 }
 
-// TestBatchEmptyEvents covers all-dark events: they occupy a slot, produce no
-// islands, and do not perturb their neighbours.
+// TestBatchEmptyEvents covers all-dark events between lit ones: they produce
+// no islands, and neither take from nor leave anything to their neighbours.
 func TestBatchEmptyEvents(t *testing.T) {
 	rng := detector.NewRNG(3)
 	e, err := NewEngine(12, 12, grid.FourWay)
@@ -89,24 +82,24 @@ func TestBatchEmptyEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := e.NewBatch()
-	b.Reset()
 	dark := make([]grid.Value, 12*12)
 	lit := randomFrame(rng, 12, 12, 0.5)
 	batchFeed(e, b, dark)
-	batchFeed(e, b, lit)
-	batchFeed(e, b, dark)
-	if got := b.Islands(0, nil); len(got) != 0 {
+	if got := b.Islands(nil); len(got) != 0 {
 		t.Fatalf("dark event 0 produced %d islands", len(got))
 	}
-	if got := b.Islands(2, nil); len(got) != 0 {
+	batchFeed(e, b, lit)
+	sameIslands(t, "lit event", b.Islands(nil), wantIslands(t, 12, 12, grid.FourWay, lit))
+	batchFeed(e, b, dark)
+	if got := b.Islands(nil); len(got) != 0 {
 		t.Fatalf("dark event 2 produced %d islands", len(got))
 	}
-	sameIslands(t, "lit event", b.Islands(1, nil), wantIslands(t, 12, 12, grid.FourWay, lit))
 }
 
-// TestBatchEventIsolation plants a frame whose islands touch the first and
-// last rows in adjacent slots: if cross-event state leaked (cursor, previous
-// row, union ranges), runs on event boundaries would merge across events.
+// TestBatchEventIsolation feeds one frame whose islands touch the first and
+// last rows three times through one arena: if state leaked from one event to
+// the next (cursor, previous row, union ranges), the last row's runs would
+// merge with the next event's first.
 func TestBatchEventIsolation(t *testing.T) {
 	e, err := NewEngine(4, 8, grid.EightWay)
 	if err != nil {
@@ -119,20 +112,18 @@ func TestBatchEventIsolation(t *testing.T) {
 		v[3*8+c] = 5
 	}
 	b := e.NewBatch()
-	b.Reset()
-	batchFeed(e, b, v)
-	batchFeed(e, b, v)
-	batchFeed(e, b, v)
 	want := wantIslands(t, 4, 8, grid.EightWay, v)
 	for i := 0; i < 3; i++ {
-		sameIslands(t, fmt.Sprintf("event %d (cross-event leak?)", i), b.Islands(i, nil), want)
+		batchFeed(e, b, v)
+		sameIslands(t, fmt.Sprintf("event %d (cross-event leak?)", i), b.Islands(nil), want)
 	}
 }
 
-// TestBatchReuse checks a Batch object is fully recycled by Reset: five
+// TestBatchReuse checks a Batch object is fully recycled by BeginEvent: five
 // random frames through one Batch each match ccl.Label, and a sparse frame
 // served after a saturated one — every slot of the arena left holding large
-// totals and links — matches a Batch that never saw it.
+// totals and links — matches a Batch that never saw it. Runs counts the runs
+// sealed since Reset across events.
 func TestBatchReuse(t *testing.T) {
 	rng := detector.NewRNG(17)
 	e, err := NewEngine(16, 64, grid.FourWay)
@@ -141,10 +132,9 @@ func TestBatchReuse(t *testing.T) {
 	}
 	b := e.NewBatch()
 	for round := 0; round < 5; round++ {
-		b.Reset()
 		f := randomFrame(rng, 16, 64, 0.25)
 		batchFeed(e, b, f)
-		sameIslands(t, fmt.Sprintf("round %d", round), b.Islands(0, nil), wantIslands(t, 16, 64, grid.FourWay, f))
+		sameIslands(t, fmt.Sprintf("round %d", round), b.Islands(nil), wantIslands(t, 16, 64, grid.FourWay, f))
 	}
 	full := make([]grid.Value, 16*64)
 	for i := range full {
@@ -152,20 +142,23 @@ func TestBatchReuse(t *testing.T) {
 			full[i] = 1 << 20
 		}
 	}
-	b.Reset()
 	batchFeed(e, b, full)
-	if got := b.Islands(0, nil); len(got) != 1 {
+	if got := b.Islands(nil); len(got) != 1 {
 		t.Fatalf("saturated frame: %d islands, want 1", len(got))
 	}
 	sparse := randomFrame(rng, 16, 64, 0.1)
 	b.Reset()
-	if len(b.evOff)-1 != 0 || b.Runs() != 0 {
-		t.Fatalf("Reset left %d events, %d runs", len(b.evOff)-1, b.Runs())
+	if b.Runs() != 0 {
+		t.Fatalf("Reset left %d runs", b.Runs())
 	}
 	batchFeed(e, b, sparse)
 	fresh := e.NewBatch()
 	batchFeed(e, fresh, sparse)
-	sameIslands(t, "after saturated frame", b.Islands(0, nil), fresh.Islands(0, nil))
+	sameIslands(t, "after saturated frame", b.Islands(nil), fresh.Islands(nil))
+	batchFeed(e, b, sparse)
+	if b.Runs() != 2*fresh.Runs() || fresh.Runs() == 0 {
+		t.Fatalf("Runs after two sparse events = %d, want twice %d", b.Runs(), fresh.Runs())
+	}
 }
 
 // shapeFrames are the adversarial run sequences of TestBatchUnionInvariants:
@@ -262,10 +255,6 @@ func TestBatchUnionInvariants(t *testing.T) {
 				t.Fatal(err)
 			}
 			b := e.NewBatch()
-			// A first event ahead of the one under test: indexes are not
-			// event-local, and no union may reach back into it.
-			batchFeed(e, b, g.Flat())
-			first := b.Runs()
 			b.BeginEvent()
 			b.ExtractEvent(e.Pack(g.Flat(), nil), g.Flat())
 			var all arenaRun // totals over every pixel of the rows cut so far
@@ -280,9 +269,9 @@ func TestBatchUnionInvariants(t *testing.T) {
 					}
 				}
 				var roots arenaRun
-				for x := first; x < int(b.next); x++ {
+				for x := 0; x < int(b.next); x++ {
 					run := &b.runs[x]
-					if int(run.parent) > x || int(run.parent) < first {
+					if int(run.parent) > x || run.parent < 0 {
 						t.Fatalf("%s frame %d after row %d: parent[%d] = %d\n%s",
 							conn, fi, r, x, run.parent, g)
 					}
@@ -303,11 +292,8 @@ func TestBatchUnionInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := islandsOf(g, labels, len(labels.Distinct()))
-			for ev := 0; ev < 2; ev++ {
-				sameIslands(t, fmt.Sprintf("%s frame %d event %d vs flood fill\n%s", conn, fi, ev, g),
-					b.Islands(ev, nil), want)
-			}
+			sameIslands(t, fmt.Sprintf("%s frame %d vs flood fill\n%s", conn, fi, g),
+				b.Islands(nil), islandsOf(g, labels, len(labels.Distinct())))
 		}
 	}
 }

@@ -130,11 +130,10 @@ func (e *Engine) Label(bitmap []uint64, values []grid.Value, dst []Island) []Isl
 		panic(fmt.Sprintf("runccl: values length %d, want %d", len(values), e.rows*e.cols))
 	}
 	b := e.batch
-	b.Reset()
 	b.BeginEvent()
 	b.ExtractEvent(bitmap, values)
 	b.EndEvent()
-	return b.Islands(0, dst)
+	return b.Islands(dst)
 }
 
 // Q16Ratio returns round(num/den × 2^16) in Q16.16, 0 for den 0: the one

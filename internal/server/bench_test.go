@@ -84,7 +84,6 @@ func benchIngestPath(b *testing.B, record bool) {
 		draining: make(chan struct{}),
 	}
 	w := newWorker()
-	w.lits = make([]adapt.LitEvent, batch)
 	w.recs = make([]adapt.EventRecord, batch)
 	c := &conn{s: s, nc: discardConn{}, w: w, in: newRing[*event](s.cfg.QueueDepth)}
 	w.addConn(c)

@@ -8,7 +8,7 @@
 //
 //	conn k   ──reader──[SPSC ring]──┐
 //	conn k+W ──reader──[SPSC ring]──┼─ lane k of W: worker (Pipeline)
-//	  ...                           │    batched drain → ServeLitBatch →
+//	  ...                           │    batched drain → ServeLit each →
 //	                                │    one coalesced write per conn per drain
 //	conn k   ◀────────── write ─────┤
 //	conn k+W ◀────────── write ─────┘
@@ -45,7 +45,7 @@
 // An idle worker parks on a wake channel after publishing a parked flag and
 // re-checking its rings (producers that observe the flag nudge the channel),
 // so a quiet server spins nothing. There is one worker loop: it drains its
-// rings in batches, serves the batch through adapt.Pipeline.ServeLitBatch,
+// rings in batches, serves each drained event through adapt.Pipeline.ServeLit,
 // and writes each originating connection's run of serialized
 // adapt.EventRecord responses to its socket with one deadline-armed write
 // from a buffer the worker owns. A client that stops reading therefore

@@ -66,12 +66,10 @@ type worker struct {
 	conns []*conn // connections assigned to this lane (accept adds, drain prunes)
 	next  int     // round-robin drain offset across conns
 
-	// The worker goroutine's own: ServeLitBatch's input and output, one slot
-	// per drained event; the response buffer each connection's run of
-	// records is coalesced into before its one write; the connections prune
-	// took off the lane, waiting for retire; and the pacer (interval 0 =
-	// unpaced; see awaitSlot).
-	lits      []adapt.LitEvent
+	// The worker goroutine's own: one record per drained event; the response
+	// buffer each connection's run of records is coalesced into before its
+	// one write; the connections prune took off the lane, waiting for retire;
+	// and the pacer (interval 0 = unpaced; see awaitSlot).
 	recs      []adapt.EventRecord
 	resp      []byte
 	gone      []*conn

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"github.com/wustl-adapt/hepccl/internal/leakcheck"
 )
 
 // popOne takes one element off r through popBatch, the consumer's only read.
@@ -212,6 +214,7 @@ func TestRingConcurrentSPSC(t *testing.T) {
 // ingressDone), and the consumer must still
 // recover every value pushed before the flag — lossless drain after close.
 func TestRingDrainAfterClose(t *testing.T) {
+	leakcheck.Check(t)
 	const total = 50000
 	r := newRing[int](128)
 	var closed atomic.Bool

@@ -15,6 +15,7 @@ import (
 
 	"github.com/wustl-adapt/hepccl/internal/adapt"
 	"github.com/wustl-adapt/hepccl/internal/detector"
+	"github.com/wustl-adapt/hepccl/internal/leakcheck"
 )
 
 // testConfig is a cheap 1D pipeline: 4 ASICs, 4 samples — fast enough for
@@ -315,6 +316,7 @@ func TestServerBlockPolicy(t *testing.T) {
 // accounted for. Run under -race this also exercises reader/worker
 // teardown ordering and connection retirement.
 func TestServerGracefulShutdownMidLoad(t *testing.T) {
+	leakcheck.Check(t)
 	cfg := testConfig()
 	s, err := New(Config{Pipeline: cfg, Workers: 2, QueueDepth: 8, Policy: PolicyBlock})
 	if err != nil {
@@ -397,6 +399,7 @@ func TestServerGracefulShutdownMidLoad(t *testing.T) {
 }
 
 func TestServeAfterShutdown(t *testing.T) {
+	leakcheck.Check(t)
 	s, err := New(Config{Pipeline: testConfig()})
 	if err != nil {
 		t.Fatal(err)
@@ -417,6 +420,7 @@ func TestServeAfterShutdown(t *testing.T) {
 // two concurrent ones both return once the one drain is done; neither closes
 // a channel or the record log a second time.
 func TestShutdownTwice(t *testing.T) {
+	leakcheck.Check(t)
 	t.Run("sequential", func(t *testing.T) {
 		s, err := New(Config{Pipeline: testConfig(), RecordDir: t.TempDir()})
 		if err != nil {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -21,6 +20,7 @@ import (
 	"github.com/wustl-adapt/hepccl/internal/chaos"
 	"github.com/wustl-adapt/hepccl/internal/detector"
 	"github.com/wustl-adapt/hepccl/internal/health"
+	"github.com/wustl-adapt/hepccl/internal/leakcheck"
 )
 
 // countRecords parses the downlink record framing (8-byte header carrying
@@ -133,7 +133,7 @@ func chaosSoak(t *testing.T, queueDepth, totalEvents int, skimming bool) {
 		discProb    = 0.001 // per event: cut mid-event, reconnect
 	)
 
-	baseline := runtime.NumGoroutine()
+	leakcheck.Check(t)
 
 	cfg := testConfig()
 	s, err := New(Config{
@@ -394,16 +394,5 @@ func chaosSoak(t *testing.T, queueDepth, totalEvents int, skimming bool) {
 	}
 	if got := recordsDrained.Load(); got != int64(snap.EventsOut) {
 		t.Errorf("client parsed %d records, server served %d", got, snap.EventsOut)
-	}
-
-	// Goroutine accounting: everything the soak spawned must be gone.
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-		time.Sleep(20 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > baseline {
-		buf := make([]byte, 1<<20)
-		t.Errorf("goroutines: %d after soak, %d before\n%s",
-			n, baseline, buf[:runtime.Stack(buf, true)])
 	}
 }

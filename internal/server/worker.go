@@ -7,11 +7,10 @@ import (
 	"github.com/wustl-adapt/hepccl/internal/adapt"
 )
 
-// serveBatchMax bounds how many queued events one worker drains into a single
-// adapt.ServeLitBatch call. Large enough to amortize the per-wakeup costs
-// (ring scans, clock reads, counter updates, scheduler churn) across a
-// backlog, small enough that a burst cannot hold response flushing hostage
-// for long.
+// serveBatchMax bounds how many queued events one worker drains and serves
+// per wakeup. Large enough to amortize the per-wakeup costs (ring scans,
+// clock reads, counter updates, scheduler churn) across a backlog, small
+// enough that a burst cannot hold response flushing hostage for long.
 const serveBatchMax = 64
 
 // lingerMin is the batch size below which the worker yields once and re-polls
@@ -44,7 +43,6 @@ func (s *Server) run(w *worker, p *adapt.Pipeline) {
 		limit = 1
 	}
 	batch := make([]*event, limit)
-	w.lits = make([]adapt.LitEvent, limit)
 	w.recs = make([]adapt.EventRecord, limit)
 
 	closed := false // ingress is over and the rings are frozen
@@ -95,8 +93,8 @@ func (s *Server) retire(w *worker) {
 	w.gone = w.gone[:0]
 }
 
-// serve is the per-drain body: one ServeLitBatch over evs (at least one
-// event, at most the drain cap) and each connection's run of responses
+// serve is the per-drain body: ServeLit on each of evs (at least one event,
+// at most the drain cap) and each connection's run of responses
 // coalesced into the worker's buffer and written with one send, so a busy
 // lane pays for clock reads, counter updates and write syscalls once per
 // batch instead of once per event.
@@ -106,14 +104,13 @@ func (s *Server) serve(w *worker, p *adapt.Pipeline, evs []*event) {
 	if w.interval > 0 {
 		w.awaitSlot()
 	}
-	lits, recs := w.lits[:len(evs)], w.recs[:len(evs)]
+	recs := w.recs[:len(evs)]
 	var lit uint64
+	served := time.Now()
 	for i, ev := range evs {
 		lit += uint64(len(ev.Lit))
-		lits[i] = ev.LitEvent
+		p.ServeLit(ev.LitEvent, &recs[i])
 	}
-	served := time.Now()
-	p.ServeLitBatch(lits, recs)
 	// One clock read ends the service interval (which excludes the slot
 	// wait) and stamps every event's handoff.
 	now := time.Now()
