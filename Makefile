@@ -16,7 +16,7 @@ race:
 	$(GO) test -race -short ./internal/server ./internal/gateway ./internal/adapt ./internal/runccl ./internal/wal ./internal/tileccl ./internal/uplink ./cmd/hepccld ./cmd/loadgen ./cmd/hepcclgw
 
 # go vet's standard suite + the module's analyzers (marklint, hotpathalloc,
-# atomicring, nofloat, errwrapcheck, barrierproto, acctproto) + the compiler
+# nofloat, errwrapcheck, barrierproto, acctproto) + the compiler
 # escape-analysis and bounds-check-elimination cross-checks. Must be clean
 # before merging.
 vet:
@@ -36,7 +36,7 @@ hotclosure-check:
 # Fail when the //hepccl:checked hatches (bounds checks argued in prose
 # rather than proven) outnumber the ceiling. Lower the ceiling when a hatch
 # becomes a proof; raise it only in the diff that adds one.
-HATCH_CEILING = 37
+HATCH_CEILING = 35
 hatch-check:
 	@n=$$(grep -rh --include='*.go' --exclude='*_test.go' --exclude-dir=analysis '//hepccl:checked' . | wc -l); \
 	echo "$$n //hepccl:checked hatches (ceiling $(HATCH_CEILING))"; \

@@ -1,6 +1,6 @@
 // Command hepcclvet is the module's invariant checker: it runs the custom
-// analyzer suite of internal/analysis (marklint, hotpathalloc, atomicring,
-// nofloat, errwrapcheck, barrierproto, acctproto), the compiler-shelled
+// analyzer suite of internal/analysis (marklint, hotpathalloc, nofloat,
+// errwrapcheck, barrierproto, acctproto), the compiler-shelled
 // escape-analysis and bounds-check-elimination cross-checks, and go vet's
 // standard analyzer set, and exits non-zero on any finding. CI runs it as a
 // required step; locally:

@@ -7,7 +7,6 @@ package analysis
 
 import (
 	"github.com/wustl-adapt/hepccl/internal/analysis/acctproto"
-	"github.com/wustl-adapt/hepccl/internal/analysis/atomicring"
 	"github.com/wustl-adapt/hepccl/internal/analysis/barrierproto"
 	"github.com/wustl-adapt/hepccl/internal/analysis/errwrapcheck"
 	"github.com/wustl-adapt/hepccl/internal/analysis/framework"
@@ -21,7 +20,6 @@ func All() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		marklint.Analyzer,
 		hotpathalloc.Analyzer,
-		atomicring.Analyzer,
 		nofloat.Analyzer,
 		errwrapcheck.Analyzer,
 		barrierproto.Analyzer,

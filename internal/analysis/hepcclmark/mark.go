@@ -13,11 +13,6 @@
 //	//hepccl:amortized  (statement)  the statement allocates only until a
 //	                                 high-water mark (scratch growth) and is
 //	                                 exempt from allocation rules
-//	//hepccl:spsc       (type doc)   struct is a single-producer/single-
-//	                                 consumer shared structure; atomicring
-//	                                 enforces its field-access discipline
-//	//hepccl:const      (field)      spsc field is written only by
-//	                                 constructors, then read-only
 //	//hepccl:checked    (statement)  the statement's bounds/nil checks are
 //	                                 justified by an invariant the compiler
 //	                                 cannot see; boundscheck exempts its span
@@ -57,8 +52,6 @@ const (
 	Hotpath   = "hotpath"
 	Coldpath  = "coldpath"
 	Amortized = "amortized"
-	SPSC      = "spsc"
-	Const     = "const"
 	Checked   = "checked"
 	Pool      = "pool"
 	Wake      = "wake"
@@ -71,8 +64,8 @@ const (
 // Kinds lists every directive verb the suite understands; marklint reports
 // anything else as a typo rather than silently ignoring it.
 var Kinds = []string{
-	Hotpath, Coldpath, Amortized, SPSC, Const,
-	Checked, Pool, Wake, Done, Cursor, Accounted, AcctMu,
+	Hotpath, Coldpath, Amortized, Checked,
+	Pool, Wake, Done, Cursor, Accounted, AcctMu,
 }
 
 const prefix = "//hepccl:"

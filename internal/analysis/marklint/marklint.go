@@ -1,6 +1,6 @@
 // Package marklint validates the //hepccl: directive language itself. The
 // other analyzers consume directives silently — a typo like //hepccl:hotpth,
-// a //hepccl:spsc pasted above a function, or a mark applied twice would
+// a //hepccl:pool pasted above a function, or a mark applied twice would
 // simply not anchor, and the invariant the author thought they declared
 // would be unenforced. marklint turns those silent no-ops into diagnostics:
 //
@@ -8,8 +8,8 @@
 //   - wrong position: the directive's verb is known but the comment does not
 //     anchor a node of the kind that verb applies to (hotpath: function
 //     declarations; coldpath: functions or statements; amortized, checked:
-//     statements; spsc, pool: struct type doc comments; const, wake, done,
-//     cursor, accounted, acctmu: struct field doc or trailing comments)
+//     statements; pool: struct type doc comments; wake, done, cursor,
+//     accounted, acctmu: struct field doc or trailing comments)
 //   - duplicate: the same function, type, or field carries the same
 //     directive more than once
 package marklint
@@ -43,9 +43,7 @@ var allowed = map[string]int{
 	hepcclmark.Coldpath:  anchorFunc | anchorStmt,
 	hepcclmark.Amortized: anchorStmt,
 	hepcclmark.Checked:   anchorStmt,
-	hepcclmark.SPSC:      anchorType,
 	hepcclmark.Pool:      anchorType,
-	hepcclmark.Const:     anchorField,
 	hepcclmark.Wake:      anchorField,
 	hepcclmark.Done:      anchorField,
 	hepcclmark.Cursor:    anchorField,
@@ -59,9 +57,7 @@ var placement = map[string]string{
 	hepcclmark.Coldpath:  "a function declaration or a statement",
 	hepcclmark.Amortized: "a statement",
 	hepcclmark.Checked:   "a statement",
-	hepcclmark.SPSC:      "a struct type's doc comment",
 	hepcclmark.Pool:      "a struct type's doc comment",
-	hepcclmark.Const:     "a struct field",
 	hepcclmark.Wake:      "a struct field",
 	hepcclmark.Done:      "a struct field",
 	hepcclmark.Cursor:    "a struct field",

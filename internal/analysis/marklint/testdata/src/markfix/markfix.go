@@ -1,7 +1,8 @@
 // Package markfix seeds malformed //hepccl: directives for the marklint
-// fixture suite: an unknown verb, directives anchored to the wrong node
-// kind, and the same mark applied twice to one function and one field —
-// plus well-formed directives of every class that must stay silent.
+// fixture suite: unknown verbs (a typo, and the retired spsc and const),
+// directives anchored to the wrong node kind, and the same mark applied twice
+// to one function and one field — plus well-formed directives of every class
+// that must stay silent.
 package markfix
 
 import "sync/atomic"
@@ -35,17 +36,15 @@ func stmts(s []int, i int) int {
 
 func report([]int) {}
 
-// ring is a correctly marked pool struct: type and field directives in the
+// pool is a correctly marked pool struct: type and field directives in the
 // positions their analyzers read them from.
 //
 //hepccl:pool
-type ring struct {
+type pool struct {
 	wake chan struct{} //hepccl:wake
 	done chan struct{} //hepccl:done
 	//hepccl:cursor
 	next atomic.Int64
-	//hepccl:const
-	mask uint32
 }
 
 // typo's verb is not in the registry.
@@ -53,16 +52,25 @@ type ring struct {
 //hepccl:hotpth // want `unknown //hepccl: directive verb "hotpth"`
 func typo() {}
 
+// retired carries the two verbs that left the vocabulary with the lock-free
+// ring they described.
+//
+//hepccl:spsc // want `unknown //hepccl: directive verb "spsc"`
+type retired struct {
+	//hepccl:const // want `unknown //hepccl: directive verb "const"`
+	mask uint32
+}
+
 // wrongClass carries a type directive on a function declaration.
 //
-//hepccl:spsc // want `misplaced //hepccl:spsc directive: it anchors nothing here and must mark a struct type's doc comment`
+//hepccl:pool // want `misplaced //hepccl:pool directive: it anchors nothing here and must mark a struct type's doc comment`
 func wrongClass() {}
 
 // inBody misuses a function directive on a statement.
 func inBody(s []int) int {
 	//hepccl:hotpath // want `misplaced //hepccl:hotpath directive: it anchors nothing here and must mark a function declaration`
 	t := s[0]
-	//hepccl:const // want `misplaced //hepccl:const directive: it anchors nothing here and must mark a struct field`
+	//hepccl:cursor // want `misplaced //hepccl:cursor directive: it anchors nothing here and must mark a struct field`
 	u := s[1]
 	return t + u
 }
@@ -90,5 +98,6 @@ var _ = wrongClass
 var _ = inBody
 var _ = dup
 var _ = dupField{}
-var _ = ring{}
+var _ = pool{}
+var _ = retired{}
 var _ = sink

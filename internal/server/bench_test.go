@@ -36,7 +36,7 @@ func (discardConn) SetWriteDeadline(time.Time) error { return nil }
 // BenchmarkIngestPath measures the full software spine between the socket and
 // the response bytes, on the daemon's path: the suppressing stream read
 // (frame walk, checksum, zero-suppression), the lit-list copy into the pooled
-// event, admission and the ingest-ring handoff, the worker's drain, batched
+// event, admission (the send on the lane's channel), the worker's drain, batched
 // serving, response serialization into the worker's buffer, and the
 // connection's deadline-armed write. It is single-goroutine on purpose — the
 // point is the per-event CPU and allocation cost of the path, not scheduler
@@ -83,10 +83,9 @@ func benchIngestPath(b *testing.B, record bool) {
 		cfg:      Config{QueueDepth: 64, Policy: PolicyBlock}.withDefaults(),
 		draining: make(chan struct{}),
 	}
-	w := newWorker()
+	w := newWorker(s.cfg.QueueDepth)
 	w.recs = make([]adapt.EventRecord, batch)
-	c := &conn{s: s, nc: discardConn{}, w: w, in: newRing[*event](s.cfg.QueueDepth)}
-	w.addConn(c)
+	c := &conn{s: s, nc: discardConn{}, w: w}
 	evs := make([]*event, batch)
 
 	b.ReportAllocs()

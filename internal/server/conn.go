@@ -4,29 +4,20 @@ import (
 	"errors"
 	"io"
 	"net"
-	"sync/atomic"
 	"time"
 
 	"github.com/wustl-adapt/hepccl/internal/adapt"
 )
 
 // conn is one client connection: a reader goroutine assembling events and
-// feeding them to its worker through in, an SPSC ring. A connection is pinned
-// to one worker at accept, which is what makes the ring single-producer/
-// single-consumer; that worker also writes the connection's responses and
-// retires it.
+// sending them to its worker's lane. A connection is pinned to one worker at
+// accept; that worker also writes the connection's responses and retires it.
 type conn struct {
 	s      *Server
 	nc     net.Conn
 	w      *worker
 	id     uint64
 	remote string
-	// in carries assembled events to the owning worker. Its capacity covers
-	// the full derandomizer depth, so an admitted event always has a slot.
-	in *ring[*event]
-	// readerGone is raised by the reader after its final ring push; the
-	// worker uses it to retire the connection from its drain list.
-	readerGone atomic.Bool
 	// failed is the worker's own: set at the first response-write fault,
 	// after which the connection's records are discarded.
 	failed bool
@@ -93,7 +84,7 @@ func (c *conn) readLoop() {
 		// Otherwise the event is zero-suppressed as it is read: the reader's
 		// one pass over the wire bytes verifies every frame and leaves the
 		// lit list, which is all the worker needs.
-		skimmed := s.cfg.Policy == PolicyDrop && c.w.fill.Load() >= int64(s.cfg.QueueDepth)
+		skimmed := s.cfg.Policy == PolicyDrop && len(c.w.q) >= s.cfg.QueueDepth
 		// With recording on, the stream reader accumulates each admitted
 		// event's raw wire bytes alongside the scan — no second pass over the
 		// stream. A condemned event is never logged, so it is not copied.
@@ -251,11 +242,14 @@ func (b *resyncBreaker) add(now time.Time, d int) bool {
 	return b.n > b.limit
 }
 
-// finishReads marks ingress over for this connection: once the worker has
-// drained its ring it writes the last records and retires the connection.
+// finishReads marks ingress over for this connection: it sends the marker
+// event behind the reader's last event, and the worker, once it has served
+// everything ahead of the marker, writes the last records and retires the
+// connection. The send may wait for room in the lane under either policy: the
+// marker is not a trigger, and the worker keeps draining until Shutdown
+// closes the lane, which it does only after every reader has returned.
 func (c *conn) finishReads() {
-	c.readerGone.Store(true)
-	c.w.notify()
+	c.w.q <- &event{c: c, last: true}
 }
 
 // send writes one coalesced run of records to the client — the connection's

@@ -13,7 +13,7 @@ import (
 
 // TestTrickleFlushesPromptly guards the bounded linger in the batch worker
 // loop: paced trickle traffic — each event sent only after the previous
-// response came back, so the worker's rings never hold more than one event —
+// response came back, so the worker's lane never holds more than one event —
 // must still see every response promptly. The linger is a single yield and
 // re-poll; a variant that waited for a fuller batch would stall every
 // iteration of this loop and trip the per-event read deadline.
@@ -47,7 +47,7 @@ func TestTrickleFlushesPromptly(t *testing.T) {
 		if _, err := io.ReadFull(nc, body); err != nil {
 			t.Fatalf("event %d: record body: %v", i, err)
 		}
-		// Pace the trickle: leave the worker parked-or-idle between events so
+		// Pace the trickle: leave the worker blocked on its lane between events so
 		// every drain is a batch of one.
 		time.Sleep(2 * time.Millisecond)
 	}

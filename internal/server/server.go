@@ -108,9 +108,6 @@ type Server struct {
 	cfg     Config
 	stats   Stats
 	workers []*worker
-	// ingressDone is closed (during Shutdown, after every reader has exited)
-	// to tell workers the ingest rings are frozen: drain and retire.
-	ingressDone chan struct{}
 
 	mu    sync.Mutex
 	ln    net.Listener
@@ -153,10 +150,9 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:         cfg,
-		conns:       make(map[*conn]struct{}),
-		draining:    make(chan struct{}),
-		ingressDone: make(chan struct{}),
+		cfg:      cfg,
+		conns:    make(map[*conn]struct{}),
+		draining: make(chan struct{}),
 	}
 	s.stats.start = time.Now()
 	// Seed the rate-gauge baseline at startup so the very first /stats scrape
@@ -203,7 +199,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		w := newWorker()
+		w := newWorker(cfg.QueueDepth)
 		s.workers = append(s.workers, w)
 		s.workersWG.Add(1)
 		go s.run(w, pipes[i])
@@ -282,7 +278,6 @@ func (s *Server) addConn(nc net.Conn) {
 		s:      s,
 		nc:     nc,
 		remote: nc.RemoteAddr().String(),
-		in:     newRing[*event](s.cfg.QueueDepth),
 	}
 	// Register under the hold Shutdown closes draining and sweeps conns
 	// under: a connection either lands in conns and readersWG before the
@@ -296,13 +291,11 @@ func (s *Server) addConn(nc net.Conn) {
 	s.connID++
 	c.id = s.connID
 	// Pin the connection to one worker lane, round-robin by id, for its
-	// lifetime: that is what makes its ring single-producer/single-consumer
-	// and its worker the only writer of its responses.
+	// lifetime: its worker is the only writer of its responses.
 	c.w = s.workers[c.id%uint64(len(s.workers))]
 	s.conns[c] = struct{}{}
 	s.readersWG.Add(1)
 	s.mu.Unlock()
-	c.w.addConn(c)
 	go c.readLoop()
 }
 
@@ -337,10 +330,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 		go func() {
 			// No reader registers after the sweep above, so once these
-			// exit the ingest rings are frozen: tell the workers to serve
-			// the remainder and retire.
+			// exit nothing sends on a lane again: close the lanes, and each
+			// worker serves what its lane still holds and returns.
 			s.readersWG.Wait()
-			close(s.ingressDone)
+			for _, w := range s.workers {
+				close(w.q)
+			}
 		}()
 	})
 	done := make(chan struct{})

@@ -387,9 +387,7 @@ func (s *Server) StatsSnapshot() Snapshot {
 		snap.WAL = &w
 	}
 	for _, w := range s.workers {
-		// A lane's admitted-but-undrained fill is the ring-spine analogue of
-		// the old channel length.
-		snap.QueueLens = append(snap.QueueLens, int(w.fill.Load()))
+		snap.QueueLens = append(snap.QueueLens, len(w.q))
 	}
 	if snap.EventsIn > 0 {
 		snap.LossFraction = float64(snap.Dropped) / float64(snap.EventsIn)

@@ -8,32 +8,29 @@ import (
 )
 
 // serveBatchMax bounds how many queued events one worker drains and serves
-// per wakeup. Large enough to amortize the per-wakeup costs (ring scans,
-// clock reads, counter updates, scheduler churn) across a backlog, small
-// enough that a burst cannot hold response flushing hostage for long.
+// per wakeup. Large enough to amortize the per-wakeup costs (clock reads,
+// counter updates, scheduler churn) across a backlog, small enough that a
+// burst cannot hold response flushing hostage for long.
 const serveBatchMax = 64
 
 // lingerMin is the batch size below which the worker yields once and re-polls
-// its rings before serving. Under load a tiny drain usually means the reader
+// its lane before serving. Under load a tiny drain usually means the reader
 // goroutines are mid-flight on the same core; one bounded linger lets their
-// pushes land and refills the batch, instead of paying a full serve-and-flush
+// sends land and refills the batch, instead of paying a full serve-and-flush
 // cycle per near-empty drain. The linger is a single yield — trickle traffic
-// is delayed by at most one scheduler pass, never parked (TestTrickleFlushesPromptly).
+// is delayed by at most one scheduler pass, never held for a fuller batch
+// (TestTrickleFlushesPromptly).
 const lingerMin = 8
 
-// run is a worker's serving loop — the only one — draining the ingest rings
-// of its assigned connections until ingress closes and the rings are empty
-// (graceful drain). Each drain, up to the drain cap, goes through serve as one
-// batch. Pacing is a parameter of this loop, not a second loop: a service
-// interval (Config.PaceRate) makes the drain cap 1 and has serve wait out the
-// event's slot first, so a paced worker takes one event off its lane per slot
-// — a fixed-rate derandomizer consumer — and frees that event's admission
-// slot before the wait, when a hardware FIFO's read pointer would move.
-//
-// Parking: when every ring is empty the worker announces parked, re-drains
-// (closing the race against a producer that pushed before the announcement),
-// and then blocks on its wake channel. Producers only touch the channel when
-// they observe parked, so the steady-state hot path is ring-only.
+// run is a worker's serving loop — the only one. It blocks on its lane for
+// an event, drains whatever else is queued behind it (up to the drain cap)
+// and serves the drain through serve as one batch, until Shutdown closes the
+// lane and the lane is empty (graceful drain). Pacing is a parameter of this
+// loop, not a second loop: a service interval (Config.PaceRate) makes the
+// drain cap 1 and has serve wait out the event's slot first, so a paced
+// worker takes one event off its lane per slot — a fixed-rate derandomizer
+// consumer — and frees that event's FIFO slot before the wait, when a
+// hardware FIFO's read pointer would move.
 func (s *Server) run(w *worker, p *adapt.Pipeline) {
 	defer s.workersWG.Done()
 	limit := serveBatchMax
@@ -45,45 +42,28 @@ func (s *Server) run(w *worker, p *adapt.Pipeline) {
 	batch := make([]*event, limit)
 	w.recs = make([]adapt.EventRecord, limit)
 
-	closed := false // ingress is over and the rings are frozen
-	for {
-		evs := w.drain(batch[:0])
-		if len(evs) == 0 {
-			w.parked.Store(true)
-			if evs = w.drain(batch[:0]); len(evs) == 0 {
-				// Nothing left to write for what either drain pruned.
-				s.retire(w)
-				if closed {
-					return
-				}
-				select {
-				case <-w.wake:
-				case <-s.ingressDone:
-					// Every reader has exited: serve what the rings still
-					// hold and retire on the first empty drain.
-					closed = true
-				}
-			}
-			w.parked.Store(false)
-			if len(evs) == 0 {
-				continue
-			}
-		} else if len(evs) < lingerMin && len(evs) < cap(evs) {
+	for ev := range w.q {
+		evs := w.drain(w.take(batch[:0], ev))
+		if len(evs) > 0 && len(evs) < lingerMin && len(evs) < cap(evs) {
 			// Bounded linger: one yield, one re-poll, then serve whatever is
 			// there. drain appends, so the already-drained events keep their
 			// positions (and their latency clocks).
 			runtime.Gosched()
 			evs = w.drain(evs)
 		}
-		s.serve(w, p, evs)
+		if len(evs) > 0 {
+			s.serve(w, p, evs)
+		}
 		s.retire(w)
 	}
 }
 
-// retire closes and forgets the connections drain pruned. It runs after the
-// drain's records are written, so each connection's last response is on the
-// wire first; since every connection is pruned before its worker exits, all
-// are retired by the time Shutdown's wait on the workers returns.
+// retire closes and forgets the connections whose marker the last drain
+// took. It runs after the drain's records are written, so each connection's
+// last response is on the wire first. Every reader sends its marker before
+// it exits and Shutdown closes the lanes only after every reader has exited,
+// so all connections are retired by the time Shutdown's wait on the workers
+// returns.
 func (s *Server) retire(w *worker) {
 	for i, c := range w.gone {
 		c.nc.Close()
@@ -116,8 +96,8 @@ func (s *Server) serve(w *worker, p *adapt.Pipeline, evs []*event) {
 	now := time.Now()
 	s.stats.ServeNs.Add(uint64(now.Sub(served)))
 	s.stats.LitChannels.Add(lit)
-	// drain pops each ring's backlog contiguously, so same-conn events form
-	// runs and each run becomes one write and one update of each counter.
+	// Consecutive events of one connection form a run, and each run becomes
+	// one write and one update of each counter.
 	buf := w.resp[:0]
 	var out, bad uint64
 	for i, ev := range evs {
