@@ -17,7 +17,7 @@
 //	                rules apply to) and exit
 //
 // The analyzers themselves check the module's non-test sources; go vet
-// still covers tests. See DESIGN.md §10 and §15 for the invariant
+// still covers tests. See DESIGN.md §9 for the invariant
 // catalogue.
 package main
 

@@ -1,7 +1,7 @@
 // Package barrierproto enforces the parked-worker protocol of structs marked
-// //hepccl:pool — the persistent pools of internal/tileccl (barrier-per-event
-// workers) and internal/server (parked serving lanes). The protocol's
-// correctness rests on a handful of structural facts the race detector can
+// //hepccl:pool — the persistent pool of internal/tileccl (barrier-per-event
+// workers), its one subject since the server's lanes became channels. The
+// protocol's correctness rests on structural facts the race detector can
 // only probe and a reviewer easily misses:
 //
 //   - a //hepccl:wake channel must be buffered (make with a capacity), and

@@ -349,7 +349,7 @@ func (l smallBufListener) Accept() (net.Conn, error) {
 	return nc, err
 }
 
-// TestStalledReaderReleasesLane pins the slow-consumer bound (DESIGN.md §9).
+// TestStalledReaderReleasesLane pins the slow-consumer bound (DESIGN.md §8.5).
 // The worker writes its connections' responses itself, so a client that
 // keeps sending but never reads stalls the whole lane once its kernel socket
 // buffers are full — for at most WriteTimeout, after which its connection is

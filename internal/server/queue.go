@@ -1,7 +1,6 @@
 package server
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
@@ -110,28 +109,20 @@ func (w *worker) take(dst []*event, ev *event) []*event {
 //hepccl:hotpath
 func (s *Server) enqueue(ev *event) bool {
 	q := ev.c.w.q
-	block := s.cfg.Policy == PolicyBlock
-	for spins := 0; ; {
+	select {
+	case q <- ev:
+	default:
+		if s.cfg.Policy != PolicyBlock {
+			return false // full lane under drop policy: a FIFO loss
+		}
+		// Backpressure: park this reader, and through TCP its sender, until
+		// the worker frees a slot. Losing to draining is a FIFO loss too.
 		select {
 		case q <- ev:
-			s.stats.observeQueueDepth(len(q))
-			return true
-		default:
-		}
-		if !block || s.isDraining() {
-			// Full lane under drop policy — or ingress is closing, where
-			// nothing will drain fast enough to honor a blocking admit.
-			// Either way it is a FIFO loss.
+		case <-s.draining:
 			return false
 		}
-		// Backpressure: stall this reader (and through TCP, the sender)
-		// until the worker frees a slot. Yield first — on few-core hosts
-		// the worker needs this core to make that progress — then back off
-		// to short sleeps so a long stall does not burn the CPU.
-		if spins++; spins < 64 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(50 * time.Microsecond)
-		}
 	}
+	s.stats.observeQueueDepth(len(q))
+	return true
 }

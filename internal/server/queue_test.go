@@ -203,10 +203,11 @@ func (*logConn) SetWriteDeadline(time.Time) error { return nil }
 // connection's marker sent by finishReads behind its last event (as its
 // reader does on exit), and a third connection's event with no marker, then
 // the lane closed (as Shutdown does once every reader has returned). More
-// events than one drain takes, so the worker serves several drains. Every
-// event must be served in FIFO order, each marked connection retired only
-// after its last record is written, the unmarked one left open and
-// registered, and the worker must return.
+// events than one drain takes, so the worker serves several drains. Each
+// connection must get its own events in FIFO order, in at most one write per
+// drain; each marked connection must be retired only after its last record
+// is written, the unmarked one left open and registered, and the worker must
+// return.
 func TestLaneDrainAfterClose(t *testing.T) {
 	leakcheck.Check(t)
 	cfg := testConfig()
@@ -264,26 +265,46 @@ func TestLaneDrainAfterClose(t *testing.T) {
 		t.Fatal("worker did not return after its lane closed")
 	}
 
-	// Flatten the writes into the served order, noting for each connection
-	// how many writes it took to carry its last record.
-	var served []uint32
+	// Collect each connection's records in the order its writes carried
+	// them, noting how many writes it took to carry its last record.
+	served := map[uint64][]uint32{}
 	lastWrite := map[uint64]int{}
+	records := 0
 	for i, wr := range log.writes {
 		for _, rec := range readAllRecords(t, bytes.NewReader(wr.buf)) {
 			if owner[rec.Event] != wr.conn {
 				t.Fatalf("event %d written to conn %d, want %d", rec.Event, wr.conn, owner[rec.Event])
 			}
-			served = append(served, rec.Event)
+			served[wr.conn] = append(served[wr.conn], rec.Event)
+			records++
 		}
 		lastWrite[wr.conn] = i + 1
 	}
-	if len(served) != n {
-		t.Fatalf("%d records written, want %d", len(served), n)
+	if records != n {
+		t.Fatalf("%d records written, want %d", records, n)
 	}
-	for i, ev := range served {
-		if ev != lits[i].Event {
-			t.Fatalf("record %d is event %d, want %d: not served in FIFO order", i, ev, lits[i].Event)
+	next := map[uint64]int{}
+	for _, le := range lits {
+		id := owner[le.Event]
+		if k := next[id]; k >= len(served[id]) || served[id][k] != le.Event {
+			t.Fatalf("conn %d: record %d is not event %d: not served in FIFO order", id, k, le.Event)
 		}
+		next[id]++
+	}
+	// The lane was full before the worker started, so its drains are the
+	// FIFO cut into serveBatchMax events (markers take no slot), and each
+	// drain writes once to each connection it holds.
+	wantWrites := 0
+	for start := 0; start < n; start += serveBatchMax {
+		inDrain := map[uint64]bool{}
+		for _, le := range lits[start:min(start+serveBatchMax, n)] {
+			inDrain[owner[le.Event]] = true
+		}
+		wantWrites += len(inDrain)
+	}
+	if len(log.writes) != wantWrites {
+		t.Fatalf("%d writes for %d events in %d drains, want %d: one per connection per drain",
+			len(log.writes), n, (n+serveBatchMax-1)/serveBatchMax, wantWrites)
 	}
 	if len(log.closed) != 2 {
 		t.Fatalf("closed conns %v, want exactly a (%d) and b (%d)", log.closed, a.id, b.id)
@@ -323,4 +344,39 @@ func litEvents(t testing.TB, p *adapt.Pipeline, events [][]adapt.Packet) []adapt
 		out[i] = le
 	}
 	return out
+}
+
+// TestGroupByConn pins the drain reorder: each connection's events become
+// contiguous, connections in order of first appearance, and each one's
+// events keep their arrival order.
+func TestGroupByConn(t *testing.T) {
+	conns := []*conn{{id: 0}, {id: 1}, {id: 2}}
+	for _, tc := range []struct{ in, want string }{
+		{"", ""},
+		{"a", "a"},
+		{"aaaa", "aaaa"},
+		{"abab", "aabb"},
+		{"abacba", "aaabbc"},
+		{"cbacba", "ccbbaa"},
+		{"aabbbc", "aabbbc"},
+	} {
+		evs := make([]*event, len(tc.in))
+		for i, ch := range tc.in {
+			evs[i] = &event{c: conns[ch-'a']}
+			evs[i].Event = uint32(i)
+		}
+		groupByConn(evs)
+		var got []byte
+		last := map[*conn]int{}
+		for _, ev := range evs {
+			got = append(got, byte('a'+ev.c.id))
+			if n, ok := last[ev.c]; ok && int(ev.Event) < n {
+				t.Errorf("%q: conn %d's events out of arrival order", tc.in, ev.c.id)
+			}
+			last[ev.c] = int(ev.Event)
+		}
+		if string(got) != tc.want {
+			t.Errorf("groupByConn(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+	}
 }

@@ -88,7 +88,7 @@ func soakDump(snap Snapshot, conns map[*conn]struct{}) string {
 // fault ledger and the server's. A condemned event is skimmed: its first
 // frame is verified, every later frame is taken on its header alone once the
 // header repeats the first frame's event id and sample count — no checksum,
-// no decode (DESIGN.md §9). A fault that leaves a later frame's framing
+// no decode (DESIGN.md §8.2). A fault that leaves a later frame's framing
 // intact (a flip in its payload, ASIC, flags or timestamp bytes; a cut whose
 // missing tail the skim makes up from the next frame) is therefore never
 // detected: the event counts as assembled-and-dropped rather than
